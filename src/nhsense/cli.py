@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -210,6 +211,10 @@ def _emit(metadata: list[tuple[str, str]], columns: tuple[str, ...], rows: list[
             "rows": [{c: row[c] for c in columns} for row in rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
+    _write(text, out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -265,22 +270,22 @@ def _emit_report(config: ScenarioConfig, report: VerificationReport) -> None:
             "rows": rows,
             "overall_pass": report.overall_pass,
         }
-        text = json.dumps(payload, indent=2) + "\n"
-        if config.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(config.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        _write(json.dumps(payload, indent=2) + "\n", config.out)
 
 
 def run_find_ep(args) -> int:
-    bracket = None
-    if args.bracket_lo is not None or args.bracket_hi is not None:
-        lo = args.bracket_lo if args.bracket_lo is not None else 0.01 * args.J
-        hi = args.bracket_hi if args.bracket_hi is not None else 3.0 * args.J
-        bracket = (lo, hi)
-    gamma = pt_ep.find_ep(args.J, args.omega, bracket=bracket, tol=args.tol)
-    lo, hi = bracket if bracket else (0.01 * args.J, 3.0 * args.J)
+    for flag in ("J", "omega", "bracket_lo", "bracket_hi", "tol"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{flag.replace('_', '-')} must be finite, got {value}")
+    if not args.tol > 0:
+        raise ConfigError(f"--tol must be > 0, got {args.tol}")
+    lo, hi = pt_ep.default_ep_bracket(args.J)
+    if args.bracket_lo is not None:
+        lo = args.bracket_lo
+    if args.bracket_hi is not None:
+        hi = args.bracket_hi
+    gamma = pt_ep.find_ep(args.J, args.omega, bracket=(lo, hi), tol=args.tol)
     row = {"J": args.J, "omega": args.omega, "bracket_lo": lo, "bracket_hi": hi,
            "tol": args.tol, "Gamma_EP": gamma}
     _emit([("version", __version__)], FIND_EP_COLUMNS, [row], args.format, args.out)
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     find.add_argument("--omega", type=float, default=4.0)
     find.add_argument("--bracket-lo", type=float, help="default 0.01 J")
     find.add_argument("--bracket-hi", type=float, help="default 3 J")
-    find.add_argument("--tol", type=float, default=1e-10, help="bisection width target")
+    find.add_argument("--tol", type=float, default=1e-10, help="root tolerance in Gamma (default 1e-10)")
     find.add_argument("--out", help="output path (stdout when omitted)")
     find.add_argument("--format", choices=FORMATS, default="csv")
     return parser

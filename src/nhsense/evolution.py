@@ -69,16 +69,18 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def _check_tol(tol: float) -> float:
+def solver_tol(tol: float) -> float:
+    """Validate an error target `tol` and return the rtol = atol the integrator runs at."""
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise DomainError(f"tol {tol:g} outside [{TOL_MIN:g}, {TOL_MAX:g}]")
-    return float(tol)
+    return max(tol / _INTERNAL_TOL_FACTOR, _RTOL_FLOOR)
 
 
 def propagate(family: HamiltonianFamily, lam: float, times, tol: float = DEFAULT_TOL) -> PropagationRecord:
     """Integrate U and h for one parameter value over a requested time grid."""
     times = _check_times(times)
-    tol = _check_tol(tol)
+    inner = solver_tol(tol)
+    tol = float(tol)
     n = family.dim
     nsq = n * n
 
@@ -98,7 +100,6 @@ def propagate(family: HamiltonianFamily, lam: float, times, tol: float = DEFAULT
         h_out = y0[nsq:].reshape(1, n, n).copy()
         return PropagationRecord(lam=float(lam), times=times, U=u_out, h=h_out, tol=tol)
 
-    inner = max(tol / _INTERNAL_TOL_FACTOR, _RTOL_FLOOR)
     sol = solve_ivp(rhs, (0.0, float(times[-1])), y0, method="RK45",
                     t_eval=times, rtol=inner, atol=inner)
     if not sol.success:
@@ -131,3 +132,12 @@ def generator_finite_difference(family: HamiltonianFamily, lam: float, t: float,
     um = propagator_at(family, lam - dlam, t, tol=tol)
     h = 1j * u0.conj().T @ (up - um) / (2.0 * dlam)
     return (h + h.conj().T) / 2.0
+
+
+def richardson(quotient: Callable[[float], float], h: float) -> float:
+    """One Richardson step (4 q(h/2) - q(h))/3 on a difference quotient q(h).
+
+    Cancels the O(h²) truncation term of a central or second difference;
+    q(h/2) is evaluated first.
+    """
+    return (4.0 * quotient(h / 2.0) - quotient(h)) / 3.0

@@ -14,7 +14,8 @@ from .errors import DomainError
 GRADIENT_FLOOR = 1e-12  # callers treat |gradient| below this as "sensitivity undefined"
 
 
-def _rng(seed: int) -> np.random.Generator:
+def make_rng(seed: int) -> np.random.Generator:
+    """The package's one seeded generator: numpy Philox keyed by `seed`."""
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -50,7 +51,10 @@ class ProjectionStatistics:
 
 
 def binomial_variance(p: float, nu: int) -> float:
-    """Shot-noise variance p(1-p)/nu of an estimated probability."""
+    """Shot-noise variance p(1-p)/nu of an estimated probability.
+
+    Also the marginal variance of one outcome of a nu-shot multinomial.
+    """
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"probability {p} outside [0, 1]")
     if nu < 1:
@@ -67,11 +71,6 @@ def scaled_binomial_variance(p: float, c0: float, nu: int) -> float:
     if nu < 1:
         raise DomainError("trial count must be >= 1")
     return p * (c0 - p) / nu
-
-
-def multinomial_variance(p_i: float, n: int) -> float:
-    """Marginal variance p_i(1-p_i)/n of one outcome of an n-shot multinomial."""
-    return binomial_variance(p_i, n)
 
 
 def propagate_error(gradient, variances) -> float:
@@ -103,7 +102,7 @@ def sample_projection(p: float, scale: float, nu: int, seed: int) -> float:
     if nu < 1:
         raise DomainError("trial count must be >= 1")
     q = p / scale
-    successes = int(np.count_nonzero(_rng(seed).random(nu) < q))
+    successes = int(np.count_nonzero(make_rng(seed).random(nu) < q))
     return scale * successes / nu
 
 
@@ -119,5 +118,5 @@ def sample_projection_batch(p: float, scale: float, nu: int, reps: int, seed: in
         raise DomainError(f"probability {p} outside [0, {scale}]")
     if nu < 1 or reps < 1:
         raise DomainError("nu and reps must be >= 1")
-    counts = _rng(seed).binomial(nu, p / scale, size=reps)
+    counts = make_rng(seed).binomial(nu, p / scale, size=reps)
     return scale * counts / nu

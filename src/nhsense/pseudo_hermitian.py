@@ -17,13 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .evolution import DEFAULT_TOL, HamiltonianFamily, propagate
+from .evolution import DEFAULT_TOL, HamiltonianFamily, propagate, richardson
 from .noise import GRADIENT_FLOOR, binomial_variance
 from .operators import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian, tensor
 from .qfi import qfi_pure
 
 SWEEP_COLUMNS = ("lam", "S", "chi", "P1", "dP1_dlam", "sensitivity",
                  "qfi_closed", "qfi_numeric", "rate_closed", "hermitian_bound")
+
+# Constant two-qubit operators: the two terms of the dilated Hamiltonian
+# (I⊗sigma_x is also dH/dlam) and the ancilla sigma_y eigenprojectors.
+_IX = tensor(ID2, SIGMA_X)
+_YY = tensor(SIGMA_Y, SIGMA_Y)
+_PROJ_UP_Y = 0.5 * (ID2 + SIGMA_Y)
+_PROJ_DN_Y = 0.5 * (ID2 - SIGMA_Y)
 
 
 @dataclass(frozen=True)
@@ -82,17 +89,15 @@ class SweepRow:
 
 def dilated_hamiltonian(p: PseudoHermitianParams) -> np.ndarray:
     """(b + lam) I⊗sigma_x - c sigma_y⊗sigma_y, the dilated two-qubit Hamiltonian."""
-    return (p.b + p.lam) * tensor(ID2, SIGMA_X) - p.c * tensor(SIGMA_Y, SIGMA_Y)
+    return (p.b + p.lam) * _IX - p.c * _YY
 
 
 def hamiltonian_family(epsilon: float, omega: float) -> HamiltonianFamily:
     """The dilated Hamiltonian as a family over the encoded parameter."""
-    dsx = tensor(ID2, SIGMA_X)
-
     def evaluate(lam, t):
         return dilated_hamiltonian(PseudoHermitianParams(epsilon, omega, lam))
 
-    return HamiltonianFamily(dim=4, evaluate=evaluate, evaluate_dlambda=lambda lam, t: dsx)
+    return HamiltonianFamily(dim=4, evaluate=evaluate, evaluate_dlambda=lambda lam, t: _IX)
 
 
 def probe_state(epsilon: float) -> np.ndarray:
@@ -164,26 +169,28 @@ def p1_closed(p: PseudoHermitianParams, t: float) -> float:
     return (1.0 + e) / (1.0 + 2.0 * e) * math.cos(t * math.sqrt(radicand)) ** 2
 
 
-def _richardson_dlam(f, p: PseudoHermitianParams, t: float, step: float | None) -> float:
-    if step is None:
-        step = 1e-5 * max(1.0, abs(p.lam))
+def _dlam(f, p: PseudoHermitianParams, t: float, step: float | None) -> float:
+    """df/dlam: one Richardson step on the central difference in lam.
+
+    The default step is 1e-5 max(1, |lam|).
+    """
 
     def central(h):
         fp = f(PseudoHermitianParams(p.epsilon, p.omega, p.lam + h), t)
         fm = f(PseudoHermitianParams(p.epsilon, p.omega, p.lam - h), t)
         return (fp - fm) / (2.0 * h)
 
-    return (4.0 * central(step / 2.0) - central(step)) / 3.0
+    return richardson(central, step if step is not None else 1e-5 * max(1.0, abs(p.lam)))
 
 
 def susceptibility(p: PseudoHermitianParams, t: float, step: float | None = None) -> float:
     """chi_s = dS/dlam by Richardson-extrapolated central difference."""
-    return _richardson_dlam(two_level_population, p, t, step)
+    return _dlam(two_level_population, p, t, step)
 
 
 def p1_slope(p: PseudoHermitianParams, t: float, step: float | None = None) -> float:
     """dP1/dlam by Richardson-extrapolated central difference of p1_closed."""
-    return _richardson_dlam(p1_closed, p, t, step)
+    return _dlam(p1_closed, p, t, step)
 
 
 def sensitivity(p: PseudoHermitianParams, t: float, nu: int, step: float | None = None) -> float:
@@ -216,9 +223,7 @@ def generator_closed(p: PseudoHermitianParams, t: float) -> np.ndarray:
     hz = -p.c * math.sin(om * t) ** 2 / om**2
     h1 = hx * SIGMA_X + hy * SIGMA_Y + hz * SIGMA_Z
     h2 = hx * SIGMA_X - hy * SIGMA_Y - hz * SIGMA_Z
-    proj_up = 0.5 * (ID2 + SIGMA_Y)
-    proj_dn = 0.5 * (ID2 - SIGMA_Y)
-    return tensor(proj_up, h1) + tensor(proj_dn, h2)
+    return tensor(_PROJ_UP_Y, h1) + tensor(_PROJ_DN_Y, h2)
 
 
 def qfi_closed(p: PseudoHermitianParams, t: float) -> float:

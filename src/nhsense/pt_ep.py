@@ -19,9 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from .errors import DomainError, PropagationError
-from .evolution import _INTERNAL_TOL_FACTOR, _RTOL_FLOOR, _check_tol
+from .evolution import richardson, solver_tol
 from .operators import ID2, SIGMA_X, SIGMA_Z
 
 DEFAULT_TOL = 1e-10
@@ -79,21 +80,6 @@ class EpScanRow:
     excluded_reason: str = ""
 
 
-@dataclass(frozen=True)
-class EpHermitianBound:
-    """Sensitivity bound of the Hermitian counterpart.
-
-    `bound` is the uncertainty-bound integral evaluated by quadrature (the
-    authoritative value); `as_printed` is a circulating closed-form variant
-    that squares the integral while keeping a single sqrt(nu).  It is
-    dimensionally inconsistent with `bound` and reported side by side for
-    comparison only.
-    """
-
-    bound: float
-    as_printed: float
-
-
 def hamiltonian_total(p: PtEpParams, t: float) -> np.ndarray:
     """J(1+cos(w t)) sigma_x + i Gamma sigma_z + (delta/2) cos(w_d t)(1 - sigma_z)."""
     drive = p.J * (1.0 + math.cos(p.omega * t))
@@ -106,9 +92,8 @@ def hamiltonian_domega_delta(p: PtEpParams, t: float) -> np.ndarray:
     return -0.5 * p.delta * t * math.sin(p.omega_delta * t) * (ID2 - SIGMA_Z)
 
 
-def _solve(rhs, t0: float, t1: float, y0: np.ndarray, tol: float) -> np.ndarray:
-    """Final state of an RK45 solve on [t0, t1] at the internal tolerance for `tol`."""
-    inner = max(tol / _INTERNAL_TOL_FACTOR, _RTOL_FLOOR)
+def _solve(rhs, t0: float, t1: float, y0: np.ndarray, inner: float) -> np.ndarray:
+    """Final state of an RK45 solve on [t0, t1] at rtol = atol = `inner`."""
     sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=inner, atol=inner)
     if not sol.success:
         raise PropagationError(f"integration failed: {sol.message}")
@@ -121,7 +106,7 @@ def propagate_interval(p: PtEpParams, t0: float, t1: float, tol: float = DEFAULT
     No unitarity is expected; |det U| stays 1 because the Hamiltonian trace
     is real (the anti-Hermitian part is traceless).
     """
-    _check_tol(tol)
+    inner = solver_tol(tol)
     if t1 < t0:
         raise DomainError("t1 must be >= t0")
     if t1 == t0:
@@ -131,7 +116,7 @@ def propagate_interval(p: PtEpParams, t0: float, t1: float, tol: float = DEFAULT
         u = y.reshape(2, 2)
         return (-1j * hamiltonian_total(p, t) @ u).ravel()
 
-    return _solve(rhs, t0, t1, np.eye(2, dtype=complex).ravel(), tol).reshape(2, 2)
+    return _solve(rhs, t0, t1, np.eye(2, dtype=complex).ravel(), inner).reshape(2, 2)
 
 
 def propagate_period_tangent(p: PtEpParams, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +126,7 @@ def propagate_period_tangent(p: PtEpParams, tol: float = DEFAULT_TOL) -> tuple[n
     is integrated in one state with U, so both see the same steps and W is
     accurate to the requested `tol` rather than to a difference quotient.
     """
-    _check_tol(tol)
+    inner = solver_tol(tol)
 
     def rhs(t, y):
         uw = y.reshape(2, 4)  # columns: U | W
@@ -150,7 +135,7 @@ def propagate_period_tangent(p: PtEpParams, tol: float = DEFAULT_TOL) -> tuple[n
         return d.ravel()
 
     y0 = np.hstack([np.eye(2), np.zeros((2, 2))]).astype(complex).ravel()
-    uw = _solve(rhs, 0.0, p.T, y0, tol).reshape(2, 4)
+    uw = _solve(rhs, 0.0, p.T, y0, inner).reshape(2, 4)
     return uw[:, :2], uw[:, 2:]
 
 
@@ -190,15 +175,26 @@ def _diff_at(p: PtEpParams, tol: float) -> float:
     return pj - pg
 
 
+def _check_root_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"root tolerance must be finite and > 0, got {tol:g}")
+
+
+def default_ep_bracket(j: float) -> tuple[float, float]:
+    """Gamma bracket (0.01 J, 3 J) searched by find_ep when none is given."""
+    return 0.01 * j, 3.0 * j
+
+
 def find_ep(j: float, omega: float, bracket: tuple[float, float] | None = None,
             tol: float = 1e-10, prop_tol: float = 1e-12) -> float:
     """Dissipation rate at the phase boundary: root of P_J - P_Gamma at delta = 0.
 
-    A coarse pre-scan over the bracket locates a sign change, then bisection
-    narrows it to |dGamma| <= tol.
+    A coarse pre-scan over the bracket locates a sign change, then Brent's
+    method narrows it to |dGamma| <= tol.
     """
+    _check_root_tol(tol)
     if bracket is None:
-        bracket = (0.01 * j, 3.0 * j)
+        bracket = default_ep_bracket(j)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 <= lo < hi):
         raise DomainError("bracket must satisfy 0 <= lo < hi")
@@ -209,34 +205,22 @@ def find_ep(j: float, omega: float, bracket: tuple[float, float] | None = None,
 
     grid = np.linspace(lo, hi, 25)
     vals = [g(x) for x in grid]
-    a = b = None
     for k in range(len(grid) - 1):
         if vals[k] == 0.0:
             return float(grid[k])
         if vals[k] * vals[k + 1] < 0:
-            a, b, fa = grid[k], grid[k + 1], vals[k]
-            break
-    if a is None:
-        raise DomainError(f"no sign change of P_J - P_Gamma in Gamma bracket ({lo:g}, {hi:g})")
-
-    while (b - a) / 2.0 > tol:
-        mid = 0.5 * (a + b)
-        fm = g(mid)
-        if fm == 0.0:
-            return float(mid)
-        if fa * fm < 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return float(0.5 * (a + b))
+            return float(brentq(g, grid[k], grid[k + 1], xtol=tol))
+    raise DomainError(f"no sign change of P_J - P_Gamma in Gamma bracket ({lo:g}, {hi:g})")
 
 
 def find_response_dip(p: PtEpParams, bracket: tuple[float, float],
                       tol: float = 1e-10, prop_tol: float = 1e-12) -> float:
     """omega_delta where P_J - P_Gamma crosses zero (the response-energy dip).
 
-    The bracket endpoints must give opposite signs of the difference.
+    The bracket endpoints must give opposite signs of the difference;
+    Brent's method narrows the root to |d omega_delta| <= tol.
     """
+    _check_root_tol(tol)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 < lo < hi):
         raise DomainError("bracket must satisfy 0 < lo < hi")
@@ -244,24 +228,9 @@ def find_response_dip(p: PtEpParams, bracket: tuple[float, float],
     def g(wd: float) -> float:
         return _diff_at(replace(p, omega_delta=wd), prop_tol)
 
-    fa, fb = g(lo), g(hi)
-    if fa == 0.0:
-        return lo
-    if fb == 0.0:
-        return hi
-    if fa * fb > 0:
+    if g(lo) * g(hi) > 0:
         raise DomainError(f"no sign change of P_J - P_Gamma in omega_delta bracket ({lo:g}, {hi:g})")
-    a, b = lo, hi
-    while (b - a) / 2.0 > tol:
-        mid = 0.5 * (a + b)
-        fm = g(mid)
-        if fm == 0.0:
-            return float(mid)
-        if fa * fm < 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return float(0.5 * (a + b))
+    return float(brentq(g, lo, hi, xtol=tol))
 
 
 def response_variance(pj: float, pgamma: float, c0: float, nu: int, period: float) -> float:
@@ -311,14 +280,12 @@ def ep_susceptibility(p: PtEpParams, tol: float = DEFAULT_TOL, rel_step: float |
     either sampled side leaves the real-response region.
     """
     if rel_step is not None:
-        step = rel_step * p.omega_delta
-
         def central(h: float) -> float:
             ep_plus = _response_at(replace(p, omega_delta=p.omega_delta + h), tol)
             ep_minus = _response_at(replace(p, omega_delta=p.omega_delta - h), tol)
             return (ep_plus - ep_minus) / (2.0 * h)
 
-        return abs((4.0 * central(step / 2.0) - central(step)) / 3.0)
+        return abs(richardson(central, rel_step * p.omega_delta))
 
     if diff is None:
         diff = _diff_at(p, tol)
@@ -341,7 +308,7 @@ def ep_sensitivity(p: PtEpParams, tol: float = DEFAULT_TOL) -> float:
     return math.sqrt(var) / chi
 
 
-def hermitian_bound_ep(p: PtEpParams) -> EpHermitianBound:
+def hermitian_bound_ep(p: PtEpParams) -> float:
     """Uncertainty bound of the Hermitian counterpart coupling to the drive.
 
     The spectral width of the drive derivative is delta * s * |sin(w_d s)|,
@@ -350,23 +317,20 @@ def hermitian_bound_ep(p: PtEpParams) -> EpHermitianBound:
     delta [sin(w_d T) - w_d T cos(w_d T)] / w_d².
     """
     if p.delta == 0.0:
-        return EpHermitianBound(bound=float("inf"), as_printed=float("inf"))
+        return float("inf")
     wd, period = p.omega_delta, p.T
     kinks = [k * math.pi / wd for k in range(1, int(wd * period / math.pi) + 1)
              if k * math.pi / wd < period]
     integral, _ = quad(lambda s: p.delta * s * abs(math.sin(wd * s)), 0.0, period,
                        points=kinks or None, epsabs=1e-13, epsrel=1e-10, limit=200)
-    bound = 1.0 / (math.sqrt(p.nu) * integral)
-    shape = math.sin(wd * period) - wd * period * math.cos(wd * period)
-    as_printed = wd**4 / (math.sqrt(p.nu) * p.delta**2 * shape**2) if shape != 0 else float("inf")
-    return EpHermitianBound(bound=bound, as_printed=as_printed)
+    return 1.0 / (math.sqrt(p.nu) * integral)
 
 
 def _scan_row(base: PtEpParams, wd: float, tol: float) -> EpScanRow:
     p = replace(base, omega_delta=wd)
     pj, pg = pj_pgamma(propagate_period(p, tol=tol))
     diff = pj - pg
-    bound = hermitian_bound_ep(p).bound
+    bound = hermitian_bound_ep(p)
     if not (DIFF_FLOOR < diff < 1.0 - DIFF_FLOOR):
         return EpScanRow(
             omega_delta=wd, PJ=pj, PGamma=pg, E_res=float("nan"),

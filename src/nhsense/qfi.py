@@ -12,7 +12,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError
-from .evolution import HamiltonianFamily, PropagationRecord, propagator_at
+from .evolution import HamiltonianFamily, PropagationRecord, propagator_at, richardson
 from .operators import HERMITICITY_ATOL, covariance, require_state, seminorm, variance
 
 RATE_QFI_FLOOR = 1e-12  # below this the covariance quotient for d sqrt(F)/dt is meaningless
@@ -129,9 +129,7 @@ def qfi_fidelity_oracle(family: HamiltonianFamily, lam: float, psi0, t: float,
         psi_m = propagator_at(family, lam - d, t, tol=tol) @ psi0
         return -4.0 * (overlap(psi_c, psi_p) - 2.0 + overlap(psi_c, psi_m)) / d**2
 
-    g1 = second_difference(dlam)
-    g2 = second_difference(dlam / 2.0)
-    return (4.0 * g2 - g1) / 3.0
+    return richardson(second_difference, dlam)
 
 
 def cramer_rao(qfi_value: float, nu: int) -> float:

@@ -14,7 +14,9 @@ import numpy as np
 from . import pseudo_hermitian as ph
 from . import pt_ep
 from .evolution import HamiltonianFamily, propagate
-from .noise import binomial_variance, propagate_error, sample_projection_batch, scaled_binomial_variance
+from .noise import (
+    binomial_variance, make_rng, propagate_error, sample_projection_batch, scaled_binomial_variance,
+)
 from .operators import covariance, expm_hermitian, seminorm, variance
 from .qfi import qfi_fidelity_oracle, qfi_pure, qfi_series
 
@@ -44,10 +46,6 @@ def _result(name: str, target: str, observed: float, tolerance: float) -> CheckR
 
 
 # ---------------------------------------------------------------- instances
-
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
-
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -261,7 +259,7 @@ def check_pt_ep(tol: float = 1e-11) -> list[CheckResult]:
                              omega_delta=wd_t / (2.0 * math.pi / 4.0))
         shape = math.sin(wd_t) - wd_t * math.cos(wd_t)
         closed = p.omega_delta**2 / (p.delta * shape)
-        worst_bound = max(worst_bound, abs(pt_ep.hermitian_bound_ep(p).bound - closed) / closed)
+        worst_bound = max(worst_bound, abs(pt_ep.hermitian_bound_ep(p) - closed) / closed)
     out.append(_result("ep-bound-quadrature-vs-closed",
                        "relative mismatch for w_d T <= pi", worst_bound, 1e-10))
 

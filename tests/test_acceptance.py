@@ -15,7 +15,7 @@ import nhsense.pseudo_hermitian as ph
 import nhsense.pt_ep as pt
 from nhsense.cli import main
 from nhsense.evolution import propagate
-from nhsense.noise import multinomial_variance, binomial_variance, sample_projection_batch
+from nhsense.noise import binomial_variance, sample_projection_batch
 from nhsense.qfi import qfi_pure, qfi_series
 from nhsense.verification import (
     _variance_standard_error, check_operator_inequalities, make_rng, random_family, random_state,
@@ -204,7 +204,7 @@ def test_criterion_08_projection_noise_monte_carlo():
         counts = make_rng(60222).multinomial(n_shots, probs, size=reps) / n_shots
         for i, p_true in enumerate(probs):
             se = _variance_standard_error(p_true, 1.0, n_shots, reps)
-            assert abs(counts[:, i].var(ddof=1) - multinomial_variance(p_true, n_shots)) < 5 * se
+            assert abs(counts[:, i].var(ddof=1) - binomial_variance(p_true, n_shots)) < 5 * se
 
 
 def test_criterion_09_operator_inequality_suites():

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import time
 from pathlib import Path
 
 import pytest
 
+from nhsense import pt_ep
 from nhsense.cli import (
     ConfigError, main, parse_config, parse_config_lines, read_metadata, validate,
 )
@@ -143,6 +145,18 @@ class TestCliRuns:
         _, header, rows = read_csv(str(out))
         assert header == ["J", "omega", "bracket_lo", "bracket_hi", "tol", "Gamma_EP"]
         assert float(rows[0][5]) == pytest.approx(0.6180339887499, abs=1e-9)
+
+    @pytest.mark.parametrize("flag, value", [("--tol", v) for v in ("0", "-1", "nan", "inf")]
+                             + [(f, v) for f in ("--J", "--omega", "--bracket-lo", "--bracket-hi")
+                                for v in ("nan", "inf")])
+    def test_find_ep_rejects_bad_input(self, flag, value, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("bad input reached the root search")
+
+        monkeypatch.setattr(pt_ep, "find_ep", must_not_run)
+        start = time.perf_counter()
+        assert main(["find-ep", f"{flag}={value}"]) == 1
+        assert time.perf_counter() - start < 5.0
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nhsense.errors import DomainError
 from nhsense.noise import (
-    ProjectionStatistics, binomial_variance, multinomial_variance, propagate_error,
+    ProjectionStatistics, binomial_variance, propagate_error,
     sample_projection, sample_projection_batch, scaled_binomial_variance,
 )
 from nhsense.verification import _variance_standard_error, make_rng
@@ -68,10 +68,10 @@ class TestScaledBinomialVariance:
 
 class TestMultinomialVariance:
     def test_arithmetic(self):
-        assert multinomial_variance(0.25, 4) == pytest.approx(0.046875, rel=1e-15)
+        assert binomial_variance(0.25, 4) == pytest.approx(0.046875, rel=1e-15)
 
     def test_certain_outcome(self):
-        assert multinomial_variance(1.0, 3) == 0.0
+        assert binomial_variance(1.0, 3) == 0.0
 
     def test_monte_carlo_marginals(self):
         probs = np.array([0.4, 0.3, 0.2, 0.1])
@@ -79,7 +79,7 @@ class TestMultinomialVariance:
         counts = make_rng(5150).multinomial(n_shots, probs, size=reps)
         est = counts / n_shots
         for i, p in enumerate(probs):
-            analytic = multinomial_variance(p, n_shots)
+            analytic = binomial_variance(p, n_shots)
             se = _variance_standard_error(p, 1.0, n_shots, reps)
             assert abs(est[:, i].var(ddof=1) - analytic) < 5 * se
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhsense import pt_ep
 from nhsense.errors import DomainError
 from nhsense.noise import sample_projection_batch
 from nhsense.operators import SIGMA_X, SIGMA_Z
@@ -19,6 +20,9 @@ from nhsense.pt_ep import (
 GAMMA_EP_J1_W1 = 0.6180339887499011
 GAMMA_EP_J1_W4 = 1.0650605221996057
 DIP_J1_W4_D005 = 0.2065397059705546
+# tight roots: brentq at xtol 1e-15 on tol-1e-13 propagations (the dip for default_base())
+GAMMA_EP_J1_W4_TIGHT = 1.0650605221995824
+DIP_J1_W4_D005_TIGHT = 0.2065397059708299
 
 
 def default_base(gamma=GAMMA_EP_J1_W4):
@@ -160,7 +164,7 @@ class TestFindEp:
         gamma = find_ep(1.0, 1.0, tol=1e-10)
         assert gamma == pytest.approx(GAMMA_EP_J1_W1, abs=1e-9)
 
-    def test_bisection_contract(self):
+    def test_root_within_requested_tol(self):
         a = find_ep(1.0, 4.0, tol=1e-6)
         b = find_ep(1.0, 4.0, tol=5e-7)
         assert abs(a - GAMMA_EP_J1_W4) <= 1e-6 + 1e-9
@@ -170,6 +174,41 @@ class TestFindEp:
     def test_no_sign_change_reported(self):
         with pytest.raises(DomainError):
             find_ep(1.0, 1.0, bracket=(2.0, 2.9), tol=1e-8)
+
+
+class TestRootFinders:
+    """Both roots come from Brent's method: few propagations, tight roots."""
+
+    @staticmethod
+    def count_propagations(monkeypatch) -> list:
+        calls = []
+        original = pt_ep.propagate_period
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pt_ep, "propagate_period", counted)
+        return calls
+
+    def test_find_ep_evaluations_and_accuracy(self, monkeypatch):
+        calls = self.count_propagations(monkeypatch)
+        gamma = find_ep(1.0, 4.0, tol=1e-12)
+        assert len(calls) <= 37  # 25-point pre-scan plus Brent; bisection needed 61
+        assert abs(gamma - GAMMA_EP_J1_W4_TIGHT) <= 2e-12
+
+    def test_find_response_dip_evaluations_and_accuracy(self, monkeypatch):
+        calls = self.count_propagations(monkeypatch)
+        dip = find_response_dip(default_base(), (0.05, 2.0), tol=1e-12)
+        assert len(calls) <= 20  # bisection needed 42
+        assert abs(dip - DIP_J1_W4_D005_TIGHT) <= 2e-12
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(DomainError, match="root tolerance"):
+            find_ep(1.0, 4.0, tol=tol)
+        with pytest.raises(DomainError, match="root tolerance"):
+            find_response_dip(default_base(), (0.05, 2.0), tol=tol)
 
 
 class TestResponseVariance:
@@ -262,7 +301,7 @@ class TestSusceptibilityAndSensitivity:
     def test_sensitivity_above_bound(self):
         for wd in (0.35, 0.8, 1.5):
             p = base_at(default_base(), wd)
-            assert ep_sensitivity(p, tol=1e-10) >= hermitian_bound_ep(p).bound - 1e-9
+            assert ep_sensitivity(p, tol=1e-10) >= hermitian_bound_ep(p) - 1e-9
 
 
 class TestHermitianBoundEp:
@@ -271,7 +310,7 @@ class TestHermitianBoundEp:
         omega = 4.0
         wd = (math.pi / 2) / (2 * math.pi / omega)
         p = PtEpParams(J=1.0, Gamma=0.2, omega=omega, delta=0.05, omega_delta=wd)
-        assert hermitian_bound_ep(p).bound == pytest.approx(wd**2 / p.delta, rel=1e-10)
+        assert hermitian_bound_ep(p) == pytest.approx(wd**2 / p.delta, rel=1e-10)
 
     def test_quadrature_matches_antiderivative(self):
         # integral s sin(w s) ds = [sin(w s) - w s cos(w s)] / w^2 while w T <= pi
@@ -280,20 +319,11 @@ class TestHermitianBoundEp:
             wd = wd_t / (2 * math.pi / omega)
             p = PtEpParams(J=1.0, Gamma=0.2, omega=omega, delta=0.05, omega_delta=wd)
             closed = wd**2 / (p.delta * (math.sin(wd_t) - wd_t * math.cos(wd_t)))
-            assert hermitian_bound_ep(p).bound == pytest.approx(closed, rel=1e-10)
-
-    def test_as_printed_field(self):
-        omega = 4.0
-        wd_t = 1.0
-        wd = wd_t / (2 * math.pi / omega)
-        p = PtEpParams(J=1.0, Gamma=0.2, omega=omega, delta=0.05, omega_delta=wd)
-        shape = math.sin(wd_t) - wd_t * math.cos(wd_t)
-        assert hermitian_bound_ep(p).as_printed == pytest.approx(
-            wd**4 / (p.delta**2 * shape**2), rel=1e-12)
+            assert hermitian_bound_ep(p) == pytest.approx(closed, rel=1e-10)
 
     def test_no_encoding_is_unbounded(self):
         p = PtEpParams(J=1.0, Gamma=0.2, omega=4.0, delta=0.0, omega_delta=0.5)
-        assert hermitian_bound_ep(p).bound == math.inf
+        assert hermitian_bound_ep(p) == math.inf
 
     def test_kinked_integrand_beyond_pi(self):
         # wd T > pi: |sin| kinks handled by the quadrature; compare against
@@ -301,7 +331,7 @@ class TestHermitianBoundEp:
         p = PtEpParams(J=1.0, Gamma=0.2, omega=1.0, delta=0.05, omega_delta=1.3)
         s = np.linspace(0.0, p.T, 400_001)
         trapezoid = np.trapezoid(p.delta * s * np.abs(np.sin(p.omega_delta * s)), s)
-        assert hermitian_bound_ep(p).bound == pytest.approx(1.0 / trapezoid, rel=1e-8)
+        assert hermitian_bound_ep(p) == pytest.approx(1.0 / trapezoid, rel=1e-8)
 
 
 class TestScan:
