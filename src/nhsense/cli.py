@@ -21,7 +21,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import get_args
 
 import numpy as np
 
@@ -32,8 +33,13 @@ from .errors import DomainError, PropagationError
 from .evolution import TOL_MAX, TOL_MIN
 from .verification import VerificationReport, build_report
 
-SCENARIOS = ("pseudo-hermitian", "pt-ep", "verify")
 FORMATS = ("csv", "json")
+# subcommand -> (scenario it runs, help); find-ep has its own parser below
+SUBCOMMANDS = {
+    "sweep-ph": ("pseudo-hermitian", "dilated-sensor sweep over the encoded parameter"),
+    "scan-ep": ("pt-ep", "EP-sensor scan over the perturbation frequency"),
+    "verify": ("verify", "run the inequality suites, emit a report"),
+}
 
 FIND_EP_COLUMNS = ("J", "omega", "bracket_lo", "bracket_hi", "tol", "Gamma_EP")
 VERIFY_COLUMNS = ("check", "target", "observed", "tolerance", "passed")
@@ -43,64 +49,58 @@ class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
 
 
+def _key(key: str, default, help: str | None = None, **options):
+    """A config field: its key and, given help text, a flag with these add_argument options."""
+    flag = {"help": help, **options} if help else None
+    return field(default=default, metadata={"key": key, "flag": flag})
+
+
 @dataclass
 class ScenarioConfig:
-    scenario: str = ""
-    out: str | None = None
-    format: str = "csv"
-    threads: int = 1
-    seed: int = 0
-    tol: float = 1e-10
-    ph_epsilon: float = 0.1
-    ph_omega: float = 1.0
-    ph_nu: int = 1
-    ph_grid_start: float | None = None  # default -0.5 * ph_omega
-    ph_grid_stop: float | None = None   # default +0.5 * ph_omega
-    ph_grid_count: int = 201
-    ep_J: float = 1.0
-    ep_Gamma: float | None = None       # default: resolved by find_ep
-    ep_omega: float = 4.0
-    ep_delta: float = 0.05
-    ep_nu: int = 1
-    ep_grid_start: float = 0.05
-    ep_grid_stop: float = 2.0
-    ep_grid_count: int = 80
+    """The one declaration of every config key and flag.  A key under `scenario.<scenario>.`
+    is a flag of that scenario's subcommand (`scenario.pt-ep.grid.start` -> `scan-ep
+    --grid-start`); a key outside the `scenario.` namespace is a flag of every subcommand."""
+
+    scenario: str = _key("scenario", "")
+    out: str | None = _key("out", None, "output path (stdout when omitted)")
+    format: str = _key("format", "csv", "output format (default csv)", choices=FORMATS)
+    threads: int = _key("threads", 1, "row-level worker threads (default 1)")
+    seed: int = _key("seed", 0, "seed for the verification suites")
+    tol: float = _key("tol", 1e-10, "integration error target (default 1e-10)")
+    ph_epsilon: float = _key("scenario.pseudo-hermitian.epsilon", 0.1, "dilation parameter (default 0.1)")
+    ph_omega: float = _key("scenario.pseudo-hermitian.omega", 1.0, "qubit frequency (default 1.0)")
+    ph_nu: int = _key("scenario.pseudo-hermitian.nu", 1, "projection trials per point (default 1)")
+    ph_grid_start: float | None = _key("scenario.pseudo-hermitian.grid.start", None,
+                                       "first lam (default -omega/2)")
+    ph_grid_stop: float | None = _key("scenario.pseudo-hermitian.grid.stop", None,
+                                      "last lam (default +omega/2)")
+    ph_grid_count: int = _key("scenario.pseudo-hermitian.grid.count", 201, "grid points (default 201)")
+    ep_J: float = _key("scenario.pt-ep.J", 1.0, "coupling strength (default 1.0)")
+    ep_Gamma: float | None = _key("scenario.pt-ep.Gamma", None, "dissipation rate (default: located EP)")
+    ep_omega: float = _key("scenario.pt-ep.omega", 4.0, "drive frequency (default 4.0)")
+    ep_delta: float = _key("scenario.pt-ep.delta", 0.05, "perturbation amplitude (default 0.05)")
+    ep_nu: int = _key("scenario.pt-ep.nu", 1, "projection trials per point (default 1)")
+    ep_grid_start: float = _key("scenario.pt-ep.grid.start", 0.05, "first omega_delta (default 0.05)")
+    ep_grid_stop: float = _key("scenario.pt-ep.grid.stop", 2.0, "last omega_delta (default 2.0)")
+    ep_grid_count: int = _key("scenario.pt-ep.grid.count", 80, "grid points (default 80)")
 
 
-# config key -> (attribute, parser)
-_KEY_MAP = {
-    "scenario": ("scenario", str),
-    "out": ("out", str),
-    "format": ("format", str),
-    "threads": ("threads", int),
-    "seed": ("seed", int),
-    "tol": ("tol", float),
-    "scenario.pseudo-hermitian.epsilon": ("ph_epsilon", float),
-    "scenario.pseudo-hermitian.omega": ("ph_omega", float),
-    "scenario.pseudo-hermitian.nu": ("ph_nu", int),
-    "scenario.pseudo-hermitian.grid.start": ("ph_grid_start", float),
-    "scenario.pseudo-hermitian.grid.stop": ("ph_grid_stop", float),
-    "scenario.pseudo-hermitian.grid.count": ("ph_grid_count", int),
-    "scenario.pt-ep.J": ("ep_J", float),
-    "scenario.pt-ep.Gamma": ("ep_Gamma", float),
-    "scenario.pt-ep.omega": ("ep_omega", float),
-    "scenario.pt-ep.delta": ("ep_delta", float),
-    "scenario.pt-ep.nu": ("ep_nu", int),
-    "scenario.pt-ep.grid.start": ("ep_grid_start", float),
-    "scenario.pt-ep.grid.stop": ("ep_grid_stop", float),
-    "scenario.pt-ep.grid.count": ("ep_grid_count", int),
-}
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEY_MAP.items()}
+_FIELD_OF_KEY = {f.metadata["key"]: f for f in fields(ScenarioConfig)}
+
+
+def _value_type(f) -> type:
+    """str, int or float: the field's type with any `| None` dropped."""
+    return (get_args(f.type) or (f.type,))[0]
 
 
 def _apply_kv(config: ScenarioConfig, key: str, value: str, where: str) -> None:
     if key == "version":
         return  # recorded in metadata, accepted on re-parse
-    if key not in _KEY_MAP:
+    if key not in _FIELD_OF_KEY:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    attr, parser = _KEY_MAP[key]
+    f = _FIELD_OF_KEY[key]
     try:
-        setattr(config, attr, parser(value))
+        setattr(config, f.name, _value_type(f)(value))
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {value!r} for key {key!r}") from None
 
@@ -146,15 +146,41 @@ def read_metadata(path: str) -> ScenarioConfig:
     return parse_config_lines(header, source=path, strip_comment_prefix=True)
 
 
+def _check_finite(values: dict) -> None:
+    """Reject a non-finite float among {name: value}, naming it."""
+    for name, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 def validate(config: ScenarioConfig) -> ScenarioConfig:
-    if config.scenario not in SCENARIOS:
-        raise ConfigError(f"scenario must be one of {SCENARIOS}, got {config.scenario!r}")
+    scenarios = tuple(scenario for scenario, _ in SUBCOMMANDS.values())
+    if config.scenario not in scenarios:
+        raise ConfigError(f"scenario must be one of {scenarios}, got {config.scenario!r}")
     if config.format not in FORMATS:
         raise ConfigError(f"format must be one of {FORMATS}, got {config.format!r}")
     if config.threads < 1:
         raise ConfigError("threads must be >= 1")
+    key = {f.name: f.metadata["key"] for f in fields(config)}
+    _check_finite({key[name]: value for name, value in vars(config).items()})
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if not (TOL_MIN <= config.tol <= TOL_MAX):
         raise ConfigError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
+    if config.ph_nu < 1:
+        raise ConfigError(f"{key['ph_nu']} must be >= 1, got {config.ph_nu}")
+    # The params classes hold the domain rules; a DomainError leads with the
+    # field name, the last part of its key (omega_delta is checked at grid.start).
+    gamma = 0.0 if config.ep_Gamma is None else config.ep_Gamma  # None: find_ep resolves it
+    for scenario, build in (
+            ("pseudo-hermitian", lambda: ph.PseudoHermitianParams(config.ph_epsilon, config.ph_omega)),
+            ("pt-ep", lambda: pt_ep.PtEpParams(config.ep_J, gamma, config.ep_omega, config.ep_delta,
+                                               config.ep_grid_start, config.ep_nu))):
+        try:
+            build()
+        except DomainError as exc:
+            message = str(exc).replace("omega_delta", "grid.start")
+            raise ConfigError(f"scenario.{scenario}.{message}") from None
     if config.ph_grid_start is None:
         config.ph_grid_start = -0.5 * config.ph_omega
     if config.ph_grid_stop is None:
@@ -180,22 +206,22 @@ def _fmt(value) -> str:
 
 
 def _metadata_items(config: ScenarioConfig) -> list[tuple[str, str]]:
+    """The set common keys and those of the run's own scenario; the output path is not one."""
     items = [("version", __version__)]
-    skip_prefix = {"pseudo-hermitian": "ep_", "pt-ep": "ph_", "verify": "_"}[config.scenario]
+    config = replace(config, out=None)
     for f in fields(config):
-        value = getattr(config, f.name)
-        if value is None or f.name == "out":
+        key, value = f.metadata["key"], getattr(config, f.name)
+        if value is None:
             continue
-        if config.scenario == "verify" and f.name.startswith(("ph_", "ep_")):
+        if key.startswith("scenario.") and not key.startswith(f"scenario.{config.scenario}."):
             continue
-        if f.name.startswith(skip_prefix):
-            continue
-        items.append((_ATTR_TO_KEY[f.name], _fmt(value)))
+        items.append((key, _fmt(value)))
     return items
 
 
 def _emit(metadata: list[tuple[str, str]], columns: tuple[str, ...], rows: list[dict],
-          fmt: str, out: str | None) -> None:
+          fmt: str, out: str | None, **json_extra) -> None:
+    """Write CSV under '# key=value' lines, or JSON with json_extra after the rows."""
     if fmt == "csv":
         buf = io.StringIO()
         for key, value in metadata:
@@ -209,12 +235,9 @@ def _emit(metadata: list[tuple[str, str]], columns: tuple[str, ...], rows: list[
         payload = {
             "metadata": dict(metadata),
             "rows": [{c: row[c] for c in columns} for row in rows],
+            **json_extra,
         }
         text = json.dumps(payload, indent=2) + "\n"
-    _write(text, out)
-
-
-def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -231,7 +254,7 @@ def run(config: ScenarioConfig) -> int:
         rows = ph.sweep(config.ph_epsilon, config.ph_omega, grid, nu=config.ph_nu,
                         tol=config.tol, threads=config.threads)
         _emit(_metadata_items(config), ph.SWEEP_COLUMNS,
-              [_asdict(row) for row in rows], config.format, config.out)
+              [asdict(row) for row in rows], config.format, config.out)
         return 0
 
     if config.scenario == "pt-ep":
@@ -244,7 +267,7 @@ def run(config: ScenarioConfig) -> int:
         grid = np.linspace(config.ep_grid_start, config.ep_grid_stop, config.ep_grid_count)
         rows = pt_ep.scan(base, grid, tol=config.tol, threads=config.threads)
         _emit(_metadata_items(effective), pt_ep.SCAN_COLUMNS,
-              [_asdict(row) for row in rows], config.format, config.out)
+              [asdict(row) for row in rows], config.format, config.out)
         return 0
 
     # verify
@@ -253,31 +276,19 @@ def run(config: ScenarioConfig) -> int:
     return 0 if report.overall_pass else 3
 
 
-def _asdict(row) -> dict:
-    return {f.name: getattr(row, f.name) for f in fields(row)}
-
-
 def _emit_report(config: ScenarioConfig, report: VerificationReport) -> None:
     rows = [{"check": c.name, "target": c.target, "observed": c.observed,
              "tolerance": c.tolerance, "passed": c.passed} for c in report.checks]
     if config.format == "csv":
         rows.append({"check": "overall", "target": "conjunction of all checks",
                      "observed": 0.0, "tolerance": 0.0, "passed": report.overall_pass})
-        _emit(_metadata_items(config), VERIFY_COLUMNS, rows, "csv", config.out)
-    else:
-        payload = {
-            "metadata": dict(_metadata_items(config)),
-            "rows": rows,
-            "overall_pass": report.overall_pass,
-        }
-        _write(json.dumps(payload, indent=2) + "\n", config.out)
+    _emit(_metadata_items(config), VERIFY_COLUMNS, rows, config.format, config.out,
+          overall_pass=report.overall_pass)
 
 
 def run_find_ep(args) -> int:
-    for flag in ("J", "omega", "bracket_lo", "bracket_hi", "tol"):
-        value = getattr(args, flag)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"--{flag.replace('_', '-')} must be finite, got {value}")
+    _check_finite({f"--{name.replace('_', '-')}": getattr(args, name)
+                   for name in ("J", "omega", "bracket_lo", "bracket_hi", "tol")})
     if not args.tol > 0:
         raise ConfigError(f"--tol must be > 0, got {args.tol}")
     lo, hi = pt_ep.default_ep_bracket(args.J)
@@ -299,13 +310,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value configuration file")
-    sub.add_argument("--out", help="output path (stdout when omitted)")
-    sub.add_argument("--format", choices=FORMATS, help="output format (default csv)")
-    sub.add_argument("--threads", type=int, help="row-level worker threads (default 1)")
-    sub.add_argument("--seed", type=int, help="seed for the verification suites")
-    sub.add_argument("--tol", type=float, help="integration error target (default 1e-10)")
+def _flag(key: str, scenario: str) -> str | None:
+    """The flag of a key in the subcommand running scenario: `--grid-start` for
+    `scenario.<scenario>.grid.start`, `--tol` for `tol`, None for other scenarios' keys."""
+    name = key.removeprefix(f"scenario.{scenario}.")
+    return None if name.startswith("scenario.") else "--" + name.replace(".", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,28 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"nhsense {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sweep = subs.add_parser("sweep-ph", help="dilated-sensor sweep over the encoded parameter")
-    _add_common(sweep)
-    sweep.add_argument("--epsilon", type=float, help="dilation parameter (default 0.1)")
-    sweep.add_argument("--omega", type=float, help="qubit frequency (default 1.0)")
-    sweep.add_argument("--nu", type=int, help="projection trials per point (default 1)")
-    sweep.add_argument("--grid-start", type=float, help="first lam (default -omega/2)")
-    sweep.add_argument("--grid-stop", type=float, help="last lam (default +omega/2)")
-    sweep.add_argument("--grid-count", type=int, help="grid points (default 201)")
-
-    scan = subs.add_parser("scan-ep", help="EP-sensor scan over the perturbation frequency")
-    _add_common(scan)
-    scan.add_argument("--J", type=float, help="coupling strength (default 1.0)")
-    scan.add_argument("--Gamma", type=float, help="dissipation rate (default: located EP)")
-    scan.add_argument("--omega", type=float, help="drive frequency (default 4.0)")
-    scan.add_argument("--delta", type=float, help="perturbation amplitude (default 0.05)")
-    scan.add_argument("--nu", type=int, help="projection trials per point (default 1)")
-    scan.add_argument("--grid-start", type=float, help="first omega_delta (default 0.05)")
-    scan.add_argument("--grid-stop", type=float, help="last omega_delta (default 2.0)")
-    scan.add_argument("--grid-count", type=int, help="grid points (default 80)")
-
-    verify = subs.add_parser("verify", help="run the inequality suites, emit a report")
-    _add_common(verify)
+    for command, (scenario, summary) in SUBCOMMANDS.items():
+        sub = subs.add_parser(command, help=summary)
+        sub.add_argument("--config", help="flat key=value configuration file")
+        for f in fields(ScenarioConfig):
+            flag, options = _flag(f.metadata["key"], scenario), f.metadata["flag"]
+            if options and flag is not None:
+                # the value is named after the flag, not dest, unless choices name it
+                metavar = None if "choices" in options else flag[2:].upper().replace("-", "_")
+                sub.add_argument(flag, dest=f.name, metavar=metavar, type=_value_type(f), **options)
 
     find = subs.add_parser("find-ep", help="locate the dissipation rate of the phase boundary")
     find.add_argument("--J", type=float, default=1.0)
@@ -348,32 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SCENARIO_OF = {"sweep-ph": "pseudo-hermitian", "scan-ep": "pt-ep", "verify": "verify"}
-
-_FLAG_ATTRS = {
-    "sweep-ph": {"epsilon": "ph_epsilon", "omega": "ph_omega", "nu": "ph_nu",
-                 "grid_start": "ph_grid_start", "grid_stop": "ph_grid_stop",
-                 "grid_count": "ph_grid_count"},
-    "scan-ep": {"J": "ep_J", "Gamma": "ep_Gamma", "omega": "ep_omega",
-                "delta": "ep_delta", "nu": "ep_nu", "grid_start": "ep_grid_start",
-                "grid_stop": "ep_grid_stop", "grid_count": "ep_grid_count"},
-    "verify": {},
-}
-
-
 def _config_from_args(args) -> ScenarioConfig:
     config = ScenarioConfig()
     if args.config:
         parse_config(args.config, config)
-    config.scenario = _SCENARIO_OF[args.command]
-    for flag in ("out", "format", "threads", "seed", "tol"):
-        value = getattr(args, flag, None)
+    config.scenario = SUBCOMMANDS[args.command][0]
+    for f in fields(config):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(config, flag, value)
-    for flag, attr in _FLAG_ATTRS[args.command].items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(config, attr, value)
+            setattr(config, f.name, value)
     return validate(config)
 
 

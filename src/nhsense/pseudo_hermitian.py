@@ -42,6 +42,9 @@ class PseudoHermitianParams:
     lam: float = 0.0
 
     def __post_init__(self):
+        for name in ("epsilon", "omega", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive (epsilon = 0 coalesces the probe)")
         if self.omega <= 0:

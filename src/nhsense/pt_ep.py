@@ -16,6 +16,7 @@ the passive realization enters only through the noise scale C0 = e^{2 Gamma T}.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -45,6 +46,9 @@ class PtEpParams:
     nu: int = 1
 
     def __post_init__(self):
+        for name in ("J", "Gamma", "omega", "delta", "omega_delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.J <= 0:
             raise DomainError("J must be positive")
         if self.Gamma < 0:
@@ -56,7 +60,7 @@ class PtEpParams:
         if self.omega_delta <= 0:
             raise DomainError("omega_delta must be positive")
         if self.nu < 1:
-            raise DomainError("trial count must be >= 1")
+            raise DomainError("nu (trial count) must be >= 1")
 
     @property
     def T(self) -> float:
@@ -199,6 +203,7 @@ def find_ep(j: float, omega: float, bracket: tuple[float, float] | None = None,
     if not (0 <= lo < hi):
         raise DomainError("bracket must satisfy 0 <= lo < hi")
 
+    @cache  # brentq re-evaluates the bracket ends the pre-scan already has
     def g(gamma: float) -> float:
         # delta = 0 removes the perturbation; omega_delta is then inert.
         return _diff_at(PtEpParams(J=j, Gamma=gamma, omega=omega, delta=0.0, omega_delta=1.0), prop_tol)
@@ -225,6 +230,7 @@ def find_response_dip(p: PtEpParams, bracket: tuple[float, float],
     if not (0 < lo < hi):
         raise DomainError("bracket must satisfy 0 < lo < hi")
 
+    @cache  # brentq re-evaluates the bracket ends the sign check already has
     def g(wd: float) -> float:
         return _diff_at(replace(p, omega_delta=wd), prop_tol)
 

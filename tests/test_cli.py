@@ -1,15 +1,18 @@
 import json
 import math
 import os
+import re
 import time
 from pathlib import Path
 
 import pytest
 
-from nhsense import pt_ep
+from nhsense import cli, pt_ep
+from nhsense import pseudo_hermitian as ph
 from nhsense.cli import (
-    ConfigError, main, parse_config, parse_config_lines, read_metadata, validate,
+    ConfigError, ScenarioConfig, main, parse_config, parse_config_lines, read_metadata, validate,
 )
+from nhsense.verification import VerificationReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -230,3 +233,129 @@ class TestRegressionFixtures:
         out = tmp_path / "scan.csv"
         assert main(["scan-ep", "--out", str(out)]) == 0
         self._compare(out, FIXTURES / "scan_ep_default.csv")
+
+
+SCENARIO_OF = {"sweep-ph": "pseudo-hermitian", "scan-ep": "pt-ep", "verify": "verify"}
+COMMON_FLAGS = {"--out", "--format", "--threads", "--seed", "--tol"}
+FLAGS = {
+    "sweep-ph": COMMON_FLAGS | {"--epsilon", "--omega", "--nu", "--grid-start", "--grid-stop",
+                                "--grid-count"},
+    "scan-ep": COMMON_FLAGS | {"--J", "--Gamma", "--omega", "--delta", "--nu", "--grid-start",
+                               "--grid-stop", "--grid-count"},
+    "verify": COMMON_FLAGS,
+}
+# every config key but `scenario`, each with a valid value that is not its default
+NON_DEFAULT = {
+    "out": "elsewhere.csv", "format": "json", "threads": "2", "seed": "5", "tol": "1e-09",
+    "scenario.pseudo-hermitian.epsilon": "0.2", "scenario.pseudo-hermitian.omega": "2.0",
+    "scenario.pseudo-hermitian.nu": "3", "scenario.pseudo-hermitian.grid.start": "-0.3",
+    "scenario.pseudo-hermitian.grid.stop": "0.4", "scenario.pseudo-hermitian.grid.count": "5",
+    "scenario.pt-ep.J": "1.5", "scenario.pt-ep.Gamma": "0.7", "scenario.pt-ep.omega": "3.0",
+    "scenario.pt-ep.delta": "0.02", "scenario.pt-ep.nu": "2", "scenario.pt-ep.grid.start": "0.1",
+    "scenario.pt-ep.grid.stop": "1.0", "scenario.pt-ep.grid.count": "7",
+}
+
+
+def own_keys(scenario: str) -> list[str]:
+    """The common keys and the keys of one scenario."""
+    return [k for k in NON_DEFAULT
+            if not k.startswith("scenario.") or k.startswith(f"scenario.{scenario}.")]
+
+
+def flag_of(key: str, scenario: str) -> str:
+    return "--" + key.removeprefix(f"scenario.{scenario}.").replace(".", "-")
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("bad input got past the configuration check")
+
+
+SWEEP_FLOATS = {"--tol": "tol", "--epsilon": "scenario.pseudo-hermitian.epsilon",
+                "--omega": "scenario.pseudo-hermitian.omega",
+                "--grid-start": "scenario.pseudo-hermitian.grid.start",
+                "--grid-stop": "scenario.pseudo-hermitian.grid.stop"}
+SCAN_FLOATS = {"--tol": "tol", "--J": "scenario.pt-ep.J", "--Gamma": "scenario.pt-ep.Gamma",
+               "--omega": "scenario.pt-ep.omega", "--delta": "scenario.pt-ep.delta",
+               "--grid-start": "scenario.pt-ep.grid.start", "--grid-stop": "scenario.pt-ep.grid.stop"}
+BAD_INPUT = (
+    [(["sweep-ph", f"{flag}={v}"], key) for flag, key in SWEEP_FLOATS.items() for v in ("nan", "inf")]
+    + [(["scan-ep", f"{flag}={v}"], key) for flag, key in SCAN_FLOATS.items() for v in ("nan", "inf")]
+    + [(["sweep-ph", "--nu=0"], "scenario.pseudo-hermitian.nu"),
+       (["scan-ep", "--nu=0"], "scenario.pt-ep.nu"),
+       (["scan-ep", "--grid-start=0"], "scenario.pt-ep.grid.start"),
+       (["scan-ep", "--Gamma=-1"], "scenario.pt-ep.Gamma"),
+       (["sweep-ph", "--epsilon=0"], "scenario.pseudo-hermitian.epsilon"),
+       (["verify", "--seed=-1"], "seed")]
+)
+
+
+class TestConfigTable:
+    """One declaration of keys and flags; bad values stop at the config boundary."""
+
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        for module, name in ((ph, "sweep"), (pt_ep, "scan"), (pt_ep, "find_ep"),
+                             (cli, "build_report")):
+            monkeypatch.setattr(module, name, must_not_run)
+
+    @pytest.mark.parametrize("argv, key", BAD_INPUT, ids=[" ".join(a) for a, _ in BAD_INPUT])
+    def test_bad_flag_exits_1_naming_the_key(self, argv, key, no_runs, capsys):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 5.0
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, line", [
+        ("scan-ep", "scenario.pt-ep.delta=inf"),
+        ("scan-ep", "scenario.pt-ep.Gamma=-1"),
+        ("sweep-ph", "scenario.pseudo-hermitian.epsilon=nan"),
+        ("sweep-ph", "scenario.pseudo-hermitian.nu=0"),
+        ("verify", "seed=-1"),
+    ])
+    def test_bad_config_line_exits_1_naming_the_key(self, command, line, no_runs, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        start = time.perf_counter()
+        assert main([command, "--config", str(cfg)]) == 1
+        assert time.perf_counter() - start < 5.0
+        assert line.partition("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", SCENARIO_OF)
+    def test_each_flag_sets_the_field_of_its_key(self, command, monkeypatch, tmp_path, capsys):
+        scenario = SCENARIO_OF[command]
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == FLAGS[command] | {
+            "--help", "--config"}
+        captured = []
+        monkeypatch.setattr(cli, "run", lambda config: captured.append(config) or 0)
+        default = validate(ScenarioConfig(scenario=scenario))
+        cfg = tmp_path / "one.cfg"
+        for key in own_keys(scenario):
+            cfg.write_text(f"{key}={NON_DEFAULT[key]}\n")
+            assert main([command, f"{flag_of(key, scenario)}={NON_DEFAULT[key]}"]) == 0
+            assert main([command, "--config", str(cfg)]) == 0
+            by_flag, by_key = captured[-2:]
+            assert by_flag == by_key != default, key
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", SCENARIO_OF)
+    def test_every_field_round_trips_through_metadata(self, command, fmt, monkeypatch, tmp_path):
+        monkeypatch.setattr(ph, "sweep", lambda *args, **kwargs: [])
+        monkeypatch.setattr(pt_ep, "scan", lambda *args, **kwargs: [])
+        monkeypatch.setattr(cli, "build_report", lambda seed: VerificationReport(seed, ()))
+        scenario = SCENARIO_OF[command]
+        lines = [f"{k}={v}" for k, v in {**NON_DEFAULT, "format": fmt}.items()]
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / f"o.{fmt}"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        if fmt == "csv":
+            reparsed = read_metadata(str(out))
+        else:
+            metadata = json.loads(out.read_text())["metadata"]
+            reparsed = parse_config_lines(f"{k}={v}" for k, v in metadata.items())
+        own = [line for line in lines if line.partition("=")[0] in own_keys(scenario)]
+        expected = parse_config_lines([f"scenario={scenario}"] + own)
+        expected.out = None  # the output path is not metadata
+        assert reparsed == expected

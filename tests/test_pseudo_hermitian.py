@@ -33,6 +33,13 @@ class TestParams:
         with pytest.raises(DomainError):
             PseudoHermitianParams(0.1, -1.0)
 
+    @pytest.mark.parametrize("args", [(math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan),
+                                      (0.1, math.inf), (0.1, 1.0, math.nan), (0.1, 1.0, -math.inf)])
+    def test_rejects_non_finite(self, args):
+        # nan <= 0 is False, so without a finiteness check nan passed as a valid parameter
+        with pytest.raises(DomainError, match="must be finite"):
+            PseudoHermitianParams(*args)
+
 
 class TestDilatedHamiltonian:
     def test_construction_identity(self):

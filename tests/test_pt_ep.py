@@ -29,6 +29,16 @@ def default_base(gamma=GAMMA_EP_J1_W4):
     return PtEpParams(J=1.0, Gamma=gamma, omega=4.0, delta=0.05, omega_delta=1.0)
 
 
+class TestParams:
+    @pytest.mark.parametrize("name", ["J", "Gamma", "omega", "delta", "omega_delta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, name, value):
+        # nan <= 0 is False, so without a finiteness check PtEpParams(J=nan, ...) was accepted
+        params = dict(J=1.0, Gamma=0.5, omega=4.0, delta=0.05, omega_delta=1.0)
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            PtEpParams(**{**params, name: value})
+
+
 class TestHamiltonian:
     def test_hermitian_when_lossless(self):
         p = PtEpParams(J=1.0, Gamma=0.0, omega=2.0, delta=0.03, omega_delta=0.7)
@@ -194,13 +204,13 @@ class TestRootFinders:
     def test_find_ep_evaluations_and_accuracy(self, monkeypatch):
         calls = self.count_propagations(monkeypatch)
         gamma = find_ep(1.0, 4.0, tol=1e-12)
-        assert len(calls) <= 37  # 25-point pre-scan plus Brent; bisection needed 61
+        assert len(calls) <= 31  # 25-point pre-scan plus Brent, each bracket end propagated once
         assert abs(gamma - GAMMA_EP_J1_W4_TIGHT) <= 2e-12
 
     def test_find_response_dip_evaluations_and_accuracy(self, monkeypatch):
         calls = self.count_propagations(monkeypatch)
         dip = find_response_dip(default_base(), (0.05, 2.0), tol=1e-12)
-        assert len(calls) <= 20  # bisection needed 42
+        assert len(calls) <= 11  # sign check plus Brent, each bracket end propagated once
         assert abs(dip - DIP_J1_W4_D005_TIGHT) <= 2e-12
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
