@@ -288,14 +288,20 @@ def _emit_report(config: ScenarioConfig, report: VerificationReport) -> None:
 
 def run_find_ep(args) -> int:
     _check_finite({f"--{name.replace('_', '-')}": getattr(args, name)
-                   for name in ("J", "omega", "bracket_lo", "bracket_hi", "tol")})
+                   for name in ("bracket_lo", "bracket_hi", "tol")})
     if not args.tol > 0:
         raise ConfigError(f"--tol must be > 0, got {args.tol}")
+    try:
+        pt_ep.PtEpParams(args.J, 0.0, args.omega, 0.0, 1.0)  # the sensor's rules for J and omega
+    except DomainError as exc:
+        raise ConfigError(f"--{exc}") from None
     lo, hi = pt_ep.default_ep_bracket(args.J)
     if args.bracket_lo is not None:
         lo = args.bracket_lo
     if args.bracket_hi is not None:
         hi = args.bracket_hi
+    if not 0 <= lo < hi:
+        raise ConfigError(f"bracket must satisfy 0 <= --bracket-lo < --bracket-hi, got {lo:g}, {hi:g}")
     gamma = pt_ep.find_ep(args.J, args.omega, bracket=(lo, hi), tol=args.tol)
     row = {"J": args.J, "omega": args.omega, "bracket_lo": lo, "bracket_hi": hi,
            "tol": args.tol, "Gamma_EP": gamma}

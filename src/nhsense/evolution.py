@@ -1,14 +1,17 @@
-"""Time-ordered propagation with simultaneous integration of the local generator.
+"""Time-ordered propagation with simultaneous integration of the parameter tangent.
 
 The coupled system
 
-    dU/dt = -i H(lam, t) U,        U(0) = 1
-    dh/dt = U† (dH/dlam)(lam, t) U,  h(0) = 0
+    dU/dt = -i H(lam, t) U,                          U(0) = 1
+    dW/dt = -i H(lam, t) W - i (dH/dlam)(lam, t) U,   W(0) = 0
 
 is integrated as one complex state with an adaptive Runge-Kutta 5(4) pair,
-so the propagator and the transformed local generator h(t) = i U† dU/dlam
-see identical time discretization.  No unitarity re-projection is applied;
-integration error is tracked, not hidden.
+so the propagator and its tangent W = dU/dlam see identical time
+discretization.  `integrate` is the one propagation core of the package and
+holds for any H, Hermitian or not; the PT-symmetric sensor calls it
+directly.  For a Hermitian family, `propagate` records the local generator
+h = i U† dU/dlam as the Hermitian part of i U† W.  No unitarity
+re-projection is applied; integration error is tracked, not hidden.
 """
 
 from dataclasses import dataclass
@@ -69,52 +72,70 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def solver_tol(tol: float) -> float:
+def _solver_tol(tol: float) -> float:
     """Validate an error target `tol` and return the rtol = atol the integrator runs at."""
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise DomainError(f"tol {tol:g} outside [{TOL_MIN:g}, {TOL_MAX:g}]")
     return max(tol / _INTERNAL_TOL_FACTOR, _RTOL_FLOOR)
 
 
-def propagate(family: HamiltonianFamily, lam: float, times, tol: float = DEFAULT_TOL) -> PropagationRecord:
-    """Integrate U and h for one parameter value over a requested time grid."""
+def integrate(hamiltonian: Callable[[float], np.ndarray], dim: int, times, tol: float,
+              dhamiltonian: Callable[[float], np.ndarray] | None = None
+              ) -> tuple[np.ndarray, np.ndarray | None]:
+    """U and, given `dhamiltonian`, its tangent W on `times`, each (len(times), dim, dim).
+
+    H need not be Hermitian; W is None without `dhamiltonian`.  A two-point
+    grid (0, t) is read off the last step itself, not its interpolant.
+    """
     times = _check_times(times)
-    inner = solver_tol(tol)
-    tol = float(tol)
-    n = family.dim
-    nsq = n * n
+    inner = _solver_tol(tol)
+    width = dim if dhamiltonian is None else 2 * dim  # state columns: U, or U | W
 
     def rhs(t, y):
-        u = y[:nsq].reshape(n, n)
-        ham = np.asarray(family.evaluate(lam, t), dtype=complex)
-        dham = np.asarray(family.evaluate_dlambda(lam, t), dtype=complex)
-        if not (np.all(np.isfinite(ham)) and np.all(np.isfinite(dham))):
-            raise PropagationError(f"non-finite Hamiltonian evaluation at t={t:g}")
-        du = -1j * (ham @ u)
-        dh = u.conj().T @ dham @ u
-        return np.concatenate([du.ravel(), dh.ravel()])
+        uw = y.reshape(dim, width)
+        d = (-1j * hamiltonian(t)) @ uw
+        if dhamiltonian is not None:
+            d[:, dim:] -= 1j * (dhamiltonian(t) @ uw[:, :dim])
+        return d.ravel()
 
-    y0 = np.concatenate([np.eye(n, dtype=complex).ravel(), np.zeros(nsq, dtype=complex)])
+    y0 = np.zeros((dim, width), dtype=complex)
+    y0[:, :dim] = np.eye(dim)
     if times[-1] == 0.0:
-        u_out = y0[:nsq].reshape(1, n, n).copy()
-        h_out = y0[nsq:].reshape(1, n, n).copy()
-        return PropagationRecord(lam=float(lam), times=times, U=u_out, h=h_out, tol=tol)
+        y = y0[np.newaxis]
+    else:
+        t_eval = times if times.size > 2 else None
+        sol = solve_ivp(rhs, (0.0, float(times[-1])), y0.ravel(), method="RK45",
+                        t_eval=t_eval, rtol=inner, atol=inner)
+        if not sol.success:
+            raise PropagationError(f"integration failed: {sol.message}")
+        y = (sol.y if t_eval is not None else sol.y[:, [0, -1]]).T.reshape(-1, dim, width)
+    return y[:, :, :dim], (y[:, :, dim:] if dhamiltonian is not None else None)
 
-    sol = solve_ivp(rhs, (0.0, float(times[-1])), y0, method="RK45",
-                    t_eval=times, rtol=inner, atol=inner)
-    if not sol.success:
-        raise PropagationError(f"integration failed: {sol.message}")
 
-    y = sol.y.T  # (n_times, 2*nsq)
-    u_out = y[:, :nsq].reshape(-1, n, n)
-    h_out = y[:, nsq:].reshape(-1, n, n)
-    return PropagationRecord(lam=float(lam), times=times, U=u_out, h=h_out, tol=tol)
+def _checked(evaluate: Callable[[float, float], np.ndarray], lam: float) -> Callable[[float], np.ndarray]:
+    """t -> evaluate(lam, t) as a complex array, rejecting a non-finite evaluation."""
+    def at(t: float) -> np.ndarray:
+        m = np.asarray(evaluate(lam, t), dtype=complex)
+        if not np.all(np.isfinite(m)):
+            raise PropagationError(f"non-finite Hamiltonian evaluation at t={t:g}")
+        return m
+    return at
+
+
+def propagate(family: HamiltonianFamily, lam: float, times, tol: float = DEFAULT_TOL) -> PropagationRecord:
+    """U and h, the Hermitian part of i U† W, for one parameter value over a time grid."""
+    u, w = integrate(_checked(family.evaluate, lam), family.dim, times, tol,
+                     dhamiltonian=_checked(family.evaluate_dlambda, lam))
+    h = 1j * np.swapaxes(u.conj(), 1, 2) @ w
+    h = (h + np.swapaxes(h.conj(), 1, 2)) / 2.0
+    return PropagationRecord(lam=float(lam), times=np.asarray(times, dtype=float), U=u, h=h,
+                             tol=float(tol))
 
 
 def propagator_at(family: HamiltonianFamily, lam: float, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Convenience: U(0->t) only."""
     grid = np.array([0.0, float(t)]) if t > 0 else np.array([0.0])
-    return propagate(family, lam, grid, tol=tol).U[-1]
+    return integrate(_checked(family.evaluate, lam), family.dim, grid, tol)[0][-1]
 
 
 def generator_finite_difference(family: HamiltonianFamily, lam: float, t: float,

@@ -16,14 +16,14 @@ the passive realization enters only through the noise scale C0 = e^{2 Gamma T}.
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import DomainError, PropagationError
-from .evolution import richardson, solver_tol
+from .errors import DomainError
+from .evolution import integrate, richardson
 from .operators import ID2, SIGMA_X, SIGMA_Z
 
 DEFAULT_TOL = 1e-10
@@ -96,56 +96,25 @@ def hamiltonian_domega_delta(p: PtEpParams, t: float) -> np.ndarray:
     return -0.5 * p.delta * t * math.sin(p.omega_delta * t) * (ID2 - SIGMA_Z)
 
 
-def _solve(rhs, t0: float, t1: float, y0: np.ndarray, inner: float) -> np.ndarray:
-    """Final state of an RK45 solve on [t0, t1] at rtol = atol = `inner`."""
-    sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=inner, atol=inner)
-    if not sol.success:
-        raise PropagationError(f"integration failed: {sol.message}")
-    return sol.y[:, -1]
+def propagate_period_tangent(p: PtEpParams, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """U(T) together with its parameter derivative W(T) = dU(T)/d omega_delta.
+
+    W comes from the tangent equation integrated in one state with U
+    (`evolution.integrate`), so it is accurate to the requested `tol` rather
+    than to a difference quotient.
+    """
+    u, w = integrate(partial(hamiltonian_total, p), 2, (0.0, p.T), tol,
+                     dhamiltonian=partial(hamiltonian_domega_delta, p))
+    return u[-1], w[-1]
 
 
-def propagate_interval(p: PtEpParams, t0: float, t1: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Time-ordered propagator of the full non-Hermitian Hamiltonian on [t0, t1].
+def propagate_period(p: PtEpParams, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """U(T) over one modulation period.
 
     No unitarity is expected; |det U| stays 1 because the Hamiltonian trace
     is real (the anti-Hermitian part is traceless).
     """
-    inner = solver_tol(tol)
-    if t1 < t0:
-        raise DomainError("t1 must be >= t0")
-    if t1 == t0:
-        return np.eye(2, dtype=complex)
-
-    def rhs(t, y):
-        u = y.reshape(2, 2)
-        return (-1j * hamiltonian_total(p, t) @ u).ravel()
-
-    return _solve(rhs, t0, t1, np.eye(2, dtype=complex).ravel(), inner).reshape(2, 2)
-
-
-def propagate_period_tangent(p: PtEpParams, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """U(T) together with its parameter derivative W(T) = dU(T)/d omega_delta.
-
-    The tangent equation dW/dt = -i H W - i (dH/d omega_delta) U, W(0) = 0,
-    is integrated in one state with U, so both see the same steps and W is
-    accurate to the requested `tol` rather than to a difference quotient.
-    """
-    inner = solver_tol(tol)
-
-    def rhs(t, y):
-        uw = y.reshape(2, 4)  # columns: U | W
-        d = -1j * (hamiltonian_total(p, t) @ uw)
-        d[:, 2:] -= 1j * (hamiltonian_domega_delta(p, t) @ uw[:, :2])
-        return d.ravel()
-
-    y0 = np.hstack([np.eye(2), np.zeros((2, 2))]).astype(complex).ravel()
-    uw = _solve(rhs, 0.0, p.T, y0, inner).reshape(2, 4)
-    return uw[:, :2], uw[:, 2:]
-
-
-def propagate_period(p: PtEpParams, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """U(T) over one modulation period."""
-    return propagate_interval(p, 0.0, p.T, tol=tol)
+    return integrate(partial(hamiltonian_total, p), 2, (0.0, p.T), tol)[0][-1]
 
 
 def pj_pgamma(u) -> tuple[float, float]:

@@ -149,16 +149,19 @@ class TestCliRuns:
         assert header == ["J", "omega", "bracket_lo", "bracket_hi", "tol", "Gamma_EP"]
         assert float(rows[0][5]) == pytest.approx(0.6180339887499, abs=1e-9)
 
-    @pytest.mark.parametrize("flag, value", [("--tol", v) for v in ("0", "-1", "nan", "inf")]
-                             + [(f, v) for f in ("--J", "--omega", "--bracket-lo", "--bracket-hi")
-                                for v in ("nan", "inf")])
-    def test_find_ep_rejects_bad_input(self, flag, value, monkeypatch):
+    @pytest.mark.parametrize("flags", [[f"--tol={v}"] for v in ("0", "-1", "nan", "inf")]
+                             + [[f"{f}={v}"] for f in ("--J", "--omega", "--bracket-lo", "--bracket-hi")
+                                for v in ("nan", "inf")]
+                             + [["--J=-1"], ["--J=0"], ["--omega=0"],
+                                ["--bracket-lo=3", "--bracket-hi=1"]],
+                             ids=lambda flags: " ".join(flags).replace("=", "-"))
+    def test_find_ep_rejects_bad_input(self, flags, monkeypatch):
         def must_not_run(*args, **kwargs):
             raise AssertionError("bad input reached the root search")
 
         monkeypatch.setattr(pt_ep, "find_ep", must_not_run)
         start = time.perf_counter()
-        assert main(["find-ep", f"{flag}={value}"]) == 1
+        assert main(["find-ep", *flags]) == 1
         assert time.perf_counter() - start < 5.0
 
     def test_byte_identical_reruns(self, tmp_path):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm, expm_frechet
 
 from nhsense.errors import DomainError, PropagationError
 from nhsense.evolution import (
-    HamiltonianFamily, generator_finite_difference, propagate, propagator_at,
+    HamiltonianFamily, generator_finite_difference, integrate, propagate, propagator_at,
 )
 from nhsense.operators import SIGMA_X, expm_hermitian
 from nhsense.pseudo_hermitian import PseudoHermitianParams, generator_closed, hamiltonian_family
@@ -20,6 +21,28 @@ def multiplicative_family(h1, h0):
     return HamiltonianFamily(dim=h0.shape[0],
                              evaluate=lambda lam, t: lam * h1 + h0,
                              evaluate_dlambda=lambda lam, t: h1)
+
+
+class TestIntegrate:
+    def test_constant_non_hermitian_matches_expm_and_frechet(self, rng):
+        # H(lam) = H0 + lam H1 with H0 non-Hermitian: U = e^{-iHt}, W = dU/dlam
+        # is the Frechet derivative of expm at -iHt in the direction -iH1 t
+        h0 = random_hermitian(rng, 3) + 0.4j * random_hermitian(rng, 3)
+        h1 = random_hermitian(rng, 3) + 0.2j * random_hermitian(rng, 3)
+        lam = 0.3
+        h = h0 + lam * h1
+        times = np.array([0.0, 0.6, 1.3])
+        u, w = integrate(lambda t: h, 3, times, 1e-12, dhamiltonian=lambda t: h1)
+        for k, t in enumerate(times):
+            assert np.abs(u[k] - expm(-1j * h * t)).max() < 1e-10
+            _, expected_w = expm_frechet(-1j * h * t, -1j * h1 * t)
+            assert np.abs(w[k] - expected_w).max() < 1e-10
+
+    def test_propagator_only_without_tangent(self, rng):
+        h = random_hermitian(rng, 2)
+        u, w = integrate(lambda t: h, 2, np.array([0.0, 1.0]), 1e-11)
+        assert w is None
+        assert np.abs(u[-1] - expm_hermitian(h, 1.0)).max() < 1e-10
 
 
 class TestPropagate:
@@ -64,6 +87,19 @@ class TestPropagate:
         rec = propagate(fam, 0.4, np.linspace(0.0, 2.5, 9), tol=1e-10)
         for h in rec.h:
             assert np.abs(h - h.conj().T).max() < 1e-9
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_hermitian_part_hides_only_integration_error(self, rng, dim):
+        # h is the Hermitian part of i U† W; the anti-Hermitian part it drops
+        # must be integration error, within the record's 10*tol contract
+        tol = 1e-10
+        fam = random_family(rng, dim)
+        times = np.linspace(0.0, 2.5, 6)
+        u, w = integrate(lambda t: fam.evaluate(0.3, t), dim, times, tol,
+                         dhamiltonian=lambda t: fam.evaluate_dlambda(0.3, t))
+        for uk, wk in zip(u, w):
+            raw = 1j * uk.conj().T @ wk
+            assert np.abs(raw - raw.conj().T).max() / 2.0 <= 10 * tol
 
     def test_refinement_convergence(self, rng):
         fam = random_family(rng, 3)

@@ -12,7 +12,7 @@ from nhsense.operators import SIGMA_X, SIGMA_Z
 from nhsense.pt_ep import (
     SCAN_COLUMNS, EpScanRow, PtEpParams, ep_sensitivity, ep_susceptibility, find_ep,
     find_response_dip, hamiltonian_domega_delta, hamiltonian_total, hermitian_bound_ep,
-    pj_pgamma, propagate_interval, propagate_period, propagate_period_tangent, response_energy,
+    pj_pgamma, propagate_period, propagate_period_tangent, response_energy,
     response_variance, scan,
 )
 
@@ -86,13 +86,6 @@ class TestPropagation:
         u = propagate_period(p, tol=1e-11)
         expected = np.diag([math.exp(p.Gamma * p.T), math.exp(-p.Gamma * p.T)])
         assert np.abs(u - expected).max() < 1e-9
-
-    def test_flow_property(self):
-        p = default_base()
-        whole = propagate_period(p, tol=1e-11)
-        split = propagate_interval(p, p.T / 2, p.T, tol=1e-11) @ \
-            propagate_interval(p, 0.0, p.T / 2, tol=1e-11)
-        assert np.abs(whole - split).max() < 1e-10
 
     def test_tangent_matches_propagator_and_difference_quotient(self):
         p = base_at(default_base(), 0.8)
