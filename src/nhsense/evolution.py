@@ -67,16 +67,25 @@ def _check_times(times) -> np.ndarray:
         raise DomainError("times must be a non-empty 1-d grid")
     if times[0] != 0.0:
         raise DomainError("times must start at 0")
+    if not np.all(np.isfinite(times)):
+        raise DomainError("times must be finite")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise DomainError("times must be strictly ascending")
     return times
 
 
-def _solver_tol(tol: float) -> float:
-    """Validate an error target `tol` and return the rtol = atol the integrator runs at."""
+def check_tol(tol: float) -> float:
+    """`tol` itself once it is a valid error target, in [TOL_MIN, TOL_MAX]."""
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise DomainError(f"tol {tol:g} outside [{TOL_MIN:g}, {TOL_MAX:g}]")
-    return max(tol / _INTERNAL_TOL_FACTOR, _RTOL_FLOOR)
+    return tol
+
+
+def grid_to(t: float) -> np.ndarray:
+    """The time grid (0, t), or (0,) at t = 0; DomainError unless t is finite and >= 0."""
+    if not (np.isfinite(t) and t >= 0):
+        raise DomainError(f"t must be finite and >= 0, got {t}")
+    return np.array([0.0, float(t)]) if t > 0 else np.array([0.0])
 
 
 def integrate(hamiltonian: Callable[[float], np.ndarray], dim: int, times, tol: float,
@@ -88,7 +97,7 @@ def integrate(hamiltonian: Callable[[float], np.ndarray], dim: int, times, tol: 
     grid (0, t) is read off the last step itself, not its interpolant.
     """
     times = _check_times(times)
-    inner = _solver_tol(tol)
+    inner = max(check_tol(tol) / _INTERNAL_TOL_FACTOR, _RTOL_FLOOR)  # solver rtol = atol
     width = dim if dhamiltonian is None else 2 * dim  # state columns: U, or U | W
 
     def rhs(t, y):
@@ -134,8 +143,7 @@ def propagate(family: HamiltonianFamily, lam: float, times, tol: float = DEFAULT
 
 def propagator_at(family: HamiltonianFamily, lam: float, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Convenience: U(0->t) only."""
-    grid = np.array([0.0, float(t)]) if t > 0 else np.array([0.0])
-    return integrate(_checked(family.evaluate, lam), family.dim, grid, tol)[0][-1]
+    return integrate(_checked(family.evaluate, lam), family.dim, grid_to(t), tol)[0][-1]
 
 
 def generator_finite_difference(family: HamiltonianFamily, lam: float, t: float,

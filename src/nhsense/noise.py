@@ -5,8 +5,6 @@ All sampling goes through an explicitly seeded counter-based generator
 (numpy Philox); there is no global random state anywhere in the package.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -17,37 +15,6 @@ GRADIENT_FLOOR = 1e-12  # callers treat |gradient| below this as "sensitivity un
 def make_rng(seed: int) -> np.random.Generator:
     """The package's one seeded generator: numpy Philox keyed by `seed`."""
     return np.random.Generator(np.random.Philox(seed))
-
-
-@dataclass(frozen=True)
-class ProjectionStatistics:
-    """A measured probability with its shot-noise variance.
-
-    scale is 1 for unitary evolution; for passive non-Hermitian evolution
-    renormalized by e^{2 Gamma T} it is that constant, and the probability
-    may exceed 1 while staying within [0, scale].
-    """
-
-    p: float
-    scale: float
-    nu: int
-    variance: float
-
-    def __post_init__(self):
-        if self.scale < 1.0:
-            raise DomainError(f"scale must be >= 1, got {self.scale}")
-        if not (0.0 <= self.p <= self.scale):
-            raise DomainError(f"probability {self.p} outside [0, {self.scale}]")
-        if self.nu < 1:
-            raise DomainError("trial count must be >= 1")
-        expected = self.p * (self.scale - self.p) / self.nu
-        if abs(self.variance - expected) > 1e-14:
-            raise DomainError("variance inconsistent with p(scale - p)/nu")
-
-    @classmethod
-    def from_probability(cls, p: float, scale: float, nu: int) -> "ProjectionStatistics":
-        return cls(p=float(p), scale=float(scale), nu=int(nu),
-                   variance=float(p) * (float(scale) - float(p)) / int(nu))
 
 
 def binomial_variance(p: float, nu: int) -> float:

@@ -5,7 +5,8 @@ evolution of an ancilla+system pair with a specific probe state, conditioned
 on the ancilla staying in |0>.  This module carries both descriptions (the
 effective two-level closed forms and the 4-dim dilation), the projection
 noise sensitivity of the population measurement, the closed-form QFI and its
-rate, and the sensitivity bound of the Hermitian counterpart.
+rate, and the sensitivity bound of the Hermitian counterpart.  Both slopes in
+lam, of the population S and of P1, are exact closed forms.
 
 Basis ordering for the two-qubit space is kron(ancilla, system):
 index 0 = |0_a 0_s>, 1 = |0_a 1_s>, 2 = |1_a 0_s>, 3 = |1_a 1_s>.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .evolution import DEFAULT_TOL, HamiltonianFamily, propagate, richardson
+from .evolution import DEFAULT_TOL, HamiltonianFamily, grid_to, propagate
 from .noise import GRADIENT_FLOOR, binomial_variance
 from .operators import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian, tensor
 from .qfi import qfi_pure
@@ -156,12 +157,11 @@ def conditional_population_from_dilation(p: PseudoHermitianParams, t: float) -> 
     return p00 / (p00 + p01)
 
 
-def p1_closed(p: PseudoHermitianParams, t: float) -> float:
-    """Closed-form probability of |0_a 0_s>: (1+e)/(1+2e) cos²(t sqrt(radicand)).
+def _p1_root(p: PseudoHermitianParams, t: float) -> float:
+    """r = sqrt(lam² + 8e(1+e) lam w/(1+2e) + 4e(1+e) w²), the P1 rate; t must be >= 0.
 
-    The radicand lam² + 8e(1+e) lam w/(1+2e) + 4e(1+e) w² equals
-    (lam+b)² + c² identically, hence is never negative; the guard is kept
-    as a construction check.
+    The radicand equals (lam+b)² + c² identically, hence is never negative;
+    the guard is kept as a construction check.
     """
     if t < 0:
         raise DomainError("t must be nonnegative")
@@ -169,34 +169,48 @@ def p1_closed(p: PseudoHermitianParams, t: float) -> float:
     radicand = lam * lam + 8.0 * e * (1.0 + e) * lam * w / (1.0 + 2.0 * e) + 4.0 * e * (1.0 + e) * w * w
     if radicand < 0:
         raise DomainError(f"negative radicand {radicand:g} at lam={lam:g}")
-    return (1.0 + e) / (1.0 + 2.0 * e) * math.cos(t * math.sqrt(radicand)) ** 2
+    return math.sqrt(radicand)
 
 
-def _dlam(f, p: PseudoHermitianParams, t: float, step: float | None) -> float:
-    """df/dlam: one Richardson step on the central difference in lam.
+def p1_closed(p: PseudoHermitianParams, t: float) -> float:
+    """Closed-form probability of |0_a 0_s>: (1+e)/(1+2e) cos²(t r)."""
+    e = p.epsilon
+    return (1.0 + e) / (1.0 + 2.0 * e) * math.cos(t * _p1_root(p, t)) ** 2
 
-    The default step is 1e-5 max(1, |lam|).
+
+def susceptibility(p: PseudoHermitianParams, t: float) -> float:
+    """chi_s = dS/dlam in closed form, the quotient rule on cos²/(cos² + delta² sin²).
+
+    With x = Omega t, dOmega/dlam = (lam+b)/Omega and
+    d delta/dlam = (1 - delta dOmega/dlam)/Omega, it reduces to
+    -2 cos sin delta (t delta dOmega/dlam + cos sin d delta/dlam)/den².
+    Returns 0 where den underflows; two_level_population holds S = 1 there.
     """
-
-    def central(h):
-        fp = f(PseudoHermitianParams(p.epsilon, p.omega, p.lam + h), t)
-        fm = f(PseudoHermitianParams(p.epsilon, p.omega, p.lam - h), t)
-        return (fp - fm) / (2.0 * h)
-
-    return richardson(central, step if step is not None else 1e-5 * max(1.0, abs(p.lam)))
-
-
-def susceptibility(p: PseudoHermitianParams, t: float, step: float | None = None) -> float:
-    """chi_s = dS/dlam by Richardson-extrapolated central difference."""
-    return _dlam(two_level_population, p, t, step)
-
-
-def p1_slope(p: PseudoHermitianParams, t: float, step: float | None = None) -> float:
-    """dP1/dlam by Richardson-extrapolated central difference of p1_closed."""
-    return _dlam(p1_closed, p, t, step)
+    if t < 0:
+        raise DomainError("t must be nonnegative")
+    om, d = p.Omega, p.delta_lam
+    cs = math.cos(om * t)
+    sn = math.sin(om * t)
+    den = cs * cs + (d * sn) ** 2
+    if den < 1e-300:
+        return 0.0
+    d_om = (p.lam + p.b) / om
+    d_delta = (1.0 - d * d_om) / om
+    return -2.0 * cs * sn * d * (t * d * d_om + cs * sn * d_delta) / den**2
 
 
-def sensitivity(p: PseudoHermitianParams, t: float, nu: int, step: float | None = None) -> float:
+def p1_slope(p: PseudoHermitianParams, t: float) -> float:
+    """dP1/dlam = -(1+e)/(1+2e) sin(2 t r) t (2 lam + k)/(2 r) in closed form.
+
+    k = 8e(1+e) w/(1+2e) is the linear coefficient of the radicand r².
+    """
+    r = _p1_root(p, t)
+    e = p.epsilon
+    k = 8.0 * e * (1.0 + e) * p.omega / (1.0 + 2.0 * e)
+    return -(1.0 + e) / (1.0 + 2.0 * e) * math.sin(2.0 * t * r) * t * (2.0 * p.lam + k) / (2.0 * r)
+
+
+def sensitivity(p: PseudoHermitianParams, t: float, nu: int) -> float:
     """Projection-noise sensitivity sqrt(Var[P1])/|dP1/dlam| of the P1 measurement.
 
     Returns +inf when the slope vanishes but the variance does not, and NaN
@@ -204,7 +218,7 @@ def sensitivity(p: PseudoHermitianParams, t: float, nu: int, step: float | None 
     """
     p1 = p1_closed(p, t)
     var = binomial_variance(p1, nu)
-    slope = p1_slope(p, t, step)
+    slope = p1_slope(p, t)
     if abs(slope) < GRADIENT_FLOOR:
         if var < GRADIENT_FLOOR**2:
             return float("nan")
@@ -254,8 +268,7 @@ def qfi_rate_closed(p: PseudoHermitianParams, t: float) -> float:
 def qfi_numeric(p: PseudoHermitianParams, t: float, tol: float = DEFAULT_TOL) -> float:
     """QFI from the numerically propagated generator (independent of closed forms)."""
     family = hamiltonian_family(p.epsilon, p.omega)
-    grid = np.array([0.0, t]) if t > 0 else np.array([0.0])
-    record = propagate(family, p.lam, grid, tol=tol)
+    record = propagate(family, p.lam, grid_to(t), tol=tol)
     return qfi_pure(record.h[-1], probe_state(p.epsilon))
 
 

@@ -6,7 +6,8 @@ over one modulation period T = 2 pi/w.  The measurable pair (P_J, P_Gamma)
 yields a response energy via P_J - P_Gamma = sin²(E T); its shot-noise
 variance, susceptibility, and sensitivity are evaluated together with the
 sensitivity bound of the Hermitian counterpart that couples to the drive
-directly.
+directly.  The pair and its derivative in omega_delta come from one
+tangent-equation solve per point; the root finders propagate U alone.
 
 The identity part of the drive only contributes a global phase of unit
 modulus; it is kept in the propagator so U matches the defining expression
@@ -23,7 +24,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import DomainError
-from .evolution import integrate, richardson
+from .evolution import TOL_MIN, check_tol, integrate, richardson
 from .operators import ID2, SIGMA_X, SIGMA_Z
 
 DEFAULT_TOL = 1e-10
@@ -237,17 +238,34 @@ def _response_at(p: PtEpParams, tol: float) -> float:
     return response_energy(pj, pg, p.T)
 
 
-def ep_susceptibility(p: PtEpParams, tol: float = DEFAULT_TOL, rel_step: float | None = None,
-                      diff: float | None = None) -> float:
-    """|dE_res/d omega_delta|.
+def _pair_and_slope(p: PtEpParams, tol: float) -> tuple[float, float, float]:
+    """P_J, P_Gamma and dD/d omega_delta for D = P_J - P_Gamma, from one tangent solve.
 
-    By default the derivative comes from the tangent equation
-    (`propagate_period_tangent`) at `tol`.  With D = P_J - P_Gamma,
     dP_J = 2 Re(conj(U01) W01) and dP_Gamma = Re(conj(a) da)/2 for
-    a = U00 + U01 - U10 - U11 and da the same combination of W; the arcsin
-    chain rule gives |dD| / (2 T sqrt(D (1 - D))).  D itself comes from
-    `propagate_period` at `tol`, or is `diff` when the caller already holds
-    it.  Raises DomainError when D lies outside (0, 1) at the point itself.
+    a = U00 + U01 - U10 - U11 and da the same combination of W.
+    """
+    # tol/2, floored at TOL_MIN: the solver's RMS error norm spans U and W,
+    # which loosens U by about sqrt(2) against a solve of U alone, and D near
+    # the dip is a small difference of two values near 4.
+    u, w = propagate_period_tangent(p, tol=max(check_tol(tol) / 2.0, TOL_MIN))
+    pj, pg = pj_pgamma(u)
+    a = u[0, 0] + u[0, 1] - u[1, 0] - u[1, 1]
+    da = w[0, 0] + w[0, 1] - w[1, 0] - w[1, 1]
+    d_diff = 2.0 * (u[0, 1].conjugate() * w[0, 1]).real - (a.conjugate() * da).real / 2.0
+    return pj, pg, float(d_diff)
+
+
+def _response_slope(diff: float, d_diff: float, period: float) -> float:
+    """|dE_res/d omega_delta| = |dD| / (2 T sqrt(D (1 - D))), the arcsin chain rule."""
+    if not (0.0 < diff < 1.0):
+        raise DomainError(f"P_J - P_Gamma = {diff:.6g} outside (0, 1): no real response slope")
+    return abs(d_diff) / (2.0 * period * math.sqrt(diff * (1.0 - diff)))
+
+
+def ep_susceptibility(p: PtEpParams, tol: float = DEFAULT_TOL, rel_step: float | None = None) -> float:
+    """|dE_res/d omega_delta|, by default from one tangent solve.
+
+    Raises DomainError when D = P_J - P_Gamma lies outside (0, 1) at the point.
 
     An explicit `rel_step` selects the Richardson-extrapolated central
     difference with step rel_step * omega_delta over four separate
@@ -262,25 +280,16 @@ def ep_susceptibility(p: PtEpParams, tol: float = DEFAULT_TOL, rel_step: float |
 
         return abs(richardson(central, rel_step * p.omega_delta))
 
-    if diff is None:
-        diff = _diff_at(p, tol)
-    if not (0.0 < diff < 1.0):
-        raise DomainError(f"P_J - P_Gamma = {diff:.6g} outside (0, 1): no real response slope")
-    u, w = propagate_period_tangent(p, tol=tol)
-    a = u[0, 0] + u[0, 1] - u[1, 0] - u[1, 1]
-    da = w[0, 0] + w[0, 1] - w[1, 0] - w[1, 1]
-    d_diff = 2.0 * (u[0, 1].conjugate() * w[0, 1]).real - (a.conjugate() * da).real / 2.0
-    return abs(d_diff) / (2.0 * p.T * math.sqrt(diff * (1.0 - diff)))
+    pj, pg, d_diff = _pair_and_slope(p, tol)
+    return _response_slope(pj - pg, d_diff, p.T)
 
 
 def ep_sensitivity(p: PtEpParams, tol: float = DEFAULT_TOL) -> float:
-    """Overall sensitivity sqrt(Var[E_res]) / |dE_res/d omega_delta|."""
-    pj, pg = pj_pgamma(propagate_period(p, tol=tol))
+    """Overall sensitivity sqrt(Var[E_res]) / |dE_res/d omega_delta|, from one tangent solve."""
+    pj, pg, d_diff = _pair_and_slope(p, tol)
     var = response_variance(pj, pg, p.C0, p.nu, p.T)
-    chi = ep_susceptibility(p, tol=tol, diff=pj - pg)
-    if chi == 0.0:
-        return float("inf")
-    return math.sqrt(var) / chi
+    chi = _response_slope(pj - pg, d_diff, p.T)
+    return math.sqrt(var) / chi if chi > 0 else float("inf")
 
 
 def hermitian_bound_ep(p: PtEpParams) -> float:
@@ -303,7 +312,7 @@ def hermitian_bound_ep(p: PtEpParams) -> float:
 
 def _scan_row(base: PtEpParams, wd: float, tol: float) -> EpScanRow:
     p = replace(base, omega_delta=wd)
-    pj, pg = pj_pgamma(propagate_period(p, tol=tol))
+    pj, pg, d_diff = _pair_and_slope(p, tol)
     diff = pj - pg
     bound = hermitian_bound_ep(p)
     if not (DIFF_FLOOR < diff < 1.0 - DIFF_FLOOR):
@@ -314,7 +323,7 @@ def _scan_row(base: PtEpParams, wd: float, tol: float) -> EpScanRow:
             excluded_reason=f"P_J - P_Gamma = {diff:.6g} outside usable range")
     e_res = response_energy(pj, pg, p.T)
     var = response_variance(pj, pg, p.C0, p.nu, p.T)
-    chi = ep_susceptibility(p, tol=tol, diff=diff)
+    chi = _response_slope(diff, d_diff, p.T)
     sens = math.sqrt(var) / chi if chi > 0 else float("inf")
     return EpScanRow(
         omega_delta=wd, PJ=pj, PGamma=pg, E_res=e_res, var_E=var,
@@ -327,7 +336,7 @@ def scan(base: PtEpParams, omega_delta_grid, tol: float = DEFAULT_TOL,
 
     Grid points whose P_J - P_Gamma falls outside (DIFF_FLOOR, 1 - DIFF_FLOOR)
     are flagged with a reason and carry NaN in the derived columns instead of
-    being dropped; every other row gets chi_E from the tangent equation at `tol`.
+    being dropped.  Each row takes P_J, P_Gamma and chi_E from one tangent solve.
     Rows are independent; with threads > 1 they are evaluated concurrently
     and assembled in grid order.
     """

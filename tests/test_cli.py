@@ -225,7 +225,8 @@ class TestRegressionFixtures:
                 if math.isnan(vp):
                     assert math.isnan(vg)
                 else:
-                    assert vg == pytest.approx(vp, rel=1e-9, abs=1e-12), (header_g[col],)
+                    assert vg == pytest.approx(vp, rel=1e-9, abs=1e-12), (
+                        f"{header_g[col]} at {header_g[0]}={row_p[0]}: pinned {sp}, generated {sg}")
 
     def test_sweep_default_fixture(self, tmp_path):
         out = tmp_path / "sweep.csv"

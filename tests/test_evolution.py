@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, expm_frechet
@@ -7,7 +9,10 @@ from nhsense.evolution import (
     HamiltonianFamily, generator_finite_difference, integrate, propagate, propagator_at,
 )
 from nhsense.operators import SIGMA_X, expm_hermitian
-from nhsense.pseudo_hermitian import PseudoHermitianParams, generator_closed, hamiltonian_family
+from nhsense.pseudo_hermitian import (
+    PseudoHermitianParams, generator_closed, hamiltonian_family, probe_state, qfi_numeric,
+)
+from nhsense.qfi import qfi_fidelity_oracle
 
 from conftest import random_family, random_hermitian
 
@@ -125,6 +130,8 @@ class TestPropagate:
             propagate(fam, 0.0, np.array([0.5, 1.0]))  # must start at 0
         with pytest.raises(DomainError):
             propagate(fam, 0.0, np.array([0.0, 1.0, 0.5]))  # not ascending
+        with pytest.raises(DomainError, match="finite"):
+            propagate(fam, 0.0, np.array([0.0, np.inf]))  # would never reach the end
         with pytest.raises(DomainError):
             propagate(fam, 0.0, np.array([0.0, 1.0]), tol=1e-3)  # tol out of range
 
@@ -175,6 +182,18 @@ class TestGeneratorFiniteDifference:
 def test_propagator_at_zero_time(rng):
     fam = random_family(rng, 3)
     assert np.array_equal(propagator_at(fam, 0.2, 0.0), np.eye(3))
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_bad_end_time_rejected(t):
+    # a negative or non-finite end time is an error, not the identity or a zero QFI
+    fam = hamiltonian_family(0.1, 1.0)
+    psi0 = probe_state(0.1)
+    for call in (lambda: propagator_at(fam, 0.0, t),
+                 lambda: qfi_numeric(PseudoHermitianParams(0.1, 1.0), t),
+                 lambda: qfi_fidelity_oracle(fam, 0.0, psi0, t)):
+        with pytest.raises(DomainError, match="t must be finite and >= 0"):
+            call()
 
 
 def test_finite_difference_consistency_of_family(rng):

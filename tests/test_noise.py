@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nhsense.errors import DomainError
 from nhsense.noise import (
-    ProjectionStatistics, binomial_variance, propagate_error,
+    binomial_variance, propagate_error,
     sample_projection, sample_projection_batch, scaled_binomial_variance,
 )
 from nhsense.verification import _variance_standard_error, make_rng
@@ -137,22 +137,3 @@ class TestSampleProjection:
     def test_domain(self):
         with pytest.raises(DomainError):
             sample_projection(1.5, 1.0, 10, 0)
-
-
-class TestProjectionStatistics:
-    def test_from_probability(self):
-        stats = ProjectionStatistics.from_probability(0.3, 1.0, 50)
-        assert stats.variance == pytest.approx(binomial_variance(0.3, 50), rel=1e-15)
-
-    def test_scaled(self):
-        c0 = math.exp(1.0)
-        stats = ProjectionStatistics.from_probability(1.0, c0, 10)
-        assert stats.variance == pytest.approx((math.e - 1) / 10, rel=1e-14)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(DomainError):
-            ProjectionStatistics(p=0.5, scale=1.0, nu=10, variance=0.1)  # wrong variance
-        with pytest.raises(DomainError):
-            ProjectionStatistics(p=1.5, scale=1.0, nu=10, variance=0.0)
-        with pytest.raises(DomainError):
-            ProjectionStatistics(p=0.5, scale=0.5, nu=10, variance=0.025)  # scale < 1

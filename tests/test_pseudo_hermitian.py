@@ -7,7 +7,7 @@ from nhsense.errors import DomainError
 from nhsense.operators import ID2, SIGMA_Y, expm_hermitian, seminorm, tensor
 from nhsense.pseudo_hermitian import (
     PseudoHermitianParams, SWEEP_COLUMNS, conditional_population_from_dilation,
-    dilated_hamiltonian, hermitian_bound, p1_closed, postselection_success,
+    dilated_hamiltonian, hermitian_bound, p1_closed, p1_slope, postselection_success,
     probe_state, qfi_closed, qfi_numeric, qfi_rate_closed, sensitivity,
     susceptibility, sweep, two_level_population,
 )
@@ -159,19 +159,34 @@ class TestSusceptibility:
         assert abs(susceptibility(p, 0.7 * TAU)) < 1e-6
 
     def test_symbolic_oracle_spot(self):
-        # dS/dlam from sympy at (eps=0.1, omega=1, lam=0.05, t=tau)
+        # dS/dlam and dP1/dlam against sympy at 40 digits, on a lam grid
+        # through the fixture rows -0.365 (P1 slope) and -0.2 (stationary
+        # S at eps = 0.1), at the protocol time of each eps.
         import sympy as sp
 
         lam_s = sp.Symbol("lam")
-        eps_s, om_s, t_s = sp.Rational(1, 10), sp.Integer(1), sp.nsimplify(TAU, rational=False)
-        b_s = 4 * om_s * eps_s * (1 + eps_s) / (1 + 2 * eps_s)
-        c_s = 2 * om_s * sp.sqrt(eps_s * (1 + eps_s)) / (1 + 2 * eps_s)
-        e_s = sp.sqrt((lam_s + b_s) ** 2 + c_s**2)
-        d_s = (lam_s + 2 * eps_s * om_s) / e_s
-        s_expr = 1 / (1 + d_s**2 * sp.tan(e_s * sp.Float(TAU, 30)) ** 2)
-        oracle = float(sp.diff(s_expr, lam_s).subs(lam_s, sp.Float(0.05, 30)))
-        p = PseudoHermitianParams(EPS, OMEGA, 0.05)
-        assert susceptibility(p, TAU) == pytest.approx(oracle, abs=1e-7)
+        for eps in (0.1, 0.01):
+            tau = PseudoHermitianParams(eps, OMEGA).tau
+            e_s, om_s, t_s = sp.Float(eps, 40), sp.Float(OMEGA, 40), sp.Float(tau, 40)
+            b_s = 4 * om_s * e_s * (1 + e_s) / (1 + 2 * e_s)
+            c_s = 2 * om_s * sp.sqrt(e_s * (1 + e_s)) / (1 + 2 * e_s)
+            big_omega = sp.sqrt((lam_s + b_s) ** 2 + c_s**2)
+            d_s = (lam_s + 2 * e_s * om_s) / big_omega
+            cs2, sn2 = sp.cos(big_omega * t_s) ** 2, sp.sin(big_omega * t_s) ** 2
+            s_expr = cs2 / (cs2 + d_s**2 * sn2)
+            radicand = lam_s**2 + 8 * e_s * (1 + e_s) * lam_s * om_s / (1 + 2 * e_s) \
+                + 4 * e_s * (1 + e_s) * om_s**2
+            p1_expr = (1 + e_s) / (1 + 2 * e_s) * sp.cos(t_s * sp.sqrt(radicand)) ** 2
+            slopes = ((susceptibility, sp.diff(s_expr, lam_s)), (p1_slope, sp.diff(p1_expr, lam_s)))
+            for lam in (-0.5, -0.365, -0.2, -0.1, -0.03, -0.02, -0.005, 0.0, 0.05, 0.2, 0.5):
+                p = PseudoHermitianParams(eps, OMEGA, lam)
+                for slope, derivative in slopes:
+                    exact = float(derivative.subs(lam_s, sp.Float(lam, 40)).evalf(30))
+                    got = slope(p, tau)
+                    if abs(exact) > 1e-6:
+                        assert got == pytest.approx(exact, rel=1e-10), (slope.__name__, eps, lam)
+                    else:
+                        assert got == pytest.approx(exact, abs=1e-12), (slope.__name__, eps, lam)
 
     def test_divergence_trend(self):
         # peak grows as eps shrinks (window scaled with eps, where the peak lives)

@@ -367,6 +367,30 @@ class TestScan:
     def test_column_contract(self):
         assert list(EpScanRow.__dataclass_fields__) == list(SCAN_COLUMNS)
 
+    def test_one_propagation_per_row(self, monkeypatch):
+        # P_J, P_Gamma and chi_E of a row all come from one tangent solve
+        calls = []
+        original = pt_ep.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pt_ep, "integrate", counted)
+        scan(default_base(), np.linspace(0.05, 2.0, 80), tol=1e-10)
+        assert len(calls) == 80
+
+    def test_tightest_tol_row(self):
+        # tol/2 falls below TOL_MIN at tol 1e-13: the solve is clamped there
+        [tight] = scan(default_base(), [0.8], tol=1e-13)
+        [loose] = scan(default_base(), [0.8], tol=1e-10)
+        assert tight.excluded_reason == ""
+        for name in ("PJ", "PGamma", "E_res", "var_E", "chi_E", "sensitivity"):
+            assert getattr(tight, name) == pytest.approx(getattr(loose, name), rel=1e-8)
+        for tol in (9e-14, 1.5e-6):
+            with pytest.raises(DomainError, match="tol"):
+                scan(default_base(), [0.8], tol=tol)
+
     def test_threads_preserve_order_and_values(self):
         grid = np.linspace(0.4, 1.2, 5)
         serial = scan(default_base(), grid, tol=1e-9)
