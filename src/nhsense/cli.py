@@ -64,7 +64,7 @@ class ScenarioConfig:
     scenario: str = _key("scenario", "")
     out: str | None = _key("out", None, "output path (stdout when omitted)")
     format: str = _key("format", "csv", "output format (default csv)", choices=FORMATS)
-    threads: int = _key("threads", 1, "row-level worker threads (default 1)")
+    threads: int = _key("threads", 1, "worker threads for sweep-ph rows (default 1)")
     seed: int = _key("seed", 0, "seed for the verification suites")
     tol: float = _key("tol", 1e-10, "integration error target (default 1e-10)")
     ph_epsilon: float = _key("scenario.pseudo-hermitian.epsilon", 0.1, "dilation parameter (default 0.1)")
@@ -265,7 +265,7 @@ def run(config: ScenarioConfig) -> int:
         base = pt_ep.PtEpParams(J=config.ep_J, Gamma=float(gamma), omega=config.ep_omega,
                                 delta=config.ep_delta, omega_delta=1.0, nu=config.ep_nu)
         grid = np.linspace(config.ep_grid_start, config.ep_grid_stop, config.ep_grid_count)
-        rows = pt_ep.scan(base, grid, tol=config.tol, threads=config.threads)
+        rows = pt_ep.scan(base, grid, tol=config.tol)
         _emit(_metadata_items(effective), pt_ep.SCAN_COLUMNS,
               [asdict(row) for row in rows], config.format, config.out)
         return 0

@@ -5,20 +5,23 @@ The coupled system
     dU/dt = -i H(lam, t) U,                          U(0) = 1
     dW/dt = -i H(lam, t) W - i (dH/dlam)(lam, t) U,   W(0) = 0
 
-is integrated as one complex state with an adaptive Runge-Kutta 5(4) pair,
-so the propagator and its tangent W = dU/dlam see identical time
-discretization.  `integrate` is the one propagation core of the package and
-holds for any H, Hermitian or not; the PT-symmetric sensor calls it
-directly.  For a Hermitian family, `propagate` records the local generator
-h = i U† dU/dlam as the Hermitian part of i U† W.  No unitarity
-re-projection is applied; integration error is tracked, not hidden.
+is integrated as one complex state with the Dormand-Prince 5(4) pair, so
+the propagator and its tangent W = dU/dlam see identical time
+discretization.  `integrate`, the one propagation core of the package, holds
+for any H and advances a batch of such systems at once.  Each member keeps
+its own time, step and accept/reject decision, so its result does not
+depend on the rest of the batch.  The step control is scipy's RK45, after
+Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4.  For a Hermitian
+family, `propagate` records the local generator h = i U† dU/dlam as the
+Hermitian part of i U† W.  No unitarity re-projection is applied;
+integration error is tracked, not hidden.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, PropagationError
 
@@ -30,6 +33,31 @@ DEFAULT_TOL = 1e-10
 # matrices, so the integrator itself runs tighter than that.
 _INTERNAL_TOL_FACTOR = 50.0
 _RTOL_FLOOR = 3e-14
+
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980) with Shampine's (1986)
+# quartic dense-output coefficients P.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0  # step-size controller
+
+# (t, idx) -> H (k, dim, dim): entry j is the Hamiltonian of member idx[j] at time t[j].
+BatchHamiltonian = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -81,52 +109,150 @@ def check_tol(tol: float) -> float:
     return tol
 
 
-def grid_to(t: float) -> np.ndarray:
-    """The time grid (0, t), or (0,) at t = 0; DomainError unless t is finite and >= 0."""
+def check_time(t: float) -> float:
+    """`t` itself once it is a valid end time, finite and >= 0; DomainError naming t otherwise."""
     if not (np.isfinite(t) and t >= 0):
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    return np.array([0.0, float(t)]) if t > 0 else np.array([0.0])
+    return t
 
 
-def integrate(hamiltonian: Callable[[float], np.ndarray], dim: int, times, tol: float,
-              dhamiltonian: Callable[[float], np.ndarray] | None = None
+def grid_to(t: float) -> np.ndarray:
+    """The time grid (0, t), or (0,) at t = 0; DomainError unless t is finite and >= 0."""
+    return np.array([0.0, float(t)]) if check_time(t) > 0 else np.array([0.0])
+
+
+def _rms(x: np.ndarray) -> np.ndarray:
+    """RMS norm of each row, each summed as np.linalg.norm sums a single vector."""
+    re, im = x.real, x.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)) / x.shape[1] ** 0.5
+
+
+def _pow(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e by the C library's pow, which numpy's vectorized power may miss by an ulp; 0 ** -e = inf."""
+    return np.array([v ** e if v or e > 0 else math.inf for v in x.tolist()])
+
+
+def _initial_step(linear, members, y0, f0, t_end: float, tol: float) -> np.ndarray:
+    """Hairer-Norsett-Wanner II.4 first step of each member, for rtol = atol = tol."""
+    scale = tol + np.abs(y0) * tol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    small = (d0 < 1e-5) | (d1 < 1e-5)
+    h0 = np.minimum(np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1)), t_end)
+    f1 = linear(h0[:, None], members)(0, y0 + h0[:, None] * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+    h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
+                  _pow(0.01 / np.where(flat, 1.0, np.maximum(d1, d2)), 1 / 5))
+    return np.minimum(np.minimum(100 * h0, h1), t_end)
+
+
+def _dopri(linear, y0: np.ndarray, times: np.ndarray, tol: float) -> np.ndarray:
+    """States (B, len(times), n) of a linear system dy/dt = M(t) y from y0 (B, n), rtol = atol = tol.
+
+    `linear(t, members)` gets times (m, k) of the m running members and
+    returns apply(j, y): the derivatives (m, n) of their states y (m, n) at
+    times t[:, j].  It is called once per step attempt, at the five stage
+    times; the last, t + h, is also where the step ends.  A two-point grid
+    (0, t) is read off the last step; a longer one is filled from the
+    quartic dense output.
+    """
+    batch, n = y0.shape
+    out = np.empty((batch, times.size, n), dtype=complex)
+    out[:, 0] = y0
+    if times.size == 1:
+        return out
+    t_end, dense = float(times[-1]), times.size > 2
+    members, t, y = np.arange(batch), np.zeros(batch), y0.copy()
+    f = linear(t[:, None], members)(0, y)
+    h_abs = _initial_step(linear, members, y, f, t_end, tol)
+    rejected = np.zeros(batch, dtype=bool)  # the last attempt at this step was rejected
+    nxt = np.ones(batch, dtype=int)  # next grid point to fill from the dense output
+    stages = np.empty((batch, 7, n), dtype=complex)
+    while members.size:
+        k = stages[:members.size]
+        min_step = 10 * np.spacing(t)  # 10 ulp of t
+        too_small = h_abs < min_step
+        if np.count_nonzero(too_small):
+            if np.count_nonzero(too_small & rejected):
+                raise PropagationError("integration failed: step size fell below 10 ulp of t")
+            h_abs = np.maximum(h_abs, min_step)
+        t_new = np.minimum(t + h_abs, t_end)
+        h = t_new - t
+        hc = h[:, None]
+        apply = linear(t[:, None] + hc * _C[1:], members)
+        k[:, 0] = f
+        for s in range(1, 6):
+            k[:, s] = apply(s - 1, y + (_A[s, :s] @ k[:, :s]) * hc)
+        y_new = y + hc * (_B @ k[:, :6])
+        f_new = k[:, 6] = apply(4, y_new)  # a new array, not a view of k
+        scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+        err = _rms((_E @ k) * hc / scale)
+        grow = _SAFETY * _pow(err, -1 / 5)
+        ok = err < 1
+        if dense:
+            last = np.where(ok, np.searchsorted(times, t_new, side="right"), nxt)
+            for j in np.flatnonzero(last > nxt):
+                x = np.cumprod(np.tile((times[nxt[j]:last[j]] - t[j]) / h[j], (4, 1)), axis=0)
+                out[members[j], nxt[j]:last[j]] = (h[j] * (k[j].T @ _P @ x) + y[j][:, None]).T
+            nxt = last
+        if np.count_nonzero(ok) == ok.size and not np.count_nonzero(rejected):
+            h_abs, t, y, f = h * np.minimum(_MAX_FACTOR, grow), t_new, y_new, f_new
+        else:
+            factor = np.where(ok, np.minimum(_MAX_FACTOR, grow),
+                              np.where(grow > _MIN_FACTOR, grow, _MIN_FACTOR))
+            h_abs = h * np.where(ok & rejected, np.minimum(1.0, factor), factor)
+            t, rejected = np.where(ok, t_new, t), ~ok
+            y[ok], f[ok] = y_new[ok], f_new[ok]
+        done = t == t_end
+        if np.count_nonzero(done):
+            if not dense:
+                out[members[done], 1] = y[done]
+            keep = ~done
+            members, t, y, f, h_abs, rejected, nxt = (
+                a[keep] for a in (members, t, y, f, h_abs, rejected, nxt))
+    return out
+
+
+def integrate(hamiltonian: BatchHamiltonian, dim: int, times, tol: float,
+              dhamiltonian: BatchHamiltonian | None = None, batch: int = 1
               ) -> tuple[np.ndarray, np.ndarray | None]:
-    """U and, given `dhamiltonian`, its tangent W on `times`, each (len(times), dim, dim).
+    """U and, given `dhamiltonian`, its tangent W on `times` for `batch` members.
 
-    H need not be Hermitian; W is None without `dhamiltonian`.  A two-point
-    grid (0, t) is read off the last step itself, not its interpolant.
+    Each is (batch, len(times), dim, dim); W is None without `dhamiltonian`.
+    The callables are BatchHamiltonians over the members 0..batch-1.  H need
+    not be Hermitian.
     """
     times = _check_times(times)
     inner = max(check_tol(tol) / _INTERNAL_TOL_FACTOR, _RTOL_FLOOR)  # solver rtol = atol
     width = dim if dhamiltonian is None else 2 * dim  # state columns: U, or U | W
 
-    def rhs(t, y):
-        uw = y.reshape(dim, width)
-        d = (-1j * hamiltonian(t)) @ uw
-        if dhamiltonian is not None:
-            d[:, dim:] -= 1j * (dhamiltonian(t) @ uw[:, :dim])
-        return d.ravel()
+    def linear(t, members):
+        m, k = t.shape
+        at = (t.ravel(), np.repeat(members, k))
+        gen = (-1j * hamiltonian(*at)).reshape(m, k, dim, dim)
+        dh = None if dhamiltonian is None else dhamiltonian(*at).reshape(m, k, dim, dim)
 
-    y0 = np.zeros((dim, width), dtype=complex)
-    y0[:, :dim] = np.eye(dim)
-    if times[-1] == 0.0:
-        y = y0[np.newaxis]
-    else:
-        t_eval = times if times.size > 2 else None
-        sol = solve_ivp(rhs, (0.0, float(times[-1])), y0.ravel(), method="RK45",
-                        t_eval=t_eval, rtol=inner, atol=inner)
-        if not sol.success:
-            raise PropagationError(f"integration failed: {sol.message}")
-        y = (sol.y if t_eval is not None else sol.y[:, [0, -1]]).T.reshape(-1, dim, width)
-    return y[:, :, :dim], (y[:, :, dim:] if dhamiltonian is not None else None)
+        def apply(j, y):
+            uw = y.reshape(m, dim, width)
+            d = gen[:, j] @ uw
+            if dh is not None:
+                d[:, :, dim:] -= 1j * (dh[:, j] @ uw[:, :, :dim])
+            return d.reshape(m, -1)
+        return apply
+
+    y0 = np.zeros((batch, dim, width), dtype=complex)
+    y0[:, :, :dim] = np.eye(dim)
+    y = _dopri(linear, y0.reshape(batch, -1), times, inner).reshape(batch, times.size, dim, width)
+    return y[..., :dim], (y[..., dim:] if dhamiltonian is not None else None)
 
 
-def _checked(evaluate: Callable[[float, float], np.ndarray], lam: float) -> Callable[[float], np.ndarray]:
-    """t -> evaluate(lam, t) as a complex array, rejecting a non-finite evaluation."""
-    def at(t: float) -> np.ndarray:
-        m = np.asarray(evaluate(lam, t), dtype=complex)
-        if not np.all(np.isfinite(m)):
-            raise PropagationError(f"non-finite Hamiltonian evaluation at t={t:g}")
+def _checked(evaluate: Callable[[float, float], np.ndarray], lam: float) -> BatchHamiltonian:
+    """evaluate(lam, t) of a batch of one member, rejecting a non-finite evaluation."""
+    def at(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        m = np.array([evaluate(lam, s) for s in t.tolist()], dtype=complex)
+        finite = np.isfinite(m).all(axis=(1, 2))
+        if not finite.all():
+            raise PropagationError(f"non-finite Hamiltonian evaluation at t={t[~finite][0]:g}")
         return m
     return at
 
@@ -135,6 +261,7 @@ def propagate(family: HamiltonianFamily, lam: float, times, tol: float = DEFAULT
     """U and h, the Hermitian part of i U† W, for one parameter value over a time grid."""
     u, w = integrate(_checked(family.evaluate, lam), family.dim, times, tol,
                      dhamiltonian=_checked(family.evaluate_dlambda, lam))
+    u, w = u[0], w[0]
     h = 1j * np.swapaxes(u.conj(), 1, 2) @ w
     h = (h + np.swapaxes(h.conj(), 1, 2)) / 2.0
     return PropagationRecord(lam=float(lam), times=np.asarray(times, dtype=float), U=u, h=h,
@@ -143,7 +270,7 @@ def propagate(family: HamiltonianFamily, lam: float, times, tol: float = DEFAULT
 
 def propagator_at(family: HamiltonianFamily, lam: float, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Convenience: U(0->t) only."""
-    return integrate(_checked(family.evaluate, lam), family.dim, grid_to(t), tol)[0][-1]
+    return integrate(_checked(family.evaluate, lam), family.dim, grid_to(t), tol)[0][0, -1]
 
 
 def generator_finite_difference(family: HamiltonianFamily, lam: float, t: float,

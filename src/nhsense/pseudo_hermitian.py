@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .evolution import DEFAULT_TOL, HamiltonianFamily, grid_to, propagate
+from .evolution import DEFAULT_TOL, HamiltonianFamily, check_time, grid_to, propagate
 from .noise import GRADIENT_FLOOR, binomial_variance
 from .operators import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian, tensor
 from .qfi import qfi_pure
@@ -120,8 +120,7 @@ def two_level_population(p: PseudoHermitianParams, t: float) -> float:
     through the tan poles (S -> 0 there for delta_lam != 0, S = 1 when the
     asymmetry vanishes and the state never leaves |0>_s).
     """
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    check_time(t)
     cs = math.cos(p.Omega * t)
     sn = math.sin(p.Omega * t)
     num = cs * cs
@@ -147,8 +146,7 @@ def conditional_population_from_dilation(p: PseudoHermitianParams, t: float) -> 
     Equals two_level_population up to numerical error (dilation correctness).
     Returns NaN when the conditioning probability is below 1e-14 (undefined).
     """
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    check_time(t)
     psi = _evolved_probe(p, t)
     p00 = abs(psi[0]) ** 2
     p01 = abs(psi[1]) ** 2
@@ -163,8 +161,7 @@ def _p1_root(p: PseudoHermitianParams, t: float) -> float:
     The radicand equals (lam+b)² + c² identically, hence is never negative;
     the guard is kept as a construction check.
     """
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    check_time(t)
     e, w, lam = p.epsilon, p.omega, p.lam
     radicand = lam * lam + 8.0 * e * (1.0 + e) * lam * w / (1.0 + 2.0 * e) + 4.0 * e * (1.0 + e) * w * w
     if radicand < 0:
@@ -186,8 +183,7 @@ def susceptibility(p: PseudoHermitianParams, t: float) -> float:
     -2 cos sin delta (t delta dOmega/dlam + cos sin d delta/dlam)/den².
     Returns 0 where den underflows; two_level_population holds S = 1 there.
     """
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    check_time(t)
     om, d = p.Omega, p.delta_lam
     cs = math.cos(om * t)
     sn = math.sin(om * t)
@@ -245,8 +241,7 @@ def generator_closed(p: PseudoHermitianParams, t: float) -> np.ndarray:
 
 def qfi_closed(p: PseudoHermitianParams, t: float) -> float:
     """Closed-form QFI 4(b+lam)² t²/Omega² + 4 c² sin²(Omega t)/Omega⁴."""
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    check_time(t)
     om = p.Omega
     lb = p.lam + p.b
     return 4.0 * lb**2 * t**2 / om**2 + 4.0 * p.c**2 * math.sin(om * t) ** 2 / om**4
@@ -254,8 +249,7 @@ def qfi_closed(p: PseudoHermitianParams, t: float) -> float:
 
 def qfi_rate_closed(p: PseudoHermitianParams, t: float) -> float:
     """Closed-form d sqrt(F)/dt; lies in [-2, 2] and tends to 2 as t -> 0."""
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    check_time(t)
     om = p.Omega
     cos2 = ((p.lam + p.b) / om) ** 2
     sin2 = (p.c / om) ** 2
@@ -274,8 +268,8 @@ def qfi_numeric(p: PseudoHermitianParams, t: float, tol: float = DEFAULT_TOL) ->
 
 def hermitian_bound(t: float, nu: int) -> float:
     """Sensitivity bound 1/(2 sqrt(nu) t) of the Hermitian counterpart."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+    if check_time(t) == 0:
+        raise DomainError("t must be positive, got 0")
     if nu < 1:
         raise DomainError("trial count must be >= 1")
     return 1.0 / (2.0 * math.sqrt(nu) * t)

@@ -8,6 +8,9 @@ variance, susceptibility, and sensitivity are evaluated together with the
 sensitivity bound of the Hermitian counterpart that couples to the drive
 directly.  The pair and its derivative in omega_delta come from one
 tangent-equation solve per point; the root finders propagate U alone.
+H is written once over per-member Gamma and omega_delta, so a whole scan
+grid, or the Gamma pre-scan of `find_ep`, is one batch of the propagation
+core; Brent's serial evaluations are batches of one.
 
 The identity part of the drive only contributes a global phase of unit
 modulus; it is kept in the propagator so U matches the defining expression
@@ -17,7 +20,7 @@ the passive realization enters only through the noise scale C0 = e^{2 Gamma T}.
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -85,16 +88,49 @@ class EpScanRow:
     excluded_reason: str = ""
 
 
+# The real operators of H; the gain term i Gamma sigma_z is its only complex part.
+_SIGMA_X = SIGMA_X.real
+_PERT_OP = (ID2 - SIGMA_Z).real
+
+
+def _hamiltonians(ps: list[PtEpParams]):
+    """H and dH/d omega_delta of the batch ps, as `evolution.BatchHamiltonian`s.
+
+    The members share J, omega and delta; each has its own Gamma and omega_delta.
+    """
+    p = ps[0]
+    freqs = np.array([(q.omega, q.omega_delta) for q in ps])
+    gain = np.array([1j * q.Gamma for q in ps])[:, None, None] * SIGMA_Z
+    half_delta = 0.5 * p.delta
+
+    def h(t, idx):
+        c = np.cos(t[:, None] * freqs[idx])
+        drive, pert = p.J * (1.0 + c[:, 0]), half_delta * c[:, 1]
+        return drive[:, None, None] * _SIGMA_X + pert[:, None, None] * _PERT_OP + gain[idx]
+
+    def dh(t, idx):
+        return (-half_delta * t * np.sin(t * freqs[idx, 1]))[:, None, None] * _PERT_OP
+
+    return h, dh
+
+
 def hamiltonian_total(p: PtEpParams, t: float) -> np.ndarray:
     """J(1+cos(w t)) sigma_x + i Gamma sigma_z + (delta/2) cos(w_d t)(1 - sigma_z)."""
-    drive = p.J * (1.0 + math.cos(p.omega * t))
-    pert = 0.5 * p.delta * math.cos(p.omega_delta * t)
-    return drive * SIGMA_X + 1j * p.Gamma * SIGMA_Z + pert * (ID2 - SIGMA_Z)
+    return _hamiltonians([p])[0](np.array([t]), np.zeros(1, dtype=int))[0]
 
 
 def hamiltonian_domega_delta(p: PtEpParams, t: float) -> np.ndarray:
     """dH/d omega_delta = -(delta/2) t sin(w_d t)(1 - sigma_z)."""
-    return -0.5 * p.delta * t * math.sin(p.omega_delta * t) * (ID2 - SIGMA_Z)
+    return _hamiltonians([p])[1](np.array([t]), np.zeros(1, dtype=int))[0]
+
+
+def _propagate_periods(ps: list[PtEpParams], tol: float,
+                       tangent: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """U(T), and with `tangent` W(T) = dU(T)/d omega_delta, of the batch ps: (B, 2, 2) each."""
+    h, dh = _hamiltonians(ps)
+    u, w = integrate(h, 2, (0.0, ps[0].T), tol, dhamiltonian=dh if tangent else None,
+                     batch=len(ps))
+    return u[:, -1], (w[:, -1] if tangent else None)
 
 
 def propagate_period_tangent(p: PtEpParams, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -104,9 +140,8 @@ def propagate_period_tangent(p: PtEpParams, tol: float = DEFAULT_TOL) -> tuple[n
     (`evolution.integrate`), so it is accurate to the requested `tol` rather
     than to a difference quotient.
     """
-    u, w = integrate(partial(hamiltonian_total, p), 2, (0.0, p.T), tol,
-                     dhamiltonian=partial(hamiltonian_domega_delta, p))
-    return u[-1], w[-1]
+    u, w = _propagate_periods([p], tol, tangent=True)
+    return u[0], w[0]
 
 
 def propagate_period(p: PtEpParams, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -115,7 +150,19 @@ def propagate_period(p: PtEpParams, tol: float = DEFAULT_TOL) -> np.ndarray:
     No unitarity is expected; |det U| stays 1 because the Hamiltonian trace
     is real (the anti-Hermitian part is traceless).
     """
-    return integrate(partial(hamiltonian_total, p), 2, (0.0, p.T), tol)[0][-1]
+    return _propagate_periods([p], tol, tangent=False)[0][0]
+
+
+def _gamma_amplitude(m: np.ndarray) -> np.ndarray:
+    """<-x|M|+x> times 2 for each member of a (B, 2, 2) stack."""
+    return m[:, 0, 0] + m[:, 0, 1] - m[:, 1, 0] - m[:, 1, 1]
+
+
+def _pairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_J and P_Gamma (each (B,)) of a (B, 2, 2) stack of propagators."""
+    # |z|² through hypot, as abs() of one complex number computes it
+    a, b = u[:, 0, 1], _gamma_amplitude(u)
+    return np.hypot(a.real, a.imag) ** 2, np.hypot(b.real, b.imag) ** 2 / 4.0
 
 
 def pj_pgamma(u) -> tuple[float, float]:
@@ -127,9 +174,8 @@ def pj_pgamma(u) -> tuple[float, float]:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise DomainError(f"expected a 2x2 propagator, got shape {u.shape}")
-    pj = abs(u[0, 1]) ** 2
-    pg = abs(u[0, 0] + u[0, 1] - u[1, 0] - u[1, 1]) ** 2 / 4.0
-    return float(pj), float(pg)
+    pj, pg = _pairs(u[np.newaxis])
+    return float(pj[0]), float(pg[0])
 
 
 def response_energy(pj: float, pgamma: float, period: float) -> float:
@@ -163,8 +209,8 @@ def find_ep(j: float, omega: float, bracket: tuple[float, float] | None = None,
             tol: float = 1e-10, prop_tol: float = 1e-12) -> float:
     """Dissipation rate at the phase boundary: root of P_J - P_Gamma at delta = 0.
 
-    A coarse pre-scan over the bracket locates a sign change, then Brent's
-    method narrows it to |dGamma| <= tol.
+    A coarse pre-scan over the bracket, propagated as one batch, locates a
+    sign change, then Brent's method narrows it to |dGamma| <= tol.
     """
     _check_root_tol(tol)
     if bracket is None:
@@ -173,13 +219,20 @@ def find_ep(j: float, omega: float, bracket: tuple[float, float] | None = None,
     if not (0 <= lo < hi):
         raise DomainError("bracket must satisfy 0 <= lo < hi")
 
-    @cache  # brentq re-evaluates the bracket ends the pre-scan already has
-    def g(gamma: float) -> float:
+    def at(gamma: float) -> PtEpParams:
         # delta = 0 removes the perturbation; omega_delta is then inert.
-        return _diff_at(PtEpParams(J=j, Gamma=gamma, omega=omega, delta=0.0, omega_delta=1.0), prop_tol)
+        return PtEpParams(J=j, Gamma=gamma, omega=omega, delta=0.0, omega_delta=1.0)
 
-    grid = np.linspace(lo, hi, 25)
-    vals = [g(x) for x in grid]
+    grid = np.linspace(lo, hi, 25).tolist()
+    pj, pg = _pairs(_propagate_periods([at(x) for x in grid], prop_tol, tangent=False)[0])
+    vals = (pj - pg).tolist()
+    known = dict(zip(grid, vals))  # brentq re-evaluates the bracket ends
+
+    def g(gamma: float) -> float:
+        if gamma not in known:
+            known[gamma] = _diff_at(at(gamma), prop_tol)
+        return known[gamma]
+
     for k in range(len(grid) - 1):
         if vals[k] == 0.0:
             return float(grid[k])
@@ -238,8 +291,8 @@ def _response_at(p: PtEpParams, tol: float) -> float:
     return response_energy(pj, pg, p.T)
 
 
-def _pair_and_slope(p: PtEpParams, tol: float) -> tuple[float, float, float]:
-    """P_J, P_Gamma and dD/d omega_delta for D = P_J - P_Gamma, from one tangent solve.
+def _pair_and_slope(ps: list[PtEpParams], tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P_J, P_Gamma and dD/d omega_delta for D = P_J - P_Gamma of each of ps, from one tangent batch.
 
     dP_J = 2 Re(conj(U01) W01) and dP_Gamma = Re(conj(a) da)/2 for
     a = U00 + U01 - U10 - U11 and da the same combination of W.
@@ -247,12 +300,11 @@ def _pair_and_slope(p: PtEpParams, tol: float) -> tuple[float, float, float]:
     # tol/2, floored at TOL_MIN: the solver's RMS error norm spans U and W,
     # which loosens U by about sqrt(2) against a solve of U alone, and D near
     # the dip is a small difference of two values near 4.
-    u, w = propagate_period_tangent(p, tol=max(check_tol(tol) / 2.0, TOL_MIN))
-    pj, pg = pj_pgamma(u)
-    a = u[0, 0] + u[0, 1] - u[1, 0] - u[1, 1]
-    da = w[0, 0] + w[0, 1] - w[1, 0] - w[1, 1]
-    d_diff = 2.0 * (u[0, 1].conjugate() * w[0, 1]).real - (a.conjugate() * da).real / 2.0
-    return pj, pg, float(d_diff)
+    u, w = _propagate_periods(ps, max(check_tol(tol) / 2.0, TOL_MIN), tangent=True)
+    pj, pg = _pairs(u)
+    d_diff = (2.0 * (u[:, 0, 1].conj() * w[:, 0, 1]).real
+              - (_gamma_amplitude(u).conj() * _gamma_amplitude(w)).real / 2.0)
+    return pj, pg, d_diff
 
 
 def _response_slope(diff: float, d_diff: float, period: float) -> float:
@@ -280,13 +332,13 @@ def ep_susceptibility(p: PtEpParams, tol: float = DEFAULT_TOL, rel_step: float |
 
         return abs(richardson(central, rel_step * p.omega_delta))
 
-    pj, pg, d_diff = _pair_and_slope(p, tol)
+    pj, pg, d_diff = (v.item() for v in _pair_and_slope([p], tol))
     return _response_slope(pj - pg, d_diff, p.T)
 
 
 def ep_sensitivity(p: PtEpParams, tol: float = DEFAULT_TOL) -> float:
     """Overall sensitivity sqrt(Var[E_res]) / |dE_res/d omega_delta|, from one tangent solve."""
-    pj, pg, d_diff = _pair_and_slope(p, tol)
+    pj, pg, d_diff = (v.item() for v in _pair_and_slope([p], tol))
     var = response_variance(pj, pg, p.C0, p.nu, p.T)
     chi = _response_slope(pj - pg, d_diff, p.T)
     return math.sqrt(var) / chi if chi > 0 else float("inf")
@@ -310,9 +362,8 @@ def hermitian_bound_ep(p: PtEpParams) -> float:
     return 1.0 / (math.sqrt(p.nu) * integral)
 
 
-def _scan_row(base: PtEpParams, wd: float, tol: float) -> EpScanRow:
-    p = replace(base, omega_delta=wd)
-    pj, pg, d_diff = _pair_and_slope(p, tol)
+def _scan_row(p: PtEpParams, pj: float, pg: float, d_diff: float) -> EpScanRow:
+    wd = p.omega_delta
     diff = pj - pg
     bound = hermitian_bound_ep(p)
     if not (DIFF_FLOOR < diff < 1.0 - DIFF_FLOOR):
@@ -330,21 +381,16 @@ def _scan_row(base: PtEpParams, wd: float, tol: float) -> EpScanRow:
         chi_E=chi, sensitivity=sens, hermitian_bound=bound)
 
 
-def scan(base: PtEpParams, omega_delta_grid, tol: float = DEFAULT_TOL,
-         threads: int = 1) -> list[EpScanRow]:
+def scan(base: PtEpParams, omega_delta_grid, tol: float = DEFAULT_TOL) -> list[EpScanRow]:
     """Evaluate the full measurement chain on a grid of omega_delta values.
 
     Grid points whose P_J - P_Gamma falls outside (DIFF_FLOOR, 1 - DIFF_FLOOR)
     are flagged with a reason and carry NaN in the derived columns instead of
-    being dropped.  Each row takes P_J, P_Gamma and chi_E from one tangent solve.
-    Rows are independent; with threads > 1 they are evaluated concurrently
-    and assembled in grid order.
+    being dropped.  Each row takes P_J, P_Gamma and chi_E from its own member
+    of one tangent batch over the grid; a row does not depend on the others.
     """
     grid = np.asarray(omega_delta_grid, dtype=float)
     if grid.size == 0:
         raise DomainError("omega_delta grid must be non-empty")
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda wd: _scan_row(base, float(wd), tol), grid))
-    return [_scan_row(base, float(wd), tol) for wd in grid]
+    ps = [replace(base, omega_delta=wd) for wd in grid.tolist()]
+    return [_scan_row(*row) for row in zip(ps, *(a.tolist() for a in _pair_and_slope(ps, tol)))]

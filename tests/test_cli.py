@@ -141,6 +141,21 @@ class TestCliRuns:
         assert main(["find-ep", "--J", "1", "--omega", "1",
                      "--bracket-lo", "2.0", "--bracket-hi", "2.9"]) == 2
 
+    def test_default_scan_ep_propagation_batches(self, tmp_path, monkeypatch):
+        # the Gamma pre-scan is one plain batch of 25, Brent adds serial
+        # propagations, and the 80 rows are one tangent batch
+        calls = []
+        original = pt_ep.integrate
+
+        def counted(*args, **kwargs):
+            calls.append((kwargs.get("batch", 1), kwargs.get("dhamiltonian") is not None))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pt_ep, "integrate", counted)
+        assert main(["scan-ep", "--out", str(tmp_path / "scan.csv")]) == 0
+        assert calls[0] == (25, False) and calls[-1] == (80, True)
+        assert set(calls[1:-1]) == {(1, False)} and len(calls[1:-1]) <= 6
+
     def test_find_ep_output(self, tmp_path):
         out = tmp_path / "ep.csv"
         assert main(["find-ep", "--J", "1", "--omega", "1", "--tol", "1e-10",

@@ -2,19 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm, expm_frechet
 
 from nhsense.errors import DomainError, PropagationError
 from nhsense.evolution import (
-    HamiltonianFamily, generator_finite_difference, integrate, propagate, propagator_at,
+    _INTERNAL_TOL_FACTOR, _RTOL_FLOOR, HamiltonianFamily, generator_finite_difference, integrate,
+    propagate, propagator_at,
 )
 from nhsense.operators import SIGMA_X, expm_hermitian
 from nhsense.pseudo_hermitian import (
     PseudoHermitianParams, generator_closed, hamiltonian_family, probe_state, qfi_numeric,
 )
+from nhsense.pt_ep import PtEpParams, hamiltonian_domega_delta, hamiltonian_total
 from nhsense.qfi import qfi_fidelity_oracle
 
-from conftest import random_family, random_hermitian
+from conftest import make_rng, random_family, random_hermitian
+
+
+def constant(h):
+    """The batch Hamiltonian that is h for every member at every time."""
+    return lambda t, idx: np.broadcast_to(h, (t.size,) + h.shape)
+
+
+def one_member(h_of_t):
+    """The batch Hamiltonian of a single member whose Hamiltonian is h_of_t(t)."""
+    return lambda t, idx: np.array([h_of_t(s) for s in t])
 
 
 def constant_family(h, dh, dim):
@@ -37,7 +50,7 @@ class TestIntegrate:
         lam = 0.3
         h = h0 + lam * h1
         times = np.array([0.0, 0.6, 1.3])
-        u, w = integrate(lambda t: h, 3, times, 1e-12, dhamiltonian=lambda t: h1)
+        [u], [w] = integrate(constant(h), 3, times, 1e-12, dhamiltonian=constant(h1))
         for k, t in enumerate(times):
             assert np.abs(u[k] - expm(-1j * h * t)).max() < 1e-10
             _, expected_w = expm_frechet(-1j * h * t, -1j * h1 * t)
@@ -45,9 +58,82 @@ class TestIntegrate:
 
     def test_propagator_only_without_tangent(self, rng):
         h = random_hermitian(rng, 2)
-        u, w = integrate(lambda t: h, 2, np.array([0.0, 1.0]), 1e-11)
+        u, w = integrate(constant(h), 2, np.array([0.0, 1.0]), 1e-11)
         assert w is None
-        assert np.abs(u[-1] - expm_hermitian(h, 1.0)).max() < 1e-10
+        assert np.abs(u[0, -1] - expm_hermitian(h, 1.0)).max() < 1e-10
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # nan arithmetic
+    def test_step_below_ten_ulp_raises(self):
+        # a nan Hamiltonian rejects every step; the step shrinks until it
+        # falls below 10 ulp of t, which ends the run instead of a hang
+        def bad(t, idx):
+            return np.where((t > 0.5)[:, None, None], np.nan, 1.0) * SIGMA_X
+
+        with pytest.raises(PropagationError, match="10 ulp"):
+            integrate(bad, 2, np.array([0.0, 1.0]), 1e-10, batch=3)
+
+
+class TestAgainstSolveIvp:
+    """The batched core is scipy's RK45 controller: same steps, same numbers."""
+
+    @staticmethod
+    def solve_ivp_reference(hamiltonian, dhamiltonian, dim, times, tol):
+        # the state layout and rtol = atol of integrate, through scipy's own RK45
+        inner = max(tol / _INTERNAL_TOL_FACTOR, _RTOL_FLOOR)
+        width = dim if dhamiltonian is None else 2 * dim
+
+        def rhs(t, y):
+            uw = y.reshape(dim, width)
+            d = (-1j * hamiltonian(t)) @ uw
+            if dhamiltonian is not None:
+                d[:, dim:] -= 1j * (dhamiltonian(t) @ uw[:, :dim])
+            return d.ravel()
+
+        y0 = np.zeros((dim, width), dtype=complex)
+        y0[:, :dim] = np.eye(dim)
+        t_eval = times if times.size > 2 else None
+        sol = solve_ivp(rhs, (0.0, times[-1]), y0.ravel(), method="RK45", t_eval=t_eval,
+                        rtol=inner, atol=inner)
+        y = (sol.y if t_eval is not None else sol.y[:, [0, -1]]).T.reshape(-1, dim, width)
+        return y[:, :, :dim], (y[:, :, dim:] if dhamiltonian is not None else None), sol.nfev
+
+    def check(self, hamiltonian, dhamiltonian, dim, times, tol):
+        calls = []
+
+        def counted(t, idx):
+            calls.append(t.size)
+            return one_member(hamiltonian)(t, idx)
+
+        d_member = None if dhamiltonian is None else one_member(dhamiltonian)
+        [u], w = integrate(counted, dim, times, tol, dhamiltonian=d_member)
+        u_ref, w_ref, nfev = self.solve_ivp_reference(hamiltonian, dhamiltonian, dim, times, tol)
+        # H is evaluated once per step attempt at its five stage times; the
+        # sixth RHS evaluation, at the step's end, reuses the last of them.
+        # With the two of the initial step that is 2 + 6 per attempt, as in scipy.
+        assert calls[:2] == [1, 1] and set(calls[2:]) == {5}
+        assert 2 + 6 * (len(calls) - 2) == nfev
+        assert np.abs(u - u_ref).max() <= 1e-13 * max(1.0, np.abs(u_ref).max())
+        if dhamiltonian is not None:
+            assert np.abs(w[0] - w_ref).max() <= 1e-13 * max(1.0, np.abs(w_ref).max())
+
+    @pytest.mark.parametrize("tangent", [False, True])
+    def test_pt_period(self, tangent):
+        p = PtEpParams(J=1.0, Gamma=1.0650605221995801, omega=4.0, delta=0.05, omega_delta=0.2228)
+        self.check(lambda t: hamiltonian_total(p, t),
+                   (lambda t: hamiltonian_domega_delta(p, t)) if tangent else None,
+                   2, np.array([0.0, p.T]), 1e-12)
+
+    def test_vanishing_start_with_rejected_steps(self, rng):
+        # H(0) = 0 gives the tiny first step 1e-6, so the step grows by the
+        # factor limit 10; at tol 1e-6 this run rejects three steps
+        a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        self.check(lambda t: math.sin(3 * t) * a + t * t * b, None, 3, np.linspace(0.0, 4.0, 5), 1e-6)
+
+    def test_random_family_dense_output(self):
+        # a 7-point grid is filled from the quartic interpolant, as t_eval is
+        fam = random_family(make_rng(7), 4)
+        self.check(lambda t: fam.evaluate(0.3, t), lambda t: fam.evaluate_dlambda(0.3, t),
+                   4, np.linspace(0.0, 2.0, 7), 1e-10)
 
 
 class TestPropagate:
@@ -100,8 +186,8 @@ class TestPropagate:
         tol = 1e-10
         fam = random_family(rng, dim)
         times = np.linspace(0.0, 2.5, 6)
-        u, w = integrate(lambda t: fam.evaluate(0.3, t), dim, times, tol,
-                         dhamiltonian=lambda t: fam.evaluate_dlambda(0.3, t))
+        [u], [w] = integrate(one_member(lambda t: fam.evaluate(0.3, t)), dim, times, tol,
+                             dhamiltonian=one_member(lambda t: fam.evaluate_dlambda(0.3, t)))
         for uk, wk in zip(u, w):
             raw = 1j * uk.conj().T @ wk
             assert np.abs(raw - raw.conj().T).max() / 2.0 <= 10 * tol
@@ -135,6 +221,7 @@ class TestPropagate:
         with pytest.raises(DomainError):
             propagate(fam, 0.0, np.array([0.0, 1.0]), tol=1e-3)  # tol out of range
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_hamiltonian_reported(self):
         def bad(lam, t):
             return np.array([[np.inf, 0], [0, 0]], dtype=complex) if t > 0.5 else np.zeros((2, 2))

@@ -41,6 +41,26 @@ class TestParams:
             PseudoHermitianParams(*args)
 
 
+CLOSED_FORMS_OF_T = {
+    "qfi_closed": lambda t: qfi_closed(P0, t),
+    "qfi_rate_closed": lambda t: qfi_rate_closed(P0, t),
+    "two_level_population": lambda t: two_level_population(P0, t),
+    "p1_closed": lambda t: p1_closed(P0, t),
+    "susceptibility": lambda t: susceptibility(P0, t),
+    "p1_slope": lambda t: p1_slope(P0, t),
+    "hermitian_bound": lambda t: hermitian_bound(t, 1),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS_OF_T))
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_closed_forms_reject_bad_time(name, t):
+    # nan passed `t < 0` and gave nan; inf failed with a bare math domain error
+    with pytest.raises(DomainError, match=f"t must be finite and >= 0, got {t}"):
+        CLOSED_FORMS_OF_T[name](t)
+
+
 class TestDilatedHamiltonian:
     def test_construction_identity(self):
         p = PseudoHermitianParams(0.25, 1.3, 0.4)

@@ -178,32 +178,56 @@ class TestFindEp:
         with pytest.raises(DomainError):
             find_ep(1.0, 1.0, bracket=(2.0, 2.9), tol=1e-8)
 
+    def test_prescan_member_equals_serial_propagation(self, monkeypatch):
+        # the 25-point pre-scan is one batch; each member keeps its own steps,
+        # so it is bit for bit the propagation of that Gamma alone
+        propagators = []
+        original = pt_ep.integrate
+
+        def recorded(*args, **kwargs):
+            out = original(*args, **kwargs)
+            propagators.append(out[0][:, -1])
+            return out
+
+        monkeypatch.setattr(pt_ep, "integrate", recorded)
+        find_ep(1.0, 4.0, tol=1e-6)
+        monkeypatch.undo()
+        prescan = propagators[0]
+        grid = np.linspace(*pt_ep.default_ep_bracket(1.0), 25)
+        assert prescan.shape == (25, 2, 2)
+        for k in (0, 8, 9, 24):
+            p = PtEpParams(J=1.0, Gamma=grid[k], omega=4.0, delta=0.0, omega_delta=1.0)
+            assert np.array_equal(prescan[k], propagate_period(p, tol=1e-12))
+
 
 class TestRootFinders:
     """Both roots come from Brent's method: few propagations, tight roots."""
 
     @staticmethod
     def count_propagations(monkeypatch) -> list:
-        calls = []
-        original = pt_ep.propagate_period
+        """Batch size of each propagation: a batch of B members counts as B propagations."""
+        batches = []
+        original = pt_ep.integrate
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            batches.append(kwargs.get("batch", 1))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(pt_ep, "propagate_period", counted)
-        return calls
+        monkeypatch.setattr(pt_ep, "integrate", counted)
+        return batches
 
     def test_find_ep_evaluations_and_accuracy(self, monkeypatch):
-        calls = self.count_propagations(monkeypatch)
+        batches = self.count_propagations(monkeypatch)
         gamma = find_ep(1.0, 4.0, tol=1e-12)
-        assert len(calls) <= 31  # 25-point pre-scan plus Brent, each bracket end propagated once
+        assert batches[0] == 25 and set(batches[1:]) == {1}  # the pre-scan batch, then serial Brent
+        assert sum(batches) <= 31  # pre-scan plus Brent, each bracket end propagated once
         assert abs(gamma - GAMMA_EP_J1_W4_TIGHT) <= 2e-12
 
     def test_find_response_dip_evaluations_and_accuracy(self, monkeypatch):
-        calls = self.count_propagations(monkeypatch)
+        batches = self.count_propagations(monkeypatch)
         dip = find_response_dip(default_base(), (0.05, 2.0), tol=1e-12)
-        assert len(calls) <= 11  # sign check plus Brent, each bracket end propagated once
+        assert set(batches) == {1}
+        assert sum(batches) <= 11  # sign check plus Brent, each bracket end propagated once
         assert abs(dip - DIP_J1_W4_D005_TIGHT) <= 2e-12
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
@@ -368,17 +392,17 @@ class TestScan:
         assert list(EpScanRow.__dataclass_fields__) == list(SCAN_COLUMNS)
 
     def test_one_propagation_per_row(self, monkeypatch):
-        # P_J, P_Gamma and chi_E of a row all come from one tangent solve
+        # P_J, P_Gamma and chi_E of every row come from its member of one tangent batch
         calls = []
         original = pt_ep.integrate
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            calls.append((kwargs.get("batch", 1), kwargs.get("dhamiltonian") is not None))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pt_ep, "integrate", counted)
         scan(default_base(), np.linspace(0.05, 2.0, 80), tol=1e-10)
-        assert len(calls) == 80
+        assert calls == [(80, True)]
 
     def test_tightest_tol_row(self):
         # tol/2 falls below TOL_MIN at tol 1e-13: the solve is clamped there
@@ -391,17 +415,14 @@ class TestScan:
             with pytest.raises(DomainError, match="tol"):
                 scan(default_base(), [0.8], tol=tol)
 
-    def test_threads_preserve_order_and_values(self):
-        grid = np.linspace(0.4, 1.2, 5)
-        serial = scan(default_base(), grid, tol=1e-9)
-        threaded = scan(default_base(), grid, tol=1e-9, threads=3)
-        for a, b in zip(serial, threaded):
-            for name in SCAN_COLUMNS:
-                va, vb = getattr(a, name), getattr(b, name)
-                if isinstance(va, float) and math.isnan(va):
-                    assert math.isnan(vb)
-                else:
-                    assert va == vb
+    def test_row_alone_equals_row_in_grid(self):
+        # each member of the batch keeps its own steps: a row scanned alone is,
+        # bit for bit, the same row inside the 80-row default grid
+        grid = np.linspace(0.05, 2.0, 80)
+        rows = scan(default_base(), grid, tol=1e-10)
+        for k in (0, 6, 7, 40, 79):  # excluded, either side of the dip, interior, last
+            [alone] = scan(default_base(), grid[k:k + 1], tol=1e-10)
+            assert repr(alone) == repr(rows[k])  # repr: exact floats, and nan equals nan
 
 
 def base_at(base: PtEpParams, omega_delta: float) -> PtEpParams:
