@@ -155,24 +155,11 @@ def conditional_population_from_dilation(p: PseudoHermitianParams, t: float) -> 
     return p00 / (p00 + p01)
 
 
-def _p1_root(p: PseudoHermitianParams, t: float) -> float:
-    """r = sqrt(lam² + 8e(1+e) lam w/(1+2e) + 4e(1+e) w²), the P1 rate; t must be >= 0.
-
-    The radicand equals (lam+b)² + c² identically, hence is never negative;
-    the guard is kept as a construction check.
-    """
-    check_time(t)
-    e, w, lam = p.epsilon, p.omega, p.lam
-    radicand = lam * lam + 8.0 * e * (1.0 + e) * lam * w / (1.0 + 2.0 * e) + 4.0 * e * (1.0 + e) * w * w
-    if radicand < 0:
-        raise DomainError(f"negative radicand {radicand:g} at lam={lam:g}")
-    return math.sqrt(radicand)
-
-
 def p1_closed(p: PseudoHermitianParams, t: float) -> float:
-    """Closed-form probability of |0_a 0_s>: (1+e)/(1+2e) cos²(t r)."""
+    """Closed-form probability of |0_a 0_s>: (1+e)/(1+2e) cos²(Omega t)."""
+    check_time(t)
     e = p.epsilon
-    return (1.0 + e) / (1.0 + 2.0 * e) * math.cos(t * _p1_root(p, t)) ** 2
+    return (1.0 + e) / (1.0 + 2.0 * e) * math.cos(t * p.Omega) ** 2
 
 
 def susceptibility(p: PseudoHermitianParams, t: float) -> float:
@@ -196,14 +183,10 @@ def susceptibility(p: PseudoHermitianParams, t: float) -> float:
 
 
 def p1_slope(p: PseudoHermitianParams, t: float) -> float:
-    """dP1/dlam = -(1+e)/(1+2e) sin(2 t r) t (2 lam + k)/(2 r) in closed form.
-
-    k = 8e(1+e) w/(1+2e) is the linear coefficient of the radicand r².
-    """
-    r = _p1_root(p, t)
-    e = p.epsilon
-    k = 8.0 * e * (1.0 + e) * p.omega / (1.0 + 2.0 * e)
-    return -(1.0 + e) / (1.0 + 2.0 * e) * math.sin(2.0 * t * r) * t * (2.0 * p.lam + k) / (2.0 * r)
+    """dP1/dlam = -(1+e)/(1+2e) sin(2 Omega t) t dOmega/dlam, dOmega/dlam = (lam+b)/Omega."""
+    check_time(t)
+    e, om = p.epsilon, p.Omega
+    return -(1.0 + e) / (1.0 + 2.0 * e) * math.sin(2.0 * t * om) * t * (p.lam + p.b) / om
 
 
 def sensitivity(p: PseudoHermitianParams, t: float, nu: int) -> float:

@@ -20,11 +20,10 @@ the passive realization enters only through the noise scale C0 = e^{2 Gamma T}.
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import spherical_jn
 
 from .errors import DomainError
 from .evolution import TOL_MIN, check_tol, integrate, richardson
@@ -190,19 +189,35 @@ def response_energy(pj: float, pgamma: float, period: float) -> float:
     return math.asin(math.sqrt(diff)) / period
 
 
-def _diff_at(p: PtEpParams, tol: float) -> float:
-    pj, pg = pj_pgamma(propagate_period(p, tol=tol))
-    return pj - pg
-
-
-def _check_root_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"root tolerance must be finite and > 0, got {tol:g}")
-
-
 def default_ep_bracket(j: float) -> tuple[float, float]:
     """Gamma bracket (0.01 J, 3 J) searched by find_ep when none is given."""
     return 0.01 * j, 3.0 * j
+
+
+def _diff_root(at, xs: list[float], tol: float, prop_tol: float, name: str) -> float:
+    """Root in x of D = P_J - P_Gamma at at(x), in the first sign change (or zero) of D along xs.
+
+    xs is propagated as one batch; Brent's method then narrows the root to
+    |dx| <= tol, propagating each new point alone.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"root tolerance must be finite and > 0, got {tol:g}")
+    pj, pg = _pairs(_propagate_periods([at(x) for x in xs], prop_tol, tangent=False)[0])
+    vals = (pj - pg).tolist()
+    known = dict(zip(xs, vals))  # brentq re-evaluates the bracket ends
+
+    def g(x: float) -> float:
+        if x not in known:
+            pj, pg = pj_pgamma(propagate_period(at(x), tol=prop_tol))
+            known[x] = pj - pg
+        return known[x]
+
+    for k, (x, v) in enumerate(zip(xs, vals)):
+        if v == 0.0:
+            return float(x)
+        if k + 1 < len(xs) and v * vals[k + 1] < 0:
+            return float(brentq(g, x, xs[k + 1], xtol=tol))
+    raise DomainError(f"no sign change of P_J - P_Gamma in {name} bracket ({xs[0]:g}, {xs[-1]:g})")
 
 
 def find_ep(j: float, omega: float, bracket: tuple[float, float] | None = None,
@@ -212,7 +227,6 @@ def find_ep(j: float, omega: float, bracket: tuple[float, float] | None = None,
     A coarse pre-scan over the bracket, propagated as one batch, locates a
     sign change, then Brent's method narrows it to |dGamma| <= tol.
     """
-    _check_root_tol(tol)
     if bracket is None:
         bracket = default_ep_bracket(j)
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -223,22 +237,7 @@ def find_ep(j: float, omega: float, bracket: tuple[float, float] | None = None,
         # delta = 0 removes the perturbation; omega_delta is then inert.
         return PtEpParams(J=j, Gamma=gamma, omega=omega, delta=0.0, omega_delta=1.0)
 
-    grid = np.linspace(lo, hi, 25).tolist()
-    pj, pg = _pairs(_propagate_periods([at(x) for x in grid], prop_tol, tangent=False)[0])
-    vals = (pj - pg).tolist()
-    known = dict(zip(grid, vals))  # brentq re-evaluates the bracket ends
-
-    def g(gamma: float) -> float:
-        if gamma not in known:
-            known[gamma] = _diff_at(at(gamma), prop_tol)
-        return known[gamma]
-
-    for k in range(len(grid) - 1):
-        if vals[k] == 0.0:
-            return float(grid[k])
-        if vals[k] * vals[k + 1] < 0:
-            return float(brentq(g, grid[k], grid[k + 1], xtol=tol))
-    raise DomainError(f"no sign change of P_J - P_Gamma in Gamma bracket ({lo:g}, {hi:g})")
+    return _diff_root(at, np.linspace(lo, hi, 25).tolist(), tol, prop_tol, "Gamma")
 
 
 def find_response_dip(p: PtEpParams, bracket: tuple[float, float],
@@ -248,18 +247,10 @@ def find_response_dip(p: PtEpParams, bracket: tuple[float, float],
     The bracket endpoints must give opposite signs of the difference;
     Brent's method narrows the root to |d omega_delta| <= tol.
     """
-    _check_root_tol(tol)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 < lo < hi):
         raise DomainError("bracket must satisfy 0 < lo < hi")
-
-    @cache  # brentq re-evaluates the bracket ends the sign check already has
-    def g(wd: float) -> float:
-        return _diff_at(replace(p, omega_delta=wd), prop_tol)
-
-    if g(lo) * g(hi) > 0:
-        raise DomainError(f"no sign change of P_J - P_Gamma in omega_delta bracket ({lo:g}, {hi:g})")
-    return float(brentq(g, lo, hi, xtol=tol))
+    return _diff_root(lambda wd: replace(p, omega_delta=wd), [lo, hi], tol, prop_tol, "omega_delta")
 
 
 def response_variance(pj: float, pgamma: float, c0: float, nu: int, period: float) -> float:
@@ -336,30 +327,34 @@ def ep_susceptibility(p: PtEpParams, tol: float = DEFAULT_TOL, rel_step: float |
     return _response_slope(pj - pg, d_diff, p.T)
 
 
-def ep_sensitivity(p: PtEpParams, tol: float = DEFAULT_TOL) -> float:
-    """Overall sensitivity sqrt(Var[E_res]) / |dE_res/d omega_delta|, from one tangent solve."""
-    pj, pg, d_diff = (v.item() for v in _pair_and_slope([p], tol))
+def _noise_chain(p: PtEpParams, pj: float, pg: float, d_diff: float) -> tuple[float, float, float]:
+    """Var[E_res], chi_E and the sensitivity sqrt(Var[E_res]) / chi_E at the pair (pj, pg) of p."""
     var = response_variance(pj, pg, p.C0, p.nu, p.T)
     chi = _response_slope(pj - pg, d_diff, p.T)
-    return math.sqrt(var) / chi if chi > 0 else float("inf")
+    return var, chi, (math.sqrt(var) / chi if chi > 0 else float("inf"))
+
+
+def ep_sensitivity(p: PtEpParams, tol: float = DEFAULT_TOL) -> float:
+    """Overall sensitivity sqrt(Var[E_res]) / |dE_res/d omega_delta|, from one tangent solve."""
+    return _noise_chain(p, *(v.item() for v in _pair_and_slope([p], tol)))[2]
 
 
 def hermitian_bound_ep(p: PtEpParams) -> float:
     """Uncertainty bound of the Hermitian counterpart coupling to the drive.
 
-    The spectral width of the drive derivative is delta * s * |sin(w_d s)|,
-    integrated over one period by adaptive quadrature with the kink points
-    of |sin| supplied explicitly.  For w_d T <= pi the integral reduces to
-    delta [sin(w_d T) - w_d T cos(w_d T)] / w_d².
+    The spectral width of the drive derivative is delta * s * |sin(w_d s)|;
+    its integral over one period is delta/w_d² times that of u |sin u| up to
+    x = w_d T.  The latter is summed exactly over the lobes of |sin| with
+    G(u) = sin u - u cos u = u² j1(u) (spherical Bessel j1, accurate at small
+    u), the antiderivative of u sin u: lobe k adds (2k+1) pi, so the m full
+    lobes below x add m² pi and the partial last one (-1)^m G(x) + m pi.
     """
     if p.delta == 0.0:
         return float("inf")
-    wd, period = p.omega_delta, p.T
-    kinks = [k * math.pi / wd for k in range(1, int(wd * period / math.pi) + 1)
-             if k * math.pi / wd < period]
-    integral, _ = quad(lambda s: p.delta * s * abs(math.sin(wd * s)), 0.0, period,
-                       points=kinks or None, epsabs=1e-13, epsrel=1e-10, limit=200)
-    return 1.0 / (math.sqrt(p.nu) * integral)
+    x = p.omega_delta * p.T
+    m = math.ceil(x / math.pi) - 1  # lobe edges k pi below x
+    lobes = m * (m + 1) * math.pi + (-1) ** m * x * x * float(spherical_jn(1, x))
+    return p.omega_delta**2 / (math.sqrt(p.nu) * p.delta * lobes)
 
 
 def _scan_row(p: PtEpParams, pj: float, pg: float, d_diff: float) -> EpScanRow:
@@ -372,12 +367,9 @@ def _scan_row(p: PtEpParams, pj: float, pg: float, d_diff: float) -> EpScanRow:
             var_E=float("nan"), chi_E=float("nan"), sensitivity=float("nan"),
             hermitian_bound=bound,
             excluded_reason=f"P_J - P_Gamma = {diff:.6g} outside usable range")
-    e_res = response_energy(pj, pg, p.T)
-    var = response_variance(pj, pg, p.C0, p.nu, p.T)
-    chi = _response_slope(diff, d_diff, p.T)
-    sens = math.sqrt(var) / chi if chi > 0 else float("inf")
+    var, chi, sens = _noise_chain(p, pj, pg, d_diff)
     return EpScanRow(
-        omega_delta=wd, PJ=pj, PGamma=pg, E_res=e_res, var_E=var,
+        omega_delta=wd, PJ=pj, PGamma=pg, E_res=response_energy(pj, pg, p.T), var_E=var,
         chi_E=chi, sensitivity=sens, hermitian_bound=bound)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError
-from .evolution import HamiltonianFamily, PropagationRecord, propagator_at, richardson
+from .evolution import HamiltonianFamily, PropagationRecord, check_time, propagator_at, richardson
 from .operators import HERMITICITY_ATOL, covariance, require_state, seminorm, variance
 
 RATE_QFI_FLOOR = 1e-12  # below this the covariance quotient for d sqrt(F)/dt is meaningless
@@ -134,8 +134,8 @@ def qfi_fidelity_oracle(family: HamiltonianFamily, lam: float, psi0, t: float,
 
 def cramer_rao(qfi_value: float, nu: int) -> float:
     """Estimation uncertainty floor 1/sqrt(nu * F); +inf when F = 0."""
-    if qfi_value < 0:
-        raise DomainError("QFI must be nonnegative")
+    if not (np.isfinite(qfi_value) and qfi_value >= 0):
+        raise DomainError(f"QFI must be finite and nonnegative, got {qfi_value}")
     if nu < 1:
         raise DomainError("trial count must be >= 1")
     if qfi_value == 0.0:
@@ -145,7 +145,7 @@ def cramer_rao(qfi_value: float, nu: int) -> float:
 
 def channel_bound_uncertainty(family: HamiltonianFamily, lam: float, t_final: float, nu: int) -> float:
     """Uncertainty lower bound 1/(sqrt(nu) * integral of the width of dH/dlam)."""
-    if t_final <= 0:
+    if check_time(t_final) == 0:
         raise DomainError("t_final must be positive")
     if nu < 1:
         raise DomainError("trial count must be >= 1")

@@ -218,9 +218,10 @@ def test_criterion_09_operator_inequality_suites():
             assert r.tolerance <= 1e-10 or r.name == "expm-unitarity"
 
 
-def test_criterion_10_verify_determinism(tmp_path):
+def test_criterion_10_verify_determinism(tmp_path, verify_report_42):
     with criterion(10, "verify runs are byte-identical for a fixed seed", 120.0):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["verify", "--seed", "42", "--format", "json", "--out", str(a)]) == 0
-        assert main(["verify", "--seed", "42", "--format", "json", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        code, report = verify_report_42
+        out = tmp_path / "b.json"
+        assert code == 0
+        assert main(["verify", "--seed", "42", "--format", "json", "--out", str(out)]) == 0
+        assert out.read_bytes() == report

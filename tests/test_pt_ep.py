@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from nhsense import pt_ep
 from nhsense.errors import DomainError
@@ -226,7 +227,7 @@ class TestRootFinders:
     def test_find_response_dip_evaluations_and_accuracy(self, monkeypatch):
         batches = self.count_propagations(monkeypatch)
         dip = find_response_dip(default_base(), (0.05, 2.0), tol=1e-12)
-        assert set(batches) == {1}
+        assert batches[0] == 2 and set(batches[1:]) == {1}  # both bracket ends, then serial Brent
         assert sum(batches) <= 11  # sign check plus Brent, each bracket end propagated once
         assert abs(dip - DIP_J1_W4_D005_TIGHT) <= 2e-12
 
@@ -352,13 +353,16 @@ class TestHermitianBoundEp:
         p = PtEpParams(J=1.0, Gamma=0.2, omega=4.0, delta=0.0, omega_delta=0.5)
         assert hermitian_bound_ep(p) == math.inf
 
-    def test_kinked_integrand_beyond_pi(self):
-        # wd T > pi: |sin| kinks handled by the quadrature; compare against
-        # a dense trapezoid oracle
-        p = PtEpParams(J=1.0, Gamma=0.2, omega=1.0, delta=0.05, omega_delta=1.3)
-        s = np.linspace(0.0, p.T, 400_001)
-        trapezoid = np.trapezoid(p.delta * s * np.abs(np.sin(p.omega_delta * s)), s)
-        assert hermitian_bound_ep(p) == pytest.approx(1.0 / trapezoid, rel=1e-8)
+    @pytest.mark.parametrize("lobes", [3e-5, 0.4, 1.0, 2.6, 7.5, 200.0, 449.7, 2500.3])
+    def test_kinked_integrand_beyond_pi(self, lobes):
+        # wd T = lobes * pi (T = pi/2), up to thousands of |sin| lobes; the
+        # oracle integrates s |sin(wd s)| by quadrature on each lobe separately
+        p = PtEpParams(J=1.0, Gamma=0.2, omega=4.0, delta=0.05, omega_delta=2.0 * lobes)
+        wd = p.omega_delta
+        edges = [k * math.pi / wd for k in range(math.ceil(lobes))] + [p.T]
+        integral = sum(quad(lambda s: s * abs(math.sin(wd * s)), a, b, epsabs=0.0, epsrel=1e-13)[0]
+                       for a, b in zip(edges, edges[1:]))
+        assert hermitian_bound_ep(p) == pytest.approx(1.0 / (p.delta * integral), rel=1e-10)
 
 
 class TestScan:

@@ -140,6 +140,11 @@ class TestCramerRao:
         with pytest.raises(DomainError):
             cramer_rao(1.0, 0)
 
+    @pytest.mark.parametrize("qfi_value", [math.nan, math.inf])
+    def test_rejects_non_finite_information(self, qfi_value):
+        with pytest.raises(DomainError, match="QFI must be finite and nonnegative"):
+            cramer_rao(qfi_value, 1)
+
 
 class TestChannelBoundUncertainty:
     def test_constant_sigma_x(self):
@@ -150,6 +155,15 @@ class TestChannelBoundUncertainty:
             1.0 / (2 * t_final), rel=1e-10)
         assert channel_bound_uncertainty(fam, 0.0, t_final, 4) == pytest.approx(
             1.0 / (4 * t_final), rel=1e-10)
+
+    @pytest.mark.parametrize("t_final, message", [
+        (0.0, "t_final must be positive"), (-1.0, "t must be finite and >= 0"),
+        (math.nan, "t must be finite and >= 0"), (math.inf, "t must be finite and >= 0")])
+    def test_rejects_bad_final_time(self, t_final, message):
+        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: lam * SIGMA_X,
+                                evaluate_dlambda=lambda lam, t: SIGMA_X)
+        with pytest.raises(DomainError, match=message):
+            channel_bound_uncertainty(fam, 0.0, t_final, 1)
 
     def test_zero_encoding_infinite(self):
         fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: SIGMA_Z,
