@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import spherical_jn
 
 from .errors import DomainError
 from .evolution import TOL_MIN, check_tol, integrate, richardson
@@ -194,17 +192,72 @@ def default_ep_bracket(j: float) -> tuple[float, float]:
     return 0.01 * j, 3.0 * j
 
 
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # scipy's brentq default
+
+
+def _brent(f, a: float, b: float, xtol: float, maxiter: int = 100) -> float:
+    """Zero of f between a and b, where f changes sign, to xtol + 4 eps |x|.
+
+    Brent's method (Brent 1973, Algorithms for Minimization without
+    Derivatives, ch. 4) with the step rules and iteration budget of scipy's
+    `brentq`, so for a float-valued f both return the same float: inverse
+    quadratic or secant steps while they shrink fast enough, bisection
+    otherwise.  An end where f is exactly 0 is
+    returned as is; equal signs at the ends and an exhausted `maxiter` raise
+    DomainError.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise DomainError(f"f has the same sign at both ends of ({a:g}, {b:g})")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # make xcur the end with the smaller |f|
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolation step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # slopes underflowed at tiny f: bisect, as brentq does
+                pass
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise DomainError(f"Brent's method did not converge in {maxiter} iterations on ({a:g}, {b:g})")
+
+
 def _diff_root(at, xs: list[float], tol: float, prop_tol: float, name: str) -> float:
     """Root in x of D = P_J - P_Gamma at at(x), in the first sign change (or zero) of D along xs.
 
-    xs is propagated as one batch; Brent's method then narrows the root to
-    |dx| <= tol, propagating each new point alone.
+    xs is propagated as one batch; `_brent`, the in-package Brent zero, then
+    narrows the root to |dx| <= tol, propagating each new point alone.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"root tolerance must be finite and > 0, got {tol:g}")
     pj, pg = _pairs(_propagate_periods([at(x) for x in xs], prop_tol, tangent=False)[0])
     vals = (pj - pg).tolist()
-    known = dict(zip(xs, vals))  # brentq re-evaluates the bracket ends
+    known = dict(zip(xs, vals))  # _brent re-evaluates the bracket ends
 
     def g(x: float) -> float:
         if x not in known:
@@ -216,8 +269,16 @@ def _diff_root(at, xs: list[float], tol: float, prop_tol: float, name: str) -> f
         if v == 0.0:
             return float(x)
         if k + 1 < len(xs) and v * vals[k + 1] < 0:
-            return float(brentq(g, x, xs[k + 1], xtol=tol))
+            return _brent(g, x, xs[k + 1], tol)
     raise DomainError(f"no sign change of P_J - P_Gamma in {name} bracket ({xs[0]:g}, {xs[-1]:g})")
+
+
+def _finite_bracket(bracket: tuple[float, float], name: str) -> tuple[float, float]:
+    """The bracket ends as floats; DomainError naming the bracket if one is not finite."""
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"{name} bracket ({lo:g}, {hi:g}) must have finite ends")
+    return lo, hi
 
 
 def find_ep(j: float, omega: float, bracket: tuple[float, float] | None = None,
@@ -227,9 +288,7 @@ def find_ep(j: float, omega: float, bracket: tuple[float, float] | None = None,
     A coarse pre-scan over the bracket, propagated as one batch, locates a
     sign change, then Brent's method narrows it to |dGamma| <= tol.
     """
-    if bracket is None:
-        bracket = default_ep_bracket(j)
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = _finite_bracket(default_ep_bracket(j) if bracket is None else bracket, "Gamma")
     if not (0 <= lo < hi):
         raise DomainError("bracket must satisfy 0 <= lo < hi")
 
@@ -247,7 +306,7 @@ def find_response_dip(p: PtEpParams, bracket: tuple[float, float],
     The bracket endpoints must give opposite signs of the difference;
     Brent's method narrows the root to |d omega_delta| <= tol.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = _finite_bracket(bracket, "omega_delta")
     if not (0 < lo < hi):
         raise DomainError("bracket must satisfy 0 < lo < hi")
     return _diff_root(lambda wd: replace(p, omega_delta=wd), [lo, hi], tol, prop_tol, "omega_delta")
@@ -339,21 +398,41 @@ def ep_sensitivity(p: PtEpParams, tol: float = DEFAULT_TOL) -> float:
     return _noise_chain(p, *(v.item() for v in _pair_and_slope([p], tol)))[2]
 
 
+def _sin_minus_x_cos(x: float) -> float:
+    """G(x) = sin x - x cos x for x >= 0, without cancellation at small x.
+
+    Below x = 1 it sums the series sum_{n>=1} (-1)^{n+1} 2n x^{2n+1} / (2n+1)!,
+    which starts at x³/3, until the terms no longer change the sum.
+    """
+    if x >= 1.0:
+        return math.sin(x) - x * math.cos(x)
+    x2 = x * x
+    term = total = x * x2 / 3.0
+    n = 1
+    while True:
+        term *= -x2 / (2 * n * (2 * n + 3))
+        if total + term == total:
+            return total
+        total += term
+        n += 1
+
+
 def hermitian_bound_ep(p: PtEpParams) -> float:
     """Uncertainty bound of the Hermitian counterpart coupling to the drive.
 
     The spectral width of the drive derivative is delta * s * |sin(w_d s)|;
     its integral over one period is delta/w_d² times that of u |sin u| up to
     x = w_d T.  The latter is summed exactly over the lobes of |sin| with
-    G(u) = sin u - u cos u = u² j1(u) (spherical Bessel j1, accurate at small
-    u), the antiderivative of u sin u: lobe k adds (2k+1) pi, so the m full
-    lobes below x add m² pi and the partial last one (-1)^m G(x) + m pi.
+    G(u) = sin u - u cos u (`_sin_minus_x_cos`, from its Taylor series below
+    u = 1, where the plain form cancels), the antiderivative of u sin u:
+    lobe k adds (2k+1) pi, so the m full lobes below x add m² pi and the
+    partial last one (-1)^m G(x) + m pi.
     """
     if p.delta == 0.0:
         return float("inf")
     x = p.omega_delta * p.T
     m = math.ceil(x / math.pi) - 1  # lobe edges k pi below x
-    lobes = m * (m + 1) * math.pi + (-1) ** m * x * x * float(spherical_jn(1, x))
+    lobes = m * (m + 1) * math.pi + (-1) ** m * _sin_minus_x_cos(x)
     return p.omega_delta**2 / (math.sqrt(p.nu) * p.delta * lobes)
 
 

@@ -9,7 +9,6 @@ width of dH/dlam, and |d sqrt(F)/dt| bounded pointwise by that width.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 from .evolution import HamiltonianFamily, PropagationRecord, check_time, propagator_at, richardson
@@ -47,6 +46,8 @@ def qfi_pure(h, psi0, atol: float = HERMITICITY_ATOL) -> float:
 
 
 def _quad_checked(f, a: float, b: float):
+    from scipy.integrate import quad  # kept off the default import path
+
     out = quad(f, a, b, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT,
                full_output=1)
     if len(out) > 3:

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -207,6 +209,26 @@ class TestCliRuns:
         rows_a = [l for l in a.read_text().splitlines() if not l.startswith("#")]
         rows_b = [l for l in b.read_text().splitlines() if not l.startswith("#")]
         assert rows_a == rows_b
+
+
+class TestImportPath:
+    def test_default_runs_load_no_scipy(self, tmp_path):
+        # scipy only backs verify's quadrature; importing the CLI and the
+        # default find-ep, scan-ep and sweep-ph runs must not load it
+        script = f"""
+import sys
+from nhsense import cli
+assert "scipy" not in sys.modules, "import nhsense.cli"
+for argv in (["find-ep", "--out", {str(tmp_path / "ep.csv")!r}],
+             ["scan-ep", "--grid-count", "3", "--out", {str(tmp_path / "scan.csv")!r}],
+             ["sweep-ph", "--grid-count", "3", "--out", {str(tmp_path / "sweep.csv")!r}]):
+    assert cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv[0]
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestVerifySubcommand:

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from nhsense import pt_ep
 from nhsense.errors import DomainError
@@ -238,6 +240,92 @@ class TestRootFinders:
         with pytest.raises(DomainError, match="root tolerance"):
             find_response_dip(default_base(), (0.05, 2.0), tol=tol)
 
+    @pytest.mark.parametrize("end", [0, 1], ids=["lo", "hi"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bracket_end_rejected(self, end, value, monkeypatch):
+        # find_ep(1, 4, (0.01, inf)) used to warn in linspace, then fail with
+        # "Gamma must be finite, got nan" from a propagation
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a non-finite bracket reached the propagation")
+
+        monkeypatch.setattr(pt_ep, "integrate", must_not_run)
+        finders = ((lambda b: find_ep(1.0, 4.0, b), [0.01, 3.0], "Gamma"),
+                   (lambda b: find_response_dip(default_base(), b), [0.05, 2.0], "omega_delta"))
+        for finder, bracket, name in finders:
+            bracket[end] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match=f"{name} bracket .* must have finite ends"):
+                    finder(tuple(bracket))
+
+
+def _monotone_functions(count: int):
+    """(f, a, b): seeded increasing functions with one root inside [a, b], roots of order 1 to 5.
+
+    The 1e-300 scale makes the slopes of the inverse quadratic step underflow.
+    """
+    families = (
+        lambda r, s, c: lambda x: s * (x - r) ** 3 + c * c * (x - r),
+        lambda r, s, c: lambda x: 1e-300 * s * (x - r) ** 3,
+        lambda r, s, c: lambda x: s * (x - r) ** 5,
+        lambda r, s, c: lambda x: s * (x - r) * abs(x - r) ** 3,
+        lambda r, s, c: lambda x: math.expm1(s * (x - r)),
+        lambda r, s, c: lambda x: math.atan(s * (x - r)) + 1e-3 * c,
+        lambda r, s, c: lambda x: (x - r) ** 3 + s * (x - r) + c,
+    )
+    rng = np.random.default_rng(20261018)
+    for k in range(count):
+        r, s, c, a, b = (float(v) for v in rng.uniform([-3, 0.1, -1, -6, 5], [3, 10, 1, -5, 6]))
+        yield families[k % len(families)](r, s, c), a, b
+
+
+class TestBrent:
+    """`pt_ep._brent` ports scipy's brentq step for step, so both return the same float."""
+
+    XTOLS = (1e-4, 1e-10, 1e-12, 1e-15)
+
+    def test_matches_scipy_brentq_bit_for_bit(self):
+        unconverged = 0
+        for f, a, b in _monotone_functions(350):
+            for xtol in self.XTOLS:
+                try:
+                    expected = brentq(f, a, b, xtol=xtol)
+                except RuntimeError:  # 100 iterations were not enough for either
+                    unconverged += 1
+                    with pytest.raises(DomainError, match="did not converge"):
+                        pt_ep._brent(f, a, b, xtol)
+                else:
+                    assert pt_ep._brent(f, a, b, xtol) == expected, (a, b, xtol)
+        # roots of order 4 and 5 exhaust the budget at some xtols; most of the 1400 pairs converge
+        assert 0 < unconverged < 350
+
+    def test_exhausted_iterations_raise_the_package_error(self):
+        # the same budget as brentq: it converges in n iterations, not in n - 1
+        f, a, b = next(_monotone_functions(1))
+        root, info = brentq(f, a, b, xtol=1e-15, full_output=True)
+        n = info.iterations
+        assert pt_ep._brent(f, a, b, 1e-15, maxiter=n) == root
+        with pytest.raises(RuntimeError):
+            brentq(f, a, b, xtol=1e-15, maxiter=n - 1)
+        with pytest.raises(DomainError, match=f"did not converge in {n - 1} iterations") as err:
+            pt_ep._brent(f, a, b, 1e-15, maxiter=n - 1)
+        assert not isinstance(err.value, RuntimeError)
+
+    def test_exact_zero_at_an_end_returned_as_is(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 1.0
+
+        assert pt_ep._brent(f, 1.0, 3.0, 1e-12) == 1.0
+        assert pt_ep._brent(f, -2.0, 1.0, 1e-12) == 1.0
+        assert calls == [1.0, 3.0, -2.0, 1.0]
+
+    def test_equal_signs_at_the_ends_raise(self):
+        with pytest.raises(DomainError, match="same sign"):
+            pt_ep._brent(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12)
+
 
 class TestResponseVariance:
     def test_divergence_at_dip(self):
@@ -363,6 +451,31 @@ class TestHermitianBoundEp:
         integral = sum(quad(lambda s: s * abs(math.sin(wd * s)), a, b, epsabs=0.0, epsrel=1e-13)[0]
                        for a, b in zip(edges, edges[1:]))
         assert hermitian_bound_ep(p) == pytest.approx(1.0 / (p.delta * integral), rel=1e-10)
+
+
+# x³/3 region, both sides of the switch to the plain form at 1, the zeros of G
+# near 4.49 and 7.73 (roots of tan x = x), and large x
+G_POINTS = [1e-6, 1e-4, 1e-2, 0.1, 0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0),
+            2.0, math.pi, 4.4, 4.493409457909064, 4.6,
+            7.725251836937707, 10.0, 123.456, 1e3, 1e4]
+
+
+class TestSinMinusXCos:
+    @pytest.mark.parametrize("x", G_POINTS)
+    def test_against_40_digit_reference(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = mpmath.sin(x) - x * mpmath.cos(x)
+        err = abs(float(pt_ep._sin_minus_x_cos(x) - ref))
+        eps = np.finfo(float).eps
+        # absolute in units of max(1, x), because G has zeros; relative below
+        # the first zero, where the plain form cancels (7.8e-5 relative at 1e-6)
+        assert err <= 4 * eps * max(1.0, x)
+        if x < 4.4:
+            assert err <= 4 * eps * float(ref)
+
+    def test_zero_at_zero(self):
+        assert pt_ep._sin_minus_x_cos(0.0) == 0.0
 
 
 class TestScan:
