@@ -64,7 +64,7 @@ class ScenarioConfig:
     scenario: str = _key("scenario", "")
     out: str | None = _key("out", None, "output path (stdout when omitted)")
     format: str = _key("format", "csv", "output format (default csv)", choices=FORMATS)
-    threads: int = _key("threads", 1, "worker threads for sweep-ph rows (default 1)")
+    threads: int = _key("threads", 1, "no effect: every run is one batch (default 1)")
     seed: int = _key("seed", 0, "seed for the verification suites")
     tol: float = _key("tol", 1e-10, "integration error target (default 1e-10)")
     ph_epsilon: float = _key("scenario.pseudo-hermitian.epsilon", 0.1, "dilation parameter (default 0.1)")
@@ -251,8 +251,7 @@ def run(config: ScenarioConfig) -> int:
     """Execute a validated scenario; returns the process exit code."""
     if config.scenario == "pseudo-hermitian":
         grid = np.linspace(config.ph_grid_start, config.ph_grid_stop, config.ph_grid_count)
-        rows = ph.sweep(config.ph_epsilon, config.ph_omega, grid, nu=config.ph_nu,
-                        tol=config.tol, threads=config.threads)
+        rows = ph.sweep(config.ph_epsilon, config.ph_omega, grid, nu=config.ph_nu, tol=config.tol)
         _emit(_metadata_items(config), ph.SWEEP_COLUMNS,
               [asdict(row) for row in rows], config.format, config.out)
         return 0

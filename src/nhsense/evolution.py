@@ -8,9 +8,10 @@ The coupled system
 is integrated as one complex state with the Dormand-Prince 5(4) pair, so
 the propagator and its tangent W = dU/dlam see identical time
 discretization.  `integrate`, the one propagation core of the package, holds
-for any H and advances a batch of such systems at once.  Each member keeps
-its own time, step and accept/reject decision, so its result does not
-depend on the rest of the batch.  The step control is scipy's RK45, after
+for any H and advances a batch of such systems at once, one per parameter
+entry; a Hamiltonian family evaluates the whole batch in one call.  Each
+member keeps its own time, step and accept/reject decision, so its result
+does not depend on the rest of the batch.  The step control is scipy's RK45, after
 Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4.  For a Hermitian
 family, `propagate` records the local generator h = i U† dU/dlam as the
 Hermitian part of i U† W.  No unitarity re-projection is applied;
@@ -19,6 +20,7 @@ integration error is tracked, not hidden.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -56,21 +58,18 @@ _P = np.array([
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0  # step-size controller
 
-# (t, idx) -> H (k, dim, dim): entry j is the Hamiltonian of member idx[j] at time t[j].
-BatchHamiltonian = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 @dataclass(frozen=True)
 class HamiltonianFamily:
     """A parametrized Hamiltonian H(lam, t) together with dH/dlam.
 
-    `evaluate` and `evaluate_dlambda` must return Hermitian (dim, dim)
-    arrays for every queried (lam, t).
+    `evaluate` and `evaluate_dlambda` take equally long 1-d arrays lam and t
+    and return the (k, dim, dim) stack whose entry j is the Hermitian
+    matrix at (lam[j], t[j]).
     """
 
     dim: int
-    evaluate: Callable[[float, float], np.ndarray]
-    evaluate_dlambda: Callable[[float, float], np.ndarray]
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    evaluate_dlambda: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -95,8 +94,7 @@ def _check_times(times) -> np.ndarray:
         raise DomainError("times must be a non-empty 1-d grid")
     if times[0] != 0.0:
         raise DomainError("times must start at 0")
-    if not np.all(np.isfinite(times)):
-        raise DomainError("times must be finite")
+    check_finite("times", times)
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise DomainError("times must be strictly ascending")
     return times
@@ -213,22 +211,23 @@ def _dopri(linear, y0: np.ndarray, times: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
-def integrate(hamiltonian: BatchHamiltonian, dim: int, times, tol: float,
-              dhamiltonian: BatchHamiltonian | None = None, batch: int = 1
-              ) -> tuple[np.ndarray, np.ndarray | None]:
-    """U and, given `dhamiltonian`, its tangent W on `times` for `batch` members.
+def integrate(hamiltonian: Callable, dim: int, params, times, tol: float,
+              dhamiltonian: Callable | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """U and, given `dhamiltonian`, its tangent W on `times`, one member per entry of `params`.
 
-    Each is (batch, len(times), dim, dim); W is None without `dhamiltonian`.
-    The callables are BatchHamiltonians over the members 0..batch-1.  H need
-    not be Hermitian.
+    Each is (len(params), len(times), dim, dim); W is None without
+    `dhamiltonian`.  The callables map k params entries and k times to the
+    (k, dim, dim) stack of H (or dH/dlam) at them.  H need not be Hermitian.
     """
     times = _check_times(times)
     inner = max(check_tol(tol) / _INTERNAL_TOL_FACTOR, _RTOL_FLOOR)  # solver rtol = atol
     width = dim if dhamiltonian is None else 2 * dim  # state columns: U, or U | W
+    params = np.asarray(params)
+    batch = len(params)
 
     def linear(t, members):
         m, k = t.shape
-        at = (t.ravel(), np.repeat(members, k))
+        at = (params[np.repeat(members, k)], t.ravel())
         gen = (-1j * hamiltonian(*at)).reshape(m, k, dim, dim)
         dh = None if dhamiltonian is None else dhamiltonian(*at).reshape(m, k, dim, dim)
 
@@ -246,31 +245,60 @@ def integrate(hamiltonian: BatchHamiltonian, dim: int, times, tol: float,
     return y[..., :dim], (y[..., dim:] if dhamiltonian is not None else None)
 
 
-def _checked(evaluate: Callable[[float, float], np.ndarray], lam: float) -> BatchHamiltonian:
-    """evaluate(lam, t) of a batch of one member, rejecting a non-finite evaluation."""
-    def at(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        m = np.array([evaluate(lam, s) for s in t.tolist()], dtype=complex)
-        finite = np.isfinite(m).all(axis=(1, 2))
-        if not finite.all():
-            raise PropagationError(f"non-finite Hamiltonian evaluation at t={t[~finite][0]:g}")
-        return m
-    return at
+def check_finite(name: str, values) -> np.ndarray:
+    """`values` as a 1-d float array once it is non-empty and finite; DomainError naming `name` otherwise."""
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if values.size == 0:
+        raise DomainError(f"{name} must be non-empty")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise DomainError(f"{name} must be finite, got {values[bad][0]}")
+    return values
+
+
+def evaluate_stack(evaluate: Callable, dim: int, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """evaluate(lam, t) as a complex (t.size, dim, dim) stack; DomainError for another shape,
+    PropagationError for a non-finite entry."""
+    m = np.asarray(evaluate(lam, t), dtype=complex)
+    if m.shape != (t.size, dim, dim):
+        raise DomainError(f"a family callable must return a {(t.size, dim, dim)} stack, got {m.shape}")
+    finite = np.isfinite(m).all(axis=(1, 2))
+    if not finite.all():
+        raise PropagationError(f"non-finite Hamiltonian evaluation at t={t[~finite][0]:g}")
+    return m
+
+
+def _solve(family: HamiltonianFamily, lams, times, tol: float, tangent: bool):
+    """`integrate` over the family, one member per lam, every evaluation checked."""
+    h, dh = (partial(evaluate_stack, f, family.dim) for f in (family.evaluate, family.evaluate_dlambda))
+    return integrate(h, family.dim, check_finite("lam", lams), times, tol,
+                     dhamiltonian=dh if tangent else None)
+
+
+def generators(family: HamiltonianFamily, lams, times, tol: float = DEFAULT_TOL
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """U and h, the Hermitian part of i U† W, (len(lams), len(times), dim, dim) each, as one batch."""
+    u, w = _solve(family, lams, times, tol, tangent=True)
+    h = 1j * np.swapaxes(u.conj(), -1, -2) @ w
+    return u, (h + np.swapaxes(h.conj(), -1, -2)) / 2.0
 
 
 def propagate(family: HamiltonianFamily, lam: float, times, tol: float = DEFAULT_TOL) -> PropagationRecord:
     """U and h, the Hermitian part of i U† W, for one parameter value over a time grid."""
-    u, w = integrate(_checked(family.evaluate, lam), family.dim, times, tol,
-                     dhamiltonian=_checked(family.evaluate_dlambda, lam))
-    u, w = u[0], w[0]
-    h = 1j * np.swapaxes(u.conj(), 1, 2) @ w
-    h = (h + np.swapaxes(h.conj(), 1, 2)) / 2.0
-    return PropagationRecord(lam=float(lam), times=np.asarray(times, dtype=float), U=u, h=h,
-                             tol=float(tol))
+    [u], [h] = generators(family, [lam], times, tol)
+    return PropagationRecord(lam=float(lam), times=np.asarray(times, dtype=float), U=u, h=h, tol=float(tol))
 
 
-def propagator_at(family: HamiltonianFamily, lam: float, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Convenience: U(0->t) only."""
-    return integrate(_checked(family.evaluate, lam), family.dim, grid_to(t), tol)[0][0, -1]
+def propagators(family: HamiltonianFamily, lams, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """U(0->t) alone for each lam, as one batch: (len(lams), dim, dim)."""
+    return _solve(family, lams, grid_to(t), tol, tangent=False)[0][:, -1]
+
+
+def check_step(dlam: float) -> float:
+    """`dlam` itself once it is a finite and positive difference step; DomainError naming dlam otherwise."""
+    if not (math.isfinite(dlam) and dlam > 0):
+        raise DomainError(f"dlam must be finite and positive, got {dlam}")
+    return dlam
 
 
 def generator_finite_difference(family: HamiltonianFamily, lam: float, t: float,
@@ -278,14 +306,11 @@ def generator_finite_difference(family: HamiltonianFamily, lam: float, t: float,
     """Local generator via i U(lam)† [U(lam+d) - U(lam-d)] / (2d).
 
     A direct discretization of h = i U† dU/dlam, independent of the
-    augmented-ODE route; agrees with it to O(dlam²) + O(tol).  The result
-    is symmetrized by (A + A†)/2.
+    augmented-ODE route; agrees with it to O(dlam²) + O(tol).  The three
+    propagators are one batch.  The result is symmetrized by (A + A†)/2.
     """
-    if dlam <= 0:
-        raise DomainError("dlam must be positive")
-    u0 = propagator_at(family, lam, t, tol=tol)
-    up = propagator_at(family, lam + dlam, t, tol=tol)
-    um = propagator_at(family, lam - dlam, t, tol=tol)
+    check_step(dlam)
+    u0, up, um = propagators(family, [lam, lam + dlam, lam - dlam], t, tol=tol)
     h = 1j * u0.conj().T @ (up - um) / (2.0 * dlam)
     return (h + h.conj().T) / 2.0
 

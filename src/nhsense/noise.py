@@ -17,6 +17,13 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def check_trials(nu: int) -> int:
+    """`nu` itself once it is a valid trial count, >= 1; DomainError naming nu otherwise."""
+    if nu < 1:
+        raise DomainError(f"nu (trial count) must be >= 1, got {nu}")
+    return nu
+
+
 def binomial_variance(p: float, nu: int) -> float:
     """Shot-noise variance p(1-p)/nu of an estimated probability.
 
@@ -24,8 +31,7 @@ def binomial_variance(p: float, nu: int) -> float:
     """
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"probability {p} outside [0, 1]")
-    if nu < 1:
-        raise DomainError("trial count must be >= 1")
+    check_trials(nu)
     return p * (1.0 - p) / nu
 
 
@@ -35,8 +41,7 @@ def scaled_binomial_variance(p: float, c0: float, nu: int) -> float:
         raise DomainError(f"scale must be >= 1, got {c0}")
     if not (0.0 <= p <= c0):
         raise DomainError(f"probability {p} outside [0, {c0}]")
-    if nu < 1:
-        raise DomainError("trial count must be >= 1")
+    check_trials(nu)
     return p * (c0 - p) / nu
 
 
@@ -55,6 +60,14 @@ def propagate_error(gradient, variances) -> float:
     return float(np.sum(gradient**2 * variances))
 
 
+def _check_shots(p: float, scale: float, nu: int) -> None:
+    if scale <= 0:
+        raise DomainError("scale must be positive")
+    if not (0.0 <= p <= scale):
+        raise DomainError(f"probability {p} outside [0, {scale}]")
+    check_trials(nu)
+
+
 def sample_projection(p: float, scale: float, nu: int, seed: int) -> float:
     """One simulated estimate of p from nu projective shots.
 
@@ -62,12 +75,7 @@ def sample_projection(p: float, scale: float, nu: int, seed: int) -> float:
     `seed` and returns scale * successes/nu; bit-reproducible for a fixed
     seed.
     """
-    if scale <= 0:
-        raise DomainError("scale must be positive")
-    if not (0.0 <= p <= scale):
-        raise DomainError(f"probability {p} outside [0, {scale}]")
-    if nu < 1:
-        raise DomainError("trial count must be >= 1")
+    _check_shots(p, scale, nu)
     q = p / scale
     successes = int(np.count_nonzero(make_rng(seed).random(nu) < q))
     return scale * successes / nu
@@ -79,11 +87,8 @@ def sample_projection_batch(p: float, scale: float, nu: int, reps: int, seed: in
     Uses the vectorized binomial sampler on one Philox stream; statistically
     identical to repeated sample_projection but fast enough for 1e5+ reps.
     """
-    if scale <= 0:
-        raise DomainError("scale must be positive")
-    if not (0.0 <= p <= scale):
-        raise DomainError(f"probability {p} outside [0, {scale}]")
-    if nu < 1 or reps < 1:
-        raise DomainError("nu and reps must be >= 1")
+    _check_shots(p, scale, nu)
+    if reps < 1:
+        raise DomainError(f"reps must be >= 1, got {reps}")
     counts = make_rng(seed).binomial(nu, p / scale, size=reps)
     return scale * counts / nu

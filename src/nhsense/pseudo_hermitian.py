@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .evolution import DEFAULT_TOL, HamiltonianFamily, check_time, grid_to, propagate
-from .noise import GRADIENT_FLOOR, binomial_variance
+from .evolution import DEFAULT_TOL, HamiltonianFamily, check_finite, check_time, generators, grid_to
+from .noise import GRADIENT_FLOOR, binomial_variance, check_trials
 from .operators import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian, tensor
 from .qfi import qfi_pure
 
@@ -44,8 +44,7 @@ class PseudoHermitianParams:
 
     def __post_init__(self):
         for name in ("epsilon", "omega", "lam"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+            check_finite(name, getattr(self, name))
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive (epsilon = 0 coalesces the probe)")
         if self.omega <= 0:
@@ -97,11 +96,10 @@ def dilated_hamiltonian(p: PseudoHermitianParams) -> np.ndarray:
 
 
 def hamiltonian_family(epsilon: float, omega: float) -> HamiltonianFamily:
-    """The dilated Hamiltonian as a family over the encoded parameter."""
-    def evaluate(lam, t):
-        return dilated_hamiltonian(PseudoHermitianParams(epsilon, omega, lam))
-
-    return HamiltonianFamily(dim=4, evaluate=evaluate, evaluate_dlambda=lambda lam, t: _IX)
+    """The dilated Hamiltonian as a family over the encoded parameter, a stack per call."""
+    p = PseudoHermitianParams(epsilon, omega)  # dilated_hamiltonian, for a stack of lam
+    return HamiltonianFamily(dim=4, evaluate=lambda lam, t: (p.b + lam)[:, None, None] * _IX - p.c * _YY,
+                             evaluate_dlambda=lambda lam, t: np.broadcast_to(_IX, (t.size, 4, 4)))
 
 
 def probe_state(epsilon: float) -> np.ndarray:
@@ -244,52 +242,38 @@ def qfi_rate_closed(p: PseudoHermitianParams, t: float) -> float:
 
 def qfi_numeric(p: PseudoHermitianParams, t: float, tol: float = DEFAULT_TOL) -> float:
     """QFI from the numerically propagated generator (independent of closed forms)."""
-    family = hamiltonian_family(p.epsilon, p.omega)
-    record = propagate(family, p.lam, grid_to(t), tol=tol)
-    return qfi_pure(record.h[-1], probe_state(p.epsilon))
+    _, h = generators(hamiltonian_family(p.epsilon, p.omega), [p.lam], grid_to(t), tol=tol)
+    return qfi_pure(h[0, -1], probe_state(p.epsilon))
 
 
 def hermitian_bound(t: float, nu: int) -> float:
     """Sensitivity bound 1/(2 sqrt(nu) t) of the Hermitian counterpart."""
     if check_time(t) == 0:
         raise DomainError("t must be positive, got 0")
-    if nu < 1:
-        raise DomainError("trial count must be >= 1")
+    check_trials(nu)
     return 1.0 / (2.0 * math.sqrt(nu) * t)
 
 
-def _sweep_row(epsilon: float, omega: float, lam: float, nu: int, tol: float) -> SweepRow:
-    p = PseudoHermitianParams(epsilon, omega, lam)
-    t = p.tau
-    return SweepRow(
-        lam=lam,
-        S=two_level_population(p, t),
-        chi=susceptibility(p, t),
-        P1=p1_closed(p, t),
-        dP1_dlam=p1_slope(p, t),
-        sensitivity=sensitivity(p, t, nu),
-        qfi_closed=qfi_closed(p, t),
-        qfi_numeric=qfi_numeric(p, t, tol=tol),
-        rate_closed=qfi_rate_closed(p, t),
-        hermitian_bound=hermitian_bound(t, nu),
-    )
-
-
 def sweep(epsilon: float, omega: float, lam_grid, nu: int = 1,
-          tol: float = DEFAULT_TOL, threads: int = 1) -> list[SweepRow]:
+          tol: float = DEFAULT_TOL) -> list[SweepRow]:
     """One row per lam at the protocol time t = tau(epsilon, omega).
 
     tau is always recomputed from (epsilon, omega); rows with an undefined
-    sensitivity carry NaN rather than being dropped.  Rows are independent,
-    so threads > 1 evaluates them concurrently; output order follows the
-    grid regardless.
+    sensitivity carry NaN rather than being dropped.  Each qfi_numeric is
+    one member of a tangent batch over the grid, equal to `qfi_numeric` alone.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if lam_grid.size == 0:
         raise DomainError("lam grid must be non-empty")
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda lam: _sweep_row(epsilon, omega, float(lam), nu, tol),
-                                 lam_grid))
-    return [_sweep_row(epsilon, omega, float(lam), nu, tol) for lam in lam_grid]
+    check_trials(nu)
+    t = PseudoHermitianParams(epsilon, omega).tau
+    _, h = generators(hamiltonian_family(epsilon, omega), lam_grid, grid_to(t), tol=tol)
+    rows = []
+    for lam, h_lam in zip(lam_grid.tolist(), h):
+        p = PseudoHermitianParams(epsilon, omega, lam)
+        rows.append(SweepRow(
+            lam=lam, S=two_level_population(p, t), chi=susceptibility(p, t), P1=p1_closed(p, t),
+            dP1_dlam=p1_slope(p, t), sensitivity=sensitivity(p, t, nu), qfi_closed=qfi_closed(p, t),
+            qfi_numeric=qfi_pure(h_lam[-1], probe_state(epsilon)), rate_closed=qfi_rate_closed(p, t),
+            hermitian_bound=hermitian_bound(t, nu)))
+    return rows

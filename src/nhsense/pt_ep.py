@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .evolution import TOL_MIN, check_tol, integrate, richardson
+from .evolution import TOL_MIN, check_finite, check_tol, integrate, richardson
+from .noise import check_trials
 from .operators import ID2, SIGMA_X, SIGMA_Z
 
 DEFAULT_TOL = 1e-10
@@ -48,8 +49,7 @@ class PtEpParams:
 
     def __post_init__(self):
         for name in ("J", "Gamma", "omega", "delta", "omega_delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+            check_finite(name, getattr(self, name))
         if self.J <= 0:
             raise DomainError("J must be positive")
         if self.Gamma < 0:
@@ -60,8 +60,7 @@ class PtEpParams:
             raise DomainError("delta must be nonnegative")
         if self.omega_delta <= 0:
             raise DomainError("omega_delta must be positive")
-        if self.nu < 1:
-            raise DomainError("nu (trial count) must be >= 1")
+        check_trials(self.nu)
 
     @property
     def T(self) -> float:
@@ -91,7 +90,7 @@ _PERT_OP = (ID2 - SIGMA_Z).real
 
 
 def _hamiltonians(ps: list[PtEpParams]):
-    """H and dH/d omega_delta of the batch ps, as `evolution.BatchHamiltonian`s.
+    """H and dH/d omega_delta of the batch ps, as `evolution.integrate` callables over idx into ps.
 
     The members share J, omega and delta; each has its own Gamma and omega_delta.
     """
@@ -100,12 +99,12 @@ def _hamiltonians(ps: list[PtEpParams]):
     gain = np.array([1j * q.Gamma for q in ps])[:, None, None] * SIGMA_Z
     half_delta = 0.5 * p.delta
 
-    def h(t, idx):
+    def h(idx, t):
         c = np.cos(t[:, None] * freqs[idx])
         drive, pert = p.J * (1.0 + c[:, 0]), half_delta * c[:, 1]
         return drive[:, None, None] * _SIGMA_X + pert[:, None, None] * _PERT_OP + gain[idx]
 
-    def dh(t, idx):
+    def dh(idx, t):
         return (-half_delta * t * np.sin(t * freqs[idx, 1]))[:, None, None] * _PERT_OP
 
     return h, dh
@@ -113,20 +112,20 @@ def _hamiltonians(ps: list[PtEpParams]):
 
 def hamiltonian_total(p: PtEpParams, t: float) -> np.ndarray:
     """J(1+cos(w t)) sigma_x + i Gamma sigma_z + (delta/2) cos(w_d t)(1 - sigma_z)."""
-    return _hamiltonians([p])[0](np.array([t]), np.zeros(1, dtype=int))[0]
+    return _hamiltonians([p])[0](np.zeros(1, dtype=int), np.array([t]))[0]
 
 
 def hamiltonian_domega_delta(p: PtEpParams, t: float) -> np.ndarray:
     """dH/d omega_delta = -(delta/2) t sin(w_d t)(1 - sigma_z)."""
-    return _hamiltonians([p])[1](np.array([t]), np.zeros(1, dtype=int))[0]
+    return _hamiltonians([p])[1](np.zeros(1, dtype=int), np.array([t]))[0]
 
 
 def _propagate_periods(ps: list[PtEpParams], tol: float,
                        tangent: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """U(T), and with `tangent` W(T) = dU(T)/d omega_delta, of the batch ps: (B, 2, 2) each."""
     h, dh = _hamiltonians(ps)
-    u, w = integrate(h, 2, (0.0, ps[0].T), tol, dhamiltonian=dh if tangent else None,
-                     batch=len(ps))
+    u, w = integrate(h, 2, np.arange(len(ps)), (0.0, ps[0].T), tol,
+                     dhamiltonian=dh if tangent else None)
     return u[:, -1], (w[:, -1] if tangent else None)
 
 
@@ -322,8 +321,7 @@ def response_variance(pj: float, pgamma: float, c0: float, nu: int, period: floa
     """
     if c0 < 1.0:
         raise DomainError(f"C0 must be >= 1, got {c0}")
-    if nu < 1:
-        raise DomainError("trial count must be >= 1")
+    check_trials(nu)
     if not (0.0 <= pj <= c0) or not (0.0 <= pgamma <= c0):
         raise DomainError("P values must lie in [0, C0]")
     diff = pj - pgamma
@@ -334,11 +332,6 @@ def response_variance(pj: float, pgamma: float, c0: float, nu: int, period: floa
     if den < 1e-14:
         return float("inf")
     return num / (4.0 * nu * period**2 * den)
-
-
-def _response_at(p: PtEpParams, tol: float) -> float:
-    pj, pg = pj_pgamma(propagate_period(p, tol=tol))
-    return response_energy(pj, pg, p.T)
 
 
 def _pair_and_slope(ps: list[PtEpParams], tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -375,10 +368,11 @@ def ep_susceptibility(p: PtEpParams, tol: float = DEFAULT_TOL, rel_step: float |
     either sampled side leaves the real-response region.
     """
     if rel_step is not None:
+        def response(wd: float) -> float:
+            return response_energy(*pj_pgamma(propagate_period(replace(p, omega_delta=wd), tol)), p.T)
+
         def central(h: float) -> float:
-            ep_plus = _response_at(replace(p, omega_delta=p.omega_delta + h), tol)
-            ep_minus = _response_at(replace(p, omega_delta=p.omega_delta - h), tol)
-            return (ep_plus - ep_minus) / (2.0 * h)
+            return (response(p.omega_delta + h) - response(p.omega_delta - h)) / (2.0 * h)
 
         return abs(richardson(central, rel_step * p.omega_delta))
 

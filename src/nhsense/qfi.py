@@ -7,11 +7,17 @@ width of dH/dlam, and |d sqrt(F)/dt| bounded pointwise by that width.
 """
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import DomainError
-from .evolution import HamiltonianFamily, PropagationRecord, check_time, propagator_at, richardson
+from .evolution import (
+    HamiltonianFamily, PropagationRecord, check_finite, check_step, check_time, evaluate_stack,
+    propagators, richardson,
+)
+from .noise import check_trials
 from .operators import HERMITICITY_ATOL, covariance, require_state, seminorm, variance
 
 RATE_QFI_FLOOR = 1e-12  # below this the covariance quotient for d sqrt(F)/dt is meaningless
@@ -56,7 +62,8 @@ def _quad_checked(f, a: float, b: float):
 
 
 def _width_integral(family: HamiltonianFamily, lam: float, a: float, b: float) -> float:
-    return _quad_checked(lambda s: seminorm(family.evaluate_dlambda(lam, s)), a, b)
+    dh = partial(evaluate_stack, family.evaluate_dlambda, family.dim, np.array([lam]))
+    return _quad_checked(lambda s: seminorm(dh(np.array([s]))[0]), a, b)
 
 
 def qfi_series(record: PropagationRecord, psi0, family: HamiltonianFamily) -> QfiSeries:
@@ -66,39 +73,24 @@ def qfi_series(record: PropagationRecord, psi0, family: HamiltonianFamily) -> Qf
         raise DomainError("probe dimension does not match the family")
     herm_atol = max(HERMITICITY_ATOL, 10.0 * record.tol)
 
-    times = record.times
+    times, lam = record.times, record.lam
     m = times.size
-    qfi = np.empty(m)
-    rate = np.empty(m)
-    by_diff = np.zeros(m, dtype=bool)
-    rate_bound = np.empty(m)
-    channel = np.empty(m)
-
-    for k in range(m):
-        qfi[k] = qfi_pure(record.h[k], psi0, atol=herm_atol)
-        rate_bound[k] = seminorm(family.evaluate_dlambda(record.lam, times[k]))
-
-    acc = 0.0
-    channel[0] = 0.0
-    for k in range(1, m):
-        acc += _width_integral(family, record.lam, times[k - 1], times[k])
-        channel[k] = acc**2
+    dh = evaluate_stack(family.evaluate_dlambda, family.dim, np.full(m, lam), times)
+    qfi = np.array([qfi_pure(h, psi0, atol=herm_atol) for h in record.h])
+    rate_bound = np.array([seminorm(d) for d in dh])
+    widths = [_width_integral(family, lam, a, b) for a, b in zip(times[:-1], times[1:])]
+    channel = np.array([0.0] + [acc**2 for acc in accumulate(widths)])
 
     sqrt_f = np.sqrt(np.maximum(qfi, 0.0))
+    by_diff = ~(qfi > RATE_QFI_FLOOR)
+    rate = np.empty(m)
     for k in range(m):
-        if qfi[k] > RATE_QFI_FLOOR:
-            dh_dt = record.U[k].conj().T @ np.asarray(
-                family.evaluate_dlambda(record.lam, times[k]), dtype=complex) @ record.U[k]
-            cov = covariance(dh_dt, record.h[k], psi0, atol=herm_atol)
-            rate[k] = 8.0 * cov / (2.0 * sqrt_f[k])
-        else:
-            by_diff[k] = True
-            if m == 1:
-                rate[k] = 0.0
-            elif k + 1 < m:
-                rate[k] = (sqrt_f[k + 1] - sqrt_f[k]) / (times[k + 1] - times[k])
-            else:
-                rate[k] = (sqrt_f[k] - sqrt_f[k - 1]) / (times[k] - times[k - 1])
+        if not by_diff[k]:
+            dh_dt = record.U[k].conj().T @ dh[k] @ record.U[k]
+            rate[k] = 8.0 * covariance(dh_dt, record.h[k], psi0, atol=herm_atol) / (2.0 * sqrt_f[k])
+        else:  # forward difference, backward at the last point
+            j = min(k, m - 2)
+            rate[k] = 0.0 if m == 1 else (sqrt_f[j + 1] - sqrt_f[j]) / (times[j + 1] - times[j])
 
     return QfiSeries(times=times, qfi=qfi, sqrt_qfi_rate=rate, channel_bound=channel,
                      rate_bound=rate_bound, rate_by_difference=by_diff)
@@ -108,17 +100,19 @@ def qfi_fidelity_oracle(family: HamiltonianFamily, lam: float, psi0, t: float,
                         dlam: float = 1e-3, tol: float = 1e-12) -> float:
     """QFI from the curvature of the pure-state overlap in the parameter.
 
-    Evolves the probe at lam and lam ± d, takes the second difference of
-    the overlap magnitude |<psi_lam|psi_lam+d>|, and applies one Richardson
-    halving to cancel the leading O(d²) truncation.  Independent of the
-    generator route, so it serves as an oracle for qfi_pure.  The default
-    integration tolerance is tight because the second difference divides
-    the propagation error by d².
+    Evolves the probe at lam, lam ± d/2 and lam ± d, one batch of five
+    propagators, takes the second difference of the overlap magnitude
+    |<psi_lam|psi_lam+d>|, and applies one Richardson halving to cancel the
+    leading O(d²) truncation.  Independent of the generator route, so it
+    serves as an oracle for qfi_pure.  The default integration tolerance is
+    tight because the second difference divides the propagation error by d².
     """
-    if dlam <= 0:
-        raise DomainError("dlam must be positive")
+    check_step(dlam)
     psi0 = require_state(psi0)
-    psi_c = propagator_at(family, lam, t, tol=tol) @ psi0
+    half = dlam / 2.0  # the step richardson halves to
+    u = propagators(family, [lam, lam + half, lam - half, lam + dlam, lam - dlam], t, tol=tol)
+    psi_c, *psi = (uk @ psi0 for uk in u)
+    sides = {half: psi[:2], dlam: psi[2:]}
 
     def overlap(psi_a, psi_b) -> float:
         # fidelity of pure states; normalizing strips integrator norm drift,
@@ -126,8 +120,7 @@ def qfi_fidelity_oracle(family: HamiltonianFamily, lam: float, psi0, t: float,
         return abs(np.vdot(psi_a, psi_b)) / (np.linalg.norm(psi_a) * np.linalg.norm(psi_b))
 
     def second_difference(d: float) -> float:
-        psi_p = propagator_at(family, lam + d, t, tol=tol) @ psi0
-        psi_m = propagator_at(family, lam - d, t, tol=tol) @ psi0
+        psi_p, psi_m = sides[d]
         return -4.0 * (overlap(psi_c, psi_p) - 2.0 + overlap(psi_c, psi_m)) / d**2
 
     return richardson(second_difference, dlam)
@@ -137,8 +130,7 @@ def cramer_rao(qfi_value: float, nu: int) -> float:
     """Estimation uncertainty floor 1/sqrt(nu * F); +inf when F = 0."""
     if not (np.isfinite(qfi_value) and qfi_value >= 0):
         raise DomainError(f"QFI must be finite and nonnegative, got {qfi_value}")
-    if nu < 1:
-        raise DomainError("trial count must be >= 1")
+    check_trials(nu)
     if qfi_value == 0.0:
         return float("inf")
     return 1.0 / np.sqrt(nu * qfi_value)
@@ -148,8 +140,8 @@ def channel_bound_uncertainty(family: HamiltonianFamily, lam: float, t_final: fl
     """Uncertainty lower bound 1/(sqrt(nu) * integral of the width of dH/dlam)."""
     if check_time(t_final) == 0:
         raise DomainError("t_final must be positive")
-    if nu < 1:
-        raise DomainError("trial count must be >= 1")
+    check_trials(nu)
+    check_finite("lam", lam)
     integral = _width_integral(family, lam, 0.0, float(t_final))
     if integral == 0.0:
         return float("inf")

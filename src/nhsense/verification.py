@@ -69,11 +69,11 @@ def random_family(rng: np.random.Generator, dim: int) -> HamiltonianFamily:
     h1a, h1b = random_hermitian(rng, dim), random_hermitian(rng, dim)
     w0, w1 = rng.uniform(0.5, 2.0, size=2)
 
-    def evaluate(lam, t):
-        return h0a + math.sin(w0 * t) * h0b + lam * (h1a + math.cos(w1 * t) * h1b)
-
     def evaluate_dlambda(lam, t):
-        return h1a + math.cos(w1 * t) * h1b
+        return h1a + np.cos(w1 * t)[:, None, None] * h1b
+
+    def evaluate(lam, t):
+        return h0a + np.sin(w0 * t)[:, None, None] * h0b + lam[:, None, None] * evaluate_dlambda(lam, t)
 
     return HamiltonianFamily(dim=dim, evaluate=evaluate, evaluate_dlambda=evaluate_dlambda)
 

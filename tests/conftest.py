@@ -7,6 +7,11 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
+def constant(h):
+    """A family callable that is h for every member at every time."""
+    return lambda params, t: np.broadcast_to(h, (t.size,) + h.shape)
+
+
 @pytest.fixture
 def rng():
     return make_rng(20240811)
@@ -21,5 +26,5 @@ def verify_report_42(tmp_path_factory):
     return code, out.read_bytes()
 
 
-__all__ = ["make_rng", "random_family", "random_hermitian", "random_state",
+__all__ = ["constant", "make_rng", "random_family", "random_hermitian", "random_state",
            "random_unitary", "KET0", "KET_PLUS"]

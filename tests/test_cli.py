@@ -150,7 +150,7 @@ class TestCliRuns:
         original = pt_ep.integrate
 
         def counted(*args, **kwargs):
-            calls.append((kwargs.get("batch", 1), kwargs.get("dhamiltonian") is not None))
+            calls.append((len(args[2]), kwargs.get("dhamiltonian") is not None))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pt_ep, "integrate", counted)
@@ -200,7 +200,7 @@ class TestCliRuns:
         assert a.read_bytes() == b.read_bytes()
 
     def test_threads_do_not_change_output(self, tmp_path):
-        # sweep-ph is the one subcommand whose rows run on the thread pool
+        # --threads is accepted and recorded, but every run is one batch
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep-ph", "--grid-count", "5", "--tol", "1e-9"]
         assert main(args + ["--out", str(a)]) == 0

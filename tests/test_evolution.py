@@ -7,38 +7,38 @@ from scipy.linalg import expm, expm_frechet
 
 from nhsense.errors import DomainError, PropagationError
 from nhsense.evolution import (
-    _INTERNAL_TOL_FACTOR, _RTOL_FLOOR, HamiltonianFamily, generator_finite_difference, integrate,
-    propagate, propagator_at,
+    _INTERNAL_TOL_FACTOR, _RTOL_FLOOR, HamiltonianFamily, generator_finite_difference, generators,
+    integrate, propagate, propagators,
 )
 from nhsense.operators import SIGMA_X, expm_hermitian
 from nhsense.pseudo_hermitian import (
     PseudoHermitianParams, generator_closed, hamiltonian_family, probe_state, qfi_numeric,
 )
 from nhsense.pt_ep import PtEpParams, hamiltonian_domega_delta, hamiltonian_total
-from nhsense.qfi import qfi_fidelity_oracle
+from nhsense.qfi import channel_bound_uncertainty, qfi_fidelity_oracle
 
-from conftest import make_rng, random_family, random_hermitian
-
-
-def constant(h):
-    """The batch Hamiltonian that is h for every member at every time."""
-    return lambda t, idx: np.broadcast_to(h, (t.size,) + h.shape)
+from conftest import constant, make_rng, random_family, random_hermitian
 
 
 def one_member(h_of_t):
-    """The batch Hamiltonian of a single member whose Hamiltonian is h_of_t(t)."""
-    return lambda t, idx: np.array([h_of_t(s) for s in t])
+    """The Hamiltonian of a member whose Hamiltonian is h_of_t(t), one scalar time at a time."""
+    return lambda params, t: np.array([h_of_t(s) for s in t])
 
 
 def constant_family(h, dh, dim):
-    return HamiltonianFamily(dim=dim, evaluate=lambda lam, t: h, evaluate_dlambda=lambda lam, t: dh)
+    return HamiltonianFamily(dim=dim, evaluate=constant(h), evaluate_dlambda=constant(dh))
 
 
 def multiplicative_family(h1, h0):
     """H(lam) = lam h1 + h0, time-independent."""
     return HamiltonianFamily(dim=h0.shape[0],
-                             evaluate=lambda lam, t: lam * h1 + h0,
-                             evaluate_dlambda=lambda lam, t: h1)
+                             evaluate=lambda lam, t: lam[:, None, None] * h1 + h0,
+                             evaluate_dlambda=constant(h1))
+
+
+def at(fam_evaluate, lam, t):
+    """A family callable's matrix at one scalar (lam, t)."""
+    return fam_evaluate(np.array([lam]), np.array([t]))[0]
 
 
 class TestIntegrate:
@@ -50,7 +50,7 @@ class TestIntegrate:
         lam = 0.3
         h = h0 + lam * h1
         times = np.array([0.0, 0.6, 1.3])
-        [u], [w] = integrate(constant(h), 3, times, 1e-12, dhamiltonian=constant(h1))
+        [u], [w] = integrate(constant(h), 3, [lam], times, 1e-12, dhamiltonian=constant(h1))
         for k, t in enumerate(times):
             assert np.abs(u[k] - expm(-1j * h * t)).max() < 1e-10
             _, expected_w = expm_frechet(-1j * h * t, -1j * h1 * t)
@@ -58,7 +58,7 @@ class TestIntegrate:
 
     def test_propagator_only_without_tangent(self, rng):
         h = random_hermitian(rng, 2)
-        u, w = integrate(constant(h), 2, np.array([0.0, 1.0]), 1e-11)
+        u, w = integrate(constant(h), 2, [0.0], np.array([0.0, 1.0]), 1e-11)
         assert w is None
         assert np.abs(u[0, -1] - expm_hermitian(h, 1.0)).max() < 1e-10
 
@@ -66,11 +66,11 @@ class TestIntegrate:
     def test_step_below_ten_ulp_raises(self):
         # a nan Hamiltonian rejects every step; the step shrinks until it
         # falls below 10 ulp of t, which ends the run instead of a hang
-        def bad(t, idx):
+        def bad(params, t):
             return np.where((t > 0.5)[:, None, None], np.nan, 1.0) * SIGMA_X
 
         with pytest.raises(PropagationError, match="10 ulp"):
-            integrate(bad, 2, np.array([0.0, 1.0]), 1e-10, batch=3)
+            integrate(bad, 2, np.arange(3), np.array([0.0, 1.0]), 1e-10)
 
 
 class TestAgainstSolveIvp:
@@ -100,12 +100,12 @@ class TestAgainstSolveIvp:
     def check(self, hamiltonian, dhamiltonian, dim, times, tol):
         calls = []
 
-        def counted(t, idx):
+        def counted(params, t):
             calls.append(t.size)
-            return one_member(hamiltonian)(t, idx)
+            return one_member(hamiltonian)(params, t)
 
         d_member = None if dhamiltonian is None else one_member(dhamiltonian)
-        [u], w = integrate(counted, dim, times, tol, dhamiltonian=d_member)
+        [u], w = integrate(counted, dim, [0], times, tol, dhamiltonian=d_member)
         u_ref, w_ref, nfev = self.solve_ivp_reference(hamiltonian, dhamiltonian, dim, times, tol)
         # H is evaluated once per step attempt at its five stage times; the
         # sixth RHS evaluation, at the step's end, reuses the last of them.
@@ -132,7 +132,7 @@ class TestAgainstSolveIvp:
     def test_random_family_dense_output(self):
         # a 7-point grid is filled from the quartic interpolant, as t_eval is
         fam = random_family(make_rng(7), 4)
-        self.check(lambda t: fam.evaluate(0.3, t), lambda t: fam.evaluate_dlambda(0.3, t),
+        self.check(lambda t: at(fam.evaluate, 0.3, t), lambda t: at(fam.evaluate_dlambda, 0.3, t),
                    4, np.linspace(0.0, 2.0, 7), 1e-10)
 
 
@@ -186,8 +186,8 @@ class TestPropagate:
         tol = 1e-10
         fam = random_family(rng, dim)
         times = np.linspace(0.0, 2.5, 6)
-        [u], [w] = integrate(one_member(lambda t: fam.evaluate(0.3, t)), dim, times, tol,
-                             dhamiltonian=one_member(lambda t: fam.evaluate_dlambda(0.3, t)))
+        [u], [w] = integrate(fam.evaluate, dim, [0.3], times, tol,
+                             dhamiltonian=fam.evaluate_dlambda)
         for uk, wk in zip(u, w):
             raw = 1j * uk.conj().T @ wk
             assert np.abs(raw - raw.conj().T).max() / 2.0 <= 10 * tol
@@ -224,10 +224,10 @@ class TestPropagate:
     @pytest.mark.filterwarnings("error")
     def test_non_finite_hamiltonian_reported(self):
         def bad(lam, t):
-            return np.array([[np.inf, 0], [0, 0]], dtype=complex) if t > 0.5 else np.zeros((2, 2))
+            return np.where((t > 0.5)[:, None, None], np.diag([np.inf, 0.0]), np.zeros((2, 2)))
 
-        fam = HamiltonianFamily(dim=2, evaluate=bad, evaluate_dlambda=lambda lam, t: np.zeros((2, 2)))
-        with pytest.raises(PropagationError):
+        fam = HamiltonianFamily(dim=2, evaluate=bad, evaluate_dlambda=constant(np.zeros((2, 2))))
+        with pytest.raises(PropagationError, match="non-finite Hamiltonian evaluation at t="):
             propagate(fam, 0.0, np.array([0.0, 1.0]))
 
 
@@ -241,8 +241,8 @@ class TestGeneratorFiniteDifference:
     def test_multiplicative_sigma_x(self):
         # H = lam sigma_x: h(t) = t sigma_x (finite-difference error ~ t^3 d^2/6)
         fam = HamiltonianFamily(dim=2,
-                                evaluate=lambda lam, t: lam * SIGMA_X,
-                                evaluate_dlambda=lambda lam, t: SIGMA_X)
+                                evaluate=lambda lam, t: lam[:, None, None] * SIGMA_X,
+                                evaluate_dlambda=constant(SIGMA_X))
         got = generator_finite_difference(fam, 0.3, 1.0, dlam=1e-4, tol=1e-11)
         assert np.abs(got - 1.0 * SIGMA_X).max() < 1e-8
 
@@ -266,9 +266,9 @@ class TestGeneratorFiniteDifference:
             generator_finite_difference(fam, 0.0, 1.0, dlam=0.0)
 
 
-def test_propagator_at_zero_time(rng):
+def test_propagators_at_zero_time(rng):
     fam = random_family(rng, 3)
-    assert np.array_equal(propagator_at(fam, 0.2, 0.0), np.eye(3))
+    assert np.array_equal(propagators(fam, [0.2, -0.1], 0.0), np.broadcast_to(np.eye(3), (2, 3, 3)))
 
 
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
@@ -276,7 +276,7 @@ def test_bad_end_time_rejected(t):
     # a negative or non-finite end time is an error, not the identity or a zero QFI
     fam = hamiltonian_family(0.1, 1.0)
     psi0 = probe_state(0.1)
-    for call in (lambda: propagator_at(fam, 0.0, t),
+    for call in (lambda: propagators(fam, [0.0], t),
                  lambda: qfi_numeric(PseudoHermitianParams(0.1, 1.0), t),
                  lambda: qfi_fidelity_oracle(fam, 0.0, psi0, t)):
         with pytest.raises(DomainError, match="t must be finite and >= 0"):
@@ -287,5 +287,46 @@ def test_finite_difference_consistency_of_family(rng):
     # evaluate_dlambda should be the lam-derivative of evaluate
     fam = random_family(rng, 3)
     lam, t, d = 0.2, 0.7, 1e-6
-    fd = (fam.evaluate(lam + d, t) - fam.evaluate(lam - d, t)) / (2 * d)
-    assert np.abs(fd - fam.evaluate_dlambda(lam, t)).max() < 1e-8
+    fd = (at(fam.evaluate, lam + d, t) - at(fam.evaluate, lam - d, t)) / (2 * d)
+    assert np.abs(fd - at(fam.evaluate_dlambda, lam, t)).max() < 1e-8
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("arg", ["lam", "dlam"])
+def test_non_finite_lam_or_step_rejected_before_evaluation(arg, bad):
+    # a DomainError naming the argument, not a failure deep in the numerics
+    def must_not_run(lam, t):
+        raise AssertionError("a non-finite argument reached the family")
+
+    fam = HamiltonianFamily(dim=2, evaluate=must_not_run, evaluate_dlambda=must_not_run)
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    lam, dlam = (bad, 1e-3) if arg == "lam" else (0.1, bad)
+    calls = [lambda: generator_finite_difference(fam, lam, 1.0, dlam=dlam),
+             lambda: qfi_fidelity_oracle(fam, lam, psi0, 1.0, dlam=dlam)]
+    if arg == "lam":
+        calls += [lambda: propagate(fam, lam, np.array([0.0, 1.0])),
+                  lambda: propagators(fam, [0.0, lam], 1.0),
+                  lambda: channel_bound_uncertainty(fam, lam, 1.0, 1)]
+    for call in calls:
+        with pytest.raises(DomainError, match=f"^{arg} must be finite.*, got {bad}"):
+            call()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 2), (1, 3, 3)])
+def test_family_callable_must_return_a_stack(shape):
+    # the old scalar protocol, one matrix per call, is rejected, as is a
+    # stack of the wrong length or dimension
+    fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: np.zeros(shape),
+                            evaluate_dlambda=lambda lam, t: np.zeros(shape))
+    with pytest.raises(DomainError, match=r"must return a \(1, 2, 2\) stack"):
+        propagate(fam, 0.0, np.array([0.0, 1.0]))
+
+
+def test_empty_lam_batch_rejected(rng):
+    # an empty batch is a DomainError at the boundary, not a reshape failure in the core
+    fam = random_family(rng, 2)
+    for call in (lambda: propagators(fam, [], 1.0),
+                 lambda: generators(fam, np.array([]), np.array([0.0, 1.0]))):
+        with pytest.raises(DomainError, match="lam must be non-empty"):
+            call()

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from nhsense import evolution
 from nhsense.errors import DomainError
-from nhsense.operators import ID2, SIGMA_Y, expm_hermitian, seminorm, tensor
+from nhsense.operators import ID2, SIGMA_X, SIGMA_Y, expm_hermitian, seminorm, tensor
 from nhsense.pseudo_hermitian import (
     PseudoHermitianParams, SWEEP_COLUMNS, conditional_population_from_dilation,
-    dilated_hamiltonian, hermitian_bound, p1_closed, p1_slope, postselection_success,
+    dilated_hamiltonian, hamiltonian_family, hermitian_bound, p1_closed, p1_slope, postselection_success,
     probe_state, qfi_closed, qfi_numeric, qfi_rate_closed, sensitivity,
     susceptibility, sweep, two_level_population,
 )
@@ -39,6 +40,17 @@ class TestParams:
         # nan <= 0 is False, so without a finiteness check nan passed as a valid parameter
         with pytest.raises(DomainError, match="must be finite"):
             PseudoHermitianParams(*args)
+
+
+def test_family_stack_is_dilated_hamiltonian_bit_for_bit():
+    # the family evaluates a whole stack of lam at once, with the float
+    # operations of dilated_hamiltonian at each lam
+    fam = hamiltonian_family(EPS, OMEGA)
+    lam, t = np.linspace(-0.5, 0.5, 7), np.linspace(0.0, 2.0, 7)
+    stack = fam.evaluate(lam, t)
+    for j in range(lam.size):
+        assert np.array_equal(stack[j], dilated_hamiltonian(PseudoHermitianParams(EPS, OMEGA, float(lam[j]))))
+    assert np.array_equal(fam.evaluate_dlambda(lam, t), np.broadcast_to(tensor(ID2, SIGMA_X), (7, 4, 4)))
 
 
 CLOSED_FORMS_OF_T = {
@@ -315,11 +327,25 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep(EPS, OMEGA, [], nu=1)
 
-    def test_threads_preserve_order_and_values(self):
-        grid = np.linspace(-0.2, 0.2, 5)
-        serial = sweep(EPS, OMEGA, grid, nu=1, tol=1e-9)
-        threaded = sweep(EPS, OMEGA, grid, nu=1, tol=1e-9, threads=4)
-        for a, b in zip(serial, threaded):
-            for name in SWEEP_COLUMNS:
-                va, vb = getattr(a, name), getattr(b, name)
-                assert va == vb or (math.isnan(va) and math.isnan(vb))
+    def test_non_finite_lam_rejected_before_propagation(self):
+        with pytest.raises(DomainError, match="lam must be finite"):
+            sweep(EPS, OMEGA, [0.0, math.nan], nu=1)
+
+    def test_one_tangent_batch_for_the_grid(self, monkeypatch):
+        # every row's qfi_numeric is its member of one tangent batch over the
+        # grid; each member keeps its own steps, so it equals qfi_numeric alone
+        calls = []
+        original = evolution.integrate
+
+        def counted(*args, **kwargs):
+            calls.append((len(args[2]), kwargs.get("dhamiltonian") is not None))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "integrate", counted)
+        grid = np.linspace(-0.5 * OMEGA, 0.5 * OMEGA, 201)
+        rows = sweep(EPS, OMEGA, grid, nu=1, tol=1e-10)
+        assert calls == [(201, True)]
+        for k in (0, 100, 200):
+            alone = qfi_numeric(PseudoHermitianParams(EPS, OMEGA, float(grid[k])), TAU, tol=1e-10)
+            assert repr(alone) == repr(rows[k].qfi_numeric)
+

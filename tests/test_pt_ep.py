@@ -213,7 +213,7 @@ class TestRootFinders:
         original = pt_ep.integrate
 
         def counted(*args, **kwargs):
-            batches.append(kwargs.get("batch", 1))
+            batches.append(len(args[2]))  # one member per params entry
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pt_ep, "integrate", counted)
@@ -514,7 +514,7 @@ class TestScan:
         original = pt_ep.integrate
 
         def counted(*args, **kwargs):
-            calls.append((kwargs.get("batch", 1), kwargs.get("dhamiltonian") is not None))
+            calls.append((len(args[2]), kwargs.get("dhamiltonian") is not None))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pt_ep, "integrate", counted)

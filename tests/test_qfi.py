@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nhsense import evolution
 from nhsense.errors import DomainError
 from nhsense.evolution import HamiltonianFamily, propagate
 from nhsense.operators import SIGMA_X, SIGMA_Z, variance
@@ -12,7 +13,7 @@ from nhsense.qfi import (
     cramer_rao, channel_bound_uncertainty, qfi_fidelity_oracle, qfi_pure, qfi_series,
 )
 
-from conftest import KET0, KET_PLUS, random_family, random_hermitian, random_state
+from conftest import KET0, KET_PLUS, constant, random_family, random_hermitian, random_state
 
 # dilated sensor at eps=0.1, omega=1, lam=0, t=tau: closed form
 # 4 b^2 tau^2 / Omega^2 + 4 c^2 / Omega^4 with sin(Omega tau) = 1
@@ -42,14 +43,14 @@ class TestQfiPure:
 class TestFidelityOracle:
     def test_zero_encoding(self, rng):
         h = random_hermitian(rng, 2)
-        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: h,
-                                evaluate_dlambda=lambda lam, t: np.zeros((2, 2)))
+        fam = HamiltonianFamily(dim=2, evaluate=constant(h),
+                                evaluate_dlambda=constant(np.zeros((2, 2))))
         assert abs(qfi_fidelity_oracle(fam, 0.0, KET0, 1.0)) < 1e-8
 
     def test_commuting_closed_form(self):
         # H = lam sigma_z on |+>: F = 4 t^2 Var(sigma_z) = 4
-        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: lam * SIGMA_Z,
-                                evaluate_dlambda=lambda lam, t: SIGMA_Z)
+        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: lam[:, None, None] * SIGMA_Z,
+                                evaluate_dlambda=constant(SIGMA_Z))
         got = qfi_fidelity_oracle(fam, 0.3, KET_PLUS, 1.0)
         assert got == pytest.approx(4.0, abs=1e-4)
 
@@ -70,12 +71,41 @@ class TestFidelityOracle:
                 f_fid = qfi_fidelity_oracle(fam, 0.2, psi0, 1.2, dlam=dlam)
                 assert abs(f_gen - f_fid) <= max(1e-6, 10 * dlam**2)
 
+    def test_one_batch_of_five_equals_serial_composition(self, rng, monkeypatch):
+        # lam, lam ± d/2 and lam ± d are one U-only batch; each member keeps
+        # its own steps, so the value is that of five separate propagations
+        fam = random_family(rng, 4)
+        psi0 = random_state(rng, 4)
+        lam, t, dlam = 0.2, 1.2, 1e-2
+        calls = []
+        original = evolution.integrate
+
+        def counted(*args, **kwargs):
+            calls.append((len(args[2]), kwargs.get("dhamiltonian") is not None))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "integrate", counted)
+        got = qfi_fidelity_oracle(fam, lam, psi0, t, dlam=dlam)
+        assert calls == [(5, False)]
+        monkeypatch.undo()
+
+        def psi(x):
+            return evolution.propagators(fam, [x], t, tol=1e-12)[0] @ psi0
+
+        def overlap(a, b):
+            return abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
+
+        def second_difference(d):
+            return -4.0 * (overlap(psi(lam), psi(lam + d)) - 2.0 + overlap(psi(lam), psi(lam - d))) / d**2
+
+        assert repr(got) == repr(evolution.richardson(second_difference, dlam))
+
 
 class TestQfiSeries:
     def test_constant_sigma_x_channel_bound(self, rng):
         # H = lam sigma_x + sigma_z: sqrt(F) <= 2t, equality only for optimal probes
-        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: lam * SIGMA_X + SIGMA_Z,
-                                evaluate_dlambda=lambda lam, t: SIGMA_X)
+        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: lam[:, None, None] * SIGMA_X + SIGMA_Z,
+                                evaluate_dlambda=constant(SIGMA_X))
         times = np.linspace(0.0, 2.0, 6)
         for _ in range(5):
             psi0 = random_state(rng, 2)
@@ -115,8 +145,8 @@ class TestQfiSeries:
         # [H0, H1] = 0: F = 4 t^2 Var(H1) exactly
         h0 = random_hermitian(rng, 3)
         h1 = 0.7 * h0 - 0.2 * h0 @ h0
-        fam = HamiltonianFamily(dim=3, evaluate=lambda lam, t: lam * h1 + h0,
-                                evaluate_dlambda=lambda lam, t: h1)
+        fam = HamiltonianFamily(dim=3, evaluate=lambda lam, t: lam[:, None, None] * h1 + h0,
+                                evaluate_dlambda=constant(h1))
         psi0 = random_state(rng, 3)
         times = np.linspace(0.0, 2.0, 5)
         series = qfi_series(propagate(fam, 0.4, times, tol=1e-11), psi0, fam)
@@ -148,8 +178,8 @@ class TestCramerRao:
 
 class TestChannelBoundUncertainty:
     def test_constant_sigma_x(self):
-        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: lam * SIGMA_X,
-                                evaluate_dlambda=lambda lam, t: SIGMA_X)
+        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: lam[:, None, None] * SIGMA_X,
+                                evaluate_dlambda=constant(SIGMA_X))
         t_final = TAU_EXAMPLE
         assert channel_bound_uncertainty(fam, 0.0, t_final, 1) == pytest.approx(
             1.0 / (2 * t_final), rel=1e-10)
@@ -160,14 +190,14 @@ class TestChannelBoundUncertainty:
         (0.0, "t_final must be positive"), (-1.0, "t must be finite and >= 0"),
         (math.nan, "t must be finite and >= 0"), (math.inf, "t must be finite and >= 0")])
     def test_rejects_bad_final_time(self, t_final, message):
-        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: lam * SIGMA_X,
-                                evaluate_dlambda=lambda lam, t: SIGMA_X)
+        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: lam[:, None, None] * SIGMA_X,
+                                evaluate_dlambda=constant(SIGMA_X))
         with pytest.raises(DomainError, match=message):
             channel_bound_uncertainty(fam, 0.0, t_final, 1)
 
     def test_zero_encoding_infinite(self):
-        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: SIGMA_Z,
-                                evaluate_dlambda=lambda lam, t: np.zeros((2, 2)))
+        fam = HamiltonianFamily(dim=2, evaluate=constant(SIGMA_Z),
+                                evaluate_dlambda=constant(np.zeros((2, 2))))
         assert channel_bound_uncertainty(fam, 0.0, 1.0, 1) == math.inf
 
     def test_ep_drive_analytic_integral(self):
@@ -176,10 +206,10 @@ class TestChannelBoundUncertainty:
         p = PtEpParams(J=1.0, Gamma=0.3, omega=4.0, delta=0.05, omega_delta=0.8)
 
         def ev(lam, t):
-            return 0.5 * p.delta * math.cos(lam * t) * (np.eye(2) - SIGMA_Z)
+            return (0.5 * p.delta * np.cos(lam * t))[:, None, None] * (np.eye(2) - SIGMA_Z)
 
         def dev(lam, t):
-            return -0.5 * p.delta * t * math.sin(lam * t) * (np.eye(2) - SIGMA_Z)
+            return (-0.5 * p.delta * t * np.sin(lam * t))[:, None, None] * (np.eye(2) - SIGMA_Z)
 
         fam = HamiltonianFamily(dim=2, evaluate=ev, evaluate_dlambda=dev)
         wd_t = p.omega_delta * p.T
