@@ -60,14 +60,6 @@ def propagate_error(gradient, variances) -> float:
     return float(np.sum(gradient**2 * variances))
 
 
-def _check_shots(p: float, scale: float, nu: int) -> None:
-    if scale <= 0:
-        raise DomainError("scale must be positive")
-    if not (0.0 <= p <= scale):
-        raise DomainError(f"probability {p} outside [0, {scale}]")
-    check_trials(nu)
-
-
 def sample_projection(p: float, scale: float, nu: int, seed: int) -> float:
     """One simulated estimate of p from nu projective shots.
 
@@ -75,7 +67,11 @@ def sample_projection(p: float, scale: float, nu: int, seed: int) -> float:
     `seed` and returns scale * successes/nu; bit-reproducible for a fixed
     seed.
     """
-    _check_shots(p, scale, nu)
+    if scale <= 0:
+        raise DomainError("scale must be positive")
+    if not (0.0 <= p <= scale):
+        raise DomainError(f"probability {p} outside [0, {scale}]")
+    check_trials(nu)
     q = p / scale
     successes = int(np.count_nonzero(make_rng(seed).random(nu) < q))
     return scale * successes / nu
@@ -87,7 +83,11 @@ def sample_projection_batch(p: float, scale: float, nu: int, reps: int, seed: in
     Uses the vectorized binomial sampler on one Philox stream; statistically
     identical to repeated sample_projection but fast enough for 1e5+ reps.
     """
-    _check_shots(p, scale, nu)
+    if scale <= 0:
+        raise DomainError("scale must be positive")
+    if not (0.0 <= p <= scale):
+        raise DomainError(f"probability {p} outside [0, {scale}]")
+    check_trials(nu)
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
     counts = make_rng(seed).binomial(nu, p / scale, size=reps)

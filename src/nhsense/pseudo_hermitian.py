@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .evolution import DEFAULT_TOL, HamiltonianFamily, check_finite, check_time, generators, grid_to
+from .evolution import (DEFAULT_TOL, HamiltonianFamily, check_finite, check_time, generators, grid_to,
+                        propagate)
 from .noise import GRADIENT_FLOOR, binomial_variance, check_trials
 from .operators import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian, tensor
 from .qfi import qfi_pure
@@ -242,8 +243,8 @@ def qfi_rate_closed(p: PseudoHermitianParams, t: float) -> float:
 
 def qfi_numeric(p: PseudoHermitianParams, t: float, tol: float = DEFAULT_TOL) -> float:
     """QFI from the numerically propagated generator (independent of closed forms)."""
-    _, h = generators(hamiltonian_family(p.epsilon, p.omega), [p.lam], grid_to(t), tol=tol)
-    return qfi_pure(h[0, -1], probe_state(p.epsilon))
+    rec = propagate(hamiltonian_family(p.epsilon, p.omega), p.lam, grid_to(t), tol=tol)
+    return qfi_pure(rec.h[-1], probe_state(p.epsilon))
 
 
 def hermitian_bound(t: float, nu: int) -> float:

@@ -112,18 +112,17 @@ def qfi_fidelity_oracle(family: HamiltonianFamily, lam: float, psi0, t: float,
     half = dlam / 2.0  # the step richardson halves to
     u = propagators(family, [lam, lam + half, lam - half, lam + dlam, lam - dlam], t, tol=tol)
     psi_c, *psi = (uk @ psi0 for uk in u)
-    sides = {half: psi[:2], dlam: psi[2:]}
 
     def overlap(psi_a, psi_b) -> float:
         # fidelity of pure states; normalizing strips integrator norm drift,
         # which the second difference would otherwise amplify by 1/d^2
         return abs(np.vdot(psi_a, psi_b)) / (np.linalg.norm(psi_a) * np.linalg.norm(psi_b))
 
-    def second_difference(d: float) -> float:
-        psi_p, psi_m = sides[d]
+    def second_difference(d: float, psi_p, psi_m) -> float:
         return -4.0 * (overlap(psi_c, psi_p) - 2.0 + overlap(psi_c, psi_m)) / d**2
 
-    return richardson(second_difference, dlam)
+    # the inner pair serves any step below dlam (richardson's half step), the outer pair dlam
+    return richardson(lambda d: second_difference(d, *(psi[:2] if d < dlam else psi[2:])), dlam)
 
 
 def cramer_rao(qfi_value: float, nu: int) -> float:
