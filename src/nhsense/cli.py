@@ -221,7 +221,10 @@ def _metadata_items(config: ScenarioConfig) -> list[tuple[str, str]]:
 
 def _emit(metadata: list[tuple[str, str]], columns: tuple[str, ...], rows: list[dict],
           fmt: str, out: str | None, **json_extra) -> None:
-    """Write CSV under '# key=value' lines, or JSON with json_extra after the rows."""
+    """Write CSV under '# key=value' lines, or JSON with json_extra after the rows.
+
+    JSON has no token for nan or inf, so a non-finite row value is written as null there.
+    """
     if fmt == "csv":
         buf = io.StringIO()
         for key, value in metadata:
@@ -234,10 +237,11 @@ def _emit(metadata: list[tuple[str, str]], columns: tuple[str, ...], rows: list[
     else:
         payload = {
             "metadata": dict(metadata),
-            "rows": [{c: row[c] for c in columns} for row in rows],
+            "rows": [{c: None if isinstance(row[c], float) and not math.isfinite(row[c]) else row[c]
+                      for c in columns} for row in rows],
             **json_extra,
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:

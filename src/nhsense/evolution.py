@@ -9,9 +9,10 @@ is integrated as one complex state with the Dormand-Prince 5(4) pair, so
 the propagator and its tangent W = dU/dlam see identical time
 discretization.  `integrate`, the one propagation core of the package, holds
 for any H and advances a batch of such systems at once, one per parameter
-entry; a Hamiltonian family evaluates the whole batch in one call.  Each
-member keeps its own time, step and accept/reject decision, so its result
-does not depend on the rest of the batch.  The step control is scipy's RK45, after
+entry and later point of the time grid, each run from 0 to its own end time;
+a Hamiltonian family evaluates the whole batch in one call.  Each member
+keeps its own time, step and accept/reject decision, so its result does not
+depend on the rest of the batch.  The step control is scipy's RK45, after
 Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4.  For a Hermitian
 family, `propagate` records the local generator h = i U† dU/dlam as the
 Hermitian part of i U† W.  No unitarity re-projection is applied;
@@ -36,8 +37,7 @@ DEFAULT_TOL = 1e-10
 _INTERNAL_TOL_FACTOR = 50.0
 _RTOL_FLOOR = 3e-14
 
-# Dormand-Prince 5(4) tableau (Dormand & Prince 1980) with Shampine's (1986)
-# quartic dense-output coefficients P.
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980).
 _C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
 _A = np.array([
     [0, 0, 0, 0, 0],
@@ -48,14 +48,6 @@ _A = np.array([
     [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
 _B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
 _E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0  # step-size controller
 
 @dataclass(frozen=True)
@@ -130,7 +122,8 @@ def _pow(x: np.ndarray, e: float) -> np.ndarray:
     return np.array([v ** e if v or e > 0 else math.inf for v in x.tolist()])
 
 
-def _initial_step(linear, members, y0, f0, t_end: float, tol: float) -> np.ndarray:
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # _dopri rejects a non-finite step
+def _initial_step(linear, members, y0, f0, t_end: np.ndarray, tol: float) -> np.ndarray:
     """Hairer-Norsett-Wanner II.4 first step of each member, for rtol = atol = tol."""
     scale = tol + np.abs(y0) * tol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
@@ -144,27 +137,22 @@ def _initial_step(linear, members, y0, f0, t_end: float, tol: float) -> np.ndarr
     return np.minimum(np.minimum(100 * h0, h1), t_end)
 
 
-def _dopri(linear, y0: np.ndarray, times: np.ndarray, tol: float) -> np.ndarray:
-    """States (B, len(times), n) of a linear system dy/dt = M(t) y from y0 (B, n), rtol = atol = tol.
+def _dopri(linear, y0: np.ndarray, t_end: np.ndarray, tol: float) -> np.ndarray:
+    """End states (B, n) of dy/dt = M(t) y, member j run from y0[j] at 0 to t_end[j] > 0, rtol = atol = tol.
 
     `linear(t, members)` gets times (m, k) of the m running members and
     returns apply(j, y): the derivatives (m, n) of their states y (m, n) at
     times t[:, j].  It is called once per step attempt, at the five stage
-    times; the last, t + h, is also where the step ends.  A two-point grid
-    (0, t) is read off the last step; a longer one is filled from the
-    quartic dense output.
+    times; the last, t + h, is also where the step ends.
     """
     batch, n = y0.shape
-    out = np.empty((batch, times.size, n), dtype=complex)
-    out[:, 0] = y0
-    if times.size == 1:
-        return out
-    t_end, dense = float(times[-1]), times.size > 2
+    out = np.empty((batch, n), dtype=complex)
     members, t, y = np.arange(batch), np.zeros(batch), y0.copy()
     f = linear(t[:, None], members)(0, y)
     h_abs = _initial_step(linear, members, y, f, t_end, tol)
+    if not np.isfinite(h_abs).all():
+        raise PropagationError("integration failed: the initial step size is not finite")
     rejected = np.zeros(batch, dtype=bool)  # the last attempt at this step was rejected
-    nxt = np.ones(batch, dtype=int)  # next grid point to fill from the dense output
     stages = np.empty((batch, 7, n), dtype=complex)
     while members.size:
         k = stages[:members.size]
@@ -187,12 +175,6 @@ def _dopri(linear, y0: np.ndarray, times: np.ndarray, tol: float) -> np.ndarray:
         err = _rms((_E @ k) * hc / scale)
         grow = _SAFETY * _pow(err, -1 / 5)
         ok = err < 1
-        if dense:
-            last = np.where(ok, np.searchsorted(times, t_new, side="right"), nxt)
-            for j in np.flatnonzero(last > nxt):
-                x = np.cumprod(np.tile((times[nxt[j]:last[j]] - t[j]) / h[j], (4, 1)), axis=0)
-                out[members[j], nxt[j]:last[j]] = (h[j] * (k[j].T @ _P @ x) + y[j][:, None]).T
-            nxt = last
         if np.count_nonzero(ok) == ok.size and not np.count_nonzero(rejected):
             h_abs, t, y, f = h * np.minimum(_MAX_FACTOR, grow), t_new, y_new, f_new
         else:
@@ -203,31 +185,32 @@ def _dopri(linear, y0: np.ndarray, times: np.ndarray, tol: float) -> np.ndarray:
             y[ok], f[ok] = y_new[ok], f_new[ok]
         done = t == t_end
         if np.count_nonzero(done):
-            if not dense:
-                out[members[done], 1] = y[done]
+            out[members[done]] = y[done]
             keep = ~done
-            members, t, y, f, h_abs, rejected, nxt = (
-                a[keep] for a in (members, t, y, f, h_abs, rejected, nxt))
+            members, t, t_end, y, f, h_abs, rejected = (
+                a[keep] for a in (members, t, t_end, y, f, h_abs, rejected))
     return out
 
 
 def integrate(hamiltonian: Callable, dim: int, params, times, tol: float,
               dhamiltonian: Callable | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """U and, given `dhamiltonian`, its tangent W on `times`, one member per entry of `params`.
+    """U and, given `dhamiltonian`, its tangent W on `times`, for each entry of `params`.
 
     Each is (len(params), len(times), dim, dim); W is None without
     `dhamiltonian`.  The callables map k params entries and k times to the
     (k, dim, dim) stack of H (or dH/dlam) at them.  H need not be Hermitian.
+    Each later grid point of each params entry is one batch member, run from 0 to it.
     """
     times = _check_times(times)
     inner = max(check_tol(tol) / _INTERNAL_TOL_FACTOR, _RTOL_FLOOR)  # solver rtol = atol
     width = dim if dhamiltonian is None else 2 * dim  # state columns: U, or U | W
     params = np.asarray(params)
-    batch = len(params)
+    steps = times.size - 1  # members per params entry
+    ends = np.tile(times[1:], len(params))
 
     def linear(t, members):
         m, k = t.shape
-        at = (params[np.repeat(members, k)], t.ravel())
+        at = (params[np.repeat(members // steps, k)], t.ravel())
         gen = (-1j * hamiltonian(*at)).reshape(m, k, dim, dim)
         dh = None if dhamiltonian is None else dhamiltonian(*at).reshape(m, k, dim, dim)
 
@@ -239,9 +222,9 @@ def integrate(hamiltonian: Callable, dim: int, params, times, tol: float,
             return d.reshape(m, -1)
         return apply
 
-    y0 = np.zeros((batch, dim, width), dtype=complex)
-    y0[:, :, :dim] = np.eye(dim)
-    y = _dopri(linear, y0.reshape(batch, -1), times, inner).reshape(batch, times.size, dim, width)
+    y = np.tile(np.eye(dim, width, dtype=complex), (len(params), times.size, 1, 1))  # U = 1, W = 0
+    if ends.size:
+        y[:, 1:] = _dopri(linear, y[:, 1:].reshape(ends.size, -1), ends, inner).reshape(y[:, 1:].shape)
     return y[..., :dim], (y[..., dim:] if dhamiltonian is not None else None)
 
 

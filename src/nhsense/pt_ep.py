@@ -24,11 +24,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .evolution import TOL_MIN, check_finite, check_tol, integrate, richardson
+from .evolution import DEFAULT_TOL, TOL_MIN, check_finite, check_tol, integrate, richardson
 from .noise import check_trials
 from .operators import ID2, SIGMA_X, SIGMA_Z
 
-DEFAULT_TOL = 1e-10
 DIFF_FLOOR = 1e-9  # rows are usable only for P_J - P_Gamma in (DIFF_FLOOR, 1 - DIFF_FLOOR)
 
 SCAN_COLUMNS = ("omega_delta", "PJ", "PGamma", "E_res", "var_E", "chi_E",

@@ -2,8 +2,8 @@
 
 Each check runs a deterministic battery (random instances come from an
 explicitly seeded Philox stream) and reports the worst observed violation
-against its tolerance.  The suites back the `verify` CLI subcommand and are
-reused by the test suite at larger instance counts.
+against its tolerance.  The suites back the `verify` CLI subcommand; the
+test suite also runs the operator suite at a larger instance count.
 """
 
 import math
@@ -13,7 +13,7 @@ import numpy as np
 
 from . import pseudo_hermitian as ph
 from . import pt_ep
-from .evolution import HamiltonianFamily, propagate
+from .evolution import HamiltonianFamily, generators, propagate
 from .noise import (
     binomial_variance, make_rng, propagate_error, sample_projection_batch, scaled_binomial_variance,
 )
@@ -121,17 +121,17 @@ def check_operator_inequalities(seed: int, n: int = 1000) -> list[CheckResult]:
 
 # ------------------------------------------------------------------ QFI suite
 
-def check_qfi_bounds(seed: int, n_families: int = 10, tol: float = 1e-10) -> list[CheckResult]:
+def check_qfi_bounds(seed: int) -> list[CheckResult]:
     """Channel bound and rate bound on random families."""
     rng = make_rng(seed)
     grid = np.linspace(0.0, 1.5, 7)
     worst_channel = worst_rate = worst_negative = -np.inf
-    for _ in range(n_families):
+    for _ in range(8):
         dim = 2 if rng.random() < 0.5 else 4
         fam = random_family(rng, dim)
         psi0 = random_state(rng, dim)
         lam = float(rng.uniform(-0.5, 0.5))
-        series = qfi_series(propagate(fam, lam, grid, tol=tol), psi0, fam)
+        series = qfi_series(propagate(fam, lam, grid, tol=1e-10), psi0, fam)
         worst_channel = max(worst_channel,
                             (np.sqrt(np.maximum(series.qfi, 0.0)) - np.sqrt(series.channel_bound)).max())
         worst_rate = max(worst_rate, (np.abs(series.sqrt_qfi_rate) - series.rate_bound).max())
@@ -143,7 +143,7 @@ def check_qfi_bounds(seed: int, n_families: int = 10, tol: float = 1e-10) -> lis
     ]
 
 
-def check_qfi_oracle(seed: int, n_families: int = 4) -> list[CheckResult]:
+def check_qfi_oracle(seed: int) -> list[CheckResult]:
     """Generator-variance QFI vs fidelity-curvature oracle.
 
     Exercised at steps large enough that the 10·d² truncation budget
@@ -151,7 +151,7 @@ def check_qfi_oracle(seed: int, n_families: int = 4) -> list[CheckResult]:
     """
     rng = make_rng(seed)
     worst = -np.inf
-    for _ in range(n_families):
+    for _ in range(3):
         dim = 2 if rng.random() < 0.5 else 4
         fam = random_family(rng, dim)
         psi0 = random_state(rng, dim)
@@ -173,16 +173,16 @@ def check_pseudo_hermitian() -> list[CheckResult]:
 
     # closed-form vs propagated QFI and rate, channel bound sqrt(F) <= 2t
     worst_qfi = worst_rate_band = worst_chan = -np.inf
+    lams = (-0.2, 0.0, 0.3)
     for eps in (0.1, 0.01):
-        fam = ph.hamiltonian_family(eps, 1.0)
         psi0 = ph.probe_state(eps)
         tau = ph.PseudoHermitianParams(eps, 1.0).tau
         grid = np.array([0.0, tau / 4, tau / 2, tau, 2 * tau])
-        for lam in (-0.2, 0.0, 0.3):
+        _, hs = generators(ph.hamiltonian_family(eps, 1.0), lams, grid, tol=1e-11)
+        for lam, h in zip(lams, hs):
             p = ph.PseudoHermitianParams(eps, 1.0, lam)
-            rec = propagate(fam, lam, grid, tol=1e-11)
             for k in range(1, grid.size):
-                f_num = qfi_pure(rec.h[k], psi0)
+                f_num = qfi_pure(h[k], psi0)
                 f_cl = ph.qfi_closed(p, grid[k])
                 worst_qfi = max(worst_qfi, abs(f_num - f_cl) / f_cl)
                 worst_chan = max(worst_chan, math.sqrt(f_num) - 2.0 * grid[k])
@@ -230,11 +230,11 @@ def check_pseudo_hermitian() -> list[CheckResult]:
 
 # ------------------------------------------------------------- PT/EP sensor
 
-def check_pt_ep(tol: float = 1e-11) -> list[CheckResult]:
+def check_pt_ep() -> list[CheckResult]:
     """Example-style suite for the periodically driven EP sensor."""
     from scipy.integrate import quad  # the bound oracle; kept off the default import path
 
-    out = []
+    out, tol = [], 1e-11
 
     # variance formula == delta-method composition
     worst_var = -np.inf
@@ -301,9 +301,9 @@ def check_pt_ep(tol: float = 1e-11) -> list[CheckResult]:
 
 # ------------------------------------------------------------------- noise
 
-def check_noise(seed: int, reps: int = 100_000) -> list[CheckResult]:
+def check_noise(seed: int) -> list[CheckResult]:
     """Monte Carlo consistency of the projection-noise variance formulas."""
-    worst = -np.inf
+    worst, reps = -np.inf, 50_000
     stream = make_rng(seed)
     for p_true in (0.1, 0.3, 0.5, 0.9):
         for nu in (10, 50, 400):
@@ -337,14 +337,13 @@ def _variance_standard_error(p: float, scale: float, nu: int, reps: int) -> floa
 
 # ------------------------------------------------------------------ report
 
-def build_report(seed: int, n_operator: int = 400, n_families: int = 8,
-                 mc_reps: int = 50_000) -> VerificationReport:
+def build_report(seed: int) -> VerificationReport:
     """Run every suite with streams derived from one seed."""
     checks: list[CheckResult] = []
-    checks += check_operator_inequalities(seed, n=n_operator)
-    checks += check_qfi_bounds(seed + 1, n_families=n_families)
-    checks += check_qfi_oracle(seed + 2, n_families=3)
+    checks += check_operator_inequalities(seed, n=400)
+    checks += check_qfi_bounds(seed + 1)
+    checks += check_qfi_oracle(seed + 2)
     checks += check_pseudo_hermitian()
     checks += check_pt_ep()
-    checks += check_noise(seed + 3, reps=mc_reps)
+    checks += check_noise(seed + 3)
     return VerificationReport(seed=seed, checks=tuple(checks))

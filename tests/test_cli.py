@@ -143,6 +143,30 @@ class TestCliRuns:
         assert main(["find-ep", "--J", "1", "--omega", "1",
                      "--bracket-lo", "2.0", "--bracket-hi", "2.9"]) == 2
 
+    def test_default_scan_json_is_strict_json(self, tmp_path):
+        # RFC 8259 has no NaN or Infinity token, so a non-finite value is null
+        out = tmp_path / "scan.json"
+        assert main(["scan-ep", "--format", "json", "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
+        assert any(value is None for row in rows for value in row.values())
+
+    @pytest.mark.parametrize("argv", [["find-ep", "--J", "1e300"],
+                                      ["scan-ep", "--J", "1e300", "--grid-count", "2"],
+                                      ["scan-ep", "--Gamma", "1e300", "--grid-count", "2"]],
+                             ids=" ".join)
+    def test_overflowing_first_step_exits_2(self, argv, tmp_path):
+        # the first step size overflows to nan; in a subprocess with a
+        # timeout a hang fails the test instead of stalling the suite
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "nhsense.cli", *argv, "--out", str(tmp_path / "o.csv")],
+                              env=env, capture_output=True, text=True, timeout=5.0)
+        assert proc.returncode == 2
+        assert "initial step size is not finite" in proc.stderr
+
     def test_default_scan_ep_propagation_batches(self, tmp_path, monkeypatch):
         # the Gamma pre-scan is one plain batch of 25, Brent adds serial
         # propagations, and the 80 rows are one tangent batch

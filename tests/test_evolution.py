@@ -14,7 +14,7 @@ from nhsense.operators import SIGMA_X, expm_hermitian
 from nhsense.pseudo_hermitian import (
     PseudoHermitianParams, generator_closed, hamiltonian_family, probe_state, qfi_numeric,
 )
-from nhsense.pt_ep import PtEpParams, hamiltonian_domega_delta, hamiltonian_total
+from nhsense.pt_ep import PtEpParams, _hamiltonians, hamiltonian_domega_delta, hamiltonian_total
 from nhsense.qfi import channel_bound_uncertainty, qfi_fidelity_oracle
 
 from conftest import constant, make_rng, random_family, random_hermitian
@@ -72,13 +72,36 @@ class TestIntegrate:
         with pytest.raises(PropagationError, match="10 ulp"):
             integrate(bad, 2, np.arange(3), np.array([0.0, 1.0]), 1e-10)
 
+    def test_non_finite_first_step_raises(self):
+        # f0 / scale overflows, so the first step is nan; a nan time never
+        # reaches the end time and never falls below 10 ulp, so it would hang
+        with pytest.raises(PropagationError, match="initial step size is not finite"):
+            integrate(constant(1e300 * SIGMA_X), 2, [0], np.array([0.0, 1.0]), 1e-10)
+
+    @pytest.mark.parametrize("case", ["random-hermitian", "pt-period"])
+    def test_grid_point_equals_two_point_run(self, case):
+        # each later grid point is a batch member that ends there, so U and W
+        # on a grid are the ends of runs to each point alone, bit for bit
+        if case == "pt-period":
+            ps = [PtEpParams(J=1.0, Gamma=0.5, omega=4.0, delta=0.05, omega_delta=wd) for wd in (0.3, 1.1)]
+            (h, dh), dim, params, times = _hamiltonians(ps), 2, np.arange(2), np.linspace(0.0, ps[0].T, 5)
+        else:
+            fam = random_family(make_rng(11), 3)
+            h, dh, dim, params = fam.evaluate, fam.evaluate_dlambda, 3, np.array([0.3, -0.4])
+            times = np.linspace(0.0, 2.0, 6)
+        u, w = integrate(h, dim, params, times, 1e-10, dhamiltonian=dh)
+        for k in range(1, times.size):
+            u_k, w_k = integrate(h, dim, params, times[[0, k]], 1e-10, dhamiltonian=dh)
+            assert repr(u[:, k].tolist()) == repr(u_k[:, 1].tolist())
+            assert repr(w[:, k].tolist()) == repr(w_k[:, 1].tolist())
+
 
 class TestAgainstSolveIvp:
     """The batched core is scipy's RK45 controller: same steps, same numbers."""
 
     @staticmethod
-    def solve_ivp_reference(hamiltonian, dhamiltonian, dim, times, tol):
-        # the state layout and rtol = atol of integrate, through scipy's own RK45
+    def solve_ivp_reference(hamiltonian, dhamiltonian, dim, t_end, tol):
+        # the state layout and rtol = atol of integrate, through scipy's own RK45 on (0, t_end)
         inner = max(tol / _INTERNAL_TOL_FACTOR, _RTOL_FLOOR)
         width = dim if dhamiltonian is None else 2 * dim
 
@@ -91,11 +114,9 @@ class TestAgainstSolveIvp:
 
         y0 = np.zeros((dim, width), dtype=complex)
         y0[:, :dim] = np.eye(dim)
-        t_eval = times if times.size > 2 else None
-        sol = solve_ivp(rhs, (0.0, times[-1]), y0.ravel(), method="RK45", t_eval=t_eval,
-                        rtol=inner, atol=inner)
-        y = (sol.y if t_eval is not None else sol.y[:, [0, -1]]).T.reshape(-1, dim, width)
-        return y[:, :, :dim], (y[:, :, dim:] if dhamiltonian is not None else None), sol.nfev
+        sol = solve_ivp(rhs, (0.0, t_end), y0.ravel(), method="RK45", rtol=inner, atol=inner)
+        y = sol.y[:, -1].reshape(dim, width)
+        return y[:, :dim], (y[:, dim:] if dhamiltonian is not None else None), sol.nfev
 
     def check(self, hamiltonian, dhamiltonian, dim, times, tol):
         calls = []
@@ -105,16 +126,21 @@ class TestAgainstSolveIvp:
             return one_member(hamiltonian)(params, t)
 
         d_member = None if dhamiltonian is None else one_member(dhamiltonian)
-        [u], w = integrate(counted, dim, [0], times, tol, dhamiltonian=d_member)
-        u_ref, w_ref, nfev = self.solve_ivp_reference(hamiltonian, dhamiltonian, dim, times, tol)
+        # each later grid point is the end of its own run, as solve_ivp on (0, t_k)
+        [u], w = integrate(one_member(hamiltonian), dim, [0], times, tol, dhamiltonian=d_member)
+        assert np.array_equal(u[0], np.eye(dim))
+        for k in range(1, times.size):
+            u_ref, w_ref, _ = self.solve_ivp_reference(hamiltonian, dhamiltonian, dim, times[k], tol)
+            assert np.abs(u[k] - u_ref).max() <= 1e-13 * max(1.0, np.abs(u_ref).max())
+            if dhamiltonian is not None:
+                assert np.abs(w[0, k] - w_ref).max() <= 1e-13 * max(1.0, np.abs(w_ref).max())
         # H is evaluated once per step attempt at its five stage times; the
         # sixth RHS evaluation, at the step's end, reuses the last of them.
         # With the two of the initial step that is 2 + 6 per attempt, as in scipy.
+        integrate(counted, dim, [0], times[[0, -1]], tol, dhamiltonian=d_member)
+        nfev = self.solve_ivp_reference(hamiltonian, dhamiltonian, dim, times[-1], tol)[2]
         assert calls[:2] == [1, 1] and set(calls[2:]) == {5}
         assert 2 + 6 * (len(calls) - 2) == nfev
-        assert np.abs(u - u_ref).max() <= 1e-13 * max(1.0, np.abs(u_ref).max())
-        if dhamiltonian is not None:
-            assert np.abs(w[0] - w_ref).max() <= 1e-13 * max(1.0, np.abs(w_ref).max())
 
     @pytest.mark.parametrize("tangent", [False, True])
     def test_pt_period(self, tangent):
@@ -125,12 +151,11 @@ class TestAgainstSolveIvp:
 
     def test_vanishing_start_with_rejected_steps(self, rng):
         # H(0) = 0 gives the tiny first step 1e-6, so the step grows by the
-        # factor limit 10; at tol 1e-6 this run rejects three steps
+        # factor limit 10; at tol 1e-6 the run to t = 4 rejects three steps
         a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
         self.check(lambda t: math.sin(3 * t) * a + t * t * b, None, 3, np.linspace(0.0, 4.0, 5), 1e-6)
 
-    def test_random_family_dense_output(self):
-        # a 7-point grid is filled from the quartic interpolant, as t_eval is
+    def test_random_family_grid_points(self):
         fam = random_family(make_rng(7), 4)
         self.check(lambda t: at(fam.evaluate, 0.3, t), lambda t: at(fam.evaluate_dlambda, 0.3, t),
                    4, np.linspace(0.0, 2.0, 7), 1e-10)
@@ -156,6 +181,14 @@ class TestPropagate:
         rec = propagate(fam, 0.1, np.array([0.0, 1.0]))
         assert np.array_equal(rec.U[0], np.eye(2))
         assert np.abs(rec.h[0]).max() == 0.0
+
+    def test_grid_point_equals_two_point_run(self):
+        fam = hamiltonian_family(0.1, 1.0)
+        times = np.array([0.0, 0.9, 1.8, 2.7])
+        rec = propagate(fam, 0.2, times)
+        for k in range(1, times.size):
+            alone = propagate(fam, 0.2, times[[0, k]])
+            assert repr(rec.h[k].tolist()) == repr(alone.h[1].tolist())
 
     def test_example_generator_closed_form(self):
         # dilated-sensor family: propagated h vs the block closed form
