@@ -419,14 +419,16 @@ def hermitian_bound_ep(p: PtEpParams) -> float:
     G(u) = sin u - u cos u (`_sin_minus_x_cos`, from its Taylor series below
     u = 1, where the plain form cancels), the antiderivative of u sin u:
     lobe k adds (2k+1) pi, so the m full lobes below x add m² pi and the
-    partial last one (-1)^m G(x) + m pi.
+    partial last one (-1)^m G(x) + m pi.  The bound is +inf, its limit, where
+    delta = 0 or the integral underflows to 0 (below x ~ 1e-103).
     """
     if p.delta == 0.0:
         return float("inf")
     x = p.omega_delta * p.T
     m = math.ceil(x / math.pi) - 1  # lobe edges k pi below x
     lobes = m * (m + 1) * math.pi + (-1) ** m * _sin_minus_x_cos(x)
-    return p.omega_delta**2 / (math.sqrt(p.nu) * p.delta * lobes)
+    denominator = math.sqrt(p.nu) * p.delta * lobes
+    return p.omega_delta**2 / denominator if denominator else float("inf")
 
 
 def _scan_row(p: PtEpParams, pj: float, pg: float, d_diff: float) -> EpScanRow:

@@ -100,17 +100,24 @@ def qfi_fidelity_oracle(family: HamiltonianFamily, lam: float, psi0, t: float,
                         dlam: float = 1e-3, tol: float = 1e-12) -> float:
     """QFI from the curvature of the pure-state overlap in the parameter.
 
-    Evolves the probe at lam, lam ± d/2 and lam ± d, one batch of five
-    propagators, takes the second difference of the overlap magnitude
-    |<psi_lam|psi_lam+d>|, and applies one Richardson halving to cancel the
-    leading O(d²) truncation.  Independent of the generator route, so it
-    serves as an oracle for qfi_pure.  The default integration tolerance is
-    tight because the second difference divides the propagation error by d².
+    The `fidelity_curvature` of one batch of five propagators, at lam, lam ± d/2
+    and lam ± d.  Independent of the generator route, so it serves as an oracle
+    for qfi_pure.  The default tol is tight because the second difference
+    divides the propagation error by d².
     """
     check_step(dlam)
     psi0 = require_state(psi0)
     half = dlam / 2.0  # the step richardson halves to
     u = propagators(family, [lam, lam + half, lam - half, lam + dlam, lam - dlam], t, tol=tol)
+    return fidelity_curvature(psi0, u, dlam)
+
+
+def fidelity_curvature(psi0, u, dlam: float) -> float:
+    """QFI from the propagators u at lam, lam ± d/2 and lam ± d (d = dlam > 0), in that order.
+
+    The second difference of the overlap |<psi_lam|psi_lam+d>| of the evolved
+    probe psi0, with one Richardson halving to cancel its O(d²) truncation.
+    """
     psi_c, *psi = (uk @ psi0 for uk in u)
 
     def overlap(psi_a, psi_b) -> float:

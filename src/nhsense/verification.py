@@ -8,17 +8,18 @@ test suite also runs the operator suite at a larger instance count.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import pseudo_hermitian as ph
 from . import pt_ep
-from .evolution import HamiltonianFamily, generators, propagate
+from .evolution import HamiltonianFamily, PropagationRecord, generators, propagators
 from .noise import (
     binomial_variance, make_rng, propagate_error, sample_projection_batch, scaled_binomial_variance,
 )
 from .operators import covariance, expm_hermitian, seminorm, variance
-from .qfi import qfi_fidelity_oracle, qfi_pure, qfi_series
+from .qfi import fidelity_curvature, qfi_pure, qfi_series
 
 
 @dataclass(frozen=True)
@@ -63,19 +64,52 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def random_terms(rng: np.random.Generator, dim: int) -> tuple:
+    """Terms (A, B, C, D, w0, w1) of a smooth random family, drawn as `random_family` draws them."""
+    return (*(random_hermitian(rng, dim) for _ in range(4)), *rng.uniform(0.5, 2.0, size=2))
+
+
+# H and dH/dlam; each term is one family's or a (k, ...) stack gathered per member
+def _random_dlambda(a, b, c, d, w0, w1, lam, t):
+    return c + np.cos(w1 * t)[:, None, None] * d
+
+
+def _random_evaluate(a, b, c, d, w0, w1, lam, t):
+    dh = _random_dlambda(a, b, c, d, w0, w1, lam, t)
+    return a + np.sin(w0 * t)[:, None, None] * b + lam[:, None, None] * dh
+
+
 def random_family(rng: np.random.Generator, dim: int) -> HamiltonianFamily:
     """Smooth random family H = A + sin(w0 t) B + lam (C + cos(w1 t) D)."""
-    h0a, h0b = random_hermitian(rng, dim), random_hermitian(rng, dim)
-    h1a, h1b = random_hermitian(rng, dim), random_hermitian(rng, dim)
-    w0, w1 = rng.uniform(0.5, 2.0, size=2)
+    terms = random_terms(rng, dim)
+    return HamiltonianFamily(dim, partial(_random_evaluate, *terms), partial(_random_dlambda, *terms))
 
-    def evaluate_dlambda(lam, t):
-        return h1a + np.cos(w1 * t)[:, None, None] * h1b
 
-    def evaluate(lam, t):
-        return h0a + np.sin(w0 * t)[:, None, None] * h0b + lam[:, None, None] * evaluate_dlambda(lam, t)
+def family_stack(terms, lams) -> HamiltonianFamily:
+    """Random families of one dimension as one family whose parameter is a member index.
 
-    return HamiltonianFamily(dim=dim, evaluate=evaluate, evaluate_dlambda=evaluate_dlambda)
+    Member j is the family of terms[j] at lams[j].  It is evaluated on the
+    gathered terms with the float operations of `random_family`, so a
+    member's propagation equals that of its own family bit for bit.
+    """
+    columns = [np.stack(column) for column in zip(*terms)] + [np.asarray(lams, dtype=float)]
+
+    def gathered(f):
+        return lambda index, t: f(*(column[index.astype(np.intp)] for column in columns), t)
+
+    return HamiltonianFamily(columns[0].shape[-1], gathered(_random_evaluate), gathered(_random_dlambda))
+
+
+def _random_instances(rng: np.random.Generator, n: int) -> dict[int, tuple[list, list, list]]:
+    """n seeded instances of dimension 2 or 4, drawn in turn: their terms, probes and lam by dimension."""
+    by_dim: dict[int, tuple[list, list, list]] = {}
+    for _ in range(n):
+        dim = 2 if rng.random() < 0.5 else 4
+        terms, probes, lams = by_dim.setdefault(dim, ([], [], []))
+        terms.append(random_terms(rng, dim))
+        probes.append(random_state(rng, dim))
+        lams.append(float(rng.uniform(-0.5, 0.5)))
+    return by_dim
 
 
 # ------------------------------------------------------------- operator suite
@@ -122,20 +156,20 @@ def check_operator_inequalities(seed: int, n: int = 1000) -> list[CheckResult]:
 # ------------------------------------------------------------------ QFI suite
 
 def check_qfi_bounds(seed: int) -> list[CheckResult]:
-    """Channel bound and rate bound on random families."""
-    rng = make_rng(seed)
-    grid = np.linspace(0.0, 1.5, 7)
+    """Channel bound and rate bound on random families, one tangent batch per dimension."""
+    grid, tol = np.linspace(0.0, 1.5, 7), 1e-10
     worst_channel = worst_rate = worst_negative = -np.inf
-    for _ in range(8):
-        dim = 2 if rng.random() < 0.5 else 4
-        fam = random_family(rng, dim)
-        psi0 = random_state(rng, dim)
-        lam = float(rng.uniform(-0.5, 0.5))
-        series = qfi_series(propagate(fam, lam, grid, tol=1e-10), psi0, fam)
-        worst_channel = max(worst_channel,
-                            (np.sqrt(np.maximum(series.qfi, 0.0)) - np.sqrt(series.channel_bound)).max())
-        worst_rate = max(worst_rate, (np.abs(series.sqrt_qfi_rate) - series.rate_bound).max())
-        worst_negative = max(worst_negative, -series.qfi.min(), abs(series.qfi[0]))
+    for terms, probes, lams in _random_instances(make_rng(seed), 8).values():
+        stack = family_stack(terms, lams)
+        us, hs = generators(stack, np.arange(len(lams)), grid, tol=tol)
+        for j, psi0 in enumerate(probes):
+            # the stack's parameter is the member index, so member j's record is at lam = j
+            series = qfi_series(PropagationRecord(lam=float(j), times=grid, U=us[j], h=hs[j], tol=tol),
+                                psi0, stack)
+            worst_channel = max(worst_channel,
+                                (np.sqrt(np.maximum(series.qfi, 0.0)) - np.sqrt(series.channel_bound)).max())
+            worst_rate = max(worst_rate, (np.abs(series.sqrt_qfi_rate) - series.rate_bound).max())
+            worst_negative = max(worst_negative, -series.qfi.min(), abs(series.qfi[0]))
     return [
         _result("qfi-channel-bound", "sqrt(F) - integral ||dH/dlam|| <= 0", worst_channel, 1e-8),
         _result("qfi-rate-bound", "|d sqrt(F)/dt| - ||dH/dlam|| <= 0", worst_rate, 1e-6),
@@ -149,18 +183,19 @@ def check_qfi_oracle(seed: int) -> list[CheckResult]:
     Exercised at steps large enough that the 10·d² truncation budget
     dominates the integration noise amplified by the second difference.
     """
-    rng = make_rng(seed)
+    t, tol, steps = 1.2, 1e-12, (3e-3, 1e-2)
     worst = -np.inf
-    for _ in range(3):
-        dim = 2 if rng.random() < 0.5 else 4
-        fam = random_family(rng, dim)
-        psi0 = random_state(rng, dim)
-        lam = float(rng.uniform(-0.5, 0.5))
-        rec = propagate(fam, lam, np.array([0.0, 1.2]), tol=1e-12)
-        f_gen = qfi_pure(rec.h[-1], psi0)
-        for dlam in (3e-3, 1e-2):
-            f_fid = qfi_fidelity_oracle(fam, lam, psi0, 1.2, dlam=dlam)
-            worst = max(worst, abs(f_gen - f_fid) - max(1e-6, 10.0 * dlam**2) + 1e-6)
+    for terms, probes, lams in _random_instances(make_rng(seed), 3).values():
+        _, hs = generators(family_stack(terms, lams), np.arange(len(lams)), [0.0, t], tol=tol)
+        oracle_lams = [x for lam in lams for d in steps
+                       for x in (lam, lam + d / 2.0, lam - d / 2.0, lam + d, lam - d)]
+        us = propagators(family_stack([f for f in terms for _ in range(len(steps) * 5)], oracle_lams),
+                         np.arange(len(oracle_lams)), t, tol=tol)
+        for psi0, h, u in zip(probes, hs, us.reshape(len(lams), len(steps), 5, *us.shape[1:])):
+            f_gen = qfi_pure(h[-1], psi0)
+            for dlam, u_d in zip(steps, u):
+                f_fid = fidelity_curvature(psi0, u_d, dlam)
+                worst = max(worst, abs(f_gen - f_fid) - max(1e-6, 10.0 * dlam**2) + 1e-6)
     return [_result("qfi-oracle-agreement",
                     "|qfi_pure - fidelity oracle| <= max(1e-6, 10 d²)", worst, 1e-6)]
 

@@ -14,11 +14,11 @@ import pytest
 import nhsense.pseudo_hermitian as ph
 import nhsense.pt_ep as pt
 from nhsense.cli import main
-from nhsense.evolution import propagate
+from nhsense.evolution import PropagationRecord, generators, propagate
 from nhsense.noise import binomial_variance, sample_projection_batch
 from nhsense.qfi import qfi_pure, qfi_series
 from nhsense.verification import (
-    _variance_standard_error, check_operator_inequalities, make_rng, random_family, random_state,
+    _variance_standard_error, check_operator_inequalities, family_stack, make_rng, random_state, random_terms,
 )
 
 OMEGA = 1.0
@@ -87,14 +87,20 @@ def test_criterion_03_channel_bound():
                 for k, t in enumerate(grid):
                     assert math.sqrt(qfi_pure(rec.h[k], psi0)) <= 2 * t + 1e-8
 
-        # 100 seeded random 4-dim families
+        # 100 seeded random 4-dim families, one tangent batch; the stack's
+        # parameter is the member index, so member j's record is at lam = j
         rng = make_rng(31415)
         times = np.array([0.0, 0.4, 0.8, 1.2])
+        terms, probes, lams = [], [], []
         for _ in range(100):
-            fam = random_family(rng, 4)
-            psi0 = random_state(rng, 4)
-            lam = float(rng.uniform(-0.5, 0.5))
-            series = qfi_series(propagate(fam, lam, times, tol=1e-10), psi0, fam)
+            terms.append(random_terms(rng, 4))
+            probes.append(random_state(rng, 4))
+            lams.append(float(rng.uniform(-0.5, 0.5)))
+        stack = family_stack(terms, lams)
+        us, hs = generators(stack, np.arange(100), times, tol=1e-10)
+        for j, psi0 in enumerate(probes):
+            record = PropagationRecord(lam=float(j), times=times, U=us[j], h=hs[j], tol=1e-10)
+            series = qfi_series(record, psi0, stack)
             violation = (np.sqrt(np.maximum(series.qfi, 0.0))
                          - np.sqrt(series.channel_bound)).max()
             assert violation <= 1e-8

@@ -167,6 +167,21 @@ class TestCliRuns:
         assert proc.returncode == 2
         assert "initial step size is not finite" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [["scan-ep", "--grid-start", "1e-120", "--grid-count", "2"],
+                                      ["scan-ep", "--omega", "1e300", "--grid-count", "2"]],
+                             ids=" ".join)
+    def test_underflowing_bound_integral_exits_0(self, argv, tmp_path):
+        # omega_delta T ~ 1e-120 or 1e-301: the Hermitian bound is +inf, not a
+        # ZeroDivisionError traceback
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        out = tmp_path / "o.csv"
+        proc = subprocess.run([sys.executable, "-m", "nhsense.cli", *argv, "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=30.0)
+        assert proc.returncode == 0, proc.stderr
+        _, header, rows = read_csv(str(out))
+        first = rows[0]
+        assert first[header.index("hermitian_bound")] == "inf" and first[header.index("excluded_reason")]
+
     def test_default_scan_ep_propagation_batches(self, tmp_path, monkeypatch):
         # the Gamma pre-scan is one plain batch of 25, Brent adds serial
         # propagations, and the 80 rows are one tangent batch

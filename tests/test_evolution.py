@@ -7,8 +7,7 @@ from scipy.linalg import expm, expm_frechet
 
 from nhsense.errors import DomainError, PropagationError
 from nhsense.evolution import (
-    _INTERNAL_TOL_FACTOR, _RTOL_FLOOR, HamiltonianFamily, generator_finite_difference, generators,
-    integrate, propagate, propagators,
+    _INTERNAL_TOL_FACTOR, _RTOL_FLOOR, HamiltonianFamily, generators, integrate, propagate, propagators,
 )
 from nhsense.operators import SIGMA_X, expm_hermitian
 from nhsense.pseudo_hermitian import (
@@ -18,6 +17,7 @@ from nhsense.pt_ep import PtEpParams, _hamiltonians, hamiltonian_domega_delta, h
 from nhsense.qfi import channel_bound_uncertainty, qfi_fidelity_oracle
 
 from conftest import constant, make_rng, random_family, random_hermitian
+from oracles import generator_finite_difference
 
 
 def one_member(h_of_t):

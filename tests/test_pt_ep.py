@@ -441,6 +441,13 @@ class TestHermitianBoundEp:
         p = PtEpParams(J=1.0, Gamma=0.2, omega=4.0, delta=0.0, omega_delta=0.5)
         assert hermitian_bound_ep(p) == math.inf
 
+    @pytest.mark.parametrize("omega, omega_delta", [(4.0, 1e-120), (1e300, 0.05)])
+    def test_underflowing_integral_is_unbounded(self, omega, omega_delta):
+        # omega_delta T below ~1e-103: the lobe sum ~ x³/3 underflows to 0, and
+        # the bound takes its limit +inf instead of dividing by zero
+        p = PtEpParams(J=1.0, Gamma=0.2, omega=omega, delta=0.05, omega_delta=omega_delta)
+        assert hermitian_bound_ep(p) == math.inf
+
     @pytest.mark.parametrize("lobes", [3e-5, 0.4, 1.0, 2.6, 7.5, 200.0, 449.7, 2500.3])
     def test_kinked_integrand_beyond_pi(self, lobes):
         # wd T = lobes * pi (T = pi/2), up to thousands of |sin| lobes; the

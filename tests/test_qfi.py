@@ -10,7 +10,7 @@ from nhsense.operators import SIGMA_X, SIGMA_Z, variance
 from nhsense.pseudo_hermitian import PseudoHermitianParams, hamiltonian_family, probe_state
 from nhsense.pt_ep import PtEpParams
 from nhsense.qfi import (
-    cramer_rao, channel_bound_uncertainty, qfi_fidelity_oracle, qfi_pure, qfi_series,
+    cramer_rao, channel_bound_uncertainty, fidelity_curvature, qfi_fidelity_oracle, qfi_pure, qfi_series,
 )
 
 from conftest import KET0, KET_PLUS, constant, random_family, random_hermitian, random_state
@@ -99,6 +99,14 @@ class TestFidelityOracle:
             return -4.0 * (overlap(psi(lam), psi(lam + d)) - 2.0 + overlap(psi(lam), psi(lam - d))) / d**2
 
         assert repr(got) == repr(evolution.richardson(second_difference, dlam))
+
+    def test_is_the_fidelity_curvature_of_its_batch(self, rng):
+        fam = random_family(rng, 2)
+        psi0 = random_state(rng, 2)
+        lam, t, dlam = -0.1, 1.2, 3e-3
+        u = evolution.propagators(fam, [lam, lam + dlam / 2, lam - dlam / 2, lam + dlam, lam - dlam], t,
+                                  tol=1e-12)
+        assert repr(qfi_fidelity_oracle(fam, lam, psi0, t, dlam=dlam)) == repr(fidelity_curvature(psi0, u, dlam))
 
 
 class TestQfiSeries:

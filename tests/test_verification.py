@@ -1,0 +1,55 @@
+import numpy as np
+import pytest
+
+from nhsense import evolution
+from nhsense.evolution import generators, propagate, propagators
+from nhsense.verification import check_qfi_bounds, check_qfi_oracle, family_stack, random_terms
+
+from conftest import make_rng, random_family
+
+GRID = np.linspace(0.0, 1.5, 7)
+
+
+def draw(seed: int, dim: int, n: int):
+    """n random families of one dimension and their terms, drawn from two equal streams."""
+    fams, terms = make_rng(seed), make_rng(seed)
+    return [random_family(fams, dim) for _ in range(n)], [random_terms(terms, dim) for _ in range(n)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_stack_member_is_its_own_family_bit_for_bit(dim):
+    fams, terms = draw(5 + dim, dim, 3)
+    lams = [0.3, -0.2, 0.45]
+    us, hs = generators(family_stack(terms, lams), np.arange(3), GRID, tol=1e-10)
+    for fam, lam, u, h in zip(fams, lams, us, hs):
+        rec = propagate(fam, lam, GRID, tol=1e-10)
+        assert np.array_equal(u, rec.U) and np.array_equal(h, rec.h)
+
+
+def test_stack_propagators_equal_the_oracle_batches():
+    # the fidelity oracle's five lam (lam, lam ± d/2, lam ± d) per family
+    fams, terms = draw(17, 4, 2)
+    lam, d = 0.2, 1e-2
+    five = [lam, lam + d / 2.0, lam - d / 2.0, lam + d, lam - d]
+    stacked = propagators(family_stack([f for f in terms for _ in five], five * 2), np.arange(10), 1.2,
+                          tol=1e-12)
+    for fam, u in zip(fams, stacked.reshape(2, 5, 4, 4)):
+        assert np.array_equal(u, propagators(fam, five, 1.2, tol=1e-12))
+
+
+@pytest.mark.parametrize("suite, seed, calls", [(check_qfi_bounds, 43, [(2, True), (6, True)]),
+                                                (check_qfi_oracle, 44, [(2, True), (20, False),
+                                                                        (1, True), (10, False)])])
+def test_one_batch_per_dimension(suite, seed, calls, monkeypatch):
+    # bounds: one tangent batch per dimension; oracle: one tangent batch and
+    # one U-only batch of ten lam per family, per dimension
+    got = []
+    original = evolution.integrate
+
+    def counted(*args, **kwargs):
+        got.append((len(args[2]), kwargs.get("dhamiltonian") is not None))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "integrate", counted)
+    assert all(r.passed for r in suite(seed))
+    assert got == calls
