@@ -153,6 +153,16 @@ def _check_finite(values: dict) -> None:
             raise ConfigError(f"{name} must be finite, got {value}")
 
 
+def _check_period_phases(omega: float, omega_key: str, rates: dict) -> None:
+    """Reject a rate of {key: rate} whose phase over one period T = 2 pi/omega exceeds
+    pt_ep.MAX_PERIOD_PHASE, naming its key and omega's."""
+    period = 2.0 * math.pi / omega
+    for key, rate in rates.items():
+        if not rate * period <= pt_ep.MAX_PERIOD_PHASE:
+            raise ConfigError(f"{key} * T = {rate * period:.3g} with T = 2 pi/{omega_key} exceeds "
+                              f"{pt_ep.MAX_PERIOD_PHASE:g}, the most one period may hold")
+
+
 def validate(config: ScenarioConfig) -> ScenarioConfig:
     scenarios = tuple(scenario for scenario, _ in SUBCOMMANDS.values())
     if config.scenario not in scenarios:
@@ -181,6 +191,8 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         except DomainError as exc:
             message = str(exc).replace("omega_delta", "grid.start")
             raise ConfigError(f"scenario.{scenario}.{message}") from None
+    _check_period_phases(config.ep_omega, key["ep_omega"],
+                         {key[name]: getattr(config, name) for name in ("ep_J", "ep_grid_start", "ep_grid_stop")})
     if config.ph_grid_start is None:
         config.ph_grid_start = -0.5 * config.ph_omega
     if config.ph_grid_stop is None:
@@ -298,6 +310,7 @@ def run_find_ep(args) -> int:
         pt_ep.PtEpParams(args.J, 0.0, args.omega, 0.0, 1.0)  # the sensor's rules for J and omega
     except DomainError as exc:
         raise ConfigError(f"--{exc}") from None
+    _check_period_phases(args.omega, "--omega", {"--J": args.J})
     lo, hi = pt_ep.default_ep_bracket(args.J)
     if args.bracket_lo is not None:
         lo = args.bracket_lo

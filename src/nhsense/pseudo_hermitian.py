@@ -50,6 +50,9 @@ class PseudoHermitianParams:
             raise DomainError("epsilon must be positive (epsilon = 0 coalesces the probe)")
         if self.omega <= 0:
             raise DomainError("omega must be positive")
+        if not (math.isfinite(self.b) and self.tau > 0):  # e(1+e) overflows near e = 1.3e154
+            raise DomainError(f"epsilon {self.epsilon:g} too large at omega {self.omega:g}: "
+                              "b = 4 omega e(1+e)/(1+2e) overflows")
 
     @property
     def b(self) -> float:

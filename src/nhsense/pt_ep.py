@@ -9,8 +9,12 @@ sensitivity bound of the Hermitian counterpart that couples to the drive
 directly.  The pair and its derivative in omega_delta come from one
 tangent-equation solve per point; the root finders propagate U alone.
 H is written once over per-member Gamma and omega_delta, so a whole scan
-grid, or the Gamma pre-scan of `find_ep`, is one batch of the propagation
-core; Brent's serial evaluations are batches of one.
+grid is one batch of the propagation core.  A U-only period is split into
+S = 16 equal pieces, each run from the identity as a member of one batch,
+and U(T) is their ordered product: the equation is linear, so
+U(T) = U(T, t_{S-1}) ... U(t_1, 0) holds exactly and the pieces need no
+iteration.  The `find_ep` pre-scan is one batch of 25 x 16 pieces, and each
+of Brent's serial evaluations, which cannot be batched, one of 16.
 
 The identity part of the drive only contributes a global phase of unit
 modulus; it is kept in the propagator so U matches the defining expression
@@ -29,6 +33,11 @@ from .noise import check_trials
 from .operators import ID2, SIGMA_X, SIGMA_Z
 
 DIFF_FLOOR = 1e-9  # rows are usable only for P_J - P_Gamma in (DIFF_FLOOR, 1 - DIFF_FLOOR)
+
+# J T and omega_delta T (T = 2 pi/omega) above this, about 1,600 turns in one
+# period, are rejected at the configuration boundary: the RK steps per period
+# grow with both, and unbounded they never end.
+MAX_PERIOD_PHASE = 1e4
 
 SCAN_COLUMNS = ("omega_delta", "PJ", "PGamma", "E_res", "var_E", "chi_E",
                 "sensitivity", "hermitian_bound", "excluded_reason")
@@ -119,13 +128,30 @@ def hamiltonian_domega_delta(p: PtEpParams, t: float) -> np.ndarray:
     return _hamiltonians([p])[1](np.zeros(1, dtype=int), np.array([t]))[0]
 
 
+_PIECES = 16  # equal pieces of a U-only period, members of one batch
+
+
 def _propagate_periods(ps: list[PtEpParams], tol: float,
                        tangent: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """U(T), and with `tangent` W(T) = dU(T)/d omega_delta, of the batch ps: (B, 2, 2) each."""
+    """U(T), and with `tangent` W(T) = dU(T)/d omega_delta, of the batch ps: (B, 2, 2) each.
+
+    A tangent period is one member.  A U-only period is _PIECES members:
+    member j runs piece k = j % _PIECES of period j // _PIECES,
+    (k T/_PIECES, (k+1) T/_PIECES), from the identity, and U(T) is the ordered
+    product of the pieces.
+    """
     h, dh = _hamiltonians(ps)
-    u, w = integrate(h, 2, np.arange(len(ps)), (0.0, ps[0].T), tol,
-                     dhamiltonian=dh if tangent else None)
-    return u[:, -1], (w[:, -1] if tangent else None)
+    if tangent:
+        u, w = integrate(h, 2, np.arange(len(ps)), (0.0, ps[0].T), tol, dhamiltonian=dh)
+        return u[:, -1], w[:, -1]
+    piece = ps[0].T / _PIECES
+    u, _ = integrate(lambda j, t: h(j // _PIECES, t + j % _PIECES * piece), 2,
+                     np.arange(len(ps) * _PIECES), (0.0, piece), tol)
+    pieces = u[:, -1].reshape(len(ps), _PIECES, 2, 2)
+    period = pieces[:, 0]
+    for k in range(1, _PIECES):
+        period = pieces[:, k] @ period
+    return period, None
 
 
 def propagate_period_tangent(p: PtEpParams, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +275,8 @@ def _diff_root(at, xs: list[float], tol: float, prop_tol: float, name: str) -> f
     """Root in x of D = P_J - P_Gamma at at(x), in the first sign change (or zero) of D along xs.
 
     xs is propagated as one batch; `_brent`, the in-package Brent zero, then
-    narrows the root to |dx| <= tol, propagating each new point alone.
+    narrows the root to |dx| <= tol.  Its points come one at a time, but each
+    is a batch of the pieces of its period (`_propagate_periods`).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"root tolerance must be finite and > 0, got {tol:g}")
@@ -284,7 +311,8 @@ def find_ep(j: float, omega: float, bracket: tuple[float, float] | None = None,
     """Dissipation rate at the phase boundary: root of P_J - P_Gamma at delta = 0.
 
     A coarse pre-scan over the bracket, propagated as one batch, locates a
-    sign change, then Brent's method narrows it to |dGamma| <= tol.
+    sign change, then Brent's method narrows it to |dGamma| <= tol; each of
+    its serial evaluations is one batch of the pieces of a period.
     """
     lo, hi = _finite_bracket(default_ep_bracket(j) if bracket is None else bracket, "Gamma")
     if not (0 <= lo < hi):
@@ -419,16 +447,20 @@ def hermitian_bound_ep(p: PtEpParams) -> float:
     G(u) = sin u - u cos u (`_sin_minus_x_cos`, from its Taylor series below
     u = 1, where the plain form cancels), the antiderivative of u sin u:
     lobe k adds (2k+1) pi, so the m full lobes below x add m² pi and the
-    partial last one (-1)^m G(x) + m pi.  The bound is +inf, its limit, where
-    delta = 0 or the integral underflows to 0 (below x ~ 1e-103).
+    partial last one (-1)^m G(x) + m pi.  omega_delta² and the lobe sum are
+    both divided by s², s the power of two that brings x and omega_delta
+    below 2^500 (s = 1 below it), which is exact and keeps both squares
+    finite.  The bound is +inf, its limit, where delta = 0 or the integral
+    underflows to 0 (below x ~ 1e-103).
     """
     if p.delta == 0.0:
         return float("inf")
     x = p.omega_delta * p.T
-    m = math.ceil(x / math.pi) - 1  # lobe edges k pi below x
-    lobes = m * (m + 1) * math.pi + (-1) ** m * _sin_minus_x_cos(x)
+    m = math.ceil(x / math.pi) - 1.0  # lobe edges k pi below x
+    s = math.ldexp(1.0, max(math.frexp(x)[1], math.frexp(p.omega_delta)[1], 500) - 500)
+    lobes = (m / s) * ((m + 1) / s) * math.pi + (-1) ** m * (_sin_minus_x_cos(x) / s / s)
     denominator = math.sqrt(p.nu) * p.delta * lobes
-    return p.omega_delta**2 / denominator if denominator else float("inf")
+    return (p.omega_delta / s) ** 2 / denominator if denominator else float("inf")
 
 
 def _scan_row(p: PtEpParams, pj: float, pg: float, d_diff: float) -> EpScanRow:

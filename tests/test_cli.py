@@ -91,6 +91,20 @@ class TestConfigParsing:
         assert config.ph_grid_stop == 1.0
 
 
+# argv whose EP period would hold more than MAX_PERIOD_PHASE, and the keys its error names
+TOO_MANY_TURNS = [
+    (["find-ep", "--omega", "1e-300"], ["--J", "--omega"]),
+    (["find-ep", "--J", "1e300"], ["--J", "--omega"]),
+    (["scan-ep", "--omega", "1e-300", "--Gamma", "0.5", "--grid-count", "2"],
+     ["scenario.pt-ep.J", "scenario.pt-ep.omega"]),
+    (["scan-ep", "--J", "1e300", "--grid-count", "2"], ["scenario.pt-ep.J", "scenario.pt-ep.omega"]),
+    (["scan-ep", "--Gamma", "0.5", "--grid-start", "1e200", "--grid-stop", "2e200", "--grid-count", "2"],
+     ["scenario.pt-ep.grid.start", "scenario.pt-ep.omega"]),
+    (["scan-ep", "--Gamma", "0.5", "--grid-start", "1", "--grid-stop", "1e200", "--grid-count", "2"],
+     ["scenario.pt-ep.grid.stop", "scenario.pt-ep.omega"]),
+]
+
+
 class TestCliRuns:
     def test_flag_overrides_config_and_metadata(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -154,18 +168,40 @@ class TestCliRuns:
         rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
         assert any(value is None for row in rows for value in row.values())
 
-    @pytest.mark.parametrize("argv", [["find-ep", "--J", "1e300"],
-                                      ["scan-ep", "--J", "1e300", "--grid-count", "2"],
+    @pytest.mark.parametrize("argv", [["find-ep", "--J", "1e300", "--omega", "1e300"],
+                                      ["scan-ep", "--J", "1e300", "--omega", "1e300", "--grid-count", "2"],
                                       ["scan-ep", "--Gamma", "1e300", "--grid-count", "2"]],
                              ids=" ".join)
     def test_overflowing_first_step_exits_2(self, argv, tmp_path):
         # the first step size overflows to nan; in a subprocess with a
-        # timeout a hang fails the test instead of stalling the suite
+        # timeout a hang fails the test instead of stalling the suite (J T is
+        # 2 pi here: at omega 4 it would exceed the bound on the period's phase)
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.run([sys.executable, "-m", "nhsense.cli", *argv, "--out", str(tmp_path / "o.csv")],
                               env=env, capture_output=True, text=True, timeout=5.0)
         assert proc.returncode == 2
         assert "initial step size is not finite" in proc.stderr
+
+    @pytest.mark.parametrize("argv, keys", TOO_MANY_TURNS, ids=[" ".join(argv) for argv, _ in TOO_MANY_TURNS])
+    def test_too_many_turns_per_period_exits_1(self, argv, keys, tmp_path):
+        # J T or omega_delta T above MAX_PERIOD_PHASE: propagating the period
+        # would not end in any useful time, so the configuration is rejected
+        # before it starts
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "nhsense.cli", *argv, "--out", str(tmp_path / "o.csv")],
+                              env=env, capture_output=True, text=True, timeout=5.0)
+        assert proc.returncode == 1
+        assert all(key in proc.stderr for key in keys), proc.stderr
+
+    def test_bound_on_the_period_phase_is_inclusive(self, monkeypatch):
+        # omega_delta T = MAX_PERIOD_PHASE exactly passes, the next float up fails
+        monkeypatch.setattr(cli, "run", lambda config: 0)
+        period = 2.0 * math.pi / 4.0
+        top = pt_ep.MAX_PERIOD_PHASE / period
+        while top * period > pt_ep.MAX_PERIOD_PHASE:
+            top = math.nextafter(top, 0.0)
+        assert main(["scan-ep", "--grid-stop", repr(top)]) == 0
+        assert main(["scan-ep", "--grid-stop", repr(math.nextafter(top, math.inf))]) == 1
 
     @pytest.mark.parametrize("argv", [["scan-ep", "--grid-start", "1e-120", "--grid-count", "2"],
                                       ["scan-ep", "--omega", "1e300", "--grid-count", "2"]],
@@ -183,13 +219,15 @@ class TestCliRuns:
         assert first[header.index("hermitian_bound")] == "inf" and first[header.index("excluded_reason")]
 
     def test_default_scan_ep_propagation_batches(self, tmp_path, monkeypatch):
-        # the Gamma pre-scan is one plain batch of 25, Brent adds serial
-        # propagations, and the 80 rows are one tangent batch
+        # the Gamma pre-scan is one plain batch of 25 periods, Brent adds
+        # serial periods, and the 80 rows are one tangent batch; a plain
+        # period is _PIECES members, a tangent one a single member
         calls = []
         original = pt_ep.integrate
 
         def counted(*args, **kwargs):
-            calls.append((len(args[2]), kwargs.get("dhamiltonian") is not None))
+            tangent = kwargs.get("dhamiltonian") is not None
+            calls.append((len(args[2]) // (1 if tangent else pt_ep._PIECES), tangent))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pt_ep, "integrate", counted)
@@ -218,7 +256,7 @@ class TestCliRuns:
     @pytest.mark.parametrize("flags", [[f"--tol={v}"] for v in ("0", "-1", "nan", "inf")]
                              + [[f"{f}={v}"] for f in ("--J", "--omega", "--bracket-lo", "--bracket-hi")
                                 for v in ("nan", "inf")]
-                             + [["--J=-1"], ["--J=0"], ["--omega=0"],
+                             + [["--J=-1"], ["--J=0"], ["--omega=0"], ["--omega=1e-300"], ["--J=1e300"],
                                 ["--bracket-lo=3", "--bracket-hi=1"]],
                              ids=lambda flags: " ".join(flags).replace("=", "-"))
     def test_find_ep_rejects_bad_input(self, flags, monkeypatch):
@@ -372,6 +410,9 @@ BAD_INPUT = (
        (["scan-ep", "--grid-start=0"], "scenario.pt-ep.grid.start"),
        (["scan-ep", "--Gamma=-1"], "scenario.pt-ep.Gamma"),
        (["sweep-ph", "--epsilon=0"], "scenario.pseudo-hermitian.epsilon"),
+       (["sweep-ph", "--epsilon=1e300"], "scenario.pseudo-hermitian.epsilon"),
+       (["scan-ep", "--omega=1e-300"], "scenario.pt-ep.omega"),
+       (["scan-ep", "--grid-stop=1e200"], "scenario.pt-ep.grid.stop"),
        (["verify", "--seed=-1"], "seed")]
 )
 

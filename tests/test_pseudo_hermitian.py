@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,14 @@ class TestParams:
             PseudoHermitianParams(0.0, 1.0)
         with pytest.raises(DomainError):
             PseudoHermitianParams(0.1, -1.0)
+
+    @pytest.mark.parametrize("epsilon", [1e154, 1e300])
+    def test_rejects_overflowing_coupling(self, epsilon):
+        # e(1+e) overflows: b and c would be inf and tau 0, and a sweep failed
+        # later with "probability nan outside [0, 1]"
+        with pytest.raises(DomainError, match=re.escape(f"epsilon {epsilon:g} too large")):
+            PseudoHermitianParams(epsilon, 1.0)
+        assert math.isfinite(PseudoHermitianParams(1e150, 1.0).b)
 
     @pytest.mark.parametrize("args", [(math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan),
                                       (0.1, math.inf), (0.1, 1.0, math.nan), (0.1, 1.0, -math.inf)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from nhsense import pt_ep
@@ -185,14 +185,14 @@ class TestFindEp:
         # the 25-point pre-scan is one batch; each member keeps its own steps,
         # so it is bit for bit the propagation of that Gamma alone
         propagators = []
-        original = pt_ep.integrate
+        original = pt_ep._propagate_periods
 
         def recorded(*args, **kwargs):
             out = original(*args, **kwargs)
-            propagators.append(out[0][:, -1])
+            propagators.append(out[0])
             return out
 
-        monkeypatch.setattr(pt_ep, "integrate", recorded)
+        monkeypatch.setattr(pt_ep, "_propagate_periods", recorded)
         find_ep(1.0, 4.0, tol=1e-6)
         monkeypatch.undo()
         prescan = propagators[0]
@@ -203,17 +203,49 @@ class TestFindEp:
             assert np.array_equal(prescan[k], propagate_period(p, tol=1e-12))
 
 
+class TestPiecedPeriod:
+    """A U-only period is _PIECES members of one batch, multiplied in order."""
+
+    @pytest.mark.parametrize("gamma, delta, omega_delta", [
+        (0.3, 0.0, 1.0), (GAMMA_EP_J1_W4_TIGHT, 0.0, 1.0), (1.5, 0.0, 1.0), (3.0, 0.0, 1.0),
+        (GAMMA_EP_J1_W4_TIGHT, 0.05, 0.2065), (GAMMA_EP_J1_W4_TIGHT, 0.05, 1.7)])
+    def test_matches_one_shot_dop853(self, gamma, delta, omega_delta):
+        p = PtEpParams(J=1.0, Gamma=gamma, omega=4.0, delta=delta, omega_delta=omega_delta)
+
+        def rhs(t, y):
+            return (-1j * hamiltonian_total(p, t) @ y.reshape(2, 2)).ravel()
+
+        ref = solve_ivp(rhs, (0.0, p.T), np.eye(2, dtype=complex).ravel(), method="DOP853",
+                        rtol=2.3e-14, atol=1e-16).y[:, -1].reshape(2, 2)
+        u = propagate_period(p, tol=1e-12)
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_one_piece_is_the_one_member_run(self, monkeypatch):
+        p = default_base()
+        h, _ = pt_ep._hamiltonians([p])
+        [whole] = pt_ep.integrate(h, 2, np.arange(1), (0.0, p.T), 1e-12)[0][:, -1]
+        monkeypatch.setattr(pt_ep, "_PIECES", 1)
+        assert np.array_equal(propagate_period(p, tol=1e-12), whole)
+
+    def test_every_prescan_member_equals_serial_propagation(self):
+        ps = [PtEpParams(J=1.0, Gamma=g, omega=4.0, delta=0.0, omega_delta=1.0)
+              for g in np.linspace(*pt_ep.default_ep_bracket(1.0), 25).tolist()]
+        prescan, _ = pt_ep._propagate_periods(ps, 1e-12, tangent=False)
+        for k, p in enumerate(ps):
+            assert np.array_equal(prescan[k], propagate_period(p, tol=1e-12)), k
+
+
 class TestRootFinders:
     """Both roots come from Brent's method: few propagations, tight roots."""
 
     @staticmethod
     def count_propagations(monkeypatch) -> list:
-        """Batch size of each propagation: a batch of B members counts as B propagations."""
+        """Periods in each propagation: a batch of B periods counts as B propagations."""
         batches = []
         original = pt_ep.integrate
 
         def counted(*args, **kwargs):
-            batches.append(len(args[2]))  # one member per params entry
+            batches.append(len(args[2]) // pt_ep._PIECES)  # one member per piece of a period
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pt_ep, "integrate", counted)
@@ -447,6 +479,13 @@ class TestHermitianBoundEp:
         # the bound takes its limit +inf instead of dividing by zero
         p = PtEpParams(J=1.0, Gamma=0.2, omega=omega, delta=0.05, omega_delta=omega_delta)
         assert hermitian_bound_ep(p) == math.inf
+
+    @pytest.mark.parametrize("omega_delta", [1e150, 1e200, 1e300])
+    def test_huge_omega_delta_is_finite(self, omega_delta):
+        # up to m = omega_delta T / pi ~ 5e299 lobes: m(m+1) pi and omega_delta²
+        # exceed the float range, the bound does not; it tends to pi / (delta T²)
+        p = PtEpParams(J=1.0, Gamma=0.2, omega=4.0, delta=0.05, omega_delta=omega_delta)
+        assert hermitian_bound_ep(p) == pytest.approx(math.pi / (p.delta * p.T**2), rel=1e-14)
 
     @pytest.mark.parametrize("lobes", [3e-5, 0.4, 1.0, 2.6, 7.5, 200.0, 449.7, 2500.3])
     def test_kinked_integrand_beyond_pi(self, lobes):
