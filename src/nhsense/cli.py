@@ -20,7 +20,9 @@ import csv
 import io
 import json
 import math
+import re
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import get_args
 
@@ -30,7 +32,8 @@ from . import __version__
 from . import pseudo_hermitian as ph
 from . import pt_ep
 from .errors import DomainError, PropagationError
-from .evolution import TOL_MAX, TOL_MIN
+from .evolution import check_tol
+from .noise import check_trials
 from .verification import VerificationReport, build_report
 
 FORMATS = ("csv", "json")
@@ -146,24 +149,20 @@ def read_metadata(path: str) -> ScenarioConfig:
     return parse_config_lines(header, source=path, strip_comment_prefix=True)
 
 
-def _check_finite(values: dict) -> None:
-    """Reject a non-finite float among {name: value}, naming it."""
-    for name, value in values.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-
-
-def _check_period_phases(omega: float, omega_key: str, rates: dict) -> None:
-    """Reject a rate of {key: rate} whose phase over one period T = 2 pi/omega exceeds
-    pt_ep.MAX_PERIOD_PHASE, naming its key and omega's."""
-    period = 2.0 * math.pi / omega
-    for key, rate in rates.items():
-        if not rate * period <= pt_ep.MAX_PERIOD_PHASE:
-            raise ConfigError(f"{key} * T = {rate * period:.3g} with T = 2 pi/{omega_key} exceeds "
-                              f"{pt_ep.MAX_PERIOD_PHASE:g}, the most one period may hold")
+@contextmanager
+def _naming(keys: dict):
+    """Turn a DomainError into a ConfigError led by the keys {name: key} of the names its
+    message holds, in the order they first appear (all of the keys if it holds none)."""
+    try:
+        yield
+    except DomainError as exc:
+        named = dict.fromkeys(keys[m[0]] for m in re.finditer(rf"\b({'|'.join(keys)})\b", str(exc)))
+        raise ConfigError(f"{', '.join(named or keys.values())}: {exc}") from None
 
 
 def validate(config: ScenarioConfig) -> ScenarioConfig:
+    """The configuration once it passes the rules of the sensor modules at both ends of each
+    grid (and, while Gamma is unset, of the EP search bracket); ConfigError naming the key otherwise."""
     scenarios = tuple(scenario for scenario, _ in SUBCOMMANDS.values())
     if config.scenario not in scenarios:
         raise ConfigError(f"scenario must be one of {scenarios}, got {config.scenario!r}")
@@ -171,32 +170,29 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"format must be one of {FORMATS}, got {config.format!r}")
     if config.threads < 1:
         raise ConfigError("threads must be >= 1")
-    key = {f.name: f.metadata["key"] for f in fields(config)}
-    _check_finite({key[name]: value for name, value in vars(config).items()})
     if config.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {config.seed}")
-    if not (TOL_MIN <= config.tol <= TOL_MAX):
-        raise ConfigError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
-    if config.ph_nu < 1:
-        raise ConfigError(f"{key['ph_nu']} must be >= 1, got {config.ph_nu}")
-    # The params classes hold the domain rules; a DomainError leads with the
-    # field name, the last part of its key (omega_delta is checked at grid.start).
-    gamma = 0.0 if config.ep_Gamma is None else config.ep_Gamma  # None: find_ep resolves it
-    for scenario, build in (
-            ("pseudo-hermitian", lambda: ph.PseudoHermitianParams(config.ph_epsilon, config.ph_omega)),
-            ("pt-ep", lambda: pt_ep.PtEpParams(config.ep_J, gamma, config.ep_omega, config.ep_delta,
-                                               config.ep_grid_start, config.ep_nu))):
-        try:
-            build()
-        except DomainError as exc:
-            message = str(exc).replace("omega_delta", "grid.start")
-            raise ConfigError(f"scenario.{scenario}.{message}") from None
-    _check_period_phases(config.ep_omega, key["ep_omega"],
-                         {key[name]: getattr(config, name) for name in ("ep_J", "ep_grid_start", "ep_grid_stop")})
     if config.ph_grid_start is None:
         config.ph_grid_start = -0.5 * config.ph_omega
     if config.ph_grid_stop is None:
         config.ph_grid_stop = 0.5 * config.ph_omega
+    key = {f.name: f.metadata["key"] for f in fields(config)}
+    with _naming({"tol": "tol", "nu": key["ph_nu"]}):
+        check_tol(config.tol)
+        check_trials(config.ph_nu)
+    for end in ("ph_grid_start", "ph_grid_stop"):  # Omega tau is largest at an end of the grid
+        with _naming({"epsilon": key["ph_epsilon"], "omega": key["ph_omega"], "lam": key[end]}):
+            p = ph.PseudoHermitianParams(config.ph_epsilon, config.ph_omega, getattr(config, end))
+            ph.check_sweep_phase(p)
+    ep_keys = {name: key[f"ep_{name}"] for name in ("J", "Gamma", "omega", "delta", "nu")}
+    gammas = [config.ep_Gamma] if config.ep_Gamma is not None else pt_ep.default_ep_bracket(config.ep_J)
+    for gamma in gammas:
+        if config.ep_Gamma is None:
+            ep_keys["Gamma"] = f"{key['ep_Gamma']} (unset: the EP search reaches {gamma:g})"
+        for end in ("ep_grid_start", "ep_grid_stop"):
+            with _naming({**ep_keys, "omega_delta": key[end]}):
+                pt_ep.PtEpParams(config.ep_J, gamma, config.ep_omega, config.ep_delta, getattr(config, end),
+                                 config.ep_nu)
     for start, stop, count, label in (
             (config.ph_grid_start, config.ph_grid_stop, config.ph_grid_count, "pseudo-hermitian"),
             (config.ep_grid_start, config.ep_grid_stop, config.ep_grid_count, "pt-ep")):
@@ -265,30 +261,23 @@ def _emit(metadata: list[tuple[str, str]], columns: tuple[str, ...], rows: list[
 
 def run(config: ScenarioConfig) -> int:
     """Execute a validated scenario; returns the process exit code."""
+    if config.scenario == "verify":
+        report = build_report(config.seed)
+        _emit_report(config, report)
+        return 0 if report.overall_pass else 3
     if config.scenario == "pseudo-hermitian":
         grid = np.linspace(config.ph_grid_start, config.ph_grid_stop, config.ph_grid_count)
         rows = ph.sweep(config.ph_epsilon, config.ph_omega, grid, nu=config.ph_nu, tol=config.tol)
-        _emit(_metadata_items(config), ph.SWEEP_COLUMNS,
-              [asdict(row) for row in rows], config.format, config.out)
-        return 0
-
-    if config.scenario == "pt-ep":
-        gamma = config.ep_Gamma
-        if gamma is None:
-            gamma = pt_ep.find_ep(config.ep_J, config.ep_omega, tol=1e-12)
-        effective = replace(config, ep_Gamma=float(gamma))
-        base = pt_ep.PtEpParams(J=config.ep_J, Gamma=float(gamma), omega=config.ep_omega,
-                                delta=config.ep_delta, omega_delta=1.0, nu=config.ep_nu)
+        columns = ph.SWEEP_COLUMNS
+    else:
+        if config.ep_Gamma is None:  # the metadata records the located Gamma
+            config = replace(config, ep_Gamma=float(pt_ep.find_ep(config.ep_J, config.ep_omega, tol=1e-12)))
+        base = pt_ep.PtEpParams(config.ep_J, config.ep_Gamma, config.ep_omega, config.ep_delta,
+                                config.ep_grid_start, config.ep_nu)
         grid = np.linspace(config.ep_grid_start, config.ep_grid_stop, config.ep_grid_count)
-        rows = pt_ep.scan(base, grid, tol=config.tol)
-        _emit(_metadata_items(effective), pt_ep.SCAN_COLUMNS,
-              [asdict(row) for row in rows], config.format, config.out)
-        return 0
-
-    # verify
-    report = build_report(config.seed)
-    _emit_report(config, report)
-    return 0 if report.overall_pass else 3
+        rows, columns = pt_ep.scan(base, grid, tol=config.tol), pt_ep.SCAN_COLUMNS
+    _emit(_metadata_items(config), columns, [asdict(row) for row in rows], config.format, config.out)
+    return 0
 
 
 def _emit_report(config: ScenarioConfig, report: VerificationReport) -> None:
@@ -302,20 +291,14 @@ def _emit_report(config: ScenarioConfig, report: VerificationReport) -> None:
 
 
 def run_find_ep(args) -> int:
-    _check_finite({f"--{name.replace('_', '-')}": getattr(args, name)
-                   for name in ("bracket_lo", "bracket_hi", "tol")})
-    if not args.tol > 0:
-        raise ConfigError(f"--tol must be > 0, got {args.tol}")
-    try:
-        pt_ep.PtEpParams(args.J, 0.0, args.omega, 0.0, 1.0)  # the sensor's rules for J and omega
-    except DomainError as exc:
-        raise ConfigError(f"--{exc}") from None
-    _check_period_phases(args.omega, "--omega", {"--J": args.J})
-    lo, hi = pt_ep.default_ep_bracket(args.J)
-    if args.bracket_lo is not None:
-        lo = args.bracket_lo
-    if args.bracket_hi is not None:
-        hi = args.bracket_hi
+    with _naming({"tol": "--tol"}):
+        pt_ep.check_root_tol(args.tol)
+    given = (args.bracket_lo, args.bracket_hi)
+    lo, hi = (d if g is None else g for g, d in zip(given, pt_ep.default_ep_bracket(args.J)))
+    for gamma, g, flag in zip((lo, hi), given, ("--bracket-lo", "--bracket-hi")):
+        flag += "" if g is not None else f" (default {gamma:g})"
+        with _naming({"J": "--J", "omega": "--omega", "Gamma": flag}):
+            pt_ep.PtEpParams(args.J, gamma, args.omega, 0.0, args.omega)  # as find_ep builds it
     if not 0 <= lo < hi:
         raise ConfigError(f"bracket must satisfy 0 <= --bracket-lo < --bracket-hi, got {lo:g}, {hi:g}")
     gamma = pt_ep.find_ep(args.J, args.omega, bracket=(lo, hi), tol=args.tol)
@@ -381,10 +364,6 @@ def _config_from_args(args) -> ScenarioConfig:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except ConfigError as exc:
-        print(f"nhsense: configuration error: {exc}", file=sys.stderr)
-        return 1
-    try:
         if args.command == "find-ep":
             return run_find_ep(args)
         config = _config_from_args(args)

@@ -32,6 +32,10 @@ TOL_MIN = 1e-13
 TOL_MAX = 1e-6
 DEFAULT_TOL = 1e-10
 
+# A rate times the span of one propagation (J T, omega_delta T, Omega tau) above this, about
+# 1,600 turns, is out of the domain: the RK steps grow with it, and unbounded they never end.
+MAX_PERIOD_PHASE = 1e4
+
 # The requested tolerance is a bound on acceptable error in the recorded
 # matrices, so the integrator itself runs tighter than that.
 _INTERNAL_TOL_FACTOR = 50.0

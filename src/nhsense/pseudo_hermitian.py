@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .evolution import (DEFAULT_TOL, HamiltonianFamily, check_finite, check_time, generators, grid_to,
-                        propagate)
+from .evolution import (DEFAULT_TOL, MAX_PERIOD_PHASE, HamiltonianFamily, check_finite, check_time,
+                        generators, grid_to, propagate)
 from .noise import GRADIENT_FLOOR, binomial_variance, check_trials
 from .operators import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian, tensor
 from .qfi import qfi_pure
@@ -33,11 +33,13 @@ _IX = tensor(ID2, SIGMA_X)
 _YY = tensor(SIGMA_Y, SIGMA_Y)
 _PROJ_UP_Y = 0.5 * (ID2 + SIGMA_Y)
 _PROJ_DN_Y = 0.5 * (ID2 - SIGMA_Y)
+_OMEGA_MAX = float(np.finfo(float).max) ** 0.25  # Omega⁴ is a finite float below it
 
 
 @dataclass(frozen=True)
 class PseudoHermitianParams:
-    """Dilation parameter epsilon, qubit frequency omega, encoded parameter lam."""
+    """Dilation parameter epsilon, qubit frequency omega, encoded parameter lam; Omega⁴,
+    which `qfi_closed` divides by, must be a finite float."""
 
     epsilon: float
     omega: float
@@ -50,9 +52,9 @@ class PseudoHermitianParams:
             raise DomainError("epsilon must be positive (epsilon = 0 coalesces the probe)")
         if self.omega <= 0:
             raise DomainError("omega must be positive")
-        if not (math.isfinite(self.b) and self.tau > 0):  # e(1+e) overflows near e = 1.3e154
-            raise DomainError(f"epsilon {self.epsilon:g} too large at omega {self.omega:g}: "
-                              "b = 4 omega e(1+e)/(1+2e) overflows")
+        if not self.Omega < _OMEGA_MAX:
+            raise DomainError(f"epsilon {self.epsilon:g} too large at omega {self.omega:g}, lam {self.lam:g}: "
+                              f"Omega = hypot(lam + b, c) = {self.Omega:.3g}, whose 4th power overflows")
 
     @property
     def b(self) -> float:
@@ -99,9 +101,10 @@ def dilated_hamiltonian(p: PseudoHermitianParams) -> np.ndarray:
     return (p.b + p.lam) * _IX - p.c * _YY
 
 
-def hamiltonian_family(epsilon: float, omega: float) -> HamiltonianFamily:
-    """The dilated Hamiltonian as a family over the encoded parameter, a stack per call."""
-    p = PseudoHermitianParams(epsilon, omega)  # dilated_hamiltonian, for a stack of lam
+def hamiltonian_family(epsilon: float, omega: float, lam0: float = 0.0) -> HamiltonianFamily:
+    """The dilated Hamiltonian as a family over the encoded parameter, a stack per call; b and c
+    are read from the parameters at lam0, which must lie in their domain (Omega⁴ depends on lam)."""
+    p = PseudoHermitianParams(epsilon, omega, lam0)  # dilated_hamiltonian, for a stack of lam
     return HamiltonianFamily(dim=4, evaluate=lambda lam, t: (p.b + lam)[:, None, None] * _IX - p.c * _YY,
                              evaluate_dlambda=lambda lam, t: np.broadcast_to(_IX, (t.size, 4, 4)))
 
@@ -246,7 +249,7 @@ def qfi_rate_closed(p: PseudoHermitianParams, t: float) -> float:
 
 def qfi_numeric(p: PseudoHermitianParams, t: float, tol: float = DEFAULT_TOL) -> float:
     """QFI from the numerically propagated generator (independent of closed forms)."""
-    rec = propagate(hamiltonian_family(p.epsilon, p.omega), p.lam, grid_to(t), tol=tol)
+    rec = propagate(hamiltonian_family(p.epsilon, p.omega, p.lam), p.lam, grid_to(t), tol=tol)
     return qfi_pure(rec.h[-1], probe_state(p.epsilon))
 
 
@@ -258,26 +261,33 @@ def hermitian_bound(t: float, nu: int) -> float:
     return 1.0 / (2.0 * math.sqrt(nu) * t)
 
 
+def check_sweep_phase(p: PseudoHermitianParams) -> PseudoHermitianParams:
+    """p itself once the phase Omega tau that `sweep` propagates at p is at most MAX_PERIOD_PHASE;
+    DomainError naming lam otherwise.  Over a lam grid, Omega = hypot(lam + b, c) is largest at an end."""
+    phase = p.Omega * p.tau
+    if not phase <= MAX_PERIOD_PHASE:
+        raise DomainError(f"lam {p.lam:g} gives Omega tau = {phase:.3g} at epsilon {p.epsilon:g}, omega "
+                          f"{p.omega:g}, above {MAX_PERIOD_PHASE:g}, the most one sweep may propagate")
+    return p
+
+
 def sweep(epsilon: float, omega: float, lam_grid, nu: int = 1,
           tol: float = DEFAULT_TOL) -> list[SweepRow]:
     """One row per lam at the protocol time t = tau(epsilon, omega).
 
     tau is always recomputed from (epsilon, omega); rows with an undefined
-    sensitivity carry NaN rather than being dropped.  Each qfi_numeric is
-    one member of a tangent batch over the grid, equal to `qfi_numeric` alone.
+    sensitivity carry NaN rather than being dropped.  Every lam passes `check_sweep_phase` before
+    anything is propagated; each qfi_numeric is its member of one tangent batch over the grid.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if lam_grid.size == 0:
         raise DomainError("lam grid must be non-empty")
     check_trials(nu)
-    t = PseudoHermitianParams(epsilon, omega).tau
-    _, h = generators(hamiltonian_family(epsilon, omega), lam_grid, grid_to(t), tol=tol)
-    rows = []
-    for lam, h_lam in zip(lam_grid.tolist(), h):
-        p = PseudoHermitianParams(epsilon, omega, lam)
-        rows.append(SweepRow(
-            lam=lam, S=two_level_population(p, t), chi=susceptibility(p, t), P1=p1_closed(p, t),
-            dP1_dlam=p1_slope(p, t), sensitivity=sensitivity(p, t, nu), qfi_closed=qfi_closed(p, t),
-            qfi_numeric=qfi_pure(h_lam[-1], probe_state(epsilon)), rate_closed=qfi_rate_closed(p, t),
-            hermitian_bound=hermitian_bound(t, nu)))
-    return rows
+    ps = [check_sweep_phase(PseudoHermitianParams(epsilon, omega, lam)) for lam in lam_grid.tolist()]
+    t = ps[0].tau
+    _, h = generators(hamiltonian_family(epsilon, omega, ps[0].lam), lam_grid, grid_to(t), tol=tol)
+    return [SweepRow(
+        lam=p.lam, S=two_level_population(p, t), chi=susceptibility(p, t), P1=p1_closed(p, t),
+        dP1_dlam=p1_slope(p, t), sensitivity=sensitivity(p, t, nu), qfi_closed=qfi_closed(p, t),
+        qfi_numeric=qfi_pure(h_lam[-1], probe_state(epsilon)), rate_closed=qfi_rate_closed(p, t),
+        hermitian_bound=hermitian_bound(t, nu)) for p, h_lam in zip(ps, h)]

@@ -28,16 +28,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .evolution import DEFAULT_TOL, TOL_MIN, check_finite, check_tol, integrate, richardson
+from .evolution import DEFAULT_TOL, MAX_PERIOD_PHASE, TOL_MIN, check_finite, check_tol, integrate, richardson
 from .noise import check_trials
 from .operators import ID2, SIGMA_X, SIGMA_Z
 
 DIFF_FLOOR = 1e-9  # rows are usable only for P_J - P_Gamma in (DIFF_FLOOR, 1 - DIFF_FLOOR)
-
-# J T and omega_delta T (T = 2 pi/omega) above this, about 1,600 turns in one
-# period, are rejected at the configuration boundary: the RK steps per period
-# grow with both, and unbounded they never end.
-MAX_PERIOD_PHASE = 1e4
+_MAX_EXPONENT = math.log(float(np.finfo(float).max))  # e^x is a finite float up to here
 
 SCAN_COLUMNS = ("omega_delta", "PJ", "PGamma", "E_res", "var_E", "chi_E",
                 "sensitivity", "hermitian_bound", "excluded_reason")
@@ -46,7 +42,8 @@ SCAN_COLUMNS = ("omega_delta", "PJ", "PGamma", "E_res", "var_E", "chi_E",
 @dataclass(frozen=True)
 class PtEpParams:
     """Coupling J, dissipation Gamma, drive frequency omega, perturbation
-    amplitude delta and frequency omega_delta (the estimated parameter)."""
+    amplitude delta and frequency omega_delta (the estimated parameter).  Over one period
+    T = 2 pi/omega, J T and omega_delta T are at most MAX_PERIOD_PHASE and C0 = e^{2 Gamma T} is finite."""
 
     J: float
     Gamma: float
@@ -69,6 +66,14 @@ class PtEpParams:
         if self.omega_delta <= 0:
             raise DomainError("omega_delta must be positive")
         check_trials(self.nu)
+        for name in ("J", "omega_delta"):
+            phase = getattr(self, name) * self.T
+            if not phase <= MAX_PERIOD_PHASE:
+                raise DomainError(f"{name} T = {phase:.3g} with T = 2 pi/omega exceeds "
+                                  f"{MAX_PERIOD_PHASE:g}, the most one period may hold")
+        if not 2.0 * self.Gamma * self.T <= _MAX_EXPONENT:
+            raise DomainError(f"2 Gamma T = {2.0 * self.Gamma * self.T:.4g} with T = 2 pi/omega exceeds "
+                              f"{_MAX_EXPONENT:.4f}: the noise scale C0 = e^(2 Gamma T) overflows")
 
     @property
     def T(self) -> float:
@@ -219,8 +224,8 @@ def default_ep_bracket(j: float) -> tuple[float, float]:
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # scipy's brentq default
 
 
-def _brent(f, a: float, b: float, xtol: float, maxiter: int = 100) -> float:
-    """Zero of f between a and b, where f changes sign, to xtol + 4 eps |x|.
+def _brent(f, a: float, fa: float, b: float, fb: float, xtol: float, maxiter: int = 100) -> float:
+    """Zero of f between a and b, where fa = f(a) and fb = f(b) differ in sign, to xtol + 4 eps |x|.
 
     Brent's method (Brent 1973, Algorithms for Minimization without
     Derivatives, ch. 4) with the step rules and iteration budget of scipy's
@@ -230,8 +235,7 @@ def _brent(f, a: float, b: float, xtol: float, maxiter: int = 100) -> float:
     returned as is; equal signs at the ends and an exhausted `maxiter` raise
     DomainError.
     """
-    xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur)
+    xpre, xcur, fpre, fcur = a, b, fa, fb
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -271,30 +275,33 @@ def _brent(f, a: float, b: float, xtol: float, maxiter: int = 100) -> float:
     raise DomainError(f"Brent's method did not converge in {maxiter} iterations on ({a:g}, {b:g})")
 
 
+def check_root_tol(tol: float) -> float:
+    """`tol` itself once it is a valid root tolerance, finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"root tolerance must be finite and > 0, got {tol:g}")
+    return tol
+
+
 def _diff_root(at, xs: list[float], tol: float, prop_tol: float, name: str) -> float:
     """Root in x of D = P_J - P_Gamma at at(x), in the first sign change (or zero) of D along xs.
 
-    xs is propagated as one batch; `_brent`, the in-package Brent zero, then
-    narrows the root to |dx| <= tol.  Its points come one at a time, but each
-    is a batch of the pieces of its period (`_propagate_periods`).
+    xs is propagated as one batch; `_brent`, the in-package Brent zero, then narrows the root
+    from the values at its bracket ends to |dx| <= tol.  Its points come one at a time, but
+    each is a batch of the pieces of its period (`_propagate_periods`).
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"root tolerance must be finite and > 0, got {tol:g}")
+    check_root_tol(tol)
     pj, pg = _pairs(_propagate_periods([at(x) for x in xs], prop_tol, tangent=False)[0])
     vals = (pj - pg).tolist()
-    known = dict(zip(xs, vals))  # _brent re-evaluates the bracket ends
 
     def g(x: float) -> float:
-        if x not in known:
-            pj, pg = pj_pgamma(propagate_period(at(x), tol=prop_tol))
-            known[x] = pj - pg
-        return known[x]
+        pj, pg = pj_pgamma(propagate_period(at(x), tol=prop_tol))
+        return pj - pg
 
     for k, (x, v) in enumerate(zip(xs, vals)):
         if v == 0.0:
             return float(x)
         if k + 1 < len(xs) and v * vals[k + 1] < 0:
-            return _brent(g, x, xs[k + 1], tol)
+            return _brent(g, x, v, xs[k + 1], vals[k + 1], tol)
     raise DomainError(f"no sign change of P_J - P_Gamma in {name} bracket ({xs[0]:g}, {xs[-1]:g})")
 
 
@@ -319,8 +326,8 @@ def find_ep(j: float, omega: float, bracket: tuple[float, float] | None = None,
         raise DomainError("bracket must satisfy 0 <= lo < hi")
 
     def at(gamma: float) -> PtEpParams:
-        # delta = 0 removes the perturbation; omega_delta is then inert.
-        return PtEpParams(J=j, Gamma=gamma, omega=omega, delta=0.0, omega_delta=1.0)
+        # delta = 0 removes the perturbation; omega_delta = omega is then inert, and in bounds
+        return PtEpParams(J=j, Gamma=gamma, omega=omega, delta=0.0, omega_delta=omega)
 
     return _diff_root(at, np.linspace(lo, hi, 25).tolist(), tol, prop_tol, "Gamma")
 
@@ -448,16 +455,16 @@ def hermitian_bound_ep(p: PtEpParams) -> float:
     u = 1, where the plain form cancels), the antiderivative of u sin u:
     lobe k adds (2k+1) pi, so the m full lobes below x add m² pi and the
     partial last one (-1)^m G(x) + m pi.  omega_delta² and the lobe sum are
-    both divided by s², s the power of two that brings x and omega_delta
-    below 2^500 (s = 1 below it), which is exact and keeps both squares
-    finite.  The bound is +inf, its limit, where delta = 0 or the integral
-    underflows to 0 (below x ~ 1e-103).
+    both divided by s², s the power of two that brings omega_delta below
+    2^500 (s = 1 below it), which is exact and keeps both squares finite.
+    The bound is +inf, its limit, where delta = 0 or the integral underflows
+    to 0 (below x ~ 1e-103).
     """
     if p.delta == 0.0:
         return float("inf")
     x = p.omega_delta * p.T
     m = math.ceil(x / math.pi) - 1.0  # lobe edges k pi below x
-    s = math.ldexp(1.0, max(math.frexp(x)[1], math.frexp(p.omega_delta)[1], 500) - 500)
+    s = math.ldexp(1.0, max(math.frexp(p.omega_delta)[1], 500) - 500)
     lobes = (m / s) * ((m + 1) / s) * math.pi + (-1) ** m * (_sin_minus_x_cos(x) / s / s)
     denominator = math.sqrt(p.nu) * p.delta * lobes
     return (p.omega_delta / s) ** 2 / denominator if denominator else float("inf")

@@ -51,11 +51,11 @@ def qfi_pure(h, psi0, atol: float = HERMITICITY_ATOL) -> float:
     return 4.0 * variance(h, psi0, atol=atol)
 
 
-def _quad_checked(f, a: float, b: float):
+def _quad_checked(f, a: float, b: float, points=None):
     from scipy.integrate import quad  # kept off the default import path
 
     out = quad(f, a, b, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT,
-               full_output=1)
+               points=points, full_output=1)
     if len(out) > 3:
         raise DomainError(f"quadrature did not converge on [{a:g}, {b:g}]: {out[3]}")
     return out[0]

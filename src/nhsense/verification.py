@@ -19,7 +19,7 @@ from .noise import (
     binomial_variance, make_rng, propagate_error, sample_projection_batch, scaled_binomial_variance,
 )
 from .operators import covariance, expm_hermitian, seminorm, variance
-from .qfi import fidelity_curvature, qfi_pure, qfi_series
+from .qfi import _quad_checked, fidelity_curvature, qfi_pure, qfi_series
 
 
 @dataclass(frozen=True)
@@ -267,8 +267,6 @@ def check_pseudo_hermitian() -> list[CheckResult]:
 
 def check_pt_ep() -> list[CheckResult]:
     """Example-style suite for the periodically driven EP sensor."""
-    from scipy.integrate import quad  # the bound oracle; kept off the default import path
-
     out, tol = [], 1e-11
 
     # variance formula == delta-method composition
@@ -295,8 +293,7 @@ def check_pt_ep() -> list[CheckResult]:
         wd = wd_t / (2.0 * math.pi / 4.0)
         p = pt_ep.PtEpParams(J=1.0, Gamma=0.5, omega=4.0, delta=0.05, omega_delta=wd)
         kinks = [k * math.pi / wd for k in range(1, math.ceil(wd_t / math.pi))]
-        integral, _ = quad(lambda s: p.delta * s * abs(math.sin(wd * s)), 0.0, p.T,
-                           points=kinks or None, epsabs=1e-13, epsrel=1e-10, limit=200)
+        integral = _quad_checked(lambda s: p.delta * s * abs(math.sin(wd * s)), 0.0, p.T, kinks or None)
         worst_bound = max(worst_bound, abs(pt_ep.hermitian_bound_ep(p) - 1.0 / integral) * integral)
     out.append(_result("ep-bound-quadrature-vs-closed",
                        "relative mismatch vs quadrature split at the |sin| kinks", worst_bound, 1e-10))

@@ -104,6 +104,21 @@ TOO_MANY_TURNS = [
      ["scenario.pt-ep.grid.stop", "scenario.pt-ep.omega"]),
 ]
 
+# argv out of a sensor's domain at the configuration boundary, and the key its error names
+OUT_OF_DOMAIN = [
+    (["scan-ep", "--Gamma", "300", "--grid-count", "3"], "scenario.pt-ep.Gamma"),
+    (["scan-ep", "--Gamma", "1000", "--grid-count", "3"], "scenario.pt-ep.Gamma"),
+    (["scan-ep", "--Gamma", "1e300", "--grid-count", "2"], "scenario.pt-ep.Gamma"),
+    (["scan-ep", "--J", "6366", "--grid-count", "2"], "scenario.pt-ep.Gamma (unset"),
+    (["find-ep", "--J", "6366"], "--bracket-hi (default 19098)"),
+    (["find-ep", "--bracket-hi", "500"], "--bracket-hi"),
+    (["sweep-ph", "--epsilon", "1e100", "--grid-count", "3"], "scenario.pseudo-hermitian.epsilon"),
+    (["sweep-ph", "--epsilon", "1e150", "--grid-count", "3"], "scenario.pseudo-hermitian.epsilon"),
+    (["sweep-ph", "--grid-start", "1e77", "--grid-stop", "2e77", "--grid-count", "2"],
+     "scenario.pseudo-hermitian.grid.start"),
+    (["sweep-ph", "--grid-start", "0", "--grid-stop", "1e4"], "scenario.pseudo-hermitian.grid.stop"),
+]
+
 
 class TestCliRuns:
     def test_flag_overrides_config_and_metadata(self, tmp_path):
@@ -169,8 +184,7 @@ class TestCliRuns:
         assert any(value is None for row in rows for value in row.values())
 
     @pytest.mark.parametrize("argv", [["find-ep", "--J", "1e300", "--omega", "1e300"],
-                                      ["scan-ep", "--J", "1e300", "--omega", "1e300", "--grid-count", "2"],
-                                      ["scan-ep", "--Gamma", "1e300", "--grid-count", "2"]],
+                                      ["scan-ep", "--J", "1e300", "--omega", "1e300", "--grid-count", "2"]],
                              ids=" ".join)
     def test_overflowing_first_step_exits_2(self, argv, tmp_path):
         # the first step size overflows to nan; in a subprocess with a
@@ -192,6 +206,28 @@ class TestCliRuns:
                               env=env, capture_output=True, text=True, timeout=5.0)
         assert proc.returncode == 1
         assert all(key in proc.stderr for key in keys), proc.stderr
+
+    @pytest.mark.parametrize("argv, key", OUT_OF_DOMAIN, ids=[" ".join(argv) for argv, _ in OUT_OF_DOMAIN])
+    def test_out_of_domain_exits_1(self, argv, key, tmp_path):
+        # each once ran for minutes, wrote inf or failed deep in the numerics
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "nhsense.cli", *argv, "--out", str(tmp_path / "o.csv")],
+                              env=env, capture_output=True, text=True, timeout=5.0)
+        assert proc.returncode == 1
+        assert key in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+    def test_largest_coupling_in_the_domain_runs(self, tmp_path):
+        # epsilon 5e76: Omega ~ 1e77, whose fourth power is still a finite float;
+        # the sensitivity is 0/0 there (nan), every other column finite
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        out = tmp_path / "o.csv"
+        proc = subprocess.run([sys.executable, "-m", "nhsense.cli", "sweep-ph", "--epsilon", "5e76",
+                               "--grid-count", "3", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=5.0)
+        assert proc.returncode == 0, proc.stderr
+        _, header, rows = read_csv(str(out))
+        assert len(rows) == 3 and all(math.isfinite(float(v)) for row in rows
+                                      for name, v in zip(header, row) if name != "sensitivity")
 
     def test_bound_on_the_period_phase_is_inclusive(self, monkeypatch):
         # omega_delta T = MAX_PERIOD_PHASE exactly passes, the next float up fails

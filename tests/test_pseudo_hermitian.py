@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from nhsense import evolution
 from nhsense.errors import DomainError
 from nhsense.operators import ID2, SIGMA_X, SIGMA_Y, expm_hermitian, seminorm, tensor
 from nhsense.pseudo_hermitian import (
-    PseudoHermitianParams, SWEEP_COLUMNS, conditional_population_from_dilation,
+    PseudoHermitianParams, SWEEP_COLUMNS, check_sweep_phase, conditional_population_from_dilation,
     dilated_hamiltonian, hamiltonian_family, hermitian_bound, p1_closed, p1_slope, postselection_success,
     probe_state, qfi_closed, qfi_numeric, qfi_rate_closed, sensitivity,
     susceptibility, sweep, two_level_population,
@@ -41,7 +42,27 @@ class TestParams:
         # later with "probability nan outside [0, 1]"
         with pytest.raises(DomainError, match=re.escape(f"epsilon {epsilon:g} too large")):
             PseudoHermitianParams(epsilon, 1.0)
-        assert math.isfinite(PseudoHermitianParams(1e150, 1.0).b)
+        assert math.isfinite(PseudoHermitianParams(5e76, 1.0).b)
+
+    def test_omega_fourth_power_bound(self):
+        # lam this large sets Omega = hypot(lam + b, c) = lam; the largest lam whose
+        # Omega⁴ is a finite float is accepted, and qfi_closed is finite there
+        def fourth_power_is_finite(x):
+            try:
+                return math.isfinite(x**4)
+            except OverflowError:
+                return False
+
+        top = sys.float_info.max ** 0.25
+        while not fourth_power_is_finite(top):
+            top = math.nextafter(top, 0.0)
+        assert not fourth_power_is_finite(math.nextafter(top, math.inf))
+        assert PseudoHermitianParams(EPS, OMEGA, top).Omega == top
+        assert math.isfinite(qfi_closed(PseudoHermitianParams(EPS, OMEGA, top), 1.0))
+        assert math.isfinite(qfi_closed(PseudoHermitianParams(EPS, OMEGA, -top), 1.0))
+        for lam in (math.nextafter(top, math.inf), -math.nextafter(top, math.inf), 1e300):
+            with pytest.raises(DomainError, match="whose 4th power overflows"):
+                PseudoHermitianParams(EPS, OMEGA, lam)
 
     @pytest.mark.parametrize("args", [(math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan),
                                       (0.1, math.inf), (0.1, 1.0, math.nan), (0.1, 1.0, -math.inf)])
@@ -339,6 +360,37 @@ class TestSweep:
     def test_non_finite_lam_rejected_before_propagation(self):
         with pytest.raises(DomainError, match="lam must be finite"):
             sweep(EPS, OMEGA, [0.0, math.nan], nu=1)
+
+    def test_sweep_phase_bound_is_inclusive(self):
+        # Omega tau = MAX_PERIOD_PHASE exactly passes, the next lam up does not
+        bound = evolution.MAX_PERIOD_PHASE
+        lam = math.sqrt((bound / TAU) ** 2 - P0.c**2) - P0.b  # within a few ulp
+        while PseudoHermitianParams(EPS, OMEGA, lam).Omega * TAU > bound:
+            lam = math.nextafter(lam, 0.0)
+        while PseudoHermitianParams(EPS, OMEGA, math.nextafter(lam, math.inf)).Omega * TAU <= bound:
+            lam = math.nextafter(lam, math.inf)
+        p = PseudoHermitianParams(EPS, OMEGA, lam)
+        assert check_sweep_phase(p) is p
+        with pytest.raises(DomainError, match="lam .* gives Omega tau = .* above 10000"):
+            check_sweep_phase(PseudoHermitianParams(EPS, OMEGA, math.nextafter(lam, math.inf)))
+
+    @pytest.mark.parametrize("grid", [[0.0, 1e4], [-1e77, 0.0], [-0.5, 0.5, 2e77]])
+    def test_out_of_domain_grid_rejected_before_propagation(self, grid, monkeypatch):
+        # Omega tau = 2.4e4 at lam = 1e4 ran past a 30 s timeout; 2e77 also overflows Omega⁴
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("an out-of-domain lam reached the propagation")
+
+        monkeypatch.setattr(evolution, "integrate", must_not_run)
+        with pytest.raises(DomainError, match="Omega"):
+            sweep(EPS, OMEGA, grid, nu=1)
+
+    def test_grid_in_the_domain_where_lam_0_is_not(self):
+        # epsilon 1e77: b ~ 2e77 puts lam = 0 out of the domain (Omega⁴ overflows),
+        # but not a grid near lam = -b; the family takes b and c from the grid
+        with pytest.raises(DomainError, match="4th power overflows"):
+            PseudoHermitianParams(1e77, OMEGA)
+        rows = sweep(1e77, OMEGA, [-2e77, -1.99e77], nu=1)
+        assert all(row.qfi_numeric == pytest.approx(row.qfi_closed, rel=1e-12) for row in rows)
 
     def test_one_tangent_batch_for_the_grid(self, monkeypatch):
         # every row's qfi_numeric is its member of one tangent batch over the

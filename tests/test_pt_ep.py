@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -40,6 +41,46 @@ class TestParams:
         params = dict(J=1.0, Gamma=0.5, omega=4.0, delta=0.05, omega_delta=1.0)
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             PtEpParams(**{**params, name: value})
+
+    @pytest.mark.parametrize("name", ["J", "omega_delta"])
+    def test_period_phase_bound_is_inclusive(self, name):
+        # name * T = MAX_PERIOD_PHASE exactly is accepted, the next float up is not
+        params = dict(J=1.0, Gamma=0.5, omega=4.0, delta=0.05, omega_delta=1.0)
+        period = 2.0 * math.pi / 4.0
+        top = pt_ep.MAX_PERIOD_PHASE / period
+        while top * period > pt_ep.MAX_PERIOD_PHASE:
+            top = math.nextafter(top, 0.0)
+        assert getattr(PtEpParams(**{**params, name: top}), name) == top
+        with pytest.raises(DomainError, match=f"{name} T = .* exceeds 10000"):
+            PtEpParams(**{**params, name: math.nextafter(top, math.inf)})
+
+    def test_noise_scale_bound_is_inclusive(self):
+        # 2 Gamma T up to ln(max float): C0 = e^(2 Gamma T) is finite; one float
+        # up, .C0 would raise OverflowError, so the params are rejected
+        period = 2.0 * math.pi / 4.0
+        top = math.log(sys.float_info.max) / (2.0 * period)
+        while 2.0 * top * period > math.log(sys.float_info.max):
+            top = math.nextafter(top, 0.0)
+        p = PtEpParams(J=1.0, Gamma=top, omega=4.0, delta=0.05, omega_delta=1.0)
+        assert math.isfinite(p.C0) and p.C0 > 1e307
+        with pytest.raises(DomainError, match="C0 = e\\^\\(2 Gamma T\\) overflows"):
+            PtEpParams(J=1.0, Gamma=math.nextafter(top, math.inf), omega=4.0, delta=0.05, omega_delta=1.0)
+
+    @pytest.mark.parametrize("omega_delta", [1e150, 1e200, 1.7e308])
+    def test_rejects_huge_omega_delta(self, omega_delta):
+        # omega_delta T = 1.7e308 * pi/2 overflows to inf, where hermitian_bound_ep
+        # failed with an OverflowError from math.ceil
+        with pytest.raises(DomainError, match="omega_delta T = .* exceeds"):
+            PtEpParams(J=1.0, Gamma=0.2, omega=4.0, delta=0.05, omega_delta=omega_delta)
+
+    def test_find_ep_omega_delta_is_inert(self):
+        # at delta = 0 the perturbation term is 0 * cos(omega_delta t): the
+        # Hamiltonian is the same float matrix for any omega_delta
+        for gamma in (0.01, GAMMA_EP_J1_W4, 3.0):
+            a, b = (PtEpParams(J=1.0, Gamma=gamma, omega=4.0, delta=0.0, omega_delta=wd) for wd in (1.0, 4.0))
+            for t in np.linspace(0.0, a.T, 17):
+                assert np.array_equal(hamiltonian_total(a, t), hamiltonian_total(b, t))
+        assert find_ep(1.0, 4.0) == 1.0650605221995806
 
 
 class TestHamiltonian:
@@ -325,9 +366,9 @@ class TestBrent:
                 except RuntimeError:  # 100 iterations were not enough for either
                     unconverged += 1
                     with pytest.raises(DomainError, match="did not converge"):
-                        pt_ep._brent(f, a, b, xtol)
+                        pt_ep._brent(f, a, f(a), b, f(b), xtol)
                 else:
-                    assert pt_ep._brent(f, a, b, xtol) == expected, (a, b, xtol)
+                    assert pt_ep._brent(f, a, f(a), b, f(b), xtol) == expected, (a, b, xtol)
         # roots of order 4 and 5 exhaust the budget at some xtols; most of the 1400 pairs converge
         assert 0 < unconverged < 350
 
@@ -336,11 +377,11 @@ class TestBrent:
         f, a, b = next(_monotone_functions(1))
         root, info = brentq(f, a, b, xtol=1e-15, full_output=True)
         n = info.iterations
-        assert pt_ep._brent(f, a, b, 1e-15, maxiter=n) == root
+        assert pt_ep._brent(f, a, f(a), b, f(b), 1e-15, maxiter=n) == root
         with pytest.raises(RuntimeError):
             brentq(f, a, b, xtol=1e-15, maxiter=n - 1)
         with pytest.raises(DomainError, match=f"did not converge in {n - 1} iterations") as err:
-            pt_ep._brent(f, a, b, 1e-15, maxiter=n - 1)
+            pt_ep._brent(f, a, f(a), b, f(b), 1e-15, maxiter=n - 1)
         assert not isinstance(err.value, RuntimeError)
 
     def test_exact_zero_at_an_end_returned_as_is(self):
@@ -350,13 +391,13 @@ class TestBrent:
             calls.append(x)
             return x - 1.0
 
-        assert pt_ep._brent(f, 1.0, 3.0, 1e-12) == 1.0
-        assert pt_ep._brent(f, -2.0, 1.0, 1e-12) == 1.0
+        assert pt_ep._brent(f, 1.0, f(1.0), 3.0, f(3.0), 1e-12) == 1.0
+        assert pt_ep._brent(f, -2.0, f(-2.0), 1.0, f(1.0), 1e-12) == 1.0
         assert calls == [1.0, 3.0, -2.0, 1.0]
 
     def test_equal_signs_at_the_ends_raise(self):
         with pytest.raises(DomainError, match="same sign"):
-            pt_ep._brent(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12)
+            pt_ep._brent(lambda x: x * x + 1.0, -1.0, 2.0, 2.0, 5.0, 1e-12)
 
 
 class TestResponseVariance:
@@ -480,12 +521,12 @@ class TestHermitianBoundEp:
         p = PtEpParams(J=1.0, Gamma=0.2, omega=omega, delta=0.05, omega_delta=omega_delta)
         assert hermitian_bound_ep(p) == math.inf
 
-    @pytest.mark.parametrize("omega_delta", [1e150, 1e200, 1e300])
-    def test_huge_omega_delta_is_finite(self, omega_delta):
-        # up to m = omega_delta T / pi ~ 5e299 lobes: m(m+1) pi and omega_delta²
-        # exceed the float range, the bound does not; it tends to pi / (delta T²)
-        p = PtEpParams(J=1.0, Gamma=0.2, omega=4.0, delta=0.05, omega_delta=omega_delta)
-        assert hermitian_bound_ep(p) == pytest.approx(math.pi / (p.delta * p.T**2), rel=1e-14)
+    @pytest.mark.parametrize("omega_delta", [1.5e154, 2e154, 4e154])
+    def test_squared_frequency_beyond_the_float_range(self, omega_delta):
+        # omega_delta T = 2 pi (two lobes, 4 pi in all) while omega_delta² overflows;
+        # the bound omega_delta² / (4 pi delta) is still a float
+        p = PtEpParams(J=1.0, Gamma=0.0, omega=omega_delta, delta=1.0, omega_delta=omega_delta)
+        assert hermitian_bound_ep(p) == pytest.approx((omega_delta / math.sqrt(4.0 * math.pi)) ** 2, rel=1e-14)
 
     @pytest.mark.parametrize("lobes", [3e-5, 0.4, 1.0, 2.6, 7.5, 200.0, 449.7, 2500.3])
     def test_kinked_integrand_beyond_pi(self, lobes):
