@@ -8,8 +8,8 @@ Subcommands:
 
 Configuration is flat key=value text with section prefixes, e.g.
 `scenario.pt-ep.J=1.0`; command-line flags override file values.  Outputs
-carry their effective configuration as `# key=value` metadata lines, so a
-produced file re-parses into the configuration that made it.
+carry their effective configuration as metadata (CSV `# key=value` lines, a
+JSON `metadata` object), so a produced file re-parses into what made it.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical-domain failure,
 3 verification failure.
@@ -20,9 +20,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import get_args
 
@@ -118,14 +119,12 @@ def parse_config_lines(lines, config: ScenarioConfig | None = None,
     config = config or ScenarioConfig()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             if not strip_comment_prefix:
                 continue
             line = line.lstrip("#").strip()
-            if not line:
-                continue
+        if not line:
+            continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
@@ -143,10 +142,18 @@ def parse_config(path: str, config: ScenarioConfig | None = None) -> ScenarioCon
 
 
 def read_metadata(path: str) -> ScenarioConfig:
-    """Re-parse the '# key=value' metadata header of an emitted artifact."""
+    """Re-parse the metadata of an emitted artifact: its '# key=value' CSV header or JSON `metadata`."""
     with open(path, encoding="utf-8") as fh:
-        header = [line for line in fh if line.startswith("#")]
-    return parse_config_lines(header, source=path, strip_comment_prefix=True)
+        text = fh.read()
+    lines = ([f"{key}={value}" for key, value in json.loads(text)["metadata"].items()] if text.startswith("{")
+             else [line for line in text.splitlines() if line.startswith("#")])
+    return parse_config_lines(lines, source=path, strip_comment_prefix=True)
+
+
+def _check_out(out: str | None) -> None:
+    """ConfigError unless the output path is unset or lies in an existing directory."""
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"out: the directory of {out!r} does not exist")
 
 
 @contextmanager
@@ -172,6 +179,7 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("threads must be >= 1")
     if config.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {config.seed}")
+    _check_out(config.out)
     if config.ph_grid_start is None:
         config.ph_grid_start = -0.5 * config.ph_omega
     if config.ph_grid_stop is None:
@@ -250,11 +258,11 @@ def _emit(metadata: list[tuple[str, str]], columns: tuple[str, ...], rows: list[
             **json_extra,
         }
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
+    try:
+        with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {'stdout' if out is None else repr(out)}: {exc}") from None
 
 
 # --------------------------------------------------------------------- runs
@@ -291,6 +299,7 @@ def _emit_report(config: ScenarioConfig, report: VerificationReport) -> None:
 
 
 def run_find_ep(args) -> int:
+    _check_out(args.out)
     with _naming({"tol": "--tol"}):
         pt_ep.check_root_tol(args.tol)
     given = (args.bracket_lo, args.bracket_hi)

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -172,6 +173,35 @@ class TestCliRuns:
         assert main(["find-ep", "--J", "1", "--omega", "1",
                      "--bracket-lo", "2.0", "--bracket-hi", "2.9"]) == 2
 
+    @pytest.mark.parametrize("argv", [["find-ep"], ["sweep-ph", "--grid-count", "3"],
+                                      ["scan-ep", "--grid-count", "3"], ["verify", "--seed", "42"]],
+                             ids=" ".join)
+    def test_out_in_a_missing_directory_exits_1_before_any_run(self, argv, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "nhsense.cli", *argv, "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=5.0)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"out: the directory of {str(out)!r} does not exist" in proc.stderr
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["find-ep", "sweep-ph", "scan-ep", "verify"])
+    def test_out_in_a_missing_directory_is_a_config_error(self, command, tmp_path, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the run started with an unwritable out")
+
+        for module, name in ((pt_ep, "find_ep"), (pt_ep, "scan"), (ph, "sweep"), (cli, "build_report")):
+            monkeypatch.setattr(module, name, must_not_run)
+        out = tmp_path / "missing" / "x.csv"
+        assert main([command, "--out", str(out)]) == 1
+        assert f"out: the directory of {str(out)!r} does not exist" in capsys.readouterr().err
+
+    def test_failed_write_exits_1_naming_out(self, tmp_path, capsys):
+        # the directory exists, so the check at the boundary passes and only the write fails
+        assert main(["find-ep", "--out", str(tmp_path)]) == 1
+        assert f"out: cannot write {str(tmp_path)!r}" in capsys.readouterr().err
+
     def test_default_scan_json_is_strict_json(self, tmp_path):
         # RFC 8259 has no NaN or Infinity token, so a non-finite value is null
         out = tmp_path / "scan.json"
@@ -326,15 +356,16 @@ class TestCliRuns:
 
 class TestImportPath:
     def test_default_runs_load_no_scipy(self, tmp_path):
-        # scipy only backs verify's quadrature; importing the CLI and the
-        # default find-ep, scan-ep and sweep-ph runs must not load it
+        # scipy is a test dependency only: importing the CLI and the default
+        # runs of all four subcommands must not load it
         script = f"""
 import sys
 from nhsense import cli
 assert "scipy" not in sys.modules, "import nhsense.cli"
 for argv in (["find-ep", "--out", {str(tmp_path / "ep.csv")!r}],
              ["scan-ep", "--grid-count", "3", "--out", {str(tmp_path / "scan.csv")!r}],
-             ["sweep-ph", "--grid-count", "3", "--out", {str(tmp_path / "sweep.csv")!r}]):
+             ["sweep-ph", "--grid-count", "3", "--out", {str(tmp_path / "sweep.csv")!r}],
+             ["verify", "--seed", "42", "--out", {str(tmp_path / "verify.csv")!r}]):
     assert cli.main(argv) == 0, argv
     assert "scipy" not in sys.modules, argv[0]
 """
@@ -342,6 +373,14 @@ for argv in (["find-ep", "--out", {str(tmp_path / "ep.csv")!r}],
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_no_module_imports_scipy(self):
+        # the run-time guard above misses a lazy import on a path those runs do not take
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                assert not any(name.split(".")[0] == "scipy" for name in names), f"{path.name}:{node.lineno}"
 
 
 class TestVerifySubcommand:
@@ -514,11 +553,7 @@ class TestConfigTable:
         cfg.write_text("\n".join(lines) + "\n")
         out = tmp_path / f"o.{fmt}"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-        if fmt == "csv":
-            reparsed = read_metadata(str(out))
-        else:
-            metadata = json.loads(out.read_text())["metadata"]
-            reparsed = parse_config_lines(f"{k}={v}" for k, v in metadata.items())
+        reparsed = read_metadata(str(out))
         own = [line for line in lines if line.partition("=")[0] in own_keys(scenario)]
         expected = parse_config_lines([f"scenario={scenario}"] + own)
         expected.out = None  # the output path is not metadata

@@ -1,17 +1,23 @@
 import math
+import time
+from functools import partial
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from nhsense import evolution
 from nhsense.errors import DomainError
 from nhsense.evolution import HamiltonianFamily, propagate
+from nhsense.noise import make_rng
 from nhsense.operators import SIGMA_X, SIGMA_Z, variance
 from nhsense.pseudo_hermitian import PseudoHermitianParams, hamiltonian_family, probe_state
 from nhsense.pt_ep import PtEpParams
 from nhsense.qfi import (
-    cramer_rao, channel_bound_uncertainty, fidelity_curvature, qfi_fidelity_oracle, qfi_pure, qfi_series,
+    _integrals, _widths, cramer_rao, channel_bound_uncertainty, fidelity_curvature, qfi_fidelity_oracle,
+    qfi_pure, qfi_series,
 )
+from nhsense.verification import _random_instances, family_stack
 
 from conftest import KET0, KET_PLUS, constant, random_family, random_hermitian, random_state
 
@@ -225,3 +231,89 @@ class TestChannelBoundUncertainty:
         integral = p.delta * (math.sin(wd_t) - wd_t * math.cos(wd_t)) / p.omega_delta**2
         assert channel_bound_uncertainty(fam, p.omega_delta, p.T, 1) == pytest.approx(
             1.0 / integral, rel=1e-9)
+
+
+class TestIntegrals:
+    """The in-package G7-K15 rule against scipy's quad as the oracle."""
+
+    @staticmethod
+    def pieces(edges):
+        return zip(edges[:-1], edges[1:])
+
+    def test_smooth_pieces(self):
+        edges = [0.0, 0.5, 2.0, 7.0]
+        got = _integrals(lambda s: np.exp(-s) * np.cos(3.0 * s), edges)
+        want = [quad(lambda s: math.exp(-s) * math.cos(3.0 * s), a, b, epsabs=1e-13, epsrel=1e-10)[0]
+                for a, b in self.pieces(edges)]
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    def test_each_round_is_one_call(self):
+        # a cubic is exact in both rules, so every piece closes in the first round
+        calls = []
+
+        def cubic(s):
+            calls.append(s.size)
+            return s**3 - 2.0 * s
+
+        edges = np.linspace(-1.0, 3.0, 9)
+        got = _integrals(cubic, edges)
+        antiderivative = edges**4 / 4.0 - edges**2
+        np.testing.assert_allclose(got, np.diff(antiderivative), rtol=1e-14, atol=1e-15)
+        assert calls == [15 * 8]
+
+    def test_no_pieces(self):
+        assert _integrals(lambda s: 1 / 0, [1.0]).shape == (0,)
+
+    @pytest.mark.parametrize("wd", [0.3, 1.7, 6.0])
+    def test_lobes_split_at_their_kinks(self, wd):
+        delta, t_end = 0.05, 5.0
+        kinks = [k * math.pi / wd for k in range(1, math.ceil(wd * t_end / math.pi))]
+        got = _integrals(lambda s: delta * s * np.abs(np.sin(wd * s)), [0.0, *kinks, t_end]).sum()
+        want = quad(lambda s: delta * s * abs(math.sin(wd * s)), 0.0, t_end, epsabs=1e-13, epsrel=1e-10,
+                    points=kinks or None, limit=200)[0]
+        assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("seed", [43, 44, 45])
+    def test_width_integrals_of_the_qfi_bound_suite(self, seed):
+        # the 48 integrals that check_qfi_bounds takes at this seed, member j of a stack at lam = j
+        grid = np.linspace(0.0, 1.5, 7)
+        count = 0
+        for terms, _, lams in _random_instances(make_rng(seed), 8).values():
+            stack = family_stack(terms, lams)
+            for j in range(len(lams)):
+                width = partial(_widths, stack, float(j))
+                got = _integrals(width, grid)
+                want = [quad(lambda s: width(np.array([s]))[0], a, b, epsabs=1e-13, epsrel=1e-10,
+                             limit=200)[0] for a, b in self.pieces(grid)]
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+                count += got.size
+        assert count == 48
+
+    def test_step_converges_once_bisection_isolates_the_jump(self):
+        # after ~54 halvings the jump's subinterval is one ulp wide, all 15 nodes fall on
+        # one float there, and the rule closes on the exact area, as quad does
+        calls = []
+
+        def step(s):
+            calls.append(s.size)
+            return (s > 1.0 / 3.0).astype(float)
+
+        [got] = _integrals(step, [0.0, 1.0])
+        want = quad(lambda s: float(s > 1.0 / 3.0), 0.0, 1.0, epsabs=1e-13, epsrel=1e-10, limit=200)[0]
+        assert got == pytest.approx(want, rel=1e-15) == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert len(calls) < 60 and max(calls) <= 2 * 15
+
+    @pytest.mark.parametrize("f, message", [(lambda s: 1.0 / s, "subintervals still open"),
+                                            (lambda s: np.full(s.shape, np.nan), "not finite")],
+                             ids=["divergent", "nan"])
+    def test_unresolvable_integrand_raises_quickly(self, f, message):
+        # 1/s has the same K15 - G7 on every [0, h], so the subintervals at 0 never close
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=message):
+            _integrals(f, [0.0, 1.0])
+        assert time.perf_counter() - start < 1.0
+
+    def test_everywhere_rough_integrand_stops_at_the_subinterval_limit(self):
+        # every subinterval fails, so the open set would double each round without the limit
+        with pytest.raises(DomainError, match="still open"):
+            _integrals(lambda s: np.sin(1e6 * s) ** 2 + (s * 1e7 % 1.0 > 0.5), [0.0, 1.0])
