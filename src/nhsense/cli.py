@@ -151,8 +151,12 @@ def read_metadata(path: str) -> ScenarioConfig:
 
 
 def _check_out(out: str | None) -> None:
-    """ConfigError unless the output path is unset or lies in an existing directory."""
-    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+    """ConfigError unless the output path is unset or names a file, new or not, in an existing directory."""
+    if out is None:
+        return
+    if not out or os.path.isdir(out):
+        raise ConfigError(f"out: {out!r} is {'a directory' if out else 'empty'}, not a file path")
+    if not os.path.isdir(os.path.dirname(out) or "."):
         raise ConfigError(f"out: the directory of {out!r} does not exist")
 
 

@@ -13,10 +13,13 @@ entry and later point of the time grid, each run from 0 to its own end time;
 a Hamiltonian family evaluates the whole batch in one call.  Each member
 keeps its own time, step and accept/reject decision, so its result does not
 depend on the rest of the batch.  The step control is scipy's RK45, after
-Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4.  For a Hermitian
-family, `propagate` records the local generator h = i U† dU/dlam as the
-Hermitian part of i U† W.  No unitarity re-projection is applied;
-integration error is tracked, not hidden.
+Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4: the same steps, and
+propagators that agree with `solve_ivp(method="RK45")` to 1e-13.  A 2-dim
+family's stage products are batch-wide multiply-adds (`_product`), larger
+ones a stacked matmul.  For a Hermitian family, `propagate` records the
+local generator h = i U† dU/dlam as the Hermitian part of i U† W.  No
+unitarity re-projection is applied; integration error is tracked, not
+hidden.
 """
 
 import math
@@ -196,6 +199,23 @@ def _dopri(linear, y0: np.ndarray, t_end: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stacked product a @ b of (m, n, n) and (m, n, w), for n = 2 as a sum over the inner index.
+
+    numpy's stacked matmul costs about 0.4 us per member per call; on a
+    2-core x86 machine (400,2,2) @ (400,2,2) takes 154-170 us, the two
+    batch-wide multiply-adds 39-42 us.  For n >= 3 at the 1-36 members of
+    verify's batches the sum is 1.5-3x slower, (12,4,4) @ (12,4,8) 14-24 us
+    against 7.7-9.8 us, so `@` stays there.  Either way each member's result
+    depends on its own entries alone, not on m.
+    """
+    if a.shape[-1] != 2:
+        return a @ b
+    out = a[:, :, :1] * b[:, None, 0]
+    out += a[:, :, 1:] * b[:, None, 1]
+    return out
+
+
 def integrate(hamiltonian: Callable, dim: int, params, times, tol: float,
               dhamiltonian: Callable | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """U and, given `dhamiltonian`, its tangent W on `times`, for each entry of `params`.
@@ -220,9 +240,9 @@ def integrate(hamiltonian: Callable, dim: int, params, times, tol: float,
 
         def apply(j, y):
             uw = y.reshape(m, dim, width)
-            d = gen[:, j] @ uw
+            d = _product(gen[:, j], uw)
             if dh is not None:
-                d[:, :, dim:] -= 1j * (dh[:, j] @ uw[:, :, :dim])
+                d[:, :, dim:] -= 1j * _product(dh[:, j], uw[:, :, :dim])
             return d.reshape(m, -1)
         return apply
 

@@ -197,10 +197,38 @@ class TestCliRuns:
         assert main([command, "--out", str(out)]) == 1
         assert f"out: the directory of {str(out)!r} does not exist" in capsys.readouterr().err
 
-    def test_failed_write_exits_1_naming_out(self, tmp_path, capsys):
-        # the directory exists, so the check at the boundary passes and only the write fails
-        assert main(["find-ep", "--out", str(tmp_path)]) == 1
-        assert f"out: cannot write {str(tmp_path)!r}" in capsys.readouterr().err
+    @pytest.mark.parametrize("kind", ["directory", "empty"])
+    def test_out_naming_no_file_exits_1_before_the_search(self, kind, tmp_path):
+        # an unusable out fails at the boundary with the key named, not as a traceback after the search
+        out = str(tmp_path) if kind == "directory" else ""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "nhsense.cli", "find-ep", "--out", out],
+                              env=env, capture_output=True, text=True, timeout=5.0)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"out: {out!r} is {'a directory' if out else 'empty'}, not a file path" in proc.stderr
+
+    @pytest.mark.parametrize("kind", ["directory", "empty"])
+    @pytest.mark.parametrize("command", ["find-ep", "sweep-ph", "scan-ep", "verify"])
+    def test_out_naming_no_file_is_a_config_error(self, command, kind, tmp_path, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the run started with an unwritable out")
+
+        for module, name in ((pt_ep, "find_ep"), (pt_ep, "scan"), (ph, "sweep"), (cli, "build_report")):
+            monkeypatch.setattr(module, name, must_not_run)
+        out = str(tmp_path) if kind == "directory" else ""
+        assert main([command, "--out", out]) == 1
+        assert f"out: {out!r} is" in capsys.readouterr().err
+
+    def test_failed_write_exits_1_naming_out(self, tmp_path, monkeypatch, capsys):
+        # the path passes the check at the boundary, so only the write fails
+        def refuse(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        out = str(tmp_path / "ep.csv")
+        assert main(["find-ep", "--out", out]) == 1
+        assert f"out: cannot write {out!r}: [Errno 28] No space left on device" in capsys.readouterr().err
 
     def test_default_scan_json_is_strict_json(self, tmp_path):
         # RFC 8259 has no NaN or Infinity token, so a non-finite value is null

@@ -5,9 +5,11 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, expm_frechet
 
+from nhsense import pt_ep
+from nhsense.cli import main
 from nhsense.errors import DomainError, PropagationError
 from nhsense.evolution import (
-    _INTERNAL_TOL_FACTOR, _RTOL_FLOOR, HamiltonianFamily, generators, integrate, propagate, propagators,
+    _INTERNAL_TOL_FACTOR, _RTOL_FLOOR, HamiltonianFamily, _product, generators, integrate, propagate, propagators,
 )
 from nhsense.operators import SIGMA_X, expm_hermitian
 from nhsense.pseudo_hermitian import (
@@ -159,6 +161,60 @@ class TestAgainstSolveIvp:
         fam = random_family(make_rng(7), 4)
         self.check(lambda t: at(fam.evaluate, 0.3, t), lambda t: at(fam.evaluate_dlambda, 0.3, t),
                    4, np.linspace(0.0, 2.0, 7), 1e-10)
+
+
+def stage_operands(rng, m, dim):
+    """Strided stacks as `integrate`'s apply passes them: gen[:, j] (m, dim, dim), uw (m, dim, 2 dim)
+    and uw[:, :, :dim]."""
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a, uw = draw(m, 5, dim, dim)[:, 3], draw(m, dim * 2 * dim).reshape(m, dim, 2 * dim)
+    return a, uw, uw[:, :, :dim]
+
+
+class TestStageProduct:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_equals_matmul_within_rounding(self, rng, dim):
+        a, *bs = stage_operands(rng, 37, dim)
+        for b in bs:
+            scale = np.abs(a) @ np.abs(b)
+            assert np.all(np.abs(_product(a, b) - a @ b) <= 4 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 16, 17, 80, 400, 1000])
+    def test_member_equals_its_lone_product_bit_for_bit(self, rng, m):
+        # a member's floats do not depend on the batch it sits in
+        a, *bs = stage_operands(rng, m, 2)
+        for b in bs:
+            out = _product(a, b)
+            for i in range(m):
+                assert np.array_equal(out[i:i + 1], _product(a[i:i + 1], b[i:i + 1])), i
+
+
+def test_default_scan_ep_step_attempts(monkeypatch, tmp_path):
+    # the stage products change only rounding: each batch of the default
+    # scan-ep keeps the step attempts it took with matmul products
+    batches = []
+    original = pt_ep.integrate
+
+    def counted(hamiltonian, dim, params, times, tol, dhamiltonian=None):
+        calls = []
+
+        def h(*at):
+            calls.append(at[1].size)
+            return hamiltonian(*at)
+
+        result = original(h, dim, params, times, tol, dhamiltonian=dhamiltonian)
+        # two evaluations for the initial step, then one per attempt at the
+        # five stage times of each member still running
+        assert calls[:2] == [len(params)] * 2 and all(c % 5 == 0 for c in calls[2:])
+        batches.append((len(params), dhamiltonian is not None, len(calls) - 2))
+        return result
+
+    monkeypatch.setattr(pt_ep, "integrate", counted)
+    assert main(["scan-ep", "--out", str(tmp_path / "scan.csv")]) == 0
+    # the pre-scan, six Brent evaluations of find_ep, the tangent scan
+    assert batches == [(400, False, 37)] + [(16, False, 28)] * 6 + [(80, True, 166)]
 
 
 class TestPropagate:

@@ -80,7 +80,7 @@ class TestParams:
             a, b = (PtEpParams(J=1.0, Gamma=gamma, omega=4.0, delta=0.0, omega_delta=wd) for wd in (1.0, 4.0))
             for t in np.linspace(0.0, a.T, 17):
                 assert np.array_equal(hamiltonian_total(a, t), hamiltonian_total(b, t))
-        assert find_ep(1.0, 4.0) == 1.0650605221995806
+        assert find_ep(1.0, 4.0) == 1.0650605221995779
 
 
 class TestHamiltonian:
