@@ -9,13 +9,15 @@ is integrated as one complex state with the Dormand-Prince 5(4) pair, so
 the propagator and its tangent W = dU/dlam see identical time
 discretization.  `integrate`, the one propagation core of the package, holds
 for any H and advances a batch of such systems at once, one per parameter
-entry and later point of the time grid, each run from 0 to its own end time;
-a Hamiltonian family evaluates the whole batch in one call.  Each member
-keeps its own time, step and accept/reject decision, so its result does not
-depend on the rest of the batch.  The step control is scipy's RK45, after
-Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4: the same steps, and
-propagators that agree with `solve_ivp(method="RK45")` to 1e-13.  A 2-dim
-family's stage products are batch-wide multiply-adds (`_product`), larger
+entry and interval (t_k, t_k+1) of the time grid, each run from the identity
+with H at t_k + s, and chains the record U_k+1 = P_k U_k, W_k+1 = P_k W_k +
+W_piece,k U_k, exact for the linear equation; a Hamiltonian family evaluates
+the whole batch in one call.  Each member keeps its own time, step and
+accept/reject decision, so its result does not depend on the rest of the
+batch.  The step control is scipy's RK45, after Hairer, Norsett & Wanner,
+Solving ODEs I, sec. II.4: the same steps, and propagators that agree with
+`solve_ivp(method="RK45")` over each interval to 1e-13.  A 2-dim family's
+stage and chain products are batch-wide multiply-adds (`_product`), larger
 ones a stacked matmul.  For a Hermitian family, `propagate` records the
 local generator h = i U† dU/dlam as the Hermitian part of i U† W.  No
 unitarity re-projection is applied; integration error is tracked, not
@@ -223,18 +225,19 @@ def integrate(hamiltonian: Callable, dim: int, params, times, tol: float,
     Each is (len(params), len(times), dim, dim); W is None without
     `dhamiltonian`.  The callables map k params entries and k times to the
     (k, dim, dim) stack of H (or dH/dlam) at them.  H need not be Hermitian.
-    Each later grid point of each params entry is one batch member, run from 0 to it.
+    Each grid interval (t_k, t_k+1) of each params entry is one batch member, run from U = 1, W = 0
+    with H at t_k + s; U and W at t_k+1 are chained from the members in order.
     """
     times = _check_times(times)
     inner = max(check_tol(tol) / _INTERNAL_TOL_FACTOR, _RTOL_FLOOR)  # solver rtol = atol
     width = dim if dhamiltonian is None else 2 * dim  # state columns: U, or U | W
     params = np.asarray(params)
-    steps = times.size - 1  # members per params entry
-    ends = np.tile(times[1:], len(params))
+    steps = times.size - 1  # grid intervals, one member each per params entry
+    ends = np.tile(np.diff(times), len(params))
 
     def linear(t, members):
         m, k = t.shape
-        at = (params[np.repeat(members // steps, k)], t.ravel())
+        at = (params[np.repeat(members // steps, k)], (t + times[members % steps, None]).ravel())
         gen = (-1j * hamiltonian(*at)).reshape(m, k, dim, dim)
         dh = None if dhamiltonian is None else dhamiltonian(*at).reshape(m, k, dim, dim)
 
@@ -249,6 +252,12 @@ def integrate(hamiltonian: Callable, dim: int, params, times, tol: float,
     y = np.tile(np.eye(dim, width, dtype=complex), (len(params), times.size, 1, 1))  # U = 1, W = 0
     if ends.size:
         y[:, 1:] = _dopri(linear, y[:, 1:].reshape(ends.size, -1), ends, inner).reshape(y[:, 1:].shape)
+    for k in range(2, times.size):  # chain interval k-1's [P | W_piece] onto [U | W] at t_{k-1}
+        piece, prev = y[:, k], y[:, k - 1]
+        chained = _product(piece[..., :dim], prev)  # [P U | P W]
+        if dhamiltonian is not None:
+            chained[..., dim:] += _product(piece[..., dim:], prev[..., :dim])  # + W_piece U
+        y[:, k] = chained
     return y[..., :dim], (y[..., dim:] if dhamiltonian is not None else None)
 
 
@@ -296,9 +305,10 @@ def propagate(family: HamiltonianFamily, lam: float, times, tol: float = DEFAULT
     return PropagationRecord(lam=float(lam), times=np.asarray(times, dtype=float), U=u, h=h, tol=float(tol))
 
 
-def propagators(family: HamiltonianFamily, lams, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """U(0->t) alone for each lam, as one batch: (len(lams), dim, dim)."""
-    return _solve(family, lams, grid_to(t), tol, tangent=False)[0][:, -1]
+def propagators(family: HamiltonianFamily, lams, t, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """U(0->t) alone for each lam, as one batch: (len(lams), dim, dim); t is an end time or a grid to it."""
+    times = grid_to(t) if np.ndim(t) == 0 else t
+    return _solve(family, lams, times, tol, tangent=False)[0][:, -1]
 
 
 def check_step(dlam: float) -> float:

@@ -9,12 +9,12 @@ sensitivity bound of the Hermitian counterpart that couples to the drive
 directly.  The pair and its derivative in omega_delta come from one
 tangent-equation solve per point; the root finders propagate U alone.
 H is written once over per-member Gamma and omega_delta, so a whole scan
-grid is one batch of the propagation core.  A U-only period is split into
-S = 16 equal pieces, each run from the identity as a member of one batch,
-and U(T) is their ordered product: the equation is linear, so
-U(T) = U(T, t_{S-1}) ... U(t_1, 0) holds exactly and the pieces need no
-iteration.  The `find_ep` pre-scan is one batch of 25 x 16 pieces, and each
-of Brent's serial evaluations, which cannot be batched, one of 16.
+grid is one batch of the propagation core.  A U-only period is passed to
+it on the grid of S = 16 equal intervals of (0, T), so the core runs each
+interval from the identity as a member of one batch and chains
+U(T) = U(T, t_{S-1}) ... U(t_1, 0), exact for the linear equation.  The
+`find_ep` pre-scan is one batch of 25 x 16 intervals, and each of Brent's
+serial evaluations, which cannot be batched, one of 16.
 
 The identity part of the drive only contributes a global phase of unit
 modulus; it is kept in the propagator so U matches the defining expression
@@ -133,30 +133,20 @@ def hamiltonian_domega_delta(p: PtEpParams, t: float) -> np.ndarray:
     return _hamiltonians([p])[1](np.zeros(1, dtype=int), np.array([t]))[0]
 
 
-_PIECES = 16  # equal pieces of a U-only period, members of one batch
+_PIECES = 16  # equal intervals of a U-only period's grid, members of one batch
 
 
 def _propagate_periods(ps: list[PtEpParams], tol: float,
                        tangent: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """U(T), and with `tangent` W(T) = dU(T)/d omega_delta, of the batch ps: (B, 2, 2) each.
 
-    A tangent period is one member.  A U-only period is _PIECES members:
-    member j runs piece k = j % _PIECES of period j // _PIECES,
-    (k T/_PIECES, (k+1) T/_PIECES), from the identity, and U(T) is the ordered
-    product of the pieces.
+    A tangent period is one member, on the grid (0, T).  A U-only period runs
+    on _PIECES equal intervals of (0, T), each a member of the batch.
     """
     h, dh = _hamiltonians(ps)
-    if tangent:
-        u, w = integrate(h, 2, np.arange(len(ps)), (0.0, ps[0].T), tol, dhamiltonian=dh)
-        return u[:, -1], w[:, -1]
-    piece = ps[0].T / _PIECES
-    u, _ = integrate(lambda j, t: h(j // _PIECES, t + j % _PIECES * piece), 2,
-                     np.arange(len(ps) * _PIECES), (0.0, piece), tol)
-    pieces = u[:, -1].reshape(len(ps), _PIECES, 2, 2)
-    period = pieces[:, 0]
-    for k in range(1, _PIECES):
-        period = pieces[:, k] @ period
-    return period, None
+    grid = (0.0, ps[0].T) if tangent else np.linspace(0.0, ps[0].T, _PIECES + 1)
+    u, w = integrate(h, 2, np.arange(len(ps)), grid, tol, dhamiltonian=dh if tangent else None)
+    return u[:, -1], (w[:, -1] if tangent else None)
 
 
 def propagate_period_tangent(p: PtEpParams, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -287,7 +277,7 @@ def _diff_root(at, xs: list[float], tol: float, prop_tol: float, name: str) -> f
 
     xs is propagated as one batch; `_brent`, the in-package Brent zero, then narrows the root
     from the values at its bracket ends to |dx| <= tol.  Its points come one at a time, but
-    each is a batch of the pieces of its period (`_propagate_periods`).
+    each is a batch of the intervals of its period (`_propagate_periods`).
     """
     check_root_tol(tol)
     pj, pg = _pairs(_propagate_periods([at(x) for x in xs], prop_tol, tangent=False)[0])

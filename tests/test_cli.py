@@ -314,20 +314,20 @@ class TestCliRuns:
 
     def test_default_scan_ep_propagation_batches(self, tmp_path, monkeypatch):
         # the Gamma pre-scan is one plain batch of 25 periods, Brent adds
-        # serial periods, and the 80 rows are one tangent batch; a plain
-        # period is _PIECES members, a tangent one a single member
+        # serial periods, and the 80 rows are one tangent batch; each period
+        # is one params entry, on a grid of _PIECES intervals if plain, (0, T) if tangent
         calls = []
         original = pt_ep.integrate
+        plain = pt_ep._PIECES + 1
 
         def counted(*args, **kwargs):
-            tangent = kwargs.get("dhamiltonian") is not None
-            calls.append((len(args[2]) // (1 if tangent else pt_ep._PIECES), tangent))
+            calls.append((len(args[2]), len(args[3]), kwargs.get("dhamiltonian") is not None))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pt_ep, "integrate", counted)
         assert main(["scan-ep", "--out", str(tmp_path / "scan.csv")]) == 0
-        assert calls[0] == (25, False) and calls[-1] == (80, True)
-        assert set(calls[1:-1]) == {(1, False)} and len(calls[1:-1]) <= 6
+        assert calls[0] == (25, plain, False) and calls[-1] == (80, 2, True)
+        assert set(calls[1:-1]) == {(1, plain, False)} and len(calls[1:-1]) <= 6
 
     def test_scan_ep_with_hundreds_of_bound_lobes(self, tmp_path):
         # omega_delta T / pi = 450 and 500: the Hermitian bound integrates

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, expm_frechet
 
-from nhsense import pt_ep
+from nhsense import evolution, pt_ep
 from nhsense.cli import main
 from nhsense.errors import DomainError, PropagationError
 from nhsense.evolution import (
@@ -41,6 +41,15 @@ def multiplicative_family(h1, h0):
 def at(fam_evaluate, lam, t):
     """A family callable's matrix at one scalar (lam, t)."""
     return fam_evaluate(np.array([lam]), np.array([t]))[0]
+
+
+def grid_case(case):
+    """(H, dH/dlam, dim, params, times) of a two-member batch on a multi-interval grid."""
+    if case == "pt-period":
+        ps = [PtEpParams(J=1.0, Gamma=0.5, omega=4.0, delta=0.05, omega_delta=wd) for wd in (0.3, 1.1)]
+        return (*_hamiltonians(ps), 2, np.arange(2), np.linspace(0.0, ps[0].T, 5))
+    fam = random_family(make_rng(11), 3)
+    return fam.evaluate, fam.evaluate_dlambda, 3, np.array([0.3, -0.4]), np.linspace(0.0, 2.0, 6)
 
 
 class TestIntegrate:
@@ -81,30 +90,35 @@ class TestIntegrate:
             integrate(constant(1e300 * SIGMA_X), 2, [0], np.array([0.0, 1.0]), 1e-10)
 
     @pytest.mark.parametrize("case", ["random-hermitian", "pt-period"])
-    def test_grid_point_equals_two_point_run(self, case):
-        # each later grid point is a batch member that ends there, so U and W
-        # on a grid are the ends of runs to each point alone, bit for bit
-        if case == "pt-period":
-            ps = [PtEpParams(J=1.0, Gamma=0.5, omega=4.0, delta=0.05, omega_delta=wd) for wd in (0.3, 1.1)]
-            (h, dh), dim, params, times = _hamiltonians(ps), 2, np.arange(2), np.linspace(0.0, ps[0].T, 5)
-        else:
-            fam = random_family(make_rng(11), 3)
-            h, dh, dim, params = fam.evaluate, fam.evaluate_dlambda, 3, np.array([0.3, -0.4])
-            times = np.linspace(0.0, 2.0, 6)
+    def test_grid_point_is_chained_from_interval_members(self, case):
+        # interval k is a member run from the identity over (0, t_{k+1} - t_k)
+        # with H at t_k + s, bit for bit a two-point run of the shifted family;
+        # the record chains U_{k+1} = P_k U_k and W_{k+1} = P_k W_k + W_piece U_k
+        h, dh, dim, params, times = grid_case(case)
         u, w = integrate(h, dim, params, times, 1e-10, dhamiltonian=dh)
-        for k in range(1, times.size):
-            u_k, w_k = integrate(h, dim, params, times[[0, k]], 1e-10, dhamiltonian=dh)
-            assert repr(u[:, k].tolist()) == repr(u_k[:, 1].tolist())
-            assert repr(w[:, k].tolist()) == repr(w_k[:, 1].tolist())
+        eps = np.finfo(float).eps
+        for k in range(times.size - 1):
+            start = times[k]
+            p, wp = (x[:, 1] for x in integrate(lambda j, t: h(j, t + start), dim, params,
+                                                (0.0, times[k + 1] - start), 1e-10,
+                                                dhamiltonian=lambda j, t: dh(j, t + start)))
+            if k == 0:
+                assert repr(u[:, 1].tolist()) == repr(p.tolist())
+                assert repr(w[:, 1].tolist()) == repr(wp.tolist())
+                continue
+            assert np.all(np.abs(u[:, k + 1] - p @ u[:, k]) <= 4 * eps * (np.abs(p) @ np.abs(u[:, k])))
+            scale = np.abs(p) @ np.abs(w[:, k]) + np.abs(wp) @ np.abs(u[:, k])
+            assert np.all(np.abs(w[:, k + 1] - (p @ w[:, k] + wp @ u[:, k])) <= 8 * eps * scale)
 
 
 class TestAgainstSolveIvp:
     """The batched core is scipy's RK45 controller: same steps, same numbers."""
 
     @staticmethod
-    def solve_ivp_reference(hamiltonian, dhamiltonian, dim, t_end, tol):
-        # the state layout and rtol = atol of integrate, through scipy's own RK45 on (0, t_end)
-        inner = max(tol / _INTERNAL_TOL_FACTOR, _RTOL_FLOOR)
+    def solve_ivp_reference(hamiltonian, dhamiltonian, dim, t_end, tol, method="RK45", rtol=None):
+        # the state layout of integrate from the identity on (0, t_end), through scipy; the
+        # default is RK45 at integrate's own rtol = atol
+        rtol = max(tol / _INTERNAL_TOL_FACTOR, _RTOL_FLOOR) if rtol is None else rtol
         width = dim if dhamiltonian is None else 2 * dim
 
         def rhs(t, y):
@@ -116,26 +130,44 @@ class TestAgainstSolveIvp:
 
         y0 = np.zeros((dim, width), dtype=complex)
         y0[:, :dim] = np.eye(dim)
-        sol = solve_ivp(rhs, (0.0, t_end), y0.ravel(), method="RK45", rtol=inner, atol=inner)
+        sol = solve_ivp(rhs, (0.0, t_end), y0.ravel(), method=method, rtol=rtol, atol=rtol)
         y = sol.y[:, -1].reshape(dim, width)
         return y[:, :dim], (y[:, dim:] if dhamiltonian is not None else None), sol.nfev
 
     def check(self, hamiltonian, dhamiltonian, dim, times, tol):
-        calls = []
+        calls, members = [], []
 
         def counted(params, t):
             calls.append(t.size)
             return one_member(hamiltonian)(params, t)
 
+        def recorded(*args):
+            members.append(dopri(*args))
+            return members[-1]
+
         d_member = None if dhamiltonian is None else one_member(dhamiltonian)
-        # each later grid point is the end of its own run, as solve_ivp on (0, t_k)
-        [u], w = integrate(one_member(hamiltonian), dim, [0], times, tol, dhamiltonian=d_member)
+        dopri = evolution._dopri
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolution, "_dopri", recorded)
+            [u], w = integrate(one_member(hamiltonian), dim, [0], times, tol, dhamiltonian=d_member)
         assert np.array_equal(u[0], np.eye(dim))
-        for k in range(1, times.size):
-            u_ref, w_ref, _ = self.solve_ivp_reference(hamiltonian, dhamiltonian, dim, times[k], tol)
-            assert np.abs(u[k] - u_ref).max() <= 1e-13 * max(1.0, np.abs(u_ref).max())
+        # each interval's member is solve_ivp from the identity over that interval, H at t_k + s
+        width = dim if dhamiltonian is None else 2 * dim
+        for k, end_state in enumerate(members[0].reshape(-1, dim, width)):
+            start = times[k]
+            shifted = None if dhamiltonian is None else (lambda s: dhamiltonian(start + s))
+            u_ref, w_ref, _ = self.solve_ivp_reference(lambda s: hamiltonian(start + s), shifted, dim,
+                                                       times[k + 1] - start, tol)
+            assert np.abs(end_state[:, :dim] - u_ref).max() <= 1e-13 * max(1.0, np.abs(u_ref).max())
             if dhamiltonian is not None:
-                assert np.abs(w[0, k] - w_ref).max() <= 1e-13 * max(1.0, np.abs(w_ref).max())
+                assert np.abs(end_state[:, dim:] - w_ref).max() <= 1e-13 * max(1.0, np.abs(w_ref).max())
+        # the chained record at each grid point is the propagation (0, t_k) to within 10 tol
+        for k in range(1, times.size):
+            u_ref, w_ref, _ = self.solve_ivp_reference(hamiltonian, dhamiltonian, dim, times[k], tol,
+                                                       method="DOP853", rtol=1e-13)
+            assert np.abs(u[k] - u_ref).max() <= 10 * tol
+            if dhamiltonian is not None:
+                assert np.abs(w[0, k] - w_ref).max() <= 10 * tol
         # H is evaluated once per step attempt at its five stage times; the
         # sixth RHS evaluation, at the step's end, reuses the last of them.
         # With the two of the initial step that is 2 + 6 per attempt, as in scipy.
@@ -150,6 +182,11 @@ class TestAgainstSolveIvp:
         self.check(lambda t: hamiltonian_total(p, t),
                    (lambda t: hamiltonian_domega_delta(p, t)) if tangent else None,
                    2, np.array([0.0, p.T]), 1e-12)
+
+    def test_pt_period_grid(self):
+        p = PtEpParams(J=1.0, Gamma=0.5, omega=4.0, delta=0.05, omega_delta=1.1)
+        self.check(lambda t: hamiltonian_total(p, t), lambda t: hamiltonian_domega_delta(p, t),
+                   2, np.linspace(0.0, p.T, 5), 1e-10)
 
     def test_vanishing_start_with_rejected_steps(self, rng):
         # H(0) = 0 gives the tiny first step 1e-6, so the step grows by the
@@ -192,8 +229,9 @@ class TestStageProduct:
 
 
 def test_default_scan_ep_step_attempts(monkeypatch, tmp_path):
-    # the stage products change only rounding: each batch of the default
-    # scan-ep keeps the step attempts it took with matmul products
+    # neither the stage products nor the chained grid intervals change the
+    # steps: each batch of the default scan-ep keeps the step attempts it took
+    # with matmul products and with pt_ep's own piece loop
     batches = []
     original = pt_ep.integrate
 
@@ -206,15 +244,16 @@ def test_default_scan_ep_step_attempts(monkeypatch, tmp_path):
 
         result = original(h, dim, params, times, tol, dhamiltonian=dhamiltonian)
         # two evaluations for the initial step, then one per attempt at the
-        # five stage times of each member still running
-        assert calls[:2] == [len(params)] * 2 and all(c % 5 == 0 for c in calls[2:])
-        batches.append((len(params), dhamiltonian is not None, len(calls) - 2))
+        # five stage times of each member still running: one member per grid interval
+        members = len(params) * (len(times) - 1)
+        assert calls[:2] == [members] * 2 and all(c % 5 == 0 for c in calls[2:])
+        batches.append((len(params), len(times), dhamiltonian is not None, len(calls) - 2))
         return result
 
     monkeypatch.setattr(pt_ep, "integrate", counted)
     assert main(["scan-ep", "--out", str(tmp_path / "scan.csv")]) == 0
     # the pre-scan, six Brent evaluations of find_ep, the tangent scan
-    assert batches == [(400, False, 37)] + [(16, False, 28)] * 6 + [(80, True, 166)]
+    assert batches == [(25, 17, False, 37)] + [(1, 17, False, 28)] * 6 + [(80, 2, True, 166)]
 
 
 class TestPropagate:
@@ -238,13 +277,18 @@ class TestPropagate:
         assert np.array_equal(rec.U[0], np.eye(2))
         assert np.abs(rec.h[0]).max() == 0.0
 
-    def test_grid_point_equals_two_point_run(self):
+    def test_grid_point_agrees_with_two_point_run(self):
+        # the first interval is the two-point run bit for bit; a later point,
+        # chained from the intervals before it, is that run to within 10 tol
         fam = hamiltonian_family(0.1, 1.0)
-        times = np.array([0.0, 0.9, 1.8, 2.7])
-        rec = propagate(fam, 0.2, times)
+        times, tol = np.array([0.0, 0.9, 1.8, 2.7]), 1e-10
+        rec = propagate(fam, 0.2, times, tol=tol)
         for k in range(1, times.size):
-            alone = propagate(fam, 0.2, times[[0, k]])
-            assert repr(rec.h[k].tolist()) == repr(alone.h[1].tolist())
+            alone = propagate(fam, 0.2, times[[0, k]], tol=tol)
+            if k == 1:
+                assert repr(rec.h[k].tolist()) == repr(alone.h[1].tolist())
+            assert np.abs(rec.U[k] - alone.U[1]).max() <= 10 * tol
+            assert np.abs(rec.h[k] - alone.h[1]).max() <= 10 * tol
 
     def test_example_generator_closed_form(self):
         # dilated-sensor family: propagated h vs the block closed form

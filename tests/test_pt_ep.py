@@ -80,7 +80,7 @@ class TestParams:
             a, b = (PtEpParams(J=1.0, Gamma=gamma, omega=4.0, delta=0.0, omega_delta=wd) for wd in (1.0, 4.0))
             for t in np.linspace(0.0, a.T, 17):
                 assert np.array_equal(hamiltonian_total(a, t), hamiltonian_total(b, t))
-        assert find_ep(1.0, 4.0) == 1.0650605221995779
+        assert find_ep(1.0, 4.0) == 1.0650605221995795
 
 
 class TestHamiltonian:
@@ -245,7 +245,7 @@ class TestFindEp:
 
 
 class TestPiecedPeriod:
-    """A U-only period is _PIECES members of one batch, multiplied in order."""
+    """A U-only period runs on a grid of _PIECES intervals, one batch member each, chained in order."""
 
     @pytest.mark.parametrize("gamma, delta, omega_delta", [
         (0.3, 0.0, 1.0), (GAMMA_EP_J1_W4_TIGHT, 0.0, 1.0), (1.5, 0.0, 1.0), (3.0, 0.0, 1.0),
@@ -286,7 +286,8 @@ class TestRootFinders:
         original = pt_ep.integrate
 
         def counted(*args, **kwargs):
-            batches.append(len(args[2]) // pt_ep._PIECES)  # one member per piece of a period
+            assert len(args[3]) == pt_ep._PIECES + 1  # one params entry per period, on the pieced grid
+            batches.append(len(args[2]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pt_ep, "integrate", counted)

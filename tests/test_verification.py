@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nhsense import evolution
+from nhsense import evolution, pt_ep
 from nhsense.evolution import generators, propagate, propagators
-from nhsense.verification import check_qfi_bounds, check_qfi_oracle, family_stack, random_terms
+from nhsense.verification import build_report, check_qfi_bounds, check_qfi_oracle, family_stack, random_terms
 
 from conftest import make_rng, random_family
 
@@ -53,3 +53,37 @@ def test_one_batch_per_dimension(suite, seed, calls, monkeypatch):
     monkeypatch.setattr(evolution, "integrate", counted)
     assert all(r.passed for r in suite(seed))
     assert got == calls
+
+
+def test_build_report_step_attempts(monkeypatch):
+    # each interval of a time grid is a batch member of its own, so the
+    # report's long solves take few steps one after another: (params, grid
+    # points, tangent, step attempts) of every integrate call of seed 42
+    got = []
+    original = evolution.integrate
+
+    def counted(hamiltonian, dim, params, times, tol, dhamiltonian=None):
+        calls = []
+
+        def h(*at):
+            calls.append(at[1].size)
+            return hamiltonian(*at)
+
+        result = original(h, dim, params, times, tol, dhamiltonian=dhamiltonian)
+        got.append((len(params), len(times), dhamiltonian is not None, len(calls) - 2))
+        return result
+
+    monkeypatch.setattr(evolution, "integrate", counted)
+    monkeypatch.setattr(pt_ep, "integrate", counted)
+    assert build_report(42).overall_pass
+    period = (1, 17, False, 28)  # one serial Brent evaluation of a pieced EP period
+    assert got == [
+        (2, 7, True, 39), (6, 7, True, 57),  # check_qfi_bounds, per dimension
+        (2, 17, True, 29), (20, 17, False, 28), (1, 17, True, 42), (10, 17, False, 35),  # check_qfi_oracle
+        (3, 9, True, 52), (3, 9, True, 88),  # check_pseudo_hermitian, per epsilon
+        (1, 17, False, 20),  # check_pt_ep: the Hermitian limit,
+        (25, 17, False, 37), *[period] * 6,  # find_ep's pre-scan and Brent,
+        (2, 17, False, 28), *[period] * 8,  # find_response_dip's bracket ends and Brent,
+        (8, 2, True, 263),  # and the scan near the dip
+    ]
+    assert sum(attempts for *_, attempts in got) <= 1300
