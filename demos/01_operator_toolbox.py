@@ -12,9 +12,7 @@ import numpy as np
 from nhsense.operators import (
     SIGMA_X, SIGMA_Y, SIGMA_Z, covariance, expm_hermitian, seminorm, tensor, variance,
 )
-from nhsense.verification import make_rng, random_hermitian, random_state, random_unitary
-
-rng = make_rng(7)
+from nhsense.verification import check_operator_inequalities
 
 print("== spectral widths")
 print(f"  ||sigma_x||      = {seminorm(SIGMA_X):.1f}")
@@ -27,22 +25,9 @@ plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
 print(f"  Var[sigma_z] on |+>        = {variance(SIGMA_Z, plus):.3f} (maximal: ||sigma_z||^2/4 = 1)")
 print(f"  Cov[sigma_x, sigma_y] |0>  = {covariance(SIGMA_X, SIGMA_Y, np.array([1, 0], dtype=complex)):.3f}")
 
-print("\n== inequality spot checks on 2000 random instances")
-worst_var, worst_cov, worst_tri, worst_uni = 0.0, 0.0, 0.0, 0.0
-for _ in range(2000):
-    dim = int(rng.integers(2, 7))
-    a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
-    psi = random_state(rng, dim)
-    u = random_unitary(rng, dim)
-    worst_var = max(worst_var, variance(a, psi) - seminorm(a) ** 2 / 4)
-    worst_cov = max(worst_cov, abs(covariance(a, b, psi))
-                    - np.sqrt(variance(a, psi) * variance(b, psi)))
-    worst_tri = max(worst_tri, seminorm(a + b) - seminorm(a) - seminorm(b))
-    worst_uni = max(worst_uni, abs(seminorm(u.conj().T @ a @ u) - seminorm(a)))
-print(f"  Var <= ||A||^2/4      worst excess: {worst_var:+.2e}")
-print(f"  |Cov| <= sqrt(VarVar) worst excess: {worst_cov:+.2e}")
-print(f"  triangle inequality   worst excess: {worst_tri:+.2e}")
-print(f"  unitary invariance    worst drift:  {worst_uni:+.2e}")
+print("\n== inequality checks on 2000 random instances, evaluated as one stack per dimension")
+for check in check_operator_inequalities(7, n=2000):
+    print(f"  {check.target:<40} worst: {check.observed:+.2e}")
 
 print("\n== matrix exponential")
 u = expm_hermitian(SIGMA_Z, np.pi)

@@ -58,8 +58,8 @@ class QfiSeries:
     rate_by_difference: np.ndarray
 
 
-def qfi_pure(h, psi0, atol: float = HERMITICITY_ATOL) -> float:
-    """QFI of a pure probe: 4 Var[h] with h the local generator."""
+def qfi_pure(h, psi0, atol: float = HERMITICITY_ATOL):
+    """QFI of a pure probe: 4 Var[h] with h the local generator, or a stack of them."""
     return 4.0 * variance(h, psi0, atol=atol)
 
 
@@ -94,8 +94,7 @@ def _integrals(f, edges) -> np.ndarray:
 
 def _widths(family: HamiltonianFamily, lam: float, s: np.ndarray) -> np.ndarray:
     """The spectral width of dH/dlam at lam and each time in s, every evaluation checked."""
-    dh = evaluate_stack(family.evaluate_dlambda, family.dim, np.full(s.size, lam), s)
-    return np.array([seminorm(d) for d in dh])
+    return seminorm(evaluate_stack(family.evaluate_dlambda, family.dim, np.full(s.size, lam), s))
 
 
 def qfi_series(record: PropagationRecord, psi0, family: HamiltonianFamily) -> QfiSeries:
@@ -108,20 +107,20 @@ def qfi_series(record: PropagationRecord, psi0, family: HamiltonianFamily) -> Qf
     times, lam = record.times, record.lam
     m = times.size
     dh = evaluate_stack(family.evaluate_dlambda, family.dim, np.full(m, lam), times)
-    qfi = np.array([qfi_pure(h, psi0, atol=herm_atol) for h in record.h])
-    rate_bound = np.array([seminorm(d) for d in dh])
+    qfi = qfi_pure(record.h, psi0, atol=herm_atol)
+    rate_bound = seminorm(dh)
     channel = np.concatenate([[0.0], np.cumsum(_integrals(partial(_widths, family, lam), times))**2])
 
     sqrt_f = np.sqrt(np.maximum(qfi, 0.0))
     by_diff = ~(qfi > RATE_QFI_FLOOR)
-    rate = np.empty(m)
-    for k in range(m):
-        if not by_diff[k]:
-            dh_dt = record.U[k].conj().T @ dh[k] @ record.U[k]
-            rate[k] = 8.0 * covariance(dh_dt, record.h[k], psi0, atol=herm_atol) / (2.0 * sqrt_f[k])
-        else:  # forward difference, backward at the last point
-            j = min(k, m - 2)
-            rate[k] = 0.0 if m == 1 else (sqrt_f[j + 1] - sqrt_f[j]) / (times[j + 1] - times[j])
+    rate = np.zeros(m)
+    if m > 1:  # forward difference, backward at the last point
+        j = np.minimum(np.arange(m), m - 2)
+        rate = (sqrt_f[j + 1] - sqrt_f[j]) / (times[j + 1] - times[j])
+    cov = ~by_diff
+    u = record.U[cov]
+    dh_dt = u.conj().swapaxes(-1, -2) @ dh[cov] @ u
+    rate[cov] = 8.0 * covariance(dh_dt, record.h[cov], psi0, atol=herm_atol) / (2.0 * sqrt_f[cov])
 
     return QfiSeries(times=times, qfi=qfi, sqrt_qfi_rate=rate, channel_bound=channel,
                      rate_bound=rate_bound, rate_by_difference=by_diff)

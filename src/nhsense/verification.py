@@ -48,19 +48,28 @@ def _result(name: str, target: str, observed: float, tolerance: float) -> CheckR
 
 # ---------------------------------------------------------------- instances
 
+def _gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = _gaussian(rng, dim, dim)
     return (a + a.conj().T) / 2.0
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return _unitary_from_gaussian(_gaussian(rng, dim, dim))
+
+
+def _unitary_from_gaussian(a: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex Gaussian matrices (..., d, d): Q of a = QR times R's diagonal phases."""
     q, r = np.linalg.qr(a)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v = _gaussian(rng, dim)
     return v / np.linalg.norm(v)
 
 
@@ -114,35 +123,60 @@ def _random_instances(rng: np.random.Generator, n: int) -> dict[int, tuple[list,
 
 # ------------------------------------------------------------- operator suite
 
-def check_operator_inequalities(seed: int, n: int = 1000) -> list[CheckResult]:
-    """Triangle, unitary invariance, variance and covariance bounds, additivity."""
-    rng = make_rng(seed)
-    worst_triangle = worst_invariance = worst_var = worst_cov = worst_add = worst_unit = -np.inf
+def _operator_instances(rng: np.random.Generator, n: int) -> tuple[dict, dict]:
+    """n seeded instances, drawn in turn as one loop would draw them.
+
+    Returns the (A, B, Gaussian of U, psi, t) stacks by dimension and the h1
+    stacks by site count.
+    """
+    by_dim: dict[int, list] = {}
+    by_sites: dict[int, list] = {}
     for _ in range(n):
         dim = int(rng.integers(2, 7))
-        a = random_hermitian(rng, dim)
-        b = random_hermitian(rng, dim)
-        u = random_unitary(rng, dim)
-        psi = random_state(rng, dim)
+        by_dim.setdefault(dim, []).append((random_hermitian(rng, dim), random_hermitian(rng, dim),
+                                           _gaussian(rng, dim, dim), random_state(rng, dim),
+                                           rng.uniform(0.0, 3.0)))
+        by_sites.setdefault(int(rng.integers(1, 5)), []).append(random_hermitian(rng, 2))
+    return ({dim: [np.stack(column) for column in zip(*rows)] for dim, rows in by_dim.items()},
+            {n_sites: np.stack(h1) for n_sites, h1 in by_sites.items()})
 
-        worst_triangle = max(worst_triangle, seminorm(a + b) - seminorm(a) - seminorm(b))
-        worst_invariance = max(worst_invariance, abs(seminorm(u.conj().T @ a @ u) - seminorm(a)))
-        worst_var = max(worst_var, variance(a, psi) - seminorm(a) ** 2 / 4.0)
-        worst_cov = max(worst_cov, abs(covariance(a, b, psi))
-                        - math.sqrt(variance(a, psi) * variance(b, psi)))
-        ue = expm_hermitian(a, float(rng.uniform(0.0, 3.0)))
-        worst_unit = max(worst_unit, np.abs(ue.conj().T @ ue - np.eye(dim)).max())
 
-        n_sites = int(rng.integers(1, 5))
-        h1 = random_hermitian(rng, 2)
-        total = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
-        for j in range(n_sites):
-            term = np.eye(1, dtype=complex)
-            for k in range(n_sites):
-                term = np.kron(term, h1 if k == j else np.eye(2, dtype=complex))
-            total += term
-        worst_add = max(worst_add, abs(seminorm(total) - n_sites * seminorm(h1)))
+def _site_sum(h1: np.ndarray, n_sites: int) -> np.ndarray:
+    """Sum over sites j of 1⊗…⊗h1⊗…⊗1 (h1 on site j), for each member of a (k, 2, 2) stack.
 
+    Term j is broadcast as eye(2^j) ⊗ h1 ⊗ eye(2^(n_sites-1-j)) on the axes (k, l, s, r, l', s', r').
+    """
+    k, total = h1.shape[0], 0.0
+    for j in range(n_sites):
+        left, right = np.eye(2**j), np.eye(2 ** (n_sites - 1 - j))
+        term = (left[:, None, None, :, None, None] * h1[:, None, :, None, None, :, None]
+                * right[:, None, None, :])
+        total = total + term.reshape(k, 2**n_sites, 2**n_sites)
+    return total
+
+
+def check_operator_inequalities(seed: int, n: int = 1000) -> list[CheckResult]:
+    """Triangle, unitary invariance, variance and covariance bounds, additivity.
+
+    The instances are drawn one after another, then evaluated as one stack
+    per dimension, and one per site count for additivity.
+    """
+    by_dim, by_sites = _operator_instances(make_rng(seed), n)
+    worst = np.full(6, -np.inf)
+    for a, b, gaussian, psi, t in by_dim.values():
+        u = _unitary_from_gaussian(gaussian)
+        wa, wb, wab, wuau = seminorm(np.stack([a, b, a + b, u.conj().swapaxes(-1, -2) @ a @ u]))
+        va, vb = variance(np.stack([a, b]), psi)
+        ue = expm_hermitian(a, t)
+        worst[:5] = np.maximum(worst[:5], [
+            (wab - wa - wb).max(), np.abs(wuau - wa).max(), (va - wa**2 / 4.0).max(),
+            (np.abs(covariance(a, b, psi)) - np.sqrt(va * vb)).max(),
+            np.abs(ue.conj().swapaxes(-1, -2) @ ue - np.eye(a.shape[-1])).max(),
+        ])
+    for n_sites, h1 in by_sites.items():
+        worst[5] = max(worst[5], np.abs(seminorm(_site_sum(h1, n_sites)) - n_sites * seminorm(h1)).max())
+
+    worst_triangle, worst_invariance, worst_var, worst_cov, worst_unit, worst_add = worst
     return [
         _result("seminorm-triangle", "||A+B|| - ||A|| - ||B|| <= 0", worst_triangle, 1e-10),
         _result("seminorm-unitary-invariance", "| ||U†AU|| - ||A|| | = 0", worst_invariance, 1e-10),
@@ -227,16 +261,16 @@ def check_pseudo_hermitian() -> list[CheckResult]:
     out.append(_result("ph-rate-band", "|d sqrt(F)/dt| - 2 <= 0", worst_rate_band, 1e-12))
     out.append(_result("ph-channel-bound", "sqrt(F) - 2t <= 0", worst_chan, 1e-8))
 
-    # dilation equivalence and closed-form P1 on a coarse grid
+    # dilation equivalence and closed-form P1 on a coarse grid; the evolved probes are one stack
     worst_dil = worst_p1 = -np.inf
-    fam = ph.hamiltonian_family(0.1, 1.0)
     tau = ph.PseudoHermitianParams(0.1, 1.0).tau
-    for lam in np.linspace(-1.0, 1.0, 11):
-        p = ph.PseudoHermitianParams(0.1, 1.0, float(lam))
-        for t in np.linspace(0.0, 2 * tau, 9):
+    params = [ph.PseudoHermitianParams(0.1, 1.0, float(lam)) for lam in np.linspace(-1.0, 1.0, 11)]
+    times = np.linspace(0.0, 2 * tau, 9)
+    hs = np.stack([ph.dilated_hamiltonian(p) for p in params])[:, None]
+    for p, psi_p in zip(params, expm_hermitian(hs, times) @ ph.probe_state(0.1)):
+        for t, psi_t in zip(times, psi_p):
             worst_dil = max(worst_dil, abs(ph.conditional_population_from_dilation(p, t)
                                            - ph.two_level_population(p, t)))
-            psi_t = expm_hermitian(ph.dilated_hamiltonian(p), t) @ ph.probe_state(0.1)
             worst_p1 = max(worst_p1, abs(abs(psi_t[0]) ** 2 - ph.p1_closed(p, t)))
     out.append(_result("ph-dilation-equivalence", "conditional population mismatch", worst_dil, 1e-8))
     out.append(_result("ph-p1-closed-form", "P1 closed form vs propagation", worst_p1, 1e-10))

@@ -1,8 +1,13 @@
 """Reference routes kept out of the package: independent checks of its results."""
 
+import math
+
 import numpy as np
 
 from nhsense.evolution import DEFAULT_TOL, HamiltonianFamily, check_step, propagators
+from nhsense.noise import make_rng
+from nhsense.operators import covariance, expm_hermitian, seminorm, variance
+from nhsense.verification import CheckResult, _result, random_hermitian, random_state, random_unitary
 
 
 def generator_finite_difference(family: HamiltonianFamily, lam: float, t: float,
@@ -18,3 +23,41 @@ def generator_finite_difference(family: HamiltonianFamily, lam: float, t: float,
     h = 1j * u0.conj().T @ (up - um) / (2.0 * dlam)
     return (h + h.conj().T) / 2.0
 
+
+def operator_inequalities_per_instance(seed: int, n: int = 1000) -> list[CheckResult]:
+    """`check_operator_inequalities` as one instance at a time, with the same draws in the same order."""
+    rng = make_rng(seed)
+    worst_triangle = worst_invariance = worst_var = worst_cov = worst_add = worst_unit = -np.inf
+    for _ in range(n):
+        dim = int(rng.integers(2, 7))
+        a = random_hermitian(rng, dim)
+        b = random_hermitian(rng, dim)
+        u = random_unitary(rng, dim)
+        psi = random_state(rng, dim)
+
+        worst_triangle = max(worst_triangle, seminorm(a + b) - seminorm(a) - seminorm(b))
+        worst_invariance = max(worst_invariance, abs(seminorm(u.conj().T @ a @ u) - seminorm(a)))
+        worst_var = max(worst_var, variance(a, psi) - seminorm(a) ** 2 / 4.0)
+        worst_cov = max(worst_cov, abs(covariance(a, b, psi))
+                        - math.sqrt(variance(a, psi) * variance(b, psi)))
+        ue = expm_hermitian(a, float(rng.uniform(0.0, 3.0)))
+        worst_unit = max(worst_unit, np.abs(ue.conj().T @ ue - np.eye(dim)).max())
+
+        n_sites = int(rng.integers(1, 5))
+        h1 = random_hermitian(rng, 2)
+        total = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+        for j in range(n_sites):
+            term = np.eye(1, dtype=complex)
+            for k in range(n_sites):
+                term = np.kron(term, h1 if k == j else np.eye(2, dtype=complex))
+            total += term
+        worst_add = max(worst_add, abs(seminorm(total) - n_sites * seminorm(h1)))
+
+    return [
+        _result("seminorm-triangle", "||A+B|| - ||A|| - ||B|| <= 0", worst_triangle, 1e-10),
+        _result("seminorm-unitary-invariance", "| ||U†AU|| - ||A|| | = 0", worst_invariance, 1e-10),
+        _result("variance-bound", "Var[A] - ||A||²/4 <= 0", worst_var, 1e-10),
+        _result("covariance-inequality", "|Cov[A,B]| - sqrt(Var Var) <= 0", worst_cov, 1e-10),
+        _result("expm-unitarity", "||U†U - 1||_max = 0", worst_unit, 1e-10),
+        _result("seminorm-additivity", "| ||sum h_j|| - N ||h|| | = 0 (N <= 4)", worst_add, 1e-10),
+    ]

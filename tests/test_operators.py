@@ -160,6 +160,91 @@ class TestMoments:
             require_hermitian(h)
 
 
+class TestStacks:
+    """A (..., d, d) stack's members equal their lone 2-D calls."""
+
+    @staticmethod
+    def draw(rng, shape, dim):
+        hs = np.stack([random_hermitian(rng, dim) for _ in range(math.prod(shape))]).reshape(*shape, dim, dim)
+        psis = np.stack([random_state(rng, dim) for _ in range(math.prod(shape))]).reshape(*shape, dim)
+        return hs, psis
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 16])
+    def test_spectral_members_bit_for_bit(self, rng, dim):
+        hs, _ = self.draw(rng, (3, 4), dim)
+        ts = rng.uniform(0.0, 3.0, size=(3, 4))
+        w, v = eig_hermitian(hs)
+        widths, us = seminorm(hs), expm_hermitian(hs, ts)
+        assert widths.shape == ts.shape and us.shape == hs.shape
+        for i in np.ndindex(3, 4):
+            w1, v1 = eig_hermitian(hs[i])
+            assert np.array_equal(w[i], w1) and np.array_equal(v[i], v1)
+            assert widths[i] == seminorm(hs[i])
+            assert np.array_equal(us[i], expm_hermitian(hs[i], float(ts[i])))
+
+    def test_expm_time_broadcasts_over_the_leading_shape(self, rng):
+        hs, _ = self.draw(rng, (5,), 4)
+        ts = np.linspace(0.0, 2.0, 3)
+        us = expm_hermitian(hs[:, None], ts)
+        assert us.shape == (5, 3, 4, 4)
+        for i, j in np.ndindex(5, 3):
+            assert np.array_equal(us[i, j], expm_hermitian(hs[i], float(ts[j])))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6, 16])
+    def test_moments_within_4_ulp(self, rng, dim):
+        a, psis = self.draw(rng, (2, 5), dim)
+        b, _ = self.draw(rng, (2, 5), dim)
+        ulp = 4.0 * np.finfo(float).eps
+        for got, lone, scale in [
+            (expectation(a, psis), lambda i: expectation(a[i], psis[i]), lambda i: np.linalg.norm(a[i], 2)),
+            (variance(a, psis), lambda i: variance(a[i], psis[i]), lambda i: np.linalg.norm(a[i], 2) ** 2),
+            (covariance(a, b, psis), lambda i: covariance(a[i], b[i], psis[i]),
+             lambda i: np.linalg.norm(a[i], 2) * np.linalg.norm(b[i], 2)),
+        ]:
+            assert got.shape == (2, 5)
+            for i in np.ndindex(2, 5):
+                assert abs(got[i] - lone(i)) <= ulp * scale(i)
+
+    def test_one_probe_broadcasts_over_an_operator_stack(self, rng):
+        hs, _ = self.draw(rng, (6,), 3)
+        psi = random_state(rng, 3)
+        got = variance(hs, psi)
+        assert [float(x) for x in got] == [variance(h, psi) for h in hs]
+
+    def test_lone_calls_return_python_floats(self, rng):
+        h, psi = random_hermitian(rng, 3), random_state(rng, 3)
+        for value in (seminorm(h), expectation(h, psi), variance(h, psi), covariance(h, h, psi)):
+            assert type(value) is float
+
+    def test_one_non_hermitian_member_reports_the_worst_deviation(self, rng):
+        hs, _ = self.draw(rng, (4,), 3)
+        hs[1, 0, 2] += 3e-9
+        hs[3, 1, 0] += 5e-10
+        for call in (require_hermitian, eig_hermitian, seminorm, lambda h: expm_hermitian(h, 1.0)):
+            with pytest.raises(DomainError, match=r"max \|a - a†\| = 3\.000e-09"):
+                call(hs)
+
+    def test_one_non_finite_member_is_rejected(self, rng):
+        hs, psis = self.draw(rng, (4,), 3)
+        bad = hs.copy()
+        bad[2, 1, 1] = np.inf
+        with pytest.raises(DomainError, match="non-finite"):
+            seminorm(bad)
+        psis[3, 0] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            variance(hs, psis)
+
+    def test_one_unnormalized_state_is_rejected(self, rng):
+        hs, psis = self.draw(rng, (4,), 3)
+        psis[1] *= 1.0 + 1e-9
+        with pytest.raises(DomainError, match="not normalized"):
+            expectation(hs, psis)
+
+    def test_tensor_takes_matrices_only(self):
+        with pytest.raises(DomainError):
+            tensor(np.stack([ID2, ID2]), ID2)
+
+
 class TestInequalitySuites:
     """Seeded random-instance suites for the operator inequalities."""
 

@@ -10,7 +10,7 @@ from nhsense import evolution
 from nhsense.errors import DomainError
 from nhsense.evolution import HamiltonianFamily, propagate
 from nhsense.noise import make_rng
-from nhsense.operators import SIGMA_X, SIGMA_Z, variance
+from nhsense.operators import SIGMA_X, SIGMA_Z, covariance, seminorm, variance
 from nhsense.pseudo_hermitian import PseudoHermitianParams, hamiltonian_family, probe_state
 from nhsense.pt_ep import PtEpParams
 from nhsense.qfi import (
@@ -154,6 +154,37 @@ class TestQfiSeries:
         fam = random_family(rng, 2)
         series = qfi_series(propagate(fam, 0.3, np.linspace(0.0, 2.0, 8)), random_state(rng, 2), fam)
         assert np.all(np.diff(series.channel_bound) >= -1e-12)
+
+    def test_stacked_series_equals_its_lone_calls(self, rng):
+        # qfi, rate bound and covariance rate as stack calls: each point is its 2-D call
+        fam = random_family(rng, 4)
+        psi0, times = random_state(rng, 4), np.linspace(0.0, 1.5, 6)
+        rec = propagate(fam, 0.2, times)
+        series = qfi_series(rec, psi0, fam)
+        dh = fam.evaluate_dlambda(np.full(times.size, 0.2), times)
+        herm_atol = max(1e-12, 10.0 * rec.tol)
+        assert series.rate_by_difference.tolist() == [True] + [False] * 5
+        for k in range(1, times.size):
+            f = qfi_pure(rec.h[k], psi0, atol=herm_atol)
+            assert series.qfi[k] == f and series.rate_bound[k] == seminorm(dh[k])
+            dh_dt = rec.U[k].conj().T @ dh[k] @ rec.U[k]
+            assert series.sqrt_qfi_rate[k] == 8.0 * covariance(dh_dt, rec.h[k], psi0, atol=herm_atol) / (
+                2.0 * math.sqrt(f))
+        one = qfi_series(propagate(fam, 0.2, times[:1]), psi0, fam)
+        assert one.sqrt_qfi_rate.tolist() == [0.0] and one.rate_by_difference.tolist() == [True]
+
+    def test_rate_below_the_floor_is_the_forward_difference(self):
+        # a weak generator keeps F below RATE_QFI_FLOOR at every point: forward
+        # differences of sqrt(F), backward at the last point
+        h1 = 1e-8 * SIGMA_X
+        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: lam[:, None, None] * h1 + SIGMA_Z,
+                                evaluate_dlambda=constant(h1))
+        times = np.array([0.0, 0.4, 1.0, 1.3, 2.0])
+        series = qfi_series(propagate(fam, 0.0, times, tol=1e-11), KET_PLUS, fam)
+        assert series.rate_by_difference.all() and series.qfi[1:].min() > 0.0
+        sqrt_f = np.sqrt(np.maximum(series.qfi, 0.0))
+        slopes = np.diff(sqrt_f) / np.diff(times)
+        assert series.sqrt_qfi_rate.tolist() == [*slopes, slopes[-1]]
 
     def test_commuting_family_closed_form(self, rng):
         # [H0, H1] = 0: F = 4 t^2 Var(H1) exactly

@@ -3,9 +3,13 @@ import pytest
 
 from nhsense import evolution, pt_ep
 from nhsense.evolution import generators, propagate, propagators
-from nhsense.verification import build_report, check_qfi_bounds, check_qfi_oracle, family_stack, random_terms
+from nhsense.verification import (
+    _site_sum, build_report, check_operator_inequalities, check_qfi_bounds, check_qfi_oracle, family_stack,
+    random_terms,
+)
 
-from conftest import make_rng, random_family
+from conftest import make_rng, random_family, random_hermitian
+from oracles import operator_inequalities_per_instance
 
 GRID = np.linspace(0.0, 1.5, 7)
 
@@ -87,3 +91,46 @@ def test_build_report_step_attempts(monkeypatch):
         (8, 2, True, 263),  # and the scan near the dip
     ]
     assert sum(attempts for *_, attempts in got) <= 1300
+
+
+@pytest.mark.parametrize("seed", [42, 777])
+def test_operator_suite_matches_the_per_instance_loop(seed):
+    # same draws in the same order, evaluated as stacks: each observed value as the loop's
+    stacked = check_operator_inequalities(seed, n=400)
+    looped = operator_inequalities_per_instance(seed, n=400)
+    assert [r.name for r in stacked] == [r.name for r in looped]
+    for got, want in zip(stacked, looped):
+        assert got.passed and got.observed == pytest.approx(want.observed, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+def test_site_sum_is_the_kron_sum(n_sites):
+    rng = make_rng(60 + n_sites)
+    h1 = np.stack([random_hermitian(rng, 2) for _ in range(3)])
+    eye = np.eye(2, dtype=complex)
+    for h, total in zip(h1, _site_sum(h1, n_sites)):
+        terms = []
+        for j in range(n_sites):
+            term = np.eye(1, dtype=complex)
+            for k in range(n_sites):
+                term = np.kron(term, h if k == j else eye)
+            terms.append(term)
+        assert np.array_equal(total, sum(terms))
+
+
+def test_build_report_eigh_and_kron_calls(monkeypatch):
+    # one eigh per stack and no kron: 18 in the operator suite (per dimension
+    # and site count), 8 + 9 in check_qfi_bounds (per series and quadrature
+    # round), and 1 for the dilation grid beside its 99 scalar conditional populations
+    calls = {"eigh": 0, "kron": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np, "kron", counted("kron", np.kron))
+    assert build_report(42).overall_pass
+    assert calls == {"eigh": 135, "kron": 0}
