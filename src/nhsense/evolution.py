@@ -7,26 +7,25 @@ The coupled system
 
 is integrated as one complex state with the Dormand-Prince 5(4) pair, so
 the propagator and its tangent W = dU/dlam see identical time
-discretization.  `integrate`, the one propagation core of the package, holds
-for any H and advances a batch of such systems at once, one per parameter
-entry and interval (t_k, t_k+1) of the time grid, each run from the identity
-with H at t_k + s, and chains the record U_k+1 = P_k U_k, W_k+1 = P_k W_k +
-W_piece,k U_k, exact for the linear equation; a Hamiltonian family evaluates
-the whole batch in one call.  Each member keeps its own time, step and
-accept/reject decision, so its result does not depend on the rest of the
-batch.  The step control is scipy's RK45, after Hairer, Norsett & Wanner,
-Solving ODEs I, sec. II.4: the same steps, and propagators that agree with
-`solve_ivp(method="RK45")` over each interval to 1e-13.  A 2-dim family's
-stage and chain products are batch-wide multiply-adds (`_product`), larger
-ones a stacked matmul.  For a Hermitian family, `propagate` records the
-local generator h = i U† dU/dlam as the Hermitian part of i U† W.  No
-unitarity re-projection is applied; integration error is tracked, not
-hidden.
+discretization.  `integrate`, the one propagation core of both sensors,
+takes a `HamiltonianFamily` and advances a batch of such systems at once,
+one per lam and interval (t_k, t_k+1) of the time grid, each run from the
+identity with H at t_k + s, and chains the record U_k+1 = P_k U_k, W_k+1 =
+P_k W_k + W_piece,k U_k, exact for the linear equation; the family evaluates
+the whole batch in one call, each stack checked by `evaluate_stack`.  Each
+member keeps its own time, step and accept/reject decision, so its result
+does not depend on the rest of the batch.  The step control is scipy's
+RK45, after Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4: the same
+steps, and propagators that agree with `solve_ivp(method="RK45")` over each
+interval to 1e-13.  A 2-dim family's stage and chain products are batch-wide
+multiply-adds (`_product`), larger ones a stacked matmul.  For a Hermitian
+family, `propagate` records the local generator h = i U† dU/dlam as the
+Hermitian part of i U† W.  No unitarity re-projection is applied;
+integration error is tracked, not hidden.
 """
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -64,8 +63,9 @@ class HamiltonianFamily:
     """A parametrized Hamiltonian H(lam, t) together with dH/dlam.
 
     `evaluate` and `evaluate_dlambda` take equally long 1-d arrays lam and t
-    and return the (k, dim, dim) stack whose entry j is the Hermitian
-    matrix at (lam[j], t[j]).
+    and return the (k, dim, dim) stack whose entry j is the matrix at
+    (lam[j], t[j]), Hermitian but for the EP sensor's H.  A family over member
+    indices (`pt_ep`, `verification.family_stack`) casts lam to np.intp.
     """
 
     dim: int
@@ -218,47 +218,47 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate(hamiltonian: Callable, dim: int, params, times, tol: float,
-              dhamiltonian: Callable | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """U and, given `dhamiltonian`, its tangent W on `times`, for each entry of `params`.
+def integrate(family: HamiltonianFamily, lams, times, tol: float,
+              tangent: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """U and, with `tangent`, W = dU/dlam on `times` under `family`, for each of `lams`.
 
-    Each is (len(params), len(times), dim, dim); W is None without
-    `dhamiltonian`.  The callables map k params entries and k times to the
-    (k, dim, dim) stack of H (or dH/dlam) at them.  H need not be Hermitian.
-    Each grid interval (t_k, t_k+1) of each params entry is one batch member, run from U = 1, W = 0
-    with H at t_k + s; U and W at t_k+1 are chained from the members in order.
+    Each is (len(lams), len(times), dim, dim); W is None without `tangent`.  H need not be
+    Hermitian; every stack of H and dH/dlam passes `evaluate_stack`.  Each grid interval
+    (t_k, t_k+1) of each lam is one batch member, run from U = 1, W = 0 with H at t_k + s;
+    U and W at t_k+1 are chained from the members in order.
     """
+    lams = check_finite("lam", lams)
     times = _check_times(times)
     inner = max(check_tol(tol) / _INTERNAL_TOL_FACTOR, _RTOL_FLOOR)  # solver rtol = atol
-    width = dim if dhamiltonian is None else 2 * dim  # state columns: U, or U | W
-    params = np.asarray(params)
-    steps = times.size - 1  # grid intervals, one member each per params entry
-    ends = np.tile(np.diff(times), len(params))
+    dim = family.dim
+    width = 2 * dim if tangent else dim  # state columns: U | W, or U
+    steps = times.size - 1  # grid intervals, one member each per lam
+    ends = np.tile(np.diff(times), lams.size)
 
     def linear(t, members):
         m, k = t.shape
-        at = (params[np.repeat(members // steps, k)], (t + times[members % steps, None]).ravel())
-        gen = (-1j * hamiltonian(*at)).reshape(m, k, dim, dim)
-        dh = None if dhamiltonian is None else dhamiltonian(*at).reshape(m, k, dim, dim)
+        at = (lams[np.repeat(members // steps, k)], (t + times[members % steps, None]).ravel())
+        gen = (-1j * evaluate_stack(family.evaluate, dim, *at)).reshape(m, k, dim, dim)
+        dh = evaluate_stack(family.evaluate_dlambda, dim, *at).reshape(m, k, dim, dim) if tangent else None
 
         def apply(j, y):
             uw = y.reshape(m, dim, width)
             d = _product(gen[:, j], uw)
-            if dh is not None:
+            if tangent:
                 d[:, :, dim:] -= 1j * _product(dh[:, j], uw[:, :, :dim])
             return d.reshape(m, -1)
         return apply
 
-    y = np.tile(np.eye(dim, width, dtype=complex), (len(params), times.size, 1, 1))  # U = 1, W = 0
+    y = np.tile(np.eye(dim, width, dtype=complex), (lams.size, times.size, 1, 1))  # U = 1, W = 0
     if ends.size:
         y[:, 1:] = _dopri(linear, y[:, 1:].reshape(ends.size, -1), ends, inner).reshape(y[:, 1:].shape)
     for k in range(2, times.size):  # chain interval k-1's [P | W_piece] onto [U | W] at t_{k-1}
         piece, prev = y[:, k], y[:, k - 1]
         chained = _product(piece[..., :dim], prev)  # [P U | P W]
-        if dhamiltonian is not None:
+        if tangent:
             chained[..., dim:] += _product(piece[..., dim:], prev[..., :dim])  # + W_piece U
         y[:, k] = chained
-    return y[..., :dim], (y[..., dim:] if dhamiltonian is not None else None)
+    return y[..., :dim], (y[..., dim:] if tangent else None)
 
 
 def check_finite(name: str, values) -> np.ndarray:
@@ -274,27 +274,20 @@ def check_finite(name: str, values) -> np.ndarray:
 
 def evaluate_stack(evaluate: Callable, dim: int, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     """evaluate(lam, t) as a complex (t.size, dim, dim) stack; DomainError for another shape,
-    PropagationError for a non-finite entry."""
+    PropagationError naming the first time of a non-finite member."""
     m = np.asarray(evaluate(lam, t), dtype=complex)
     if m.shape != (t.size, dim, dim):
         raise DomainError(f"a family callable must return a {(t.size, dim, dim)} stack, got {m.shape}")
-    finite = np.isfinite(m).all(axis=(1, 2))
-    if not finite.all():
-        raise PropagationError(f"non-finite Hamiltonian evaluation at t={t[~finite][0]:g}")
+    if not np.isfinite(m).all():
+        bad = ~np.isfinite(m).all(axis=(1, 2))
+        raise PropagationError(f"non-finite Hamiltonian evaluation at t={t[bad][0]:g}")
     return m
-
-
-def _solve(family: HamiltonianFamily, lams, times, tol: float, tangent: bool):
-    """`integrate` over the family, one member per lam, every evaluation checked."""
-    h, dh = (partial(evaluate_stack, f, family.dim) for f in (family.evaluate, family.evaluate_dlambda))
-    return integrate(h, family.dim, check_finite("lam", lams), times, tol,
-                     dhamiltonian=dh if tangent else None)
 
 
 def generators(family: HamiltonianFamily, lams, times, tol: float = DEFAULT_TOL
                ) -> tuple[np.ndarray, np.ndarray]:
     """U and h, the Hermitian part of i U† W, (len(lams), len(times), dim, dim) each, as one batch."""
-    u, w = _solve(family, lams, times, tol, tangent=True)
+    u, w = integrate(family, lams, times, tol, tangent=True)
     h = 1j * np.swapaxes(u.conj(), -1, -2) @ w
     return u, (h + np.swapaxes(h.conj(), -1, -2)) / 2.0
 
@@ -308,7 +301,7 @@ def propagate(family: HamiltonianFamily, lam: float, times, tol: float = DEFAULT
 def propagators(family: HamiltonianFamily, lams, t, tol: float = DEFAULT_TOL) -> np.ndarray:
     """U(0->t) alone for each lam, as one batch: (len(lams), dim, dim); t is an end time or a grid to it."""
     times = grid_to(t) if np.ndim(t) == 0 else t
-    return _solve(family, lams, times, tol, tangent=False)[0][:, -1]
+    return integrate(family, lams, times, tol)[0][:, -1]
 
 
 def check_step(dlam: float) -> float:

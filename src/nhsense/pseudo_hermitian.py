@@ -13,7 +13,7 @@ index 0 = |0_a 0_s>, 1 = |0_a 1_s>, 2 = |1_a 0_s>, 3 = |1_a 1_s>.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,35 +36,36 @@ _PROJ_DN_Y = 0.5 * (ID2 - SIGMA_Y)
 _OMEGA_MAX = float(np.finfo(float).max) ** 0.25  # Omega⁴ is a finite float below it
 
 
+def _couplings(epsilon: float, omega: float) -> tuple[float, float]:
+    """b and c of the dilated Hamiltonian; DomainError unless epsilon and omega are finite and positive."""
+    check_finite("epsilon", epsilon)
+    check_finite("omega", omega)
+    if epsilon <= 0:
+        raise DomainError("epsilon must be positive (epsilon = 0 coalesces the probe)")
+    if omega <= 0:
+        raise DomainError("omega must be positive")
+    e, den = epsilon, 1.0 + 2.0 * epsilon
+    return 4.0 * omega * e * (1.0 + e) / den, 2.0 * omega * math.sqrt(e * (1.0 + e)) / den
+
+
 @dataclass(frozen=True)
 class PseudoHermitianParams:
     """Dilation parameter epsilon, qubit frequency omega, encoded parameter lam; Omega⁴,
-    which `qfi_closed` divides by, must be a finite float."""
+    which `qfi_closed` divides by, must be a finite float.  b and c follow from (epsilon, omega)."""
 
     epsilon: float
     omega: float
     lam: float = 0.0
+    b: float = field(init=False, repr=False, compare=False)
+    c: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("epsilon", "omega", "lam"):
-            check_finite(name, getattr(self, name))
-        if self.epsilon <= 0:
-            raise DomainError("epsilon must be positive (epsilon = 0 coalesces the probe)")
-        if self.omega <= 0:
-            raise DomainError("omega must be positive")
+        for name, value in zip("bc", _couplings(self.epsilon, self.omega)):
+            object.__setattr__(self, name, value)  # the class is frozen
+        check_finite("lam", self.lam)
         if not self.Omega < _OMEGA_MAX:
             raise DomainError(f"epsilon {self.epsilon:g} too large at omega {self.omega:g}, lam {self.lam:g}: "
                               f"Omega = hypot(lam + b, c) = {self.Omega:.3g}, whose 4th power overflows")
-
-    @property
-    def b(self) -> float:
-        e = self.epsilon
-        return 4.0 * self.omega * e * (1.0 + e) / (1.0 + 2.0 * e)
-
-    @property
-    def c(self) -> float:
-        e = self.epsilon
-        return 2.0 * self.omega * math.sqrt(e * (1.0 + e)) / (1.0 + 2.0 * e)
 
     @property
     def Omega(self) -> float:
@@ -96,17 +97,17 @@ class SweepRow:
     hermitian_bound: float
 
 
-def dilated_hamiltonian(p: PseudoHermitianParams) -> np.ndarray:
-    """(b + lam) I⊗sigma_x - c sigma_y⊗sigma_y, the dilated two-qubit Hamiltonian."""
-    return (p.b + p.lam) * _IX - p.c * _YY
-
-
-def hamiltonian_family(epsilon: float, omega: float, lam0: float = 0.0) -> HamiltonianFamily:
-    """The dilated Hamiltonian as a family over the encoded parameter, a stack per call; b and c
-    are read from the parameters at lam0, which must lie in their domain (Omega⁴ depends on lam)."""
-    p = PseudoHermitianParams(epsilon, omega, lam0)  # dilated_hamiltonian, for a stack of lam
-    return HamiltonianFamily(dim=4, evaluate=lambda lam, t: (p.b + lam)[:, None, None] * _IX - p.c * _YY,
+def hamiltonian_family(epsilon: float, omega: float) -> HamiltonianFamily:
+    """(b + lam) I⊗sigma_x - c sigma_y⊗sigma_y, the dilated two-qubit Hamiltonian, as a family over
+    the encoded parameter, a stack per call; b and c depend on (epsilon, omega) alone."""
+    b, c = _couplings(epsilon, omega)
+    return HamiltonianFamily(dim=4, evaluate=lambda lam, t: (b + lam)[:, None, None] * _IX - c * _YY,
                              evaluate_dlambda=lambda lam, t: np.broadcast_to(_IX, (t.size, 4, 4)))
+
+
+def dilated_hamiltonian(p: PseudoHermitianParams) -> np.ndarray:
+    """The dilated two-qubit Hamiltonian at p: `hamiltonian_family` evaluated at p.lam."""
+    return hamiltonian_family(p.epsilon, p.omega).evaluate(np.array([p.lam]), np.zeros(1))[0]
 
 
 def probe_state(epsilon: float) -> np.ndarray:
@@ -249,7 +250,7 @@ def qfi_rate_closed(p: PseudoHermitianParams, t: float) -> float:
 
 def qfi_numeric(p: PseudoHermitianParams, t: float, tol: float = DEFAULT_TOL) -> float:
     """QFI from the numerically propagated generator (independent of closed forms)."""
-    rec = propagate(hamiltonian_family(p.epsilon, p.omega, p.lam), p.lam, grid_to(t), tol=tol)
+    rec = propagate(hamiltonian_family(p.epsilon, p.omega), p.lam, grid_to(t), tol=tol)
     return qfi_pure(rec.h[-1], probe_state(p.epsilon))
 
 
@@ -285,7 +286,7 @@ def sweep(epsilon: float, omega: float, lam_grid, nu: int = 1,
     check_trials(nu)
     ps = [check_sweep_phase(PseudoHermitianParams(epsilon, omega, lam)) for lam in lam_grid.tolist()]
     t = ps[0].tau
-    _, h = generators(hamiltonian_family(epsilon, omega, ps[0].lam), lam_grid, grid_to(t), tol=tol)
+    _, h = generators(hamiltonian_family(epsilon, omega), lam_grid, grid_to(t), tol=tol)
     return [SweepRow(
         lam=p.lam, S=two_level_population(p, t), chi=susceptibility(p, t), P1=p1_closed(p, t),
         dP1_dlam=p1_slope(p, t), sensitivity=sensitivity(p, t, nu), qfi_closed=qfi_closed(p, t),

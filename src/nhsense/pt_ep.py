@@ -8,13 +8,14 @@ variance, susceptibility, and sensitivity are evaluated together with the
 sensitivity bound of the Hermitian counterpart that couples to the drive
 directly.  The pair and its derivative in omega_delta come from one
 tangent-equation solve per point; the root finders propagate U alone.
-H is written once over per-member Gamma and omega_delta, so a whole scan
-grid is one batch of the propagation core.  A U-only period is passed to
-it on the grid of S = 16 equal intervals of (0, T), so the core runs each
-interval from the identity as a member of one batch and chains
-U(T) = U(T, t_{S-1}) ... U(t_1, 0), exact for the linear equation.  The
-`find_ep` pre-scan is one batch of 25 x 16 intervals, and each of Brent's
-serial evaluations, which cannot be batched, one of 16.
+H is one `HamiltonianFamily` over the member index of a batch, each member
+with its own Gamma and omega_delta, so a scan grid is one batch of the core
+both sensors share.  A U-only period runs on the grid of S = 16 equal
+intervals of (0, T): the core takes each interval from the identity as a
+member of one batch and chains U(T) = U(T, t_{S-1}) ... U(t_1, 0), exact for
+the linear equation.  The `find_ep` pre-scan is one batch of 25 x 16
+intervals, and each of Brent's serial evaluations, which cannot be batched,
+one of 16.
 
 The identity part of the drive only contributes a global phase of unit
 modulus; it is kept in the propagator so U matches the defining expression
@@ -28,7 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .evolution import DEFAULT_TOL, MAX_PERIOD_PHASE, TOL_MIN, check_finite, check_tol, integrate, richardson
+from .evolution import (DEFAULT_TOL, MAX_PERIOD_PHASE, TOL_MIN, HamiltonianFamily, check_finite, check_tol,
+                        integrate, richardson)
 from .noise import check_trials
 from .operators import ID2, SIGMA_X, SIGMA_Z
 
@@ -102,8 +104,8 @@ _SIGMA_X = SIGMA_X.real
 _PERT_OP = (ID2 - SIGMA_Z).real
 
 
-def _hamiltonians(ps: list[PtEpParams]):
-    """H and dH/d omega_delta of the batch ps, as `evolution.integrate` callables over idx into ps.
+def _family(ps: list[PtEpParams]) -> HamiltonianFamily:
+    """H and dH/d omega_delta of the batch ps, as a family whose parameter is the member index into ps.
 
     The members share J, omega and delta; each has its own Gamma and omega_delta.
     """
@@ -112,25 +114,26 @@ def _hamiltonians(ps: list[PtEpParams]):
     gain = np.array([1j * q.Gamma for q in ps])[:, None, None] * SIGMA_Z
     half_delta = 0.5 * p.delta
 
-    def h(idx, t):
+    def h(lam, t):
+        idx = lam.astype(np.intp)
         c = np.cos(t[:, None] * freqs[idx])
         drive, pert = p.J * (1.0 + c[:, 0]), half_delta * c[:, 1]
         return drive[:, None, None] * _SIGMA_X + pert[:, None, None] * _PERT_OP + gain[idx]
 
-    def dh(idx, t):
-        return (-half_delta * t * np.sin(t * freqs[idx, 1]))[:, None, None] * _PERT_OP
+    def dh(lam, t):
+        return (-half_delta * t * np.sin(t * freqs[lam.astype(np.intp), 1]))[:, None, None] * _PERT_OP
 
-    return h, dh
+    return HamiltonianFamily(2, h, dh)
 
 
 def hamiltonian_total(p: PtEpParams, t: float) -> np.ndarray:
     """J(1+cos(w t)) sigma_x + i Gamma sigma_z + (delta/2) cos(w_d t)(1 - sigma_z)."""
-    return _hamiltonians([p])[0](np.zeros(1, dtype=int), np.array([t]))[0]
+    return _family([p]).evaluate(np.zeros(1), np.array([t]))[0]
 
 
 def hamiltonian_domega_delta(p: PtEpParams, t: float) -> np.ndarray:
     """dH/d omega_delta = -(delta/2) t sin(w_d t)(1 - sigma_z)."""
-    return _hamiltonians([p])[1](np.zeros(1, dtype=int), np.array([t]))[0]
+    return _family([p]).evaluate_dlambda(np.zeros(1), np.array([t]))[0]
 
 
 _PIECES = 16  # equal intervals of a U-only period's grid, members of one batch
@@ -143,9 +146,8 @@ def _propagate_periods(ps: list[PtEpParams], tol: float,
     A tangent period is one member, on the grid (0, T).  A U-only period runs
     on _PIECES equal intervals of (0, T), each a member of the batch.
     """
-    h, dh = _hamiltonians(ps)
     grid = (0.0, ps[0].T) if tangent else np.linspace(0.0, ps[0].T, _PIECES + 1)
-    u, w = integrate(h, 2, np.arange(len(ps)), grid, tol, dhamiltonian=dh if tangent else None)
+    u, w = integrate(_family(ps), np.arange(len(ps)), grid, tol, tangent)
     return u[:, -1], (w[:, -1] if tangent else None)
 
 

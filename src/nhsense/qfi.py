@@ -130,20 +130,23 @@ def qfi_fidelity_oracle(family: HamiltonianFamily, lam: float, psi0, t: float,
                         dlam: float = 1e-3, tol: float = 1e-12) -> float:
     """QFI from the curvature of the pure-state overlap in the parameter.
 
-    The `fidelity_curvature` of one batch of five propagators, at lam, lam ± d/2
-    and lam ± d.  Independent of the generator route, so it serves as an oracle
-    for qfi_pure.  The default tol is tight because the second difference
-    divides the propagation error by d².
+    The `fidelity_curvature` of one batch of five propagators at the
+    `fidelity_stencil`.  Independent of the generator route, so it serves as an
+    oracle for qfi_pure.  The default tol is tight because the second
+    difference divides the propagation error by d².
     """
     check_step(dlam)
     psi0 = require_state(psi0)
-    half = dlam / 2.0  # the step richardson halves to
-    u = propagators(family, [lam, lam + half, lam - half, lam + dlam, lam - dlam], t, tol=tol)
-    return fidelity_curvature(psi0, u, dlam)
+    return fidelity_curvature(psi0, propagators(family, fidelity_stencil(lam, dlam), t, tol=tol), dlam)
+
+
+def fidelity_stencil(lam: float, dlam: float) -> list[float]:
+    """lam, lam ± d/2 (richardson's half step) and lam ± d for d = dlam, in `fidelity_curvature`'s order."""
+    return [lam, lam + dlam / 2.0, lam - dlam / 2.0, lam + dlam, lam - dlam]
 
 
 def fidelity_curvature(psi0, u, dlam: float) -> float:
-    """QFI from the propagators u at lam, lam ± d/2 and lam ± d (d = dlam > 0), in that order.
+    """QFI from the propagators u at the `fidelity_stencil` of lam and dlam > 0, in its order.
 
     The second difference of the overlap |<psi_lam|psi_lam+d>| of the evolved
     probe psi0, with one Richardson halving to cancel its O(d²) truncation.

@@ -19,7 +19,7 @@ from .noise import (
     binomial_variance, make_rng, propagate_error, sample_projection_batch, scaled_binomial_variance,
 )
 from .operators import covariance, expm_hermitian, seminorm, variance
-from .qfi import _integrals, fidelity_curvature, qfi_pure, qfi_series
+from .qfi import _integrals, fidelity_curvature, fidelity_stencil, qfi_pure, qfi_series
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,7 @@ def check_qfi_oracle(seed: int) -> list[CheckResult]:
     worst = -np.inf
     for terms, probes, lams in _random_instances(make_rng(seed), 3).values():
         _, hs = generators(family_stack(terms, lams), np.arange(len(lams)), grid, tol=tol)
-        oracle_lams = [x for lam in lams for d in steps
-                       for x in (lam, lam + d / 2.0, lam - d / 2.0, lam + d, lam - d)]
+        oracle_lams = [x for lam in lams for d in steps for x in fidelity_stencil(lam, d)]
         us = propagators(family_stack([f for f in terms for _ in range(len(steps) * 5)], oracle_lams),
                          np.arange(len(oracle_lams)), grid, tol=tol)
         for psi0, h, u in zip(probes, hs, us.reshape(len(lams), len(steps), 5, *us.shape[1:])):
@@ -264,9 +263,10 @@ def check_pseudo_hermitian() -> list[CheckResult]:
     # dilation equivalence and closed-form P1 on a coarse grid; the evolved probes are one stack
     worst_dil = worst_p1 = -np.inf
     tau = ph.PseudoHermitianParams(0.1, 1.0).tau
-    params = [ph.PseudoHermitianParams(0.1, 1.0, float(lam)) for lam in np.linspace(-1.0, 1.0, 11)]
+    lams = np.linspace(-1.0, 1.0, 11)
+    params = [ph.PseudoHermitianParams(0.1, 1.0, lam) for lam in lams.tolist()]
     times = np.linspace(0.0, 2 * tau, 9)
-    hs = np.stack([ph.dilated_hamiltonian(p) for p in params])[:, None]
+    hs = ph.hamiltonian_family(0.1, 1.0).evaluate(lams, np.zeros(lams.size))[:, None]
     for p, psi_p in zip(params, expm_hermitian(hs, times) @ ph.probe_state(0.1)):
         for t, psi_t in zip(times, psi_p):
             worst_dil = max(worst_dil, abs(ph.conditional_population_from_dilation(p, t)

@@ -312,20 +312,13 @@ class TestCliRuns:
         first = rows[0]
         assert first[header.index("hermitian_bound")] == "inf" and first[header.index("excluded_reason")]
 
-    def test_default_scan_ep_propagation_batches(self, tmp_path, monkeypatch):
+    def test_default_scan_ep_propagation_batches(self, tmp_path, integrate_calls):
         # the Gamma pre-scan is one plain batch of 25 periods, Brent adds
         # serial periods, and the 80 rows are one tangent batch; each period
-        # is one params entry, on a grid of _PIECES intervals if plain, (0, T) if tangent
-        calls = []
-        original = pt_ep.integrate
+        # is one lam entry, on a grid of _PIECES intervals if plain, (0, T) if tangent
         plain = pt_ep._PIECES + 1
-
-        def counted(*args, **kwargs):
-            calls.append((len(args[2]), len(args[3]), kwargs.get("dhamiltonian") is not None))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(pt_ep, "integrate", counted)
         assert main(["scan-ep", "--out", str(tmp_path / "scan.csv")]) == 0
+        calls = [(n, points, tangent) for n, points, tangent, _ in integrate_calls]
         assert calls[0] == (25, plain, False) and calls[-1] == (80, 2, True)
         assert set(calls[1:-1]) == {(1, plain, False)} and len(calls[1:-1]) <= 6
 

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, expm_frechet
 
-from nhsense import evolution, pt_ep
+from nhsense import evolution
 from nhsense.cli import main
 from nhsense.errors import DomainError, PropagationError
 from nhsense.evolution import (
@@ -15,10 +16,10 @@ from nhsense.operators import SIGMA_X, expm_hermitian
 from nhsense.pseudo_hermitian import (
     PseudoHermitianParams, generator_closed, hamiltonian_family, probe_state, qfi_numeric,
 )
-from nhsense.pt_ep import PtEpParams, _hamiltonians, hamiltonian_domega_delta, hamiltonian_total
+from nhsense.pt_ep import PtEpParams, _family, hamiltonian_domega_delta, hamiltonian_total
 from nhsense.qfi import channel_bound_uncertainty, qfi_fidelity_oracle
 
-from conftest import constant, make_rng, random_family, random_hermitian
+from conftest import constant, constant_family, make_rng, random_family, random_hermitian
 from oracles import generator_finite_difference
 
 
@@ -27,8 +28,10 @@ def one_member(h_of_t):
     return lambda params, t: np.array([h_of_t(s) for s in t])
 
 
-def constant_family(h, dh, dim):
-    return HamiltonianFamily(dim=dim, evaluate=constant(h), evaluate_dlambda=constant(dh))
+def shifted(fam, start):
+    """The family fam with time measured from start: H(lam, start + t)."""
+    return HamiltonianFamily(dim=fam.dim, evaluate=lambda lam, t: fam.evaluate(lam, t + start),
+                             evaluate_dlambda=lambda lam, t: fam.evaluate_dlambda(lam, t + start))
 
 
 def multiplicative_family(h1, h0):
@@ -44,12 +47,11 @@ def at(fam_evaluate, lam, t):
 
 
 def grid_case(case):
-    """(H, dH/dlam, dim, params, times) of a two-member batch on a multi-interval grid."""
+    """(family, lams, times) of a two-member batch on a multi-interval grid."""
     if case == "pt-period":
         ps = [PtEpParams(J=1.0, Gamma=0.5, omega=4.0, delta=0.05, omega_delta=wd) for wd in (0.3, 1.1)]
-        return (*_hamiltonians(ps), 2, np.arange(2), np.linspace(0.0, ps[0].T, 5))
-    fam = random_family(make_rng(11), 3)
-    return fam.evaluate, fam.evaluate_dlambda, 3, np.array([0.3, -0.4]), np.linspace(0.0, 2.0, 6)
+        return _family(ps), np.arange(2), np.linspace(0.0, ps[0].T, 5)
+    return random_family(make_rng(11), 3), np.array([0.3, -0.4]), np.linspace(0.0, 2.0, 6)
 
 
 class TestIntegrate:
@@ -61,7 +63,7 @@ class TestIntegrate:
         lam = 0.3
         h = h0 + lam * h1
         times = np.array([0.0, 0.6, 1.3])
-        [u], [w] = integrate(constant(h), 3, [lam], times, 1e-12, dhamiltonian=constant(h1))
+        [u], [w] = integrate(constant_family(h, h1), [lam], times, 1e-12, tangent=True)
         for k, t in enumerate(times):
             assert np.abs(u[k] - expm(-1j * h * t)).max() < 1e-10
             _, expected_w = expm_frechet(-1j * h * t, -1j * h1 * t)
@@ -69,39 +71,52 @@ class TestIntegrate:
 
     def test_propagator_only_without_tangent(self, rng):
         h = random_hermitian(rng, 2)
-        u, w = integrate(constant(h), 2, [0.0], np.array([0.0, 1.0]), 1e-11)
+        u, w = integrate(constant_family(h), [0.0], np.array([0.0, 1.0]), 1e-11)
         assert w is None
         assert np.abs(u[0, -1] - expm_hermitian(h, 1.0)).max() < 1e-10
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # nan arithmetic
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf arithmetic
     def test_step_below_ten_ulp_raises(self):
-        # a nan Hamiltonian rejects every step; the step shrinks until it
-        # falls below 10 ulp of t, which ends the run instead of a hang
+        # H = 1e300 sigma_x past t = 0.5 is finite, so it passes the evaluation
+        # check, but it overflows the stage states to inf and every step into it
+        # is rejected; the step shrinks until it falls below 10 ulp of t, which
+        # ends the run instead of a hang
+        def huge(params, t):
+            return np.where((t > 0.5)[:, None, None], 1e300, 1.0) * SIGMA_X
+
+        fam = HamiltonianFamily(dim=2, evaluate=huge, evaluate_dlambda=constant(np.zeros((2, 2))))
+        with pytest.raises(PropagationError, match="10 ulp"):
+            integrate(fam, np.arange(3), np.array([0.0, 1.0]), 1e-10)
+
+    def test_nan_hamiltonian_stops_at_its_evaluation(self):
+        # a nan stack is caught where the family returns it, before the
+        # integrator takes a step with it
         def bad(params, t):
             return np.where((t > 0.5)[:, None, None], np.nan, 1.0) * SIGMA_X
 
-        with pytest.raises(PropagationError, match="10 ulp"):
-            integrate(bad, 2, np.arange(3), np.array([0.0, 1.0]), 1e-10)
+        fam = HamiltonianFamily(dim=2, evaluate=bad, evaluate_dlambda=constant(np.zeros((2, 2))))
+        with pytest.raises(PropagationError, match="non-finite Hamiltonian evaluation at t="):
+            integrate(fam, np.arange(3), np.array([0.0, 1.0]), 1e-10)
 
     def test_non_finite_first_step_raises(self):
         # f0 / scale overflows, so the first step is nan; a nan time never
         # reaches the end time and never falls below 10 ulp, so it would hang
         with pytest.raises(PropagationError, match="initial step size is not finite"):
-            integrate(constant(1e300 * SIGMA_X), 2, [0], np.array([0.0, 1.0]), 1e-10)
+            integrate(constant_family(1e300 * SIGMA_X), [0], np.array([0.0, 1.0]), 1e-10)
 
     @pytest.mark.parametrize("case", ["random-hermitian", "pt-period"])
     def test_grid_point_is_chained_from_interval_members(self, case):
         # interval k is a member run from the identity over (0, t_{k+1} - t_k)
         # with H at t_k + s, bit for bit a two-point run of the shifted family;
         # the record chains U_{k+1} = P_k U_k and W_{k+1} = P_k W_k + W_piece U_k
-        h, dh, dim, params, times = grid_case(case)
-        u, w = integrate(h, dim, params, times, 1e-10, dhamiltonian=dh)
+        fam, lams, times = grid_case(case)
+        u, w = integrate(fam, lams, times, 1e-10, tangent=True)
         eps = np.finfo(float).eps
         for k in range(times.size - 1):
             start = times[k]
-            p, wp = (x[:, 1] for x in integrate(lambda j, t: h(j, t + start), dim, params,
-                                                (0.0, times[k + 1] - start), 1e-10,
-                                                dhamiltonian=lambda j, t: dh(j, t + start)))
+            p, wp = (x[:, 1] for x in integrate(shifted(fam, start), lams, (0.0, times[k + 1] - start),
+                                                1e-10, tangent=True))
             if k == 0:
                 assert repr(u[:, 1].tolist()) == repr(p.tolist())
                 assert repr(w[:, 1].tolist()) == repr(wp.tolist())
@@ -136,20 +151,21 @@ class TestAgainstSolveIvp:
 
     def check(self, hamiltonian, dhamiltonian, dim, times, tol):
         calls, members = [], []
+        tangent = dhamiltonian is not None
+        fam = HamiltonianFamily(dim, one_member(hamiltonian), one_member(dhamiltonian) if tangent else None)
 
         def counted(params, t):
             calls.append(t.size)
-            return one_member(hamiltonian)(params, t)
+            return fam.evaluate(params, t)
 
         def recorded(*args):
             members.append(dopri(*args))
             return members[-1]
 
-        d_member = None if dhamiltonian is None else one_member(dhamiltonian)
         dopri = evolution._dopri
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evolution, "_dopri", recorded)
-            [u], w = integrate(one_member(hamiltonian), dim, [0], times, tol, dhamiltonian=d_member)
+            [u], w = integrate(fam, [0], times, tol, tangent)
         assert np.array_equal(u[0], np.eye(dim))
         # each interval's member is solve_ivp from the identity over that interval, H at t_k + s
         width = dim if dhamiltonian is None else 2 * dim
@@ -171,7 +187,7 @@ class TestAgainstSolveIvp:
         # H is evaluated once per step attempt at its five stage times; the
         # sixth RHS evaluation, at the step's end, reuses the last of them.
         # With the two of the initial step that is 2 + 6 per attempt, as in scipy.
-        integrate(counted, dim, [0], times[[0, -1]], tol, dhamiltonian=d_member)
+        integrate(replace(fam, evaluate=counted), [0], times[[0, -1]], tol, tangent)
         nfev = self.solve_ivp_reference(hamiltonian, dhamiltonian, dim, times[-1], tol)[2]
         assert calls[:2] == [1, 1] and set(calls[2:]) == {5}
         assert 2 + 6 * (len(calls) - 2) == nfev
@@ -228,38 +244,19 @@ class TestStageProduct:
                 assert np.array_equal(out[i:i + 1], _product(a[i:i + 1], b[i:i + 1])), i
 
 
-def test_default_scan_ep_step_attempts(monkeypatch, tmp_path):
+def test_default_scan_ep_step_attempts(integrate_calls, tmp_path):
     # neither the stage products nor the chained grid intervals change the
     # steps: each batch of the default scan-ep keeps the step attempts it took
     # with matmul products and with pt_ep's own piece loop
-    batches = []
-    original = pt_ep.integrate
-
-    def counted(hamiltonian, dim, params, times, tol, dhamiltonian=None):
-        calls = []
-
-        def h(*at):
-            calls.append(at[1].size)
-            return hamiltonian(*at)
-
-        result = original(h, dim, params, times, tol, dhamiltonian=dhamiltonian)
-        # two evaluations for the initial step, then one per attempt at the
-        # five stage times of each member still running: one member per grid interval
-        members = len(params) * (len(times) - 1)
-        assert calls[:2] == [members] * 2 and all(c % 5 == 0 for c in calls[2:])
-        batches.append((len(params), len(times), dhamiltonian is not None, len(calls) - 2))
-        return result
-
-    monkeypatch.setattr(pt_ep, "integrate", counted)
     assert main(["scan-ep", "--out", str(tmp_path / "scan.csv")]) == 0
     # the pre-scan, six Brent evaluations of find_ep, the tangent scan
-    assert batches == [(25, 17, False, 37)] + [(1, 17, False, 28)] * 6 + [(80, 2, True, 166)]
+    assert integrate_calls == [(25, 17, False, 37)] + [(1, 17, False, 28)] * 6 + [(80, 2, True, 166)]
 
 
 class TestPropagate:
     def test_time_independent_matches_expm(self, rng):
         h = random_hermitian(rng, 4)
-        fam = constant_family(h, np.zeros((4, 4), dtype=complex), 4)
+        fam = constant_family(h)
         times = np.linspace(0.0, 2.0, 5)
         rec = propagate(fam, 0.7, times, tol=1e-11)
         for k, t in enumerate(times):
@@ -267,7 +264,7 @@ class TestPropagate:
 
     def test_zero_dlambda_gives_zero_generator(self, rng):
         h = random_hermitian(rng, 3)
-        fam = constant_family(h, np.zeros((3, 3), dtype=complex), 3)
+        fam = constant_family(h)
         rec = propagate(fam, 0.0, np.linspace(0.0, 3.0, 4))
         assert np.abs(rec.h).max() < 1e-12
 
@@ -319,8 +316,7 @@ class TestPropagate:
         tol = 1e-10
         fam = random_family(rng, dim)
         times = np.linspace(0.0, 2.5, 6)
-        [u], [w] = integrate(fam.evaluate, dim, [0.3], times, tol,
-                             dhamiltonian=fam.evaluate_dlambda)
+        [u], [w] = integrate(fam, [0.3], times, tol, tangent=True)
         for uk, wk in zip(u, w):
             raw = 1j * uk.conj().T @ wk
             assert np.abs(raw - raw.conj().T).max() / 2.0 <= 10 * tol
@@ -367,7 +363,7 @@ class TestPropagate:
 class TestGeneratorFiniteDifference:
     def test_zero_family(self, rng):
         h = random_hermitian(rng, 2)
-        fam = constant_family(h, np.zeros((2, 2), dtype=complex), 2)
+        fam = constant_family(h)
         got = generator_finite_difference(fam, 0.0, 1.0, dlam=1e-4)
         assert np.abs(got).max() < 1e-8
 

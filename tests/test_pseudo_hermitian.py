@@ -392,20 +392,12 @@ class TestSweep:
         rows = sweep(1e77, OMEGA, [-2e77, -1.99e77], nu=1)
         assert all(row.qfi_numeric == pytest.approx(row.qfi_closed, rel=1e-12) for row in rows)
 
-    def test_one_tangent_batch_for_the_grid(self, monkeypatch):
+    def test_one_tangent_batch_for_the_grid(self, integrate_calls):
         # every row's qfi_numeric is its member of one tangent batch over the
         # grid; each member keeps its own steps, so it equals qfi_numeric alone
-        calls = []
-        original = evolution.integrate
-
-        def counted(*args, **kwargs):
-            calls.append((len(args[2]), kwargs.get("dhamiltonian") is not None))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(evolution, "integrate", counted)
         grid = np.linspace(-0.5 * OMEGA, 0.5 * OMEGA, 201)
         rows = sweep(EPS, OMEGA, grid, nu=1, tol=1e-10)
-        assert calls == [(201, True)]
+        assert [(n, tangent) for n, _, tangent, _ in integrate_calls] == [(201, True)]
         for k in (0, 100, 200):
             alone = qfi_numeric(PseudoHermitianParams(EPS, OMEGA, float(grid[k])), TAU, tol=1e-10)
             assert repr(alone) == repr(rows[k].qfi_numeric)

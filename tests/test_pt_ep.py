@@ -263,8 +263,7 @@ class TestPiecedPeriod:
 
     def test_one_piece_is_the_one_member_run(self, monkeypatch):
         p = default_base()
-        h, _ = pt_ep._hamiltonians([p])
-        [whole] = pt_ep.integrate(h, 2, np.arange(1), (0.0, p.T), 1e-12)[0][:, -1]
+        [whole] = pt_ep.integrate(pt_ep._family([p]), np.arange(1), (0.0, p.T), 1e-12)[0][:, -1]
         monkeypatch.setattr(pt_ep, "_PIECES", 1)
         assert np.array_equal(propagate_period(p, tol=1e-12), whole)
 
@@ -280,29 +279,22 @@ class TestRootFinders:
     """Both roots come from Brent's method: few propagations, tight roots."""
 
     @staticmethod
-    def count_propagations(monkeypatch) -> list:
+    def propagations(integrate_calls) -> list:
         """Periods in each propagation: a batch of B periods counts as B propagations."""
-        batches = []
-        original = pt_ep.integrate
+        # one lam entry per period, on the pieced grid
+        assert {points for _, points, *_ in integrate_calls} == {pt_ep._PIECES + 1}
+        return [n for n, *_ in integrate_calls]
 
-        def counted(*args, **kwargs):
-            assert len(args[3]) == pt_ep._PIECES + 1  # one params entry per period, on the pieced grid
-            batches.append(len(args[2]))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(pt_ep, "integrate", counted)
-        return batches
-
-    def test_find_ep_evaluations_and_accuracy(self, monkeypatch):
-        batches = self.count_propagations(monkeypatch)
+    def test_find_ep_evaluations_and_accuracy(self, integrate_calls):
         gamma = find_ep(1.0, 4.0, tol=1e-12)
+        batches = self.propagations(integrate_calls)
         assert batches[0] == 25 and set(batches[1:]) == {1}  # the pre-scan batch, then serial Brent
         assert sum(batches) <= 31  # pre-scan plus Brent, each bracket end propagated once
         assert abs(gamma - GAMMA_EP_J1_W4_TIGHT) <= 2e-12
 
-    def test_find_response_dip_evaluations_and_accuracy(self, monkeypatch):
-        batches = self.count_propagations(monkeypatch)
+    def test_find_response_dip_evaluations_and_accuracy(self, integrate_calls):
         dip = find_response_dip(default_base(), (0.05, 2.0), tol=1e-12)
+        batches = self.propagations(integrate_calls)
         assert batches[0] == 2 and set(batches[1:]) == {1}  # both bracket ends, then serial Brent
         assert sum(batches) <= 11  # sign check plus Brent, each bracket end propagated once
         assert abs(dip - DIP_J1_W4_D005_TIGHT) <= 2e-12
@@ -596,18 +588,10 @@ class TestScan:
     def test_column_contract(self):
         assert list(EpScanRow.__dataclass_fields__) == list(SCAN_COLUMNS)
 
-    def test_one_propagation_per_row(self, monkeypatch):
+    def test_one_propagation_per_row(self, integrate_calls):
         # P_J, P_Gamma and chi_E of every row come from its member of one tangent batch
-        calls = []
-        original = pt_ep.integrate
-
-        def counted(*args, **kwargs):
-            calls.append((len(args[2]), kwargs.get("dhamiltonian") is not None))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(pt_ep, "integrate", counted)
         scan(default_base(), np.linspace(0.05, 2.0, 80), tol=1e-10)
-        assert calls == [(80, True)]
+        assert [(n, tangent) for n, _, tangent, _ in integrate_calls] == [(80, True)]
 
     def test_tightest_tol_row(self):
         # tol/2 falls below TOL_MIN at tol 1e-13: the solve is clamped there

@@ -77,22 +77,14 @@ class TestFidelityOracle:
                 f_fid = qfi_fidelity_oracle(fam, 0.2, psi0, 1.2, dlam=dlam)
                 assert abs(f_gen - f_fid) <= max(1e-6, 10 * dlam**2)
 
-    def test_one_batch_of_five_equals_serial_composition(self, rng, monkeypatch):
+    def test_one_batch_of_five_equals_serial_composition(self, rng, integrate_calls, monkeypatch):
         # lam, lam ± d/2 and lam ± d are one U-only batch; each member keeps
         # its own steps, so the value is that of five separate propagations
         fam = random_family(rng, 4)
         psi0 = random_state(rng, 4)
         lam, t, dlam = 0.2, 1.2, 1e-2
-        calls = []
-        original = evolution.integrate
-
-        def counted(*args, **kwargs):
-            calls.append((len(args[2]), kwargs.get("dhamiltonian") is not None))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(evolution, "integrate", counted)
         got = qfi_fidelity_oracle(fam, lam, psi0, t, dlam=dlam)
-        assert calls == [(5, False)]
+        assert [(n, tangent) for n, _, tangent, _ in integrate_calls] == [(5, False)]
         monkeypatch.undo()
 
         def psi(x):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from nhsense import evolution, pt_ep
 from nhsense.evolution import generators, propagate, propagators
 from nhsense.verification import (
     _site_sum, build_report, check_operator_inequalities, check_qfi_bounds, check_qfi_oracle, family_stack,
@@ -44,44 +43,20 @@ def test_stack_propagators_equal_the_oracle_batches():
 @pytest.mark.parametrize("suite, seed, calls", [(check_qfi_bounds, 43, [(2, True), (6, True)]),
                                                 (check_qfi_oracle, 44, [(2, True), (20, False),
                                                                         (1, True), (10, False)])])
-def test_one_batch_per_dimension(suite, seed, calls, monkeypatch):
+def test_one_batch_per_dimension(suite, seed, calls, integrate_calls):
     # bounds: one tangent batch per dimension; oracle: one tangent batch and
     # one U-only batch of ten lam per family, per dimension
-    got = []
-    original = evolution.integrate
-
-    def counted(*args, **kwargs):
-        got.append((len(args[2]), kwargs.get("dhamiltonian") is not None))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(evolution, "integrate", counted)
     assert all(r.passed for r in suite(seed))
-    assert got == calls
+    assert [(n, tangent) for n, _, tangent, _ in integrate_calls] == calls
 
 
-def test_build_report_step_attempts(monkeypatch):
+def test_build_report_step_attempts(integrate_calls):
     # each interval of a time grid is a batch member of its own, so the
-    # report's long solves take few steps one after another: (params, grid
+    # report's long solves take few steps one after another: (lams, grid
     # points, tangent, step attempts) of every integrate call of seed 42
-    got = []
-    original = evolution.integrate
-
-    def counted(hamiltonian, dim, params, times, tol, dhamiltonian=None):
-        calls = []
-
-        def h(*at):
-            calls.append(at[1].size)
-            return hamiltonian(*at)
-
-        result = original(h, dim, params, times, tol, dhamiltonian=dhamiltonian)
-        got.append((len(params), len(times), dhamiltonian is not None, len(calls) - 2))
-        return result
-
-    monkeypatch.setattr(evolution, "integrate", counted)
-    monkeypatch.setattr(pt_ep, "integrate", counted)
     assert build_report(42).overall_pass
     period = (1, 17, False, 28)  # one serial Brent evaluation of a pieced EP period
-    assert got == [
+    assert integrate_calls == [
         (2, 7, True, 39), (6, 7, True, 57),  # check_qfi_bounds, per dimension
         (2, 17, True, 29), (20, 17, False, 28), (1, 17, True, 42), (10, 17, False, 35),  # check_qfi_oracle
         (3, 9, True, 52), (3, 9, True, 88),  # check_pseudo_hermitian, per epsilon
@@ -90,7 +65,7 @@ def test_build_report_step_attempts(monkeypatch):
         (2, 17, False, 28), *[period] * 8,  # find_response_dip's bracket ends and Brent,
         (8, 2, True, 263),  # and the scan near the dip
     ]
-    assert sum(attempts for *_, attempts in got) <= 1300
+    assert sum(attempts for *_, attempts in integrate_calls) <= 1300
 
 
 @pytest.mark.parametrize("seed", [42, 777])
