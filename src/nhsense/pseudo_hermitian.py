@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .evolution import (DEFAULT_TOL, MAX_PERIOD_PHASE, HamiltonianFamily, check_finite, check_time,
+from .evolution import (DEFAULT_TOL, MAX_PERIOD_PHASE, HamiltonianFamily, check_scalar, check_time,
                         generators, grid_to, propagate)
 from .noise import GRADIENT_FLOOR, binomial_variance, check_trials
 from .operators import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian, tensor
@@ -34,24 +34,30 @@ _YY = tensor(SIGMA_Y, SIGMA_Y)
 _PROJ_UP_Y = 0.5 * (ID2 + SIGMA_Y)
 _PROJ_DN_Y = 0.5 * (ID2 - SIGMA_Y)
 _OMEGA_MAX = float(np.finfo(float).max) ** 0.25  # Omega⁴ is a finite float below it
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 def _couplings(epsilon: float, omega: float) -> tuple[float, float]:
-    """b and c of the dilated Hamiltonian; DomainError unless epsilon and omega are finite and positive."""
-    check_finite("epsilon", epsilon)
-    check_finite("omega", omega)
+    """b and c of the dilated Hamiltonian; DomainError unless epsilon and omega are finite and
+    positive and c⁴ is a normal float: Omega >= c at every lam, so Omega⁴ is one too."""
+    check_scalar("epsilon", epsilon)
+    check_scalar("omega", omega)
     if epsilon <= 0:
         raise DomainError("epsilon must be positive (epsilon = 0 coalesces the probe)")
     if omega <= 0:
         raise DomainError("omega must be positive")
     e, den = epsilon, 1.0 + 2.0 * epsilon
-    return 4.0 * omega * e * (1.0 + e) / den, 2.0 * omega * math.sqrt(e * (1.0 + e)) / den
+    b, c = 4.0 * omega * e * (1.0 + e) / den, 2.0 * omega * math.sqrt(e * (1.0 + e)) / den
+    if not c**4 >= _TINY:
+        raise DomainError(f"omega {omega:g} too small at epsilon {epsilon:g}: c = {c:.3g}, "
+                          f"whose 4th power is below the smallest normal float")
+    return b, c
 
 
 @dataclass(frozen=True)
 class PseudoHermitianParams:
     """Dilation parameter epsilon, qubit frequency omega, encoded parameter lam; Omega⁴,
-    which `qfi_closed` divides by, must be a finite float.  b and c follow from (epsilon, omega)."""
+    which `qfi_closed` divides by, must be a finite normal float.  b and c follow from (epsilon, omega)."""
 
     epsilon: float
     omega: float
@@ -62,7 +68,7 @@ class PseudoHermitianParams:
     def __post_init__(self):
         for name, value in zip("bc", _couplings(self.epsilon, self.omega)):
             object.__setattr__(self, name, value)  # the class is frozen
-        check_finite("lam", self.lam)
+        check_scalar("lam", self.lam)
         if not self.Omega < _OMEGA_MAX:
             raise DomainError(f"epsilon {self.epsilon:g} too large at omega {self.omega:g}, lam {self.lam:g}: "
                               f"Omega = hypot(lam + b, c) = {self.Omega:.3g}, whose 4th power overflows")

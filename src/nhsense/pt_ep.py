@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .evolution import (DEFAULT_TOL, MAX_PERIOD_PHASE, TOL_MIN, HamiltonianFamily, check_finite, check_tol,
+from .evolution import (DEFAULT_TOL, MAX_PERIOD_PHASE, TOL_MIN, HamiltonianFamily, check_scalar, check_tol,
                         integrate, richardson)
 from .noise import check_trials
 from .operators import ID2, SIGMA_X, SIGMA_Z
@@ -56,7 +56,7 @@ class PtEpParams:
 
     def __post_init__(self):
         for name in ("J", "Gamma", "omega", "delta", "omega_delta"):
-            check_finite(name, getattr(self, name))
+            check_scalar(name, getattr(self, name))
         if self.J <= 0:
             raise DomainError("J must be positive")
         if self.Gamma < 0:

@@ -33,7 +33,7 @@ def integrate_calls(monkeypatch):
 
     The record is taken where `evolution` and `pt_ep` call the core.  It
     counts the step attempts from the evaluations of H: two for the initial
-    step, then one per attempt at the five stage times of each running member.
+    step, then one per attempt at the eleven stage times of each running member.
     """
     calls = []
     original = evolution.integrate
@@ -48,7 +48,7 @@ def integrate_calls(monkeypatch):
         result = original(replace(family, evaluate=evaluate), lams, times, tol, tangent)
         members = len(lams) * (len(times) - 1)  # one per grid interval
         if members:
-            assert sizes[:2] == [members] * 2 and all(size % 5 == 0 for size in sizes[2:])
+            assert sizes[:2] == [members] * 2 and all(size % 11 == 0 for size in sizes[2:])
         calls.append((len(lams), len(times), tangent, len(sizes[2:])))
         return result
 

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import math
 import os
@@ -16,6 +17,8 @@ from nhsense.cli import (
     ConfigError, ScenarioConfig, main, parse_config, parse_config_lines, read_metadata, validate,
 )
 from nhsense.verification import VerificationReport
+
+from test_pt_ep import GAMMA_EP_J1_W4
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -118,6 +121,7 @@ OUT_OF_DOMAIN = [
     (["sweep-ph", "--grid-start", "1e77", "--grid-stop", "2e77", "--grid-count", "2"],
      "scenario.pseudo-hermitian.grid.start"),
     (["sweep-ph", "--grid-start", "0", "--grid-stop", "1e4"], "scenario.pseudo-hermitian.grid.stop"),
+    (["sweep-ph", "--omega", "1e-85", "--grid-count", "3"], "scenario.pseudo-hermitian.omega"),
 ]
 
 
@@ -274,6 +278,21 @@ class TestCliRuns:
         assert proc.returncode == 1
         assert key in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
+    @pytest.mark.parametrize("omega", ["1e-9", "1e-12", "1e-16"])
+    def test_slow_qubit_sweep_ends_in_seconds(self, omega, tmp_path):
+        # tau ~ 1/omega, so each tangent member spans 1e9 to 1e16; in units of its span the
+        # tangent stays of the size of U, and the steps do not grow with tau
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        out = tmp_path / "o.csv"
+        proc = subprocess.run([sys.executable, "-m", "nhsense.cli", "sweep-ph", "--omega", omega,
+                               "--grid-count", "3", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=5.0)
+        assert proc.returncode == 0, proc.stderr
+        _, header, rows = read_csv(str(out))
+        for row in rows:
+            closed, numeric = (float(row[header.index(name)]) for name in ("qfi_closed", "qfi_numeric"))
+            assert numeric == pytest.approx(closed, rel=1e-10, abs=0.0)
+
     def test_largest_coupling_in_the_domain_runs(self, tmp_path):
         # epsilon 5e76: Omega ~ 1e77, whose fourth power is still a finite float;
         # the sensitivity is 0/0 there (nan), every other column finite
@@ -423,37 +442,105 @@ class TestVerifySubcommand:
         assert rows[-1][4] == "true"
 
 
+def compare_to_fixture(generated: Path, pinned: Path):
+    """Assert that the artifact `generated` matches the pinned one: metadata and text exactly,
+    numbers within rel 1e-9 (abs 1e-12)."""
+    meta_g, header_g, rows_g = read_csv(str(generated))
+    meta_p, header_p, rows_p = read_csv(str(pinned))
+    assert meta_g == meta_p
+    assert header_g == header_p
+    assert len(rows_g) == len(rows_p)
+    for row_g, row_p in zip(rows_g, rows_p):
+        for col, (sg, sp) in enumerate(zip(row_g, row_p)):
+            try:
+                vg, vp = float(sg), float(sp)
+            except ValueError:
+                assert sg == sp
+                continue
+            if math.isnan(vp):
+                assert math.isnan(vg)
+            else:
+                assert vg == pytest.approx(vp, rel=1e-9, abs=1e-12), (
+                    f"{header_g[col]} at {header_g[0]}={row_p[0]}: pinned {sp}, generated {sg}")
+
+
 class TestRegressionFixtures:
     """Self-oracle CSVs pinned at the first verified build."""
-
-    def _compare(self, generated: Path, pinned: Path):
-        meta_g, header_g, rows_g = read_csv(str(generated))
-        meta_p, header_p, rows_p = read_csv(str(pinned))
-        assert meta_g == meta_p
-        assert header_g == header_p
-        assert len(rows_g) == len(rows_p)
-        for row_g, row_p in zip(rows_g, rows_p):
-            for col, (sg, sp) in enumerate(zip(row_g, row_p)):
-                try:
-                    vg, vp = float(sg), float(sp)
-                except ValueError:
-                    assert sg == sp
-                    continue
-                if math.isnan(vp):
-                    assert math.isnan(vg)
-                else:
-                    assert vg == pytest.approx(vp, rel=1e-9, abs=1e-12), (
-                        f"{header_g[col]} at {header_g[0]}={row_p[0]}: pinned {sp}, generated {sg}")
 
     def test_sweep_default_fixture(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep-ph", "--out", str(out)]) == 0
-        self._compare(out, FIXTURES / "sweep_ph_default.csv")
+        compare_to_fixture(out, FIXTURES / "sweep_ph_default.csv")
 
     def test_scan_default_fixture(self, tmp_path):
         out = tmp_path / "scan.csv"
         assert main(["scan-ep", "--out", str(out)]) == 0
-        self._compare(out, FIXTURES / "scan_ep_default.csv")
+        compare_to_fixture(out, FIXTURES / "scan_ep_default.csv")
+
+
+def dispatched_cpu_features() -> list[str]:
+    """The optional SIMD targets numpy dispatches to on this machine, named as NPY_DISABLE_CPU_FEATURES
+    takes them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+
+
+# each setting is set in the child processes alone
+BUILDS = {"default": {}, "openblas-sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+          "numpy-baseline-simd": {"NPY_DISABLE_CPU_FEATURES": " ".join(dispatched_cpu_features())}}
+BUILD_RUNS = {"find-ep": ["find-ep"], "scan-ep": ["scan-ep"], "sweep-ph": ["sweep-ph"],
+              "verify": ["verify", "--seed", "42", "--format", "json"]}
+
+
+@pytest.fixture(scope="module")
+def build_runs(tmp_path_factory):
+    """{build: {run: (exit code, stderr, artifact path)}}: the default runs of BUILD_RUNS in child
+    processes under each setting of BUILDS, the runs of one setting side by side (verify once per
+    other setting; the default build's report is `verify_report_42`)."""
+    runs = {}
+    for build, setting in BUILDS.items():
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), **setting}
+        folder = tmp_path_factory.mktemp(build)
+        children = {
+            run: (subprocess.Popen([sys.executable, "-m", "nhsense.cli", *argv, "--out", str(folder / run)],
+                                   env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True),
+                  folder / run)
+            for run, argv in BUILD_RUNS.items() if run != "verify" or setting}
+        runs[build] = {run: (child.wait(timeout=60), child.communicate()[1], out)
+                       for run, (child, out) in children.items()}
+    return runs
+
+
+class TestAcrossBuilds:
+    """What holds per build and across builds of numpy and OpenBLAS."""
+
+    def test_restricted_simd_child_runs_without_its_targets(self):
+        env = {**os.environ, **BUILDS["numpy-baseline-simd"]}
+        script = inspect.getsource(dispatched_cpu_features) + "print(dispatched_cpu_features())"
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=30)
+        assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
+
+    def test_openblas_core_type_leaves_the_ep_artifacts_byte_identical(self, build_runs):
+        # the EP runs are 2-dim, their stage sums and products elementwise: no BLAS kernel in them
+        for run in ("find-ep", "scan-ep"):
+            artifacts = [build_runs[build][run][2].read_bytes()
+                         for build in ("default", "openblas-sandybridge")]
+            assert artifacts[0] == artifacts[1], run
+
+    @pytest.mark.parametrize("build", list(BUILDS))
+    def test_every_build_within_the_fixture_gates(self, build_runs, build):
+        runs = build_runs[build]
+        assert all(code == 0 for code, _, _ in runs.values()), {run: err for run, (_, err, _) in runs.items()}
+        compare_to_fixture(runs["scan-ep"][2], FIXTURES / "scan_ep_default.csv")
+        compare_to_fixture(runs["sweep-ph"][2], FIXTURES / "sweep_ph_default.csv")
+        _, _, rows = read_csv(str(runs["find-ep"][2]))
+        assert abs(float(rows[0][5]) - GAMMA_EP_J1_W4) <= 1e-10  # find-ep's default tol
+        if "verify" in runs:
+            assert json.loads(runs["verify"][2].read_text())["overall_pass"] is True
 
 
 SCENARIO_OF = {"sweep-ph": "pseudo-hermitian", "scan-ep": "pt-ep", "verify": "verify"}

@@ -127,12 +127,14 @@ class TestIntegrate:
 
 
 class TestAgainstSolveIvp:
-    """The batched core is scipy's RK45 controller: same steps, same numbers."""
+    """The batched core is scipy's DOP853 controller on the span-unit system: same steps, same numbers."""
 
     @staticmethod
-    def solve_ivp_reference(hamiltonian, dhamiltonian, dim, t_end, tol, method="RK45", rtol=None):
-        # the state layout of integrate from the identity on (0, t_end), through scipy; the
-        # default is RK45 at integrate's own rtol = atol
+    def solve_ivp_reference(hamiltonian, dhamiltonian, dim, t_end, tol, rtol=None):
+        # the state layout of integrate from the identity on (0, t_end), through scipy's DOP853; the
+        # default is the system of integrate's member at its own rtol = atol, whose tangent is W / u
+        # for u = max(1, 2^floor(log2 t_end)), an explicit rtol the plain system
+        unit = max(1.0, 2.0 ** math.floor(math.log2(t_end))) if rtol is None else 1.0
         rtol = max(tol / _INTERNAL_TOL_FACTOR, _RTOL_FLOOR) if rtol is None else rtol
         width = dim if dhamiltonian is None else 2 * dim
 
@@ -140,12 +142,12 @@ class TestAgainstSolveIvp:
             uw = y.reshape(dim, width)
             d = (-1j * hamiltonian(t)) @ uw
             if dhamiltonian is not None:
-                d[:, dim:] -= 1j * (dhamiltonian(t) @ uw[:, :dim])
+                d[:, dim:] -= 1j * ((dhamiltonian(t) / unit) @ uw[:, :dim])
             return d.ravel()
 
         y0 = np.zeros((dim, width), dtype=complex)
         y0[:, :dim] = np.eye(dim)
-        sol = solve_ivp(rhs, (0.0, t_end), y0.ravel(), method=method, rtol=rtol, atol=rtol)
+        sol = solve_ivp(rhs, (0.0, t_end), y0.ravel(), method="DOP853", rtol=rtol, atol=rtol)
         y = sol.y[:, -1].reshape(dim, width)
         return y[:, :dim], (y[:, dim:] if dhamiltonian is not None else None), sol.nfev
 
@@ -180,17 +182,17 @@ class TestAgainstSolveIvp:
         # the chained record at each grid point is the propagation (0, t_k) to within 10 tol
         for k in range(1, times.size):
             u_ref, w_ref, _ = self.solve_ivp_reference(hamiltonian, dhamiltonian, dim, times[k], tol,
-                                                       method="DOP853", rtol=1e-13)
+                                                       rtol=1e-13)
             assert np.abs(u[k] - u_ref).max() <= 10 * tol
             if dhamiltonian is not None:
                 assert np.abs(w[0, k] - w_ref).max() <= 10 * tol
-        # H is evaluated once per step attempt at its five stage times; the
-        # sixth RHS evaluation, at the step's end, reuses the last of them.
-        # With the two of the initial step that is 2 + 6 per attempt, as in scipy.
+        # H is evaluated once per step attempt at its eleven stage times; the
+        # twelfth RHS evaluation, at the step's end, reuses the last of them.
+        # With the two of the initial step that is 2 + 12 per attempt, as in scipy.
         integrate(replace(fam, evaluate=counted), [0], times[[0, -1]], tol, tangent)
         nfev = self.solve_ivp_reference(hamiltonian, dhamiltonian, dim, times[-1], tol)[2]
-        assert calls[:2] == [1, 1] and set(calls[2:]) == {5}
-        assert 2 + 6 * (len(calls) - 2) == nfev
+        assert calls[:2] == [1, 1] and set(calls[2:]) == {11}
+        assert 2 + 12 * (len(calls) - 2) == nfev
 
     @pytest.mark.parametrize("tangent", [False, True])
     def test_pt_period(self, tangent):
@@ -203,6 +205,12 @@ class TestAgainstSolveIvp:
         p = PtEpParams(J=1.0, Gamma=0.5, omega=4.0, delta=0.05, omega_delta=1.1)
         self.check(lambda t: hamiltonian_total(p, t), lambda t: hamiltonian_domega_delta(p, t),
                    2, np.linspace(0.0, p.T, 5), 1e-10)
+
+    def test_tangent_in_span_units(self):
+        # a tangent member of span T = 2 pi integrates W / 4 with dH/dlam / 4; the core multiplies by 4
+        p = PtEpParams(J=1.0, Gamma=0.5, omega=1.0, delta=0.05, omega_delta=0.3)
+        self.check(lambda t: hamiltonian_total(p, t), lambda t: hamiltonian_domega_delta(p, t),
+                   2, np.array([0.0, p.T]), 1e-10)
 
     def test_vanishing_start_with_rejected_steps(self, rng):
         # H(0) = 0 gives the tiny first step 1e-6, so the step grows by the
@@ -245,12 +253,10 @@ class TestStageProduct:
 
 
 def test_default_scan_ep_step_attempts(integrate_calls, tmp_path):
-    # neither the stage products nor the chained grid intervals change the
-    # steps: each batch of the default scan-ep keeps the step attempts it took
-    # with matmul products and with pt_ep's own piece loop
+    # the step attempts of each batch of the default scan-ep
     assert main(["scan-ep", "--out", str(tmp_path / "scan.csv")]) == 0
     # the pre-scan, six Brent evaluations of find_ep, the tangent scan
-    assert integrate_calls == [(25, 17, False, 37)] + [(1, 17, False, 28)] * 6 + [(80, 2, True, 166)]
+    assert integrate_calls == [(25, 17, False, 5)] + [(1, 17, False, 4)] * 6 + [(80, 2, True, 29)]
 
 
 class TestPropagate:

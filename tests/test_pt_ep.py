@@ -24,9 +24,10 @@ from nhsense.pt_ep import (
 GAMMA_EP_J1_W1 = 0.6180339887499011
 GAMMA_EP_J1_W4 = 1.0650605221996057
 DIP_J1_W4_D005 = 0.2065397059705546
-# tight roots: brentq at xtol 1e-15 on tol-1e-13 propagations (the dip for default_base())
+# tight roots: brentq at xtol 1e-15 on tol-1e-13 propagations; the dip for default_base() by
+# scipy's brentq at xtol 1e-15 on solve_ivp DOP853 periods at rtol = atol = 2.2e-14
 GAMMA_EP_J1_W4_TIGHT = 1.0650605221995824
-DIP_J1_W4_D005_TIGHT = 0.2065397059708299
+DIP_J1_W4_D005_TIGHT = 0.20653970596865234
 
 
 def default_base(gamma=GAMMA_EP_J1_W4):
@@ -80,7 +81,7 @@ class TestParams:
             a, b = (PtEpParams(J=1.0, Gamma=gamma, omega=4.0, delta=0.0, omega_delta=wd) for wd in (1.0, 4.0))
             for t in np.linspace(0.0, a.T, 17):
                 assert np.array_equal(hamiltonian_total(a, t), hamiltonian_total(b, t))
-        assert find_ep(1.0, 4.0) == 1.0650605221995795
+        assert find_ep(1.0, 4.0) == 1.065060522199592
 
 
 class TestHamiltonian:

@@ -55,15 +55,15 @@ def test_build_report_step_attempts(integrate_calls):
     # report's long solves take few steps one after another: (lams, grid
     # points, tangent, step attempts) of every integrate call of seed 42
     assert build_report(42).overall_pass
-    period = (1, 17, False, 28)  # one serial Brent evaluation of a pieced EP period
+    period = (1, 17, False, 4)  # one serial Brent evaluation of a pieced EP period
     assert integrate_calls == [
-        (2, 7, True, 39), (6, 7, True, 57),  # check_qfi_bounds, per dimension
-        (2, 17, True, 29), (20, 17, False, 28), (1, 17, True, 42), (10, 17, False, 35),  # check_qfi_oracle
-        (3, 9, True, 52), (3, 9, True, 88),  # check_pseudo_hermitian, per epsilon
-        (1, 17, False, 20),  # check_pt_ep: the Hermitian limit,
-        (25, 17, False, 37), *[period] * 6,  # find_ep's pre-scan and Brent,
-        (2, 17, False, 28), *[period] * 8,  # find_response_dip's bracket ends and Brent,
-        (8, 2, True, 263),  # and the scan near the dip
+        (2, 7, True, 6), (6, 7, True, 7),  # check_qfi_bounds, per dimension
+        (2, 17, True, 4), (20, 17, False, 4), (1, 17, True, 4), (10, 17, False, 4),  # check_qfi_oracle
+        (3, 9, True, 5), (3, 9, True, 8),  # check_pseudo_hermitian, per epsilon
+        (1, 17, False, 6),  # check_pt_ep: the Hermitian limit,
+        (25, 17, False, 5), *[period] * 6,  # find_ep's pre-scan and Brent,
+        (2, 17, False, 4), *[period] * 9,  # find_response_dip's bracket ends and Brent,
+        (8, 2, True, 37),  # and the scan near the dip
     ]
     assert sum(attempts for *_, attempts in integrate_calls) <= 1300
 
