@@ -24,7 +24,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import get_args
 
 import numpy as np
@@ -288,7 +288,7 @@ def run(config: ScenarioConfig) -> int:
                                 config.ep_grid_start, config.ep_nu)
         grid = np.linspace(config.ep_grid_start, config.ep_grid_stop, config.ep_grid_count)
         rows, columns = pt_ep.scan(base, grid, tol=config.tol), pt_ep.SCAN_COLUMNS
-    _emit(_metadata_items(config), columns, [asdict(row) for row in rows], config.format, config.out)
+    _emit(_metadata_items(config), columns, [vars(row) for row in rows], config.format, config.out)
     return 0
 
 

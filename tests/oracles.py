@@ -7,7 +7,9 @@ import numpy as np
 from nhsense.evolution import DEFAULT_TOL, HamiltonianFamily, check_step, propagators
 from nhsense.noise import make_rng
 from nhsense.operators import covariance, expm_hermitian, seminorm, variance
-from nhsense.verification import CheckResult, _result, random_hermitian, random_state, random_unitary
+from nhsense.verification import (
+    CheckResult, _gaussian, _result, random_hermitian, random_state, random_unitary,
+)
 
 
 def generator_finite_difference(family: HamiltonianFamily, lam: float, t: float,
@@ -61,3 +63,17 @@ def operator_inequalities_per_instance(seed: int, n: int = 1000) -> list[CheckRe
         _result("expm-unitarity", "||U†U - 1||_max = 0", worst_unit, 1e-10),
         _result("seminorm-additivity", "| ||sum h_j|| - N ||h|| | = 0 (N <= 4)", worst_add, 1e-10),
     ]
+
+
+def operator_instances_per_draw(rng: np.random.Generator, n: int) -> tuple[dict, dict]:
+    """`verification._operator_instances` as a loop of one generator call per real or imaginary part."""
+    by_dim: dict[int, list] = {}
+    by_sites: dict[int, list] = {}
+    for _ in range(n):
+        dim = int(rng.integers(2, 7))
+        by_dim.setdefault(dim, []).append((random_hermitian(rng, dim), random_hermitian(rng, dim),
+                                           _gaussian(rng, dim, dim), random_state(rng, dim),
+                                           rng.uniform(0.0, 3.0)))
+        by_sites.setdefault(int(rng.integers(1, 5)), []).append(random_hermitian(rng, 2))
+    return ({dim: [np.stack(column) for column in zip(*rows)] for dim, rows in by_dim.items()},
+            {n_sites: np.stack(h1) for n_sites, h1 in by_sites.items()})

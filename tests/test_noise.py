@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.stats import binom
+
 from nhsense.errors import DomainError
 from nhsense.noise import (
-    binomial_variance, propagate_error,
-    sample_projection, sample_projection_batch, scaled_binomial_variance,
+    _binomial_pmf, binomial_variance, check_trials, propagate_error,
+    sample_projection, sample_projection_batch, sample_projection_counts, scaled_binomial_variance,
 )
-from nhsense.verification import _variance_standard_error, make_rng
+from nhsense.pt_ep import PtEpParams
+from nhsense.verification import (
+    _NOISE_CASES, _count_variance, _noise_z_scores, _variance_standard_error, check_noise, make_rng,
+)
 
 
 class TestBinomialVariance:
@@ -137,3 +142,87 @@ class TestSampleProjection:
     def test_domain(self):
         with pytest.raises(DomainError):
             sample_projection(1.5, 1.0, 10, 0)
+
+
+class TestCheckTrials:
+    @pytest.mark.parametrize("nu", [1, 7, np.int64(3), np.int32(400), np.uint8(2)])
+    def test_accepts_integers(self, nu):
+        assert check_trials(nu) is nu
+
+    @pytest.mark.parametrize("nu", [True, False, 2.5, 2.0, np.float64(3.0), "3", None, 0, -1, np.int64(0)])
+    def test_rejects_naming_nu(self, nu):
+        with pytest.raises(DomainError, match=r"\bnu\b"):
+            check_trials(nu)
+
+    @pytest.mark.parametrize("call", [
+        lambda: binomial_variance(0.3, 2.5),
+        lambda: scaled_binomial_variance(0.3, 2.0, 2.5),
+        lambda: PtEpParams(1, 0.5, 4, 0.05, 1, nu=2.5),
+        lambda: sample_projection(0.3, 1.0, 2.5, 1),
+        lambda: sample_projection_batch(0.3, 1.0, True, 10, 1),
+    ])
+    def test_non_integer_counts_fail_at_the_boundary(self, call):
+        with pytest.raises(DomainError, match="nu"):
+            call()
+
+
+@pytest.fixture(scope="module")
+def noise_z():
+    """z-scores of the noise check's 15 cases at 300 fixed seeds, one row per seed."""
+    return np.array([_noise_z_scores(seed) for seed in range(300)])
+
+
+class TestProjectionCounts:
+    @pytest.mark.parametrize("p, scale, nu", _NOISE_CASES)
+    def test_pmf_is_scipy_binomial(self, p, scale, nu):
+        pmf = _binomial_pmf(p / scale, nu)
+        np.testing.assert_allclose(pmf, binom.pmf(np.arange(nu + 1), nu, p / scale), rtol=1e-10, atol=1e-300)
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    @pytest.mark.parametrize("nu", [1, 25, 400])
+    def test_certain_outcomes_fill_one_bin(self, scale, nu):
+        for p, occupied in ((0.0, 0), (scale, nu)):
+            counts = sample_projection_counts(p, scale, nu, 50_000, seed=nu)
+            assert counts[occupied] == 50_000 and np.count_nonzero(counts) == 1
+            assert _count_variance(counts, scale) == 0.0
+
+    def test_counts_hold_every_estimate(self):
+        counts = sample_projection_counts(0.6 * math.e, math.e, 25, 50_000, seed=11)
+        assert counts.shape == (26,) and counts.sum() == 50_000
+
+    def test_count_variance_is_the_variance_of_the_estimates(self):
+        counts = sample_projection_counts(0.3, 2.5, 40, 5_000, seed=4)
+        estimates = np.repeat(2.5 * np.arange(41) / 40, counts)
+        assert _count_variance(counts, 2.5) == pytest.approx(estimates.var(ddof=1), rel=1e-12)
+
+    @pytest.mark.parametrize("p, scale, nu, reps", [
+        (0.5, 0.0, 10, 10), (0.5, -1.0, 10, 10), (-0.1, 1.0, 10, 10), (1.5, 1.0, 10, 10),
+        (0.5, 1.0, 0, 10), (0.5, 1.0, 2.5, 10), (0.5, 1.0, True, 10), (0.5, 1.0, 10, 0),
+    ])
+    def test_domain_matches_the_batch_sampler(self, p, scale, nu, reps):
+        for sampler in (sample_projection_batch, sample_projection_counts):
+            with pytest.raises(DomainError):
+                sampler(p, scale, nu, reps, 1)
+
+    def test_check_noise_is_the_worst_case(self):
+        assert check_noise(45)[0].observed == np.abs(_noise_z_scores(45)).max()
+
+    def test_z_scores_are_standard(self, noise_z):
+        # per case over 300 seeds, the SE of the mean is 0.058 and of the SD 0.041;
+        # measured: means -0.103 to 0.114, SDs 0.898 to 1.081
+        assert np.abs(noise_z.mean(axis=0)).max() < 0.25
+        sd = noise_z.std(axis=0, ddof=1)
+        assert sd.min() > 0.85 and sd.max() < 1.15
+
+    def test_five_percent_too_large_a_formula_fails_the_gate(self, noise_z):
+        # expected z 7.06 to 8.33 by case; over 300 seeds each case alone fails
+        # the 5 SE gate at 98.0 % to 100 % of them (mean |z| 6.99 to 8.32), and
+        # the check as a whole at every one (smallest worst |z| 8.56)
+        offset = np.array([0.05 * scaled_binomial_variance(p, scale, nu)
+                           / _variance_standard_error(p, scale, nu, 50_000) for p, scale, nu in _NOISE_CASES])
+        assert offset.min() > 7.0 and offset.max() < 8.4
+        inflated = np.abs(noise_z - offset)
+        assert (inflated > 5.0).mean(axis=0).min() >= 0.95
+        assert inflated.mean(axis=0).min() > 6.5
+        assert inflated.max(axis=1).min() > 5.0

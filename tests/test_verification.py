@@ -3,12 +3,12 @@ import pytest
 
 from nhsense.evolution import generators, propagate, propagators
 from nhsense.verification import (
-    _site_sum, build_report, check_operator_inequalities, check_qfi_bounds, check_qfi_oracle, family_stack,
-    random_terms,
+    _operator_instances, _site_sum, build_report, check_operator_inequalities, check_qfi_bounds, check_qfi_oracle,
+    family_stack, random_terms,
 )
 
 from conftest import make_rng, random_family, random_hermitian
-from oracles import operator_inequalities_per_instance
+from oracles import operator_inequalities_per_instance, operator_instances_per_draw
 
 GRID = np.linspace(0.0, 1.5, 7)
 
@@ -76,6 +76,21 @@ def test_operator_suite_matches_the_per_instance_loop(seed):
     assert [r.name for r in stacked] == [r.name for r in looped]
     for got, want in zip(stacked, looped):
         assert got.passed and got.observed == pytest.approx(want.observed, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 777])
+@pytest.mark.parametrize("n", [1, 7, 400])
+def test_operator_instances_equal_the_per_draw_loop(seed, n):
+    # one normal draw per instance and one per h1 give the loop's stacks bit for bit
+    by_dim, by_sites = _operator_instances(make_rng(seed), n)
+    want_dim, want_sites = operator_instances_per_draw(make_rng(seed), n)
+    assert list(by_dim) == list(want_dim) and list(by_sites) == list(want_sites)
+    for dim, stacks in by_dim.items():
+        for got, want in zip(stacks, want_dim[dim], strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    for n_sites, h1 in by_sites.items():
+        want = want_sites[n_sites]
+        assert h1.dtype == want.dtype and h1.shape == want.shape and h1.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
