@@ -9,8 +9,6 @@ above the Hermitian-counterpart floor 1/(2 sqrt(nu) t) at every parameter
 value.
 """
 
-import math
-
 import numpy as np
 
 import nhsense.pseudo_hermitian as ph
@@ -22,15 +20,15 @@ for eps in (0.1, 0.01, 0.001):
     tau = ph.PseudoHermitianParams(eps, OMEGA).tau
     floor = ph.hermitian_bound(tau, NU)
 
-    # the susceptibility peak lives near lam = -2 eps omega, width ~ eps
-    window = np.linspace(-4 * eps * OMEGA, 0.0, 801)
-    chis = [ph.susceptibility(ph.PseudoHermitianParams(eps, OMEGA, float(l)), tau) for l in window]
+    # the susceptibility peak lives near lam = -2 eps omega, width ~ eps;
+    # each window is one lam stack, evaluated in one call
+    window = ph.PseudoHermitianParams(eps, OMEGA, np.linspace(-4 * eps * OMEGA, 0.0, 801))
+    chis = ph.susceptibility(window, tau)
     k_peak = int(np.argmax(np.abs(chis)))
-    lam_peak = float(window[k_peak])
+    lam_peak = float(window.lams[k_peak])
 
-    sens = [ph.sensitivity(ph.PseudoHermitianParams(eps, OMEGA, float(l)), tau, NU)
-            for l in np.linspace(-0.5, 0.5, 501)]
-    best = min(s for s in sens if math.isfinite(s))
+    sens = ph.sensitivity(ph.PseudoHermitianParams(eps, OMEGA, np.linspace(-0.5, 0.5, 501)), tau, NU)
+    best = sens[np.isfinite(sens)].min()
     success = ph.postselection_success(ph.PseudoHermitianParams(eps, OMEGA, lam_peak), tau)
     print(f"{eps:<6g} {tau:7.3f}  {abs(chis[k_peak]):14.1f}   {best:15.6f}   {floor:14.6f}"
           f"   {success:11.4f}")

@@ -348,13 +348,17 @@ def check_scalar(name: str, value: float) -> float:
 
 def evaluate_stack(evaluate: Callable, dim: int, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     """evaluate(lam, t) as a complex (t.size, dim, dim) stack; DomainError for another shape,
-    PropagationError naming the first time of a non-finite member."""
+    PropagationError naming the first time of a non-finite member.  A non-finite entry makes the
+    stack's sum non-finite, so the entries are tested only when the sum is not finite."""
     m = np.asarray(evaluate(lam, t), dtype=complex)
     if m.shape != (t.size, dim, dim):
         raise DomainError(f"a family callable must return a {(t.size, dim, dim)} stack, got {m.shape}")
-    if not np.isfinite(m).all():
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite stack's sum may overflow
+        total = m.sum()
+    if not np.isfinite(total):
         bad = ~np.isfinite(m).all(axis=(1, 2))
-        raise PropagationError(f"non-finite Hamiltonian evaluation at t={t[bad][0]:g}")
+        if bad.any():
+            raise PropagationError(f"non-finite Hamiltonian evaluation at t={t[bad][0]:g}")
     return m
 
 

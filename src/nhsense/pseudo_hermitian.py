@@ -8,6 +8,12 @@ noise sensitivity of the population measurement, the closed-form QFI and its
 rate, and the sensitivity bound of the Hermitian counterpart.  Both slopes in
 lam, of the population S and of P1, are exact closed forms.
 
+`PseudoHermitianParams.lam` is one value or a 1-d stack of them.  Every
+closed form of lam then returns one value per member, each with its own
+guard (S = 1 and chi = 0 where the denominator underflows, a NaN or +inf
+sensitivity at the slope floor).  A lone lam is evaluated as a stack of one
+and returned as a Python float, equal to its member of any stack bit for bit.
+
 Basis ordering for the two-qubit space is kron(ancilla, system):
 index 0 = |0_a 0_s>, 1 = |0_a 1_s>, 2 = |1_a 0_s>, 3 = |1_a 1_s>.
 """
@@ -18,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .evolution import (DEFAULT_TOL, MAX_PERIOD_PHASE, HamiltonianFamily, check_scalar, check_time,
-                        generators, grid_to, propagate)
-from .noise import GRADIENT_FLOOR, binomial_variance, check_trials
+from .evolution import (DEFAULT_TOL, MAX_PERIOD_PHASE, HamiltonianFamily, check_finite, check_scalar,
+                        check_time, generators, grid_to, propagate)
+from .noise import GRADIENT_FLOOR, check_trials
 from .operators import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian, tensor
 from .qfi import qfi_pure
 
@@ -37,16 +43,26 @@ _OMEGA_MAX = float(np.finfo(float).max) ** 0.25  # Omega⁴ is a finite float be
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
-def _couplings(epsilon: float, omega: float) -> tuple[float, float]:
-    """b and c of the dilated Hamiltonian; DomainError unless epsilon and omega are finite and
-    positive and c⁴ is a normal float: Omega >= c at every lam, so Omega⁴ is one too."""
+def _check_epsilon(epsilon: float) -> float:
+    """1 + 2 epsilon once epsilon is finite and positive and that sum is a finite float;
+    DomainError naming epsilon otherwise."""
     check_scalar("epsilon", epsilon)
-    check_scalar("omega", omega)
     if epsilon <= 0:
         raise DomainError("epsilon must be positive (epsilon = 0 coalesces the probe)")
+    den = 1.0 + 2.0 * epsilon
+    if math.isinf(den):
+        raise DomainError(f"epsilon {epsilon:g} too large: 1 + 2 epsilon overflows")
+    return den
+
+
+def _couplings(epsilon: float, omega: float) -> tuple[float, float]:
+    """b and c of the dilated Hamiltonian; DomainError unless epsilon is in `_check_epsilon`'s domain,
+    omega is finite and positive and c⁴ is a normal float: Omega >= c at every lam, so Omega⁴ is one too."""
+    den = _check_epsilon(epsilon)
+    check_scalar("omega", omega)
     if omega <= 0:
         raise DomainError("omega must be positive")
-    e, den = epsilon, 1.0 + 2.0 * epsilon
+    e = epsilon
     b, c = 4.0 * omega * e * (1.0 + e) / den, 2.0 * omega * math.sqrt(e * (1.0 + e)) / den
     if not c**4 >= _TINY:
         raise DomainError(f"omega {omega:g} too small at epsilon {epsilon:g}: c = {c:.3g}, "
@@ -56,37 +72,68 @@ def _couplings(epsilon: float, omega: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class PseudoHermitianParams:
-    """Dilation parameter epsilon, qubit frequency omega, encoded parameter lam; Omega⁴,
-    which `qfi_closed` divides by, must be a finite normal float.  b and c follow from (epsilon, omega)."""
+    """Dilation parameter epsilon, qubit frequency omega, encoded parameter lam: one value or a
+    1-d stack of them (kept as a tuple), checked once.  Omega⁴, which `qfi_closed` divides by, must
+    be a finite normal float at every member; Omega is largest at the smallest or the largest lam.
+    b and c follow from (epsilon, omega); `lams` is lam as a read-only 1-d array."""
 
     epsilon: float
     omega: float
-    lam: float = 0.0
+    lam: float | tuple[float, ...] = 0.0
     b: float = field(init=False, repr=False, compare=False)
     c: float = field(init=False, repr=False, compare=False)
+    lams: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, value in zip("bc", _couplings(self.epsilon, self.omega)):
             object.__setattr__(self, name, value)  # the class is frozen
-        check_scalar("lam", self.lam)
-        if not self.Omega < _OMEGA_MAX:
-            raise DomainError(f"epsilon {self.epsilon:g} too large at omega {self.omega:g}, lam {self.lam:g}: "
-                              f"Omega = hypot(lam + b, c) = {self.Omega:.3g}, whose 4th power overflows")
+        if np.ndim(self.lam) == 0:
+            lams = np.array([check_scalar("lam", self.lam)], dtype=float)
+        elif np.ndim(self.lam) == 1:
+            lams = np.array(check_finite("lam", self.lam))
+            object.__setattr__(self, "lam", tuple(lams.tolist()))  # immutable, so p compares and hashes
+        else:
+            raise DomainError(f"lam must be one value or a 1-d stack, got shape {np.shape(self.lam)}")
+        lams.flags.writeable = False
+        object.__setattr__(self, "lams", lams)
+        ends = lams[[lams.argmin(), lams.argmax()]]
+        omegas = np.hypot(ends + self.b, self.c)
+        if not (omegas < _OMEGA_MAX).all():
+            j = int(np.argmin(omegas < _OMEGA_MAX))
+            raise DomainError(f"epsilon {self.epsilon:g} too large at omega {self.omega:g}, lam {ends[j]:g}: "
+                              f"Omega = hypot(lam + b, c) = {omegas[j]:.3g}, whose 4th power overflows")
+
+    def given(self, values: np.ndarray):
+        """Per-member values as lam was given: the array for a stack, its one member for a lone
+        lam (a Python float if the members are numbers)."""
+        if isinstance(self.lam, tuple):
+            return values
+        return float(values[0]) if values.ndim == 1 else values[0]
 
     @property
-    def Omega(self) -> float:
+    def Omega(self):
         """Level splitting sqrt((lam+b)² + c²) of each decoupled block."""
-        return math.hypot(self.lam + self.b, self.c)
+        return self.given(_splitting(self)[1])
 
     @property
-    def delta_lam(self) -> float:
+    def delta_lam(self):
         """Asymmetry (lam + 2 eps omega)/Omega of the effective two-level model."""
-        return (self.lam + 2.0 * self.epsilon * self.omega) / self.Omega
+        return self.given(_asymmetry(self, _splitting(self)[1]))
 
     @property
     def tau(self) -> float:
         """Protocol time pi/(4 omega sqrt(eps(1+eps))), a quarter period at lam=0."""
         return math.pi / (4.0 * self.omega * math.sqrt(self.epsilon * (1.0 + self.epsilon)))
+
+
+def _splitting(p: PseudoHermitianParams) -> tuple[np.ndarray, np.ndarray]:
+    """lam + b and Omega = hypot(lam + b, c) per member of p.lams."""
+    lb = p.lams + p.b
+    return lb, np.hypot(lb, p.c)
+
+
+def _asymmetry(p: PseudoHermitianParams, om: np.ndarray) -> np.ndarray:
+    return (p.lams + 2.0 * p.epsilon * p.omega) / om
 
 
 @dataclass(frozen=True)
@@ -111,21 +158,25 @@ def hamiltonian_family(epsilon: float, omega: float) -> HamiltonianFamily:
                              evaluate_dlambda=lambda lam, t: np.broadcast_to(_IX, (t.size, 4, 4)))
 
 
+def _hamiltonians(p: PseudoHermitianParams) -> np.ndarray:
+    return hamiltonian_family(p.epsilon, p.omega).evaluate(p.lams, np.zeros(p.lams.size))
+
+
 def dilated_hamiltonian(p: PseudoHermitianParams) -> np.ndarray:
-    """The dilated two-qubit Hamiltonian at p: `hamiltonian_family` evaluated at p.lam."""
-    return hamiltonian_family(p.epsilon, p.omega).evaluate(np.array([p.lam]), np.zeros(1))[0]
+    """The dilated two-qubit Hamiltonian at p: `hamiltonian_family` evaluated at p.lam (a stack for a stack)."""
+    return p.given(_hamiltonians(p))
 
 
 def probe_state(epsilon: float) -> np.ndarray:
-    """Probe (sqrt((1+e)/(1+2e))|0>_a + sqrt(e/(1+2e))|1>_a) ⊗ |0>_s."""
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
-    a0 = math.sqrt((1.0 + epsilon) / (1.0 + 2.0 * epsilon))
-    a1 = math.sqrt(epsilon / (1.0 + 2.0 * epsilon))
+    """Probe (sqrt((1+e)/(1+2e))|0>_a + sqrt(e/(1+2e))|1>_a) ⊗ |0>_s; epsilon has the domain of
+    `PseudoHermitianParams` (DomainError naming it otherwise)."""
+    den = _check_epsilon(epsilon)
+    a0 = math.sqrt((1.0 + epsilon) / den)
+    a1 = math.sqrt(epsilon / den)
     return np.array([a0, 0.0, a1, 0.0], dtype=complex)
 
 
-def two_level_population(p: PseudoHermitianParams, t: float) -> float:
+def two_level_population(p: PseudoHermitianParams, t: float):
     """Normalized population S = 1/[1 + delta_lam² tan²(Omega t)] in |0>_s.
 
     Evaluated as cos²/(cos² + delta² sin²), which extends continuously
@@ -133,48 +184,52 @@ def two_level_population(p: PseudoHermitianParams, t: float) -> float:
     asymmetry vanishes and the state never leaves |0>_s).
     """
     check_time(t)
-    cs = math.cos(p.Omega * t)
-    sn = math.sin(p.Omega * t)
+    _, om = _splitting(p)
+    cs, sn = np.cos(om * t), np.sin(om * t)
     num = cs * cs
-    den = num + (p.delta_lam * sn) ** 2
-    if den < 1e-300:
-        return 1.0  # delta_lam == 0 and cos == 0: population never left |0>_s
-    return num / den
+    den = num + (_asymmetry(p, om) * sn) ** 2
+    # below 1e-300, delta_lam == 0 and cos == 0: the population never left |0>_s
+    return p.given(np.divide(num, den, out=np.ones_like(den), where=den >= 1e-300))
 
 
 def _evolved_probe(p: PseudoHermitianParams, t: float) -> np.ndarray:
-    return expm_hermitian(dilated_hamiltonian(p), t) @ probe_state(p.epsilon)
+    """The probe evolved for t under the dilated Hamiltonian, (len(p.lams), 4)."""
+    return expm_hermitian(_hamiltonians(p), t) @ probe_state(p.epsilon)
 
 
-def postselection_success(p: PseudoHermitianParams, t: float) -> float:
+def postselection_success(p: PseudoHermitianParams, t: float):
     """Probability of finding the ancilla in |0>_a after evolving for t."""
     psi = _evolved_probe(p, t)
-    return float(abs(psi[0]) ** 2 + abs(psi[1]) ** 2)
+    return p.given(np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, 1]) ** 2)
 
 
-def conditional_population_from_dilation(p: PseudoHermitianParams, t: float) -> float:
-    """P(|0_s>) conditioned on the ancilla in |0_a>, from the 4-dim evolution.
+def conditional_population(psi) -> np.ndarray:
+    """P(|0_s>) conditioned on the ancilla in |0_a>, for each evolved probe of a (..., 4) stack.
+
+    NaN where the conditioning probability is below 1e-14 (undefined).
+    """
+    p00, p01 = np.abs(psi[..., 0]) ** 2, np.abs(psi[..., 1]) ** 2
+    success = p00 + p01
+    return np.divide(p00, success, out=np.full_like(success, np.nan), where=success >= 1e-14)
+
+
+def conditional_population_from_dilation(p: PseudoHermitianParams, t: float):
+    """`conditional_population` of the probe evolved for t by the 4-dim dilation.
 
     Equals two_level_population up to numerical error (dilation correctness).
-    Returns NaN when the conditioning probability is below 1e-14 (undefined).
     """
     check_time(t)
-    psi = _evolved_probe(p, t)
-    p00 = abs(psi[0]) ** 2
-    p01 = abs(psi[1]) ** 2
-    if p00 + p01 < 1e-14:
-        return float("nan")
-    return p00 / (p00 + p01)
+    return p.given(conditional_population(_evolved_probe(p, t)))
 
 
-def p1_closed(p: PseudoHermitianParams, t: float) -> float:
+def p1_closed(p: PseudoHermitianParams, t: float):
     """Closed-form probability of |0_a 0_s>: (1+e)/(1+2e) cos²(Omega t)."""
     check_time(t)
     e = p.epsilon
-    return (1.0 + e) / (1.0 + 2.0 * e) * math.cos(t * p.Omega) ** 2
+    return p.given((1.0 + e) / (1.0 + 2.0 * e) * np.cos(t * _splitting(p)[1]) ** 2)
 
 
-def susceptibility(p: PseudoHermitianParams, t: float) -> float:
+def susceptibility(p: PseudoHermitianParams, t: float):
     """chi_s = dS/dlam in closed form, the quotient rule on cos²/(cos² + delta² sin²).
 
     With x = Omega t, dOmega/dlam = (lam+b)/Omega and
@@ -183,38 +238,35 @@ def susceptibility(p: PseudoHermitianParams, t: float) -> float:
     Returns 0 where den underflows; two_level_population holds S = 1 there.
     """
     check_time(t)
-    om, d = p.Omega, p.delta_lam
-    cs = math.cos(om * t)
-    sn = math.sin(om * t)
+    lb, om = _splitting(p)
+    d = _asymmetry(p, om)
+    cs, sn = np.cos(om * t), np.sin(om * t)
     den = cs * cs + (d * sn) ** 2
-    if den < 1e-300:
-        return 0.0
-    d_om = (p.lam + p.b) / om
+    d_om = lb / om
     d_delta = (1.0 - d * d_om) / om
-    return -2.0 * cs * sn * d * (t * d * d_om + cs * sn * d_delta) / den**2
+    num = -2.0 * cs * sn * d * (t * d * d_om + cs * sn * d_delta)
+    return p.given(np.divide(num, den**2, out=np.zeros_like(den), where=den >= 1e-300))
 
 
-def p1_slope(p: PseudoHermitianParams, t: float) -> float:
+def p1_slope(p: PseudoHermitianParams, t: float):
     """dP1/dlam = -(1+e)/(1+2e) sin(2 Omega t) t dOmega/dlam, dOmega/dlam = (lam+b)/Omega."""
     check_time(t)
-    e, om = p.epsilon, p.Omega
-    return -(1.0 + e) / (1.0 + 2.0 * e) * math.sin(2.0 * t * om) * t * (p.lam + p.b) / om
+    e, (lb, om) = p.epsilon, _splitting(p)
+    return p.given(-(1.0 + e) / (1.0 + 2.0 * e) * np.sin(2.0 * t * om) * t * lb / om)
 
 
-def sensitivity(p: PseudoHermitianParams, t: float, nu: int) -> float:
+def sensitivity(p: PseudoHermitianParams, t: float, nu: int):
     """Projection-noise sensitivity sqrt(Var[P1])/|dP1/dlam| of the P1 measurement.
 
-    Returns +inf when the slope vanishes but the variance does not, and NaN
-    at exact dip points where both vanish (0/0, excluded from minima).
+    Var[P1] = P1(1 - P1)/nu.  Returns +inf when the slope vanishes but the
+    variance does not, and NaN at exact dip points where both vanish (0/0,
+    excluded from minima).
     """
-    p1 = p1_closed(p, t)
-    var = binomial_variance(p1, nu)
-    slope = p1_slope(p, t)
-    if abs(slope) < GRADIENT_FLOOR:
-        if var < GRADIENT_FLOOR**2:
-            return float("nan")
-        return float("inf")
-    return math.sqrt(var) / abs(slope)
+    p1 = np.atleast_1d(p1_closed(p, t))  # one value per member, a lone lam too
+    var = p1 * (1.0 - p1) / check_trials(nu)
+    slope = np.abs(np.atleast_1d(p1_slope(p, t)))
+    flat = np.where(var < GRADIENT_FLOOR**2, np.nan, np.inf)
+    return p.given(np.divide(np.sqrt(var), slope, out=flat, where=slope >= GRADIENT_FLOOR))
 
 
 def generator_closed(p: PseudoHermitianParams, t: float) -> np.ndarray:
@@ -234,28 +286,27 @@ def generator_closed(p: PseudoHermitianParams, t: float) -> np.ndarray:
     return tensor(_PROJ_UP_Y, h1) + tensor(_PROJ_DN_Y, h2)
 
 
-def qfi_closed(p: PseudoHermitianParams, t: float) -> float:
+def qfi_closed(p: PseudoHermitianParams, t: float):
     """Closed-form QFI 4(b+lam)² t²/Omega² + 4 c² sin²(Omega t)/Omega⁴."""
     check_time(t)
-    om = p.Omega
-    lb = p.lam + p.b
-    return 4.0 * lb**2 * t**2 / om**2 + 4.0 * p.c**2 * math.sin(om * t) ** 2 / om**4
+    lb, om = _splitting(p)
+    return p.given(4.0 * lb**2 * t**2 / om**2 + 4.0 * p.c**2 * np.sin(om * t) ** 2 / om**4)
 
 
-def qfi_rate_closed(p: PseudoHermitianParams, t: float) -> float:
+def qfi_rate_closed(p: PseudoHermitianParams, t: float):
     """Closed-form d sqrt(F)/dt; lies in [-2, 2] and tends to 2 as t -> 0."""
     check_time(t)
-    om = p.Omega
-    cos2 = ((p.lam + p.b) / om) ** 2
+    lb, om = _splitting(p)
+    cos2 = (lb / om) ** 2
     sin2 = (p.c / om) ** 2
     x = om * t
     num = cos2 + sin2 * np.sinc(2.0 * x / math.pi)
-    den = math.sqrt(cos2 + sin2 * np.sinc(x / math.pi) ** 2)
-    return float(2.0 * num / den)
+    den = np.sqrt(cos2 + sin2 * np.sinc(x / math.pi) ** 2)
+    return p.given(2.0 * num / den)
 
 
 def qfi_numeric(p: PseudoHermitianParams, t: float, tol: float = DEFAULT_TOL) -> float:
-    """QFI from the numerically propagated generator (independent of closed forms)."""
+    """QFI from the numerically propagated generator (independent of closed forms), at one lam."""
     rec = propagate(hamiltonian_family(p.epsilon, p.omega), p.lam, grid_to(t), tol=tol)
     return qfi_pure(rec.h[-1], probe_state(p.epsilon))
 
@@ -269,11 +320,13 @@ def hermitian_bound(t: float, nu: int) -> float:
 
 
 def check_sweep_phase(p: PseudoHermitianParams) -> PseudoHermitianParams:
-    """p itself once the phase Omega tau that `sweep` propagates at p is at most MAX_PERIOD_PHASE;
-    DomainError naming lam otherwise.  Over a lam grid, Omega = hypot(lam + b, c) is largest at an end."""
-    phase = p.Omega * p.tau
-    if not phase <= MAX_PERIOD_PHASE:
-        raise DomainError(f"lam {p.lam:g} gives Omega tau = {phase:.3g} at epsilon {p.epsilon:g}, omega "
+    """p itself once the phase Omega tau that `sweep` propagates is at most MAX_PERIOD_PHASE at every
+    member; DomainError naming the first lam over it otherwise.  Over a lam grid, Omega is largest at an end."""
+    phase = _splitting(p)[1] * p.tau
+    over = ~(phase <= MAX_PERIOD_PHASE)
+    if over.any():
+        j = int(np.argmax(over))
+        raise DomainError(f"lam {p.lams[j]:g} gives Omega tau = {phase[j]:.3g} at epsilon {p.epsilon:g}, omega "
                           f"{p.omega:g}, above {MAX_PERIOD_PHASE:g}, the most one sweep may propagate")
     return p
 
@@ -283,18 +336,18 @@ def sweep(epsilon: float, omega: float, lam_grid, nu: int = 1,
     """One row per lam at the protocol time t = tau(epsilon, omega).
 
     tau is always recomputed from (epsilon, omega); rows with an undefined
-    sensitivity carry NaN rather than being dropped.  Every lam passes `check_sweep_phase` before
-    anything is propagated; each qfi_numeric is its member of one tangent batch over the grid.
+    sensitivity carry NaN rather than being dropped.  The grid is one lam stack: its phase is
+    checked before anything is propagated, and each column is one call; qfi_numeric is one tangent
+    batch over the grid, each member equal to `qfi_numeric` alone.
     """
-    lam_grid = np.asarray(lam_grid, dtype=float)
+    lam_grid = np.atleast_1d(np.asarray(lam_grid, dtype=float))
     if lam_grid.size == 0:
         raise DomainError("lam grid must be non-empty")
     check_trials(nu)
-    ps = [check_sweep_phase(PseudoHermitianParams(epsilon, omega, lam)) for lam in lam_grid.tolist()]
-    t = ps[0].tau
-    _, h = generators(hamiltonian_family(epsilon, omega), lam_grid, grid_to(t), tol=tol)
-    return [SweepRow(
-        lam=p.lam, S=two_level_population(p, t), chi=susceptibility(p, t), P1=p1_closed(p, t),
-        dP1_dlam=p1_slope(p, t), sensitivity=sensitivity(p, t, nu), qfi_closed=qfi_closed(p, t),
-        qfi_numeric=qfi_pure(h_lam[-1], probe_state(epsilon)), rate_closed=qfi_rate_closed(p, t),
-        hermitian_bound=hermitian_bound(t, nu)) for p, h_lam in zip(ps, h)]
+    p = check_sweep_phase(PseudoHermitianParams(epsilon, omega, lam_grid))
+    t = p.tau
+    _, h = generators(hamiltonian_family(epsilon, omega), p.lams, grid_to(t), tol=tol)
+    columns = (p.lams, two_level_population(p, t), susceptibility(p, t), p1_closed(p, t), p1_slope(p, t),
+               sensitivity(p, t, nu), qfi_closed(p, t), qfi_pure(h[:, -1], probe_state(epsilon)),
+               qfi_rate_closed(p, t), np.full(p.lams.size, hermitian_bound(t, nu)))
+    return [SweepRow(*row) for row in zip(*(column.tolist() for column in columns))]

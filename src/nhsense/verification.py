@@ -255,42 +255,35 @@ def check_qfi_oracle(seed: int) -> list[CheckResult]:
 # -------------------------------------------------- pseudo-Hermitian sensor
 
 def check_pseudo_hermitian() -> list[CheckResult]:
-    """Example-style suite: closed forms vs propagation, noise bound, trends."""
+    """Example-style suite: closed forms vs propagation, noise bound, trends; each closed form
+    is one call on a lam stack."""
     out = []
 
     # closed-form vs propagated QFI and rate, channel bound sqrt(F) <= 2t
     worst_qfi = worst_rate_band = worst_chan = -np.inf
-    lams = (-0.2, 0.0, 0.3)
     for eps in (0.1, 0.01):
         psi0 = ph.probe_state(eps)
-        tau = ph.PseudoHermitianParams(eps, 1.0).tau
-        grid = np.arange(9) * tau / 4  # holds tau/4, tau/2, tau and 2 tau exactly
-        _, hs = generators(ph.hamiltonian_family(eps, 1.0), lams, grid, tol=1e-11)
-        for lam, h in zip(lams, hs):
-            p = ph.PseudoHermitianParams(eps, 1.0, lam)
-            for k in (1, 2, 4, 8):
-                f_num = qfi_pure(h[k], psi0)
-                f_cl = ph.qfi_closed(p, grid[k])
-                worst_qfi = max(worst_qfi, abs(f_num - f_cl) / f_cl)
-                worst_chan = max(worst_chan, math.sqrt(f_num) - 2.0 * grid[k])
-                rate = ph.qfi_rate_closed(p, grid[k])
-                worst_rate_band = max(worst_rate_band, abs(rate) - 2.0)
+        p = ph.PseudoHermitianParams(eps, 1.0, np.array([-0.2, 0.0, 0.3]))
+        grid = np.arange(9) * p.tau / 4  # holds tau/4, tau/2, tau and 2 tau exactly
+        _, hs = generators(ph.hamiltonian_family(eps, 1.0), p.lams, grid, tol=1e-11)
+        for k in (1, 2, 4, 8):
+            f_num, f_cl = qfi_pure(hs[:, k], psi0), ph.qfi_closed(p, grid[k])
+            worst_qfi = max(worst_qfi, (np.abs(f_num - f_cl) / f_cl).max())
+            worst_chan = max(worst_chan, (np.sqrt(f_num) - 2.0 * grid[k]).max())
+            worst_rate_band = max(worst_rate_band, (np.abs(ph.qfi_rate_closed(p, grid[k])) - 2.0).max())
     out.append(_result("ph-qfi-closed-vs-numeric", "relative mismatch", worst_qfi, 1e-8))
     out.append(_result("ph-rate-band", "|d sqrt(F)/dt| - 2 <= 0", worst_rate_band, 1e-12))
     out.append(_result("ph-channel-bound", "sqrt(F) - 2t <= 0", worst_chan, 1e-8))
 
     # dilation equivalence and closed-form P1 on a coarse grid; the evolved probes are one stack
     worst_dil = worst_p1 = -np.inf
-    tau = ph.PseudoHermitianParams(0.1, 1.0).tau
-    lams = np.linspace(-1.0, 1.0, 11)
-    params = [ph.PseudoHermitianParams(0.1, 1.0, lam) for lam in lams.tolist()]
-    times = np.linspace(0.0, 2 * tau, 9)
-    hs = ph.hamiltonian_family(0.1, 1.0).evaluate(lams, np.zeros(lams.size))[:, None]
-    for p, psi_p in zip(params, expm_hermitian(hs, times) @ ph.probe_state(0.1)):
-        for t, psi_t in zip(times, psi_p):
-            worst_dil = max(worst_dil, abs(ph.conditional_population_from_dilation(p, t)
-                                           - ph.two_level_population(p, t)))
-            worst_p1 = max(worst_p1, abs(abs(psi_t[0]) ** 2 - ph.p1_closed(p, t)))
+    p = ph.PseudoHermitianParams(0.1, 1.0, np.linspace(-1.0, 1.0, 11))
+    times = np.linspace(0.0, 2 * p.tau, 9)
+    psi = expm_hermitian(ph.dilated_hamiltonian(p)[:, None], times) @ ph.probe_state(0.1)
+    conditional = ph.conditional_population(psi)
+    for k, t in enumerate(times):
+        worst_dil = max(worst_dil, np.abs(conditional[:, k] - ph.two_level_population(p, t)).max())
+        worst_p1 = max(worst_p1, np.abs(np.abs(psi[:, k, 0]) ** 2 - ph.p1_closed(p, t)).max())
     out.append(_result("ph-dilation-equivalence", "conditional population mismatch", worst_dil, 1e-8))
     out.append(_result("ph-p1-closed-form", "P1 closed form vs propagation", worst_p1, 1e-10))
 
@@ -300,14 +293,12 @@ def check_pseudo_hermitian() -> list[CheckResult]:
     worst_margin = -np.inf
     chi_peaks = []
     for eps in (0.1, 0.01, 0.001):
-        tau = ph.PseudoHermitianParams(eps, 1.0).tau
-        bound = ph.hermitian_bound(tau, 1)
-        for lam in np.linspace(-0.5, 0.5, 201):
-            sens = ph.sensitivity(ph.PseudoHermitianParams(eps, 1.0, float(lam)), tau, 1)
-            if math.isfinite(sens):
-                worst_margin = max(worst_margin, bound - sens)
-        chi_peaks.append(max(abs(ph.susceptibility(ph.PseudoHermitianParams(eps, 1.0, float(lam)), tau))
-                             for lam in np.linspace(-4.0 * eps, 0.0, 501)))
+        p = ph.PseudoHermitianParams(eps, 1.0, np.linspace(-0.5, 0.5, 201))
+        sens = ph.sensitivity(p, p.tau, 1)
+        margin = ph.hermitian_bound(p.tau, 1) - sens[np.isfinite(sens)]
+        worst_margin = max(worst_margin, margin.max(initial=-np.inf))
+        window = ph.PseudoHermitianParams(eps, 1.0, np.linspace(-4.0 * eps, 0.0, 501))
+        chi_peaks.append(np.abs(ph.susceptibility(window, p.tau)).max())
     out.append(_result("ph-sensitivity-bound", "hermitian bound - min sensitivity <= 0",
                        worst_margin, 1e-9))
     growth = min(chi_peaks[i + 1] / chi_peaks[i] for i in range(2))

@@ -6,10 +6,17 @@ import numpy as np
 
 from nhsense.evolution import DEFAULT_TOL, HamiltonianFamily, check_step, propagators
 from nhsense.noise import make_rng
-from nhsense.operators import covariance, expm_hermitian, seminorm, variance
+from nhsense.operators import covariance, eig_hermitian, expm_hermitian, seminorm, variance
 from nhsense.verification import (
     CheckResult, _gaussian, _result, random_hermitian, random_state, random_unitary,
 )
+
+
+def seminorm_eigh(h) -> np.ndarray:
+    """The spectral width from the full eigendecomposition: `seminorm`'s route before it took
+    eigenvalues alone."""
+    w, _ = eig_hermitian(h)
+    return w[..., -1] - w[..., 0]
 
 
 def generator_finite_difference(family: HamiltonianFamily, lam: float, t: float,

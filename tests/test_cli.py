@@ -118,6 +118,8 @@ OUT_OF_DOMAIN = [
     (["find-ep", "--bracket-hi", "500"], "--bracket-hi"),
     (["sweep-ph", "--epsilon", "1e100", "--grid-count", "3"], "scenario.pseudo-hermitian.epsilon"),
     (["sweep-ph", "--epsilon", "1e150", "--grid-count", "3"], "scenario.pseudo-hermitian.epsilon"),
+    (["sweep-ph", "--epsilon", "1e308", "--grid-count", "3"],
+     "scenario.pseudo-hermitian.epsilon: epsilon 1e+308 too large"),
     (["sweep-ph", "--grid-start", "1e77", "--grid-stop", "2e77", "--grid-count", "2"],
      "scenario.pseudo-hermitian.grid.start"),
     (["sweep-ph", "--grid-start", "0", "--grid-stop", "1e4"], "scenario.pseudo-hermitian.grid.stop"),

@@ -465,3 +465,30 @@ def test_empty_lam_batch_rejected(rng):
                  lambda: generators(fam, np.array([]), np.array([0.0, 1.0]))):
         with pytest.raises(DomainError, match="lam must be non-empty"):
             call()
+
+
+class TestEvaluateStack:
+    """evaluate_stack tests a stack's sum first and its entries only when the sum is not finite."""
+
+    T = np.array([0.0, 0.25, 0.5, 0.75])
+
+    @staticmethod
+    def stack(member_values):
+        return lambda lam, t: np.array([np.diag([v, 0.0]) for v in member_values], dtype=complex)
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_stack_whose_sum_overflows_is_accepted(self):
+        big = np.finfo(float).max
+        m = evolution.evaluate_stack(self.stack([big, big, -big, big]), 2, np.zeros(4), self.T)
+        assert np.array_equal(m[:, 0, 0], [big, big, -big, big])
+        with np.errstate(over="ignore"):
+            assert np.isinf(m.sum())  # only the sum is not finite
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_non_finite_member_is_reported_at_its_first_time(self, bad):
+        big = np.finfo(float).max
+        for values, first in (([1.0, bad, 2.0, bad], 0.25), ([big, big, bad, 1.0], 0.5),
+                              ([bad, 1.0, 1.0, 1.0], 0)):
+            with pytest.raises(PropagationError, match=f"^non-finite Hamiltonian evaluation at t={first:g}$"):
+                evolution.evaluate_stack(self.stack(values), 2, np.zeros(4), self.T)

@@ -12,6 +12,7 @@ from nhsense.operators import (
 from nhsense.pseudo_hermitian import PseudoHermitianParams, dilated_hamiltonian
 
 from conftest import KET0, KET_PLUS, make_rng, random_hermitian, random_state, random_unitary
+from oracles import seminorm_eigh
 
 
 class TestTensor:
@@ -181,6 +182,20 @@ class TestStacks:
             assert np.array_equal(w[i], w1) and np.array_equal(v[i], v1)
             assert widths[i] == seminorm(hs[i])
             assert np.array_equal(us[i], expm_hermitian(hs[i], float(ts[i])))
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_values_only_width_is_the_eigh_width(self, rng, dim):
+        # eigvalsh and eigh run different LAPACK paths, so the widths may differ by rounding.
+        # Each is backward stable, within O(d) ulp of the spectral scale: 4 d ulp allowed,
+        # on random stacks and on degenerate spectra (seen: 6 ulp at d = 3, 20 at d = 16)
+        hs, _ = self.draw(rng, (40,), dim)
+        u = np.stack([random_unitary(rng, dim) for _ in range(3)])
+        levels = np.diag(np.arange(dim) % 2 * 1.5 - 0.5 + 0j)  # two levels, each repeated
+        hs = np.concatenate([hs, 3.0 * np.eye(dim)[None], u @ levels @ u.conj().swapaxes(-1, -2)])
+        scale = np.abs(np.linalg.eigvalsh(hs)).max(axis=-1)
+        got, want = seminorm(hs), seminorm_eigh(hs)
+        assert np.all(np.abs(got - want) <= 4.0 * dim * np.finfo(float).eps * scale)
+        assert got[40] == 0.0 and np.all(got >= 0.0)
 
     def test_expm_time_broadcasts_over_the_leading_shape(self, rng):
         hs, _ = self.draw(rng, (5,), 4)

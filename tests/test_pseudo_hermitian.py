@@ -36,10 +36,11 @@ class TestParams:
         with pytest.raises(DomainError):
             PseudoHermitianParams(0.1, -1.0)
 
-    @pytest.mark.parametrize("epsilon", [1e154, 1e300])
+    @pytest.mark.parametrize("epsilon", [1e154, 1e300, 9e307, 1e308])
     def test_rejects_overflowing_coupling(self, epsilon):
         # e(1+e) overflows: b and c would be inf and tau 0, and a sweep failed
-        # later with "probability nan outside [0, 1]"
+        # later with "probability nan outside [0, 1]"; from 9e307 on 1 + 2e
+        # overflows too, b and c were nan and the error said omega was too small
         with pytest.raises(DomainError, match=re.escape(f"epsilon {epsilon:g} too large")):
             PseudoHermitianParams(epsilon, 1.0)
         assert math.isfinite(PseudoHermitianParams(5e76, 1.0).b)
@@ -103,6 +104,90 @@ def test_closed_forms_reject_bad_time(name, t):
         CLOSED_FORMS_OF_T[name](t)
 
 
+def lam_grid(eps):
+    """A lam grid through the dip lam = 0, the zero asymmetry lam = -2 eps omega and lam = -b,
+    where the P1 slope is exactly 0."""
+    b = PseudoHermitianParams(eps, OMEGA).b
+    return np.concatenate([np.linspace(-0.5, 0.5, 101), [0.0, -2.0 * eps * OMEGA, -b]])
+
+
+STACKED_FORMS = {
+    "Omega": lambda p, t: p.Omega,
+    "delta_lam": lambda p, t: p.delta_lam,
+    "two_level_population": two_level_population,
+    "susceptibility": susceptibility,
+    "p1_closed": p1_closed,
+    "p1_slope": p1_slope,
+    "sensitivity": lambda p, t: sensitivity(p, t, 3),
+    "qfi_closed": qfi_closed,
+    "qfi_rate_closed": qfi_rate_closed,
+    "postselection_success": postselection_success,
+    "conditional_population_from_dilation": conditional_population_from_dilation,
+}
+
+
+class TestLamStack:
+    @pytest.mark.parametrize("name", sorted(STACKED_FORMS))
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    def test_stack_member_is_its_lone_call_bit_for_bit(self, name, eps):
+        # at t = 0, at the dip time tau and where cos(Omega t) = 0 at zero asymmetry
+        form = STACKED_FORMS[name]
+        p = PseudoHermitianParams(eps, OMEGA, lam_grid(eps))
+        t_cos0 = math.pi / (2.0 * PseudoHermitianParams(eps, OMEGA, -2.0 * eps * OMEGA).Omega)
+        for t in (0.0, p.tau / 3, p.tau, t_cos0, 2 * p.tau):
+            stacked = form(p, t)
+            assert isinstance(stacked, np.ndarray) and stacked.shape == p.lams.shape
+            for lam, member in zip(p.lams.tolist(), stacked.tolist()):
+                lone = form(PseudoHermitianParams(eps, OMEGA, lam), t)
+                assert type(lone) is float and repr(lone) == repr(member), (t, lam)
+
+    def test_the_grid_reaches_each_guard(self):
+        p = PseudoHermitianParams(EPS, OMEGA, lam_grid(EPS))
+        dip, zero_asymmetry, flat = -3, -2, -1
+        sens = sensitivity(p, TAU, 1)
+        assert math.isnan(sens[dip]) and sens[flat] == math.inf  # 0/0, and a slope of exactly 0
+        assert p1_slope(p, TAU)[flat] == 0.0
+        t_cos0 = math.pi / (2.0 * p.Omega[zero_asymmetry])
+        assert p.delta_lam[zero_asymmetry] == 0.0
+        assert two_level_population(p, t_cos0)[zero_asymmetry] == 1.0
+        assert susceptibility(p, t_cos0)[zero_asymmetry] == 0.0
+
+    def test_stack_is_an_immutable_copy(self):
+        lams = np.linspace(-0.5, 0.5, 5)
+        p = PseudoHermitianParams(EPS, OMEGA, lams)
+        assert p.lam == tuple(lams.tolist()) and np.array_equal(p.lams, lams) and not p.lams.flags.writeable
+        lams[0] = 7.0
+        assert p.lam[0] == p.lams[0] == -0.5
+        # a frozen params value compares and hashes by its values, a stack too
+        twin = PseudoHermitianParams(EPS, OMEGA, list(p.lam))
+        assert twin == p and hash(twin) == hash(p) and twin != PseudoHermitianParams(EPS, OMEGA, p.lam[:4])
+
+    def test_lone_lam_is_a_stack_of_one(self):
+        assert P0.lams.tolist() == [0.0] and type(P0.lam) is float
+        assert type(P0.Omega) is float and type(P0.delta_lam) is float
+        assert dilated_hamiltonian(P0).shape == (4, 4)
+
+    @pytest.mark.parametrize("lam, match", [([], "lam must be non-empty"),
+                                            ([0.0, math.nan], "lam must be finite, got nan"),
+                                            ([0.0, -math.inf], "lam must be finite, got -inf"),
+                                            (np.zeros((2, 2)), r"lam must be one value or a 1-d stack")])
+    def test_rejects_a_bad_stack(self, lam, match):
+        with pytest.raises(DomainError, match=match):
+            PseudoHermitianParams(EPS, OMEGA, lam)
+
+    @pytest.mark.parametrize("lams, named", [([0.0, 1e300, 0.5], "1e+300"), ([-0.5, 0.0, -1e300], "-1e+300")])
+    def test_omega_overflow_is_checked_at_the_stacks_ends(self, lams, named):
+        with pytest.raises(DomainError, match=rf"too large at omega 1, lam {re.escape(named)}: .* overflows"):
+            PseudoHermitianParams(EPS, OMEGA, lams)
+
+    def test_sweep_phase_names_the_first_lam_over(self):
+        p = PseudoHermitianParams(EPS, OMEGA, [0.0, 2e4, 1e4, 0.1])
+        with pytest.raises(DomainError, match=r"^lam 20000 gives Omega tau = 4\.74e\+04"):
+            check_sweep_phase(p)
+        stack = PseudoHermitianParams(EPS, OMEGA, [0.0, 0.1])
+        assert check_sweep_phase(stack) is stack
+
+
 class TestDilatedHamiltonian:
     def test_construction_identity(self):
         p = PseudoHermitianParams(0.25, 1.3, 0.4)
@@ -123,6 +208,21 @@ class TestDilatedHamiltonian:
 
 
 class TestProbeState:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("epsilon, reason", [(math.nan, "must be finite"), (math.inf, "must be finite"),
+                                                 (0.0, "must be positive"), (-0.1, "must be positive"),
+                                                 (9e307, "too large"), (1e308, "too large")])
+    def test_epsilon_domain_of_the_params(self, epsilon, reason):
+        # nan and inf gave a nan state, 1e308 an all-zero, unnormalised one
+        with pytest.raises(DomainError, match=f"^epsilon .*{reason}"):
+            probe_state(epsilon)
+        with pytest.raises(DomainError, match=f"^epsilon .*{reason}"):
+            PseudoHermitianParams(epsilon, OMEGA)
+
+    def test_largest_epsilon_gives_a_normalised_state(self):
+        psi = probe_state(8.98e307)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, rel=1e-15)
+
     def test_small_epsilon_limit(self):
         psi = probe_state(1e-9)
         assert abs(psi[0]) == pytest.approx(1.0, abs=1e-8)
@@ -352,6 +452,15 @@ class TestSweep:
         center = rows[3]
         assert center.lam == 0.0
         assert math.isnan(center.sensitivity)
+
+    def test_rows_are_the_lone_closed_forms(self):
+        grid = np.linspace(-0.3, 0.3, 7)
+        for lam, row in zip(grid.tolist(), sweep(EPS, OMEGA, grid, nu=2, tol=1e-9)):
+            p = PseudoHermitianParams(EPS, OMEGA, lam)
+            lone = (lam, two_level_population(p, TAU), susceptibility(p, TAU), p1_closed(p, TAU),
+                    p1_slope(p, TAU), sensitivity(p, TAU, 2), qfi_closed(p, TAU), qfi_numeric(p, TAU, tol=1e-9),
+                    qfi_rate_closed(p, TAU), hermitian_bound(TAU, 2))
+            assert repr(tuple(vars(row).values())) == repr(lone)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):

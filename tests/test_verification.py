@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nhsense import pseudo_hermitian as ph
 from nhsense.evolution import generators, propagate, propagators
 from nhsense.verification import (
     _operator_instances, _site_sum, build_report, check_operator_inequalities, check_qfi_bounds, check_qfi_oracle,
@@ -109,10 +110,12 @@ def test_site_sum_is_the_kron_sum(n_sites):
 
 
 def test_build_report_eigh_and_kron_calls(monkeypatch):
-    # one eigh per stack and no kron: 18 in the operator suite (per dimension
-    # and site count), 8 + 9 in check_qfi_bounds (per series and quadrature
-    # round), and 1 for the dilation grid beside its 99 scalar conditional populations
-    calls = {"eigh": 0, "kron": 0}
+    # one LAPACK call per stack and no kron.  eigh (vectors too) only where
+    # expm_hermitian needs them: 5 in the operator suite (per dimension) and 1
+    # for the dilation grid.  The widths take eigenvalues alone: 13 eigvalsh in
+    # the operator suite (per dimension and site count) and 8 + 9 in
+    # check_qfi_bounds (per series and quadrature round)
+    calls = {"eigh": 0, "eigvalsh": 0, "kron": 0}
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -121,6 +124,18 @@ def test_build_report_eigh_and_kron_calls(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(np, "kron", counted("kron", np.kron))
     assert build_report(42).overall_pass
-    assert calls == {"eigh": 135, "kron": 0}
+    assert calls == {"eigh": 6, "eigvalsh": 30, "kron": 0}
+
+
+def test_build_report_pseudo_hermitian_params(monkeypatch):
+    # check_pseudo_hermitian validates one lam stack per closed-form sweep: 2 for the
+    # QFI points, 1 for the dilation grid and 2 per epsilon for the sensitivity and
+    # susceptibility windows
+    built = []
+    post_init = ph.PseudoHermitianParams.__post_init__
+    monkeypatch.setattr(ph.PseudoHermitianParams, "__post_init__", lambda p: (built.append(p), post_init(p)))
+    assert build_report(42).overall_pass
+    assert len(built) == 9 and all(isinstance(p.lam, tuple) for p in built)
