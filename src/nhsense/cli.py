@@ -70,7 +70,8 @@ class ScenarioConfig:
     format: str = _key("format", "csv", "output format (default csv)", choices=FORMATS)
     threads: int = _key("threads", 1, "no effect: every run is one batch (default 1)")
     seed: int = _key("seed", 0, "seed for the verification suites")
-    tol: float = _key("tol", 1e-10, "integration error target (default 1e-10)")
+    tol: float = _key("tol", 1e-10,
+                      "integration error target of scan-ep; sweep-ph and verify ignore it (default 1e-10)")
     ph_epsilon: float = _key("scenario.pseudo-hermitian.epsilon", 0.1, "dilation parameter (default 0.1)")
     ph_omega: float = _key("scenario.pseudo-hermitian.omega", 1.0, "qubit frequency (default 1.0)")
     ph_nu: int = _key("scenario.pseudo-hermitian.nu", 1, "projection trials per point (default 1)")
@@ -192,10 +193,9 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     with _naming({"tol": "tol", "nu": key["ph_nu"]}):
         check_tol(config.tol)
         check_trials(config.ph_nu)
-    for end in ("ph_grid_start", "ph_grid_stop"):  # Omega tau is largest at an end of the grid
+    for end in ("ph_grid_start", "ph_grid_stop"):  # Omega is largest at an end of the grid
         with _naming({"epsilon": key["ph_epsilon"], "omega": key["ph_omega"], "lam": key[end]}):
-            p = ph.PseudoHermitianParams(config.ph_epsilon, config.ph_omega, getattr(config, end))
-            ph.check_sweep_phase(p)
+            ph.PseudoHermitianParams(config.ph_epsilon, config.ph_omega, getattr(config, end))
     ep_keys = {name: key[f"ep_{name}"] for name in ("J", "Gamma", "omega", "delta", "nu")}
     gammas = [config.ep_Gamma] if config.ep_Gamma is not None else pt_ep.default_ep_bracket(config.ep_J)
     for gamma in gammas:
@@ -279,7 +279,7 @@ def run(config: ScenarioConfig) -> int:
         return 0 if report.overall_pass else 3
     if config.scenario == "pseudo-hermitian":
         grid = np.linspace(config.ph_grid_start, config.ph_grid_stop, config.ph_grid_count)
-        rows = ph.sweep(config.ph_epsilon, config.ph_omega, grid, nu=config.ph_nu, tol=config.tol)
+        rows = ph.sweep(config.ph_epsilon, config.ph_omega, grid, nu=config.ph_nu)
         columns = ph.SWEEP_COLUMNS
     else:
         if config.ep_Gamma is None:  # the metadata records the located Gamma

@@ -14,6 +14,7 @@ a stack returns an array.
 import numpy as np
 
 from .errors import DomainError
+from .evolution import check_time
 
 HERMITICITY_ATOL = 1e-12
 STATE_NORM_ATOL = 1e-12
@@ -108,11 +109,30 @@ def seminorm(h, atol: float = HERMITICITY_ATOL):
     return _real(w[..., -1] - w[..., 0])
 
 
-def expm_hermitian(h, t, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Unitary exp(-i h t) for Hermitian h, via eigendecomposition; t broadcasts over h's leading shape."""
-    w, v = eig_hermitian(h, atol=atol)
+def _expm_eig(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:
+    """exp(-i h t) from the eigenvalues w and eigenvectors v of h."""
     phase = np.exp(-1j * w * np.asarray(t, dtype=float)[..., None])
     return (v * phase[..., None, :]) @ _dagger(v)
+
+
+def expm_hermitian(h, t, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+    """Unitary exp(-i h t) for Hermitian h, via eigendecomposition; t broadcasts over h's leading shape."""
+    return _expm_eig(*eig_hermitian(h, atol=atol), t)
+
+
+def spectral_generator(h, dh, t: float, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.ndarray]:
+    """U = exp(-i h t) and the Hermitian part of the local generator int_0^t U†(s) dh U(s) ds, for a
+    constant Hermitian h (or stack) and its constant Hermitian parameter derivative dh.  With h = V diag(w) V†
+    it is V [(V† dh V) ∘ G] V†, G_jk = t e^{i D t/2} sinc(D t/2), D = w_j - w_k (Wilcox, J. Math. Phys. 8,
+    962 (1967); Higham, Functions of Matrices, ch. 3), smooth through degenerate w; t passes check_time."""
+    check_time(t)
+    dh = require_hermitian(dh, atol=atol)
+    w, v = eig_hermitian(h, atol=atol)
+    if dh.shape[-1] != w.shape[-1]:
+        raise DomainError(f"dimension mismatch: h {w.shape[-1]}, dh {dh.shape[-1]}")
+    half = (w[..., :, None] - w[..., None, :]) * (0.5 * t)
+    g = v @ ((_dagger(v) @ dh @ v) * (t * np.exp(1j * half) * np.sinc(half / np.pi))) @ _dagger(v)
+    return _expm_eig(w, v, t), (g + _dagger(g)) / 2.0
 
 
 def expectation(op, psi, atol: float = HERMITICITY_ATOL):

@@ -24,21 +24,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .evolution import (DEFAULT_TOL, MAX_PERIOD_PHASE, HamiltonianFamily, check_finite, check_scalar,
-                        check_time, generators, grid_to, propagate)
+from .evolution import HamiltonianFamily, check_finite, check_scalar, check_time
 from .noise import GRADIENT_FLOOR, check_trials
-from .operators import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian, tensor
+from .operators import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian, spectral_generator, tensor
 from .qfi import qfi_pure
 
 SWEEP_COLUMNS = ("lam", "S", "chi", "P1", "dP1_dlam", "sensitivity",
                  "qfi_closed", "qfi_numeric", "rate_closed", "hermitian_bound")
 
 # Constant two-qubit operators: the two terms of the dilated Hamiltonian
-# (I⊗sigma_x is also dH/dlam) and the ancilla sigma_y eigenprojectors.
+# (I⊗sigma_x is also dH/dlam) and the third term of its local generator.
 _IX = tensor(ID2, SIGMA_X)
 _YY = tensor(SIGMA_Y, SIGMA_Y)
-_PROJ_UP_Y = 0.5 * (ID2 + SIGMA_Y)
-_PROJ_DN_Y = 0.5 * (ID2 - SIGMA_Y)
+_YZ = tensor(SIGMA_Y, SIGMA_Z)
 _OMEGA_MAX = float(np.finfo(float).max) ** 0.25  # Omega⁴ is a finite float below it
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
@@ -270,20 +268,19 @@ def sensitivity(p: PseudoHermitianParams, t: float, nu: int):
 
 
 def generator_closed(p: PseudoHermitianParams, t: float) -> np.ndarray:
-    """Closed-form transformed local generator of the dilated system.
+    """Closed-form transformed local generator of the dilated system, 4×4 per member.
 
     Block form P(up_y)⊗h1 + P(down_y)⊗h2 over the ancilla sigma_y
     eigenprojectors, with h1 = hx sx + hy sy + hz sz and h2 = hx sx - hy sy
-    - hz sz.
+    - hz sz; that is hx I⊗sx + hy sy⊗sy + hz sy⊗sz.
     """
-    om = p.Omega
-    lb = p.lam + p.b
-    hx = t * lb**2 / om**2 + p.c**2 * math.sin(2.0 * om * t) / (2.0 * om**3)
-    hy = p.c * lb / om**2 * (math.sin(2.0 * om * t) / (2.0 * om) - t)
-    hz = -p.c * math.sin(om * t) ** 2 / om**2
-    h1 = hx * SIGMA_X + hy * SIGMA_Y + hz * SIGMA_Z
-    h2 = hx * SIGMA_X - hy * SIGMA_Y - hz * SIGMA_Z
-    return tensor(_PROJ_UP_Y, h1) + tensor(_PROJ_DN_Y, h2)
+    check_time(t)
+    lb, om = _splitting(p)
+    c, s2 = p.c, np.sin(2.0 * om * t)
+    hx = t * lb**2 / om**2 + c**2 * s2 / (2.0 * om**3)
+    hy = c * lb / om**2 * (s2 / (2.0 * om) - t)
+    hz = -c * np.sin(om * t) ** 2 / om**2
+    return p.given(hx[:, None, None] * _IX + hy[:, None, None] * _YY + hz[:, None, None] * _YZ)
 
 
 def qfi_closed(p: PseudoHermitianParams, t: float):
@@ -305,10 +302,11 @@ def qfi_rate_closed(p: PseudoHermitianParams, t: float):
     return p.given(2.0 * num / den)
 
 
-def qfi_numeric(p: PseudoHermitianParams, t: float, tol: float = DEFAULT_TOL) -> float:
-    """QFI from the numerically propagated generator (independent of closed forms), at one lam."""
-    rec = propagate(hamiltonian_family(p.epsilon, p.omega), p.lam, grid_to(t), tol=tol)
-    return qfi_pure(rec.h[-1], probe_state(p.epsilon))
+def qfi_numeric(p: PseudoHermitianParams, t: float):
+    """QFI from the spectral generator of the dilated Hamiltonian (`spectral_generator`,
+    independent of the closed forms)."""
+    _, h = spectral_generator(_hamiltonians(p), _IX, t)
+    return p.given(qfi_pure(h, probe_state(p.epsilon)))
 
 
 def hermitian_bound(t: float, nu: int) -> float:
@@ -319,35 +317,17 @@ def hermitian_bound(t: float, nu: int) -> float:
     return 1.0 / (2.0 * math.sqrt(nu) * t)
 
 
-def check_sweep_phase(p: PseudoHermitianParams) -> PseudoHermitianParams:
-    """p itself once the phase Omega tau that `sweep` propagates is at most MAX_PERIOD_PHASE at every
-    member; DomainError naming the first lam over it otherwise.  Over a lam grid, Omega is largest at an end."""
-    phase = _splitting(p)[1] * p.tau
-    over = ~(phase <= MAX_PERIOD_PHASE)
-    if over.any():
-        j = int(np.argmax(over))
-        raise DomainError(f"lam {p.lams[j]:g} gives Omega tau = {phase[j]:.3g} at epsilon {p.epsilon:g}, omega "
-                          f"{p.omega:g}, above {MAX_PERIOD_PHASE:g}, the most one sweep may propagate")
-    return p
-
-
-def sweep(epsilon: float, omega: float, lam_grid, nu: int = 1,
-          tol: float = DEFAULT_TOL) -> list[SweepRow]:
+def sweep(epsilon: float, omega: float, lam_grid, nu: int = 1) -> list[SweepRow]:
     """One row per lam at the protocol time t = tau(epsilon, omega).
 
     tau is always recomputed from (epsilon, omega); rows with an undefined
-    sensitivity carry NaN rather than being dropped.  The grid is one lam stack: its phase is
-    checked before anything is propagated, and each column is one call; qfi_numeric is one tangent
-    batch over the grid, each member equal to `qfi_numeric` alone.
+    sensitivity carry NaN rather than being dropped.  The grid is one lam stack and each
+    column is one call on it, each member equal to its lone call.
     """
-    lam_grid = np.atleast_1d(np.asarray(lam_grid, dtype=float))
-    if lam_grid.size == 0:
-        raise DomainError("lam grid must be non-empty")
     check_trials(nu)
-    p = check_sweep_phase(PseudoHermitianParams(epsilon, omega, lam_grid))
+    p = PseudoHermitianParams(epsilon, omega, np.atleast_1d(np.asarray(lam_grid, dtype=float)))
     t = p.tau
-    _, h = generators(hamiltonian_family(epsilon, omega), p.lams, grid_to(t), tol=tol)
     columns = (p.lams, two_level_population(p, t), susceptibility(p, t), p1_closed(p, t), p1_slope(p, t),
-               sensitivity(p, t, nu), qfi_closed(p, t), qfi_pure(h[:, -1], probe_state(epsilon)),
+               sensitivity(p, t, nu), qfi_closed(p, t), qfi_numeric(p, t),
                qfi_rate_closed(p, t), np.full(p.lams.size, hermitian_bound(t, nu)))
     return [SweepRow(*row) for row in zip(*(column.tolist() for column in columns))]

@@ -468,7 +468,7 @@ def test_empty_lam_batch_rejected(rng):
 
 
 class TestEvaluateStack:
-    """evaluate_stack tests a stack's sum first and its entries only when the sum is not finite."""
+    """evaluate_stack tests every entry of a stack, so a finite stack whose sum overflows passes."""
 
     T = np.array([0.0, 0.25, 0.5, 0.75])
 

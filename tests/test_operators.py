@@ -7,11 +7,12 @@ from nhsense.errors import DomainError
 from nhsense.operators import (
     ID2, SIGMA_X, SIGMA_Y, SIGMA_Z,
     covariance, eig_hermitian, expectation, expm_hermitian,
-    require_hermitian, require_state, seminorm, tensor, variance,
+    require_hermitian, require_state, seminorm, spectral_generator, tensor, variance,
 )
-from nhsense.pseudo_hermitian import PseudoHermitianParams, dilated_hamiltonian
+from nhsense.evolution import generators
+from nhsense.pseudo_hermitian import PseudoHermitianParams, dilated_hamiltonian, generator_closed
 
-from conftest import KET0, KET_PLUS, make_rng, random_hermitian, random_state, random_unitary
+from conftest import KET0, KET_PLUS, constant_family, make_rng, random_hermitian, random_state, random_unitary
 from oracles import seminorm_eigh
 
 
@@ -122,6 +123,57 @@ class TestExpm:
             h = random_hermitian(rng, 4)
             u = expm_hermitian(h, float(rng.uniform(0, 5)))
             assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-10
+
+
+class TestSpectralGenerator:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_the_propagated_generator(self, rng, dim):
+        # the core's i U† dU/dlam on the constant family, to within 10 tol at tol 1e-12
+        h, dh = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        times = np.array([0.0, 0.4, 2.0, 3.5])
+        us, hs = generators(constant_family(h, dh), [0.0], times, tol=1e-12)
+        for k, t in enumerate(times.tolist()):
+            u, g = spectral_generator(h, dh, t)
+            assert np.abs(u - us[0, k]).max() < 1e-11 and np.abs(g - hs[0, k]).max() < 1e-11
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    def test_matches_the_closed_form_through_degenerate_levels(self, eps):
+        # the dilated H has the doubly degenerate levels ±Omega at every lam; the grid
+        # holds the dip lam = 0, lam = -2 eps omega and lam = -b, where Omega = c
+        p0 = PseudoHermitianParams(eps, 1.0)
+        p = PseudoHermitianParams(eps, 1.0, np.concatenate([np.linspace(-0.5, 0.5, 41),
+                                                            [0.0, -2.0 * eps, -p0.b]]))
+        dh = tensor(ID2, SIGMA_X)
+        for t in (0.0, p.tau / 3, p.tau, 5 * p.tau):
+            u, g = spectral_generator(dilated_hamiltonian(p), dh, t)
+            assert np.abs(g - generator_closed(p, t)).max() < 1e-12 * max(1.0, t)
+            assert np.abs(u - expm_hermitian(dilated_hamiltonian(p), t)).max() == 0.0
+
+    def test_zero_time(self, rng):
+        h, dh = random_hermitian(rng, 5), random_hermitian(rng, 5)
+        u, g = spectral_generator(h, dh, 0.0)
+        assert np.array_equal(g, np.zeros((5, 5))) and np.abs(u - np.eye(5)).max() < 1e-14
+
+    def test_generator_is_exactly_hermitian(self, rng):
+        hs, dh = np.stack([random_hermitian(rng, 4) for _ in range(6)]), random_hermitian(rng, 4)
+        _, g = spectral_generator(hs, dh, 1.7)
+        assert np.array_equal(g, g.conj().swapaxes(-1, -2))
+
+    def test_lone_call_is_its_stack_member(self, rng):
+        hs, dh = np.stack([random_hermitian(rng, 4) for _ in range(5)]), random_hermitian(rng, 4)
+        us, gs = spectral_generator(hs, dh, 2.3)
+        for j in range(5):
+            u, g = spectral_generator(hs[j], dh, 2.3)
+            assert repr(u.tolist()) == repr(us[j].tolist()) and repr(g.tolist()) == repr(gs[j].tolist())
+
+    @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+    def test_bad_time_is_named(self, t):
+        with pytest.raises(DomainError, match=f"t must be finite and >= 0, got {t}"):
+            spectral_generator(SIGMA_Z, SIGMA_X, t)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DomainError, match="dimension mismatch: h 2, dh 4"):
+            spectral_generator(SIGMA_Z, tensor(ID2, SIGMA_X), 1.0)
 
 
 class TestMoments:

@@ -9,8 +9,8 @@ from nhsense import evolution
 from nhsense.errors import DomainError
 from nhsense.operators import ID2, SIGMA_X, SIGMA_Y, expm_hermitian, seminorm, tensor
 from nhsense.pseudo_hermitian import (
-    PseudoHermitianParams, SWEEP_COLUMNS, check_sweep_phase, conditional_population_from_dilation,
-    dilated_hamiltonian, hamiltonian_family, hermitian_bound, p1_closed, p1_slope, postselection_success,
+    PseudoHermitianParams, SWEEP_COLUMNS, conditional_population_from_dilation, dilated_hamiltonian,
+    generator_closed, hamiltonian_family, hermitian_bound, p1_closed, p1_slope, postselection_success,
     probe_state, qfi_closed, qfi_numeric, qfi_rate_closed, sensitivity,
     susceptibility, sweep, two_level_population,
 )
@@ -92,6 +92,8 @@ CLOSED_FORMS_OF_T = {
     "susceptibility": lambda t: susceptibility(P0, t),
     "p1_slope": lambda t: p1_slope(P0, t),
     "hermitian_bound": lambda t: hermitian_bound(t, 1),
+    "qfi_numeric": lambda t: qfi_numeric(P0, t),
+    "generator_closed": lambda t: generator_closed(P0, t),
 }
 
 
@@ -123,6 +125,7 @@ STACKED_FORMS = {
     "qfi_rate_closed": qfi_rate_closed,
     "postselection_success": postselection_success,
     "conditional_population_from_dilation": conditional_population_from_dilation,
+    "qfi_numeric": qfi_numeric,
 }
 
 
@@ -180,12 +183,16 @@ class TestLamStack:
         with pytest.raises(DomainError, match=rf"too large at omega 1, lam {re.escape(named)}: .* overflows"):
             PseudoHermitianParams(EPS, OMEGA, lams)
 
-    def test_sweep_phase_names_the_first_lam_over(self):
-        p = PseudoHermitianParams(EPS, OMEGA, [0.0, 2e4, 1e4, 0.1])
-        with pytest.raises(DomainError, match=r"^lam 20000 gives Omega tau = 4\.74e\+04"):
-            check_sweep_phase(p)
-        stack = PseudoHermitianParams(EPS, OMEGA, [0.0, 0.1])
-        assert check_sweep_phase(stack) is stack
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    def test_generator_closed_member_is_its_lone_call(self, eps):
+        # the stack once raised a TypeError; each member is 4×4, a lone lam gives one 4×4
+        p = PseudoHermitianParams(eps, OMEGA, lam_grid(eps))
+        for t in (0.0, p.tau, 2 * p.tau):
+            stacked = generator_closed(p, t)
+            assert stacked.shape == (p.lams.size, 4, 4)
+            for lam, member in zip(p.lams.tolist(), stacked):
+                lone = generator_closed(PseudoHermitianParams(eps, OMEGA, lam), t)
+                assert lone.shape == (4, 4) and repr(lone.tolist()) == repr(member.tolist())
 
 
 class TestDilatedHamiltonian:
@@ -399,7 +406,7 @@ class TestQfiClosedForms:
         for lam in (-0.2, 0.0, 0.3):
             p = PseudoHermitianParams(EPS, OMEGA, lam)
             for t in (TAU / 2, TAU, 1.7 * TAU):
-                assert qfi_numeric(p, t, tol=1e-11) == pytest.approx(
+                assert qfi_numeric(p, t) == pytest.approx(
                     qfi_closed(p, t), rel=1e-8)
 
     def test_rate_initial_value_and_band(self):
@@ -439,7 +446,7 @@ class TestHermitianBound:
 
 class TestSweep:
     def test_rows_and_flags(self):
-        rows = sweep(EPS, OMEGA, np.linspace(-0.3, 0.3, 7), nu=1, tol=1e-9)
+        rows = sweep(EPS, OMEGA, np.linspace(-0.3, 0.3, 7), nu=1)
         assert len(rows) == 7
         assert [f for f in SWEEP_COLUMNS] == list(rows[0].__dataclass_fields__)
         for row in rows:
@@ -455,10 +462,10 @@ class TestSweep:
 
     def test_rows_are_the_lone_closed_forms(self):
         grid = np.linspace(-0.3, 0.3, 7)
-        for lam, row in zip(grid.tolist(), sweep(EPS, OMEGA, grid, nu=2, tol=1e-9)):
+        for lam, row in zip(grid.tolist(), sweep(EPS, OMEGA, grid, nu=2)):
             p = PseudoHermitianParams(EPS, OMEGA, lam)
             lone = (lam, two_level_population(p, TAU), susceptibility(p, TAU), p1_closed(p, TAU),
-                    p1_slope(p, TAU), sensitivity(p, TAU, 2), qfi_closed(p, TAU), qfi_numeric(p, TAU, tol=1e-9),
+                    p1_slope(p, TAU), sensitivity(p, TAU, 2), qfi_closed(p, TAU), qfi_numeric(p, TAU),
                     qfi_rate_closed(p, TAU), hermitian_bound(TAU, 2))
             assert repr(tuple(vars(row).values())) == repr(lone)
 
@@ -470,28 +477,22 @@ class TestSweep:
         with pytest.raises(DomainError, match="lam must be finite"):
             sweep(EPS, OMEGA, [0.0, math.nan], nu=1)
 
-    def test_sweep_phase_bound_is_inclusive(self):
-        # Omega tau = MAX_PERIOD_PHASE exactly passes, the next lam up does not
-        bound = evolution.MAX_PERIOD_PHASE
-        lam = math.sqrt((bound / TAU) ** 2 - P0.c**2) - P0.b  # within a few ulp
-        while PseudoHermitianParams(EPS, OMEGA, lam).Omega * TAU > bound:
-            lam = math.nextafter(lam, 0.0)
-        while PseudoHermitianParams(EPS, OMEGA, math.nextafter(lam, math.inf)).Omega * TAU <= bound:
-            lam = math.nextafter(lam, math.inf)
-        p = PseudoHermitianParams(EPS, OMEGA, lam)
-        assert check_sweep_phase(p) is p
-        with pytest.raises(DomainError, match="lam .* gives Omega tau = .* above 10000"):
-            check_sweep_phase(PseudoHermitianParams(EPS, OMEGA, math.nextafter(lam, math.inf)))
-
-    @pytest.mark.parametrize("grid", [[0.0, 1e4], [-1e77, 0.0], [-0.5, 0.5, 2e77]])
+    @pytest.mark.parametrize("grid", [[-2e77, 0.0], [-0.5, 0.5, 2e77]])
     def test_out_of_domain_grid_rejected_before_propagation(self, grid, monkeypatch):
-        # Omega tau = 2.4e4 at lam = 1e4 ran past a 30 s timeout; 2e77 also overflows Omega⁴
+        # Omega⁴ overflows at lam = ±2e77
         def must_not_run(*args, **kwargs):
             raise AssertionError("an out-of-domain lam reached the propagation")
 
         monkeypatch.setattr(evolution, "integrate", must_not_run)
         with pytest.raises(DomainError, match="Omega"):
             sweep(EPS, OMEGA, grid, nu=1)
+
+    @pytest.mark.parametrize("grid", [[0.0, 1e4], [-1e77, 0.0]])
+    def test_grid_past_the_old_phase_bound_runs(self, grid):
+        # Omega tau = 2.4e4 and 2.4e77: time stepping ran past a 30 s timeout at the first,
+        # and the sweep once rejected both; the spectral generator does not step
+        rows = sweep(EPS, OMEGA, grid, nu=1)
+        assert all(row.qfi_numeric == pytest.approx(row.qfi_closed, rel=1e-12) for row in rows)
 
     def test_grid_in_the_domain_where_lam_0_is_not(self):
         # epsilon 1e77: b ~ 2e77 puts lam = 0 out of the domain (Omega⁴ overflows),
@@ -501,13 +502,14 @@ class TestSweep:
         rows = sweep(1e77, OMEGA, [-2e77, -1.99e77], nu=1)
         assert all(row.qfi_numeric == pytest.approx(row.qfi_closed, rel=1e-12) for row in rows)
 
-    def test_one_tangent_batch_for_the_grid(self, integrate_calls):
-        # every row's qfi_numeric is its member of one tangent batch over the
-        # grid; each member keeps its own steps, so it equals qfi_numeric alone
+    def test_no_time_stepping(self, integrate_calls):
+        # the dilated H is constant, so neither the sweep nor a lone qfi_numeric steps in
+        # time: each takes its generator from one eigendecomposition per stack, and every
+        # row's qfi_numeric equals qfi_numeric alone
         grid = np.linspace(-0.5 * OMEGA, 0.5 * OMEGA, 201)
-        rows = sweep(EPS, OMEGA, grid, nu=1, tol=1e-10)
-        assert [(n, tangent) for n, _, tangent, _ in integrate_calls] == [(201, True)]
+        rows = sweep(EPS, OMEGA, grid, nu=1)
         for k in (0, 100, 200):
-            alone = qfi_numeric(PseudoHermitianParams(EPS, OMEGA, float(grid[k])), TAU, tol=1e-10)
+            alone = qfi_numeric(PseudoHermitianParams(EPS, OMEGA, float(grid[k])), TAU)
             assert repr(alone) == repr(rows[k].qfi_numeric)
+        assert integrate_calls == []
 
