@@ -477,9 +477,9 @@ class TestSweep:
         with pytest.raises(DomainError, match="lam must be finite"):
             sweep(EPS, OMEGA, [0.0, math.nan], nu=1)
 
-    @pytest.mark.parametrize("grid", [[-2e77, 0.0], [-0.5, 0.5, 2e77]])
+    @pytest.mark.parametrize("grid", [[-2e77, 0.0], [2e77, 0.0], [-0.5, 0.5, 2e77]])
     def test_out_of_domain_grid_rejected_before_propagation(self, grid, monkeypatch):
-        # Omega⁴ overflows at lam = ±2e77
+        # Omega⁴ overflows at lam = ±2e77, whether the lam opens or closes the grid
         def must_not_run(*args, **kwargs):
             raise AssertionError("an out-of-domain lam reached the propagation")
 
