@@ -378,11 +378,11 @@ def propagators(family: HamiltonianFamily, lams, t, tol: float = DEFAULT_TOL) ->
     return integrate(family, lams, times, tol)[0][:, -1]
 
 
-def check_step(dlam: float) -> float:
-    """`dlam` itself once it is a finite and positive difference step; DomainError naming dlam otherwise."""
-    if not (math.isfinite(dlam) and dlam > 0):
-        raise DomainError(f"dlam must be finite and positive, got {dlam}")
-    return dlam
+def check_step(step: float, name: str = "dlam") -> float:
+    """`step` itself once it is a finite and positive difference step; DomainError naming `name` otherwise."""
+    if not (math.isfinite(step) and step > 0):
+        raise DomainError(f"{name} must be finite and positive, got {step}")
+    return step
 
 
 def richardson(quotient: Callable[[float], float], h: float) -> float:

@@ -135,12 +135,6 @@ def spectral_generator(h, dh, t: float, atol: float = HERMITICITY_ATOL) -> tuple
     return _expm_eig(w, v, t), (g + _dagger(g)) / 2.0
 
 
-def expectation(op, psi, atol: float = HERMITICITY_ATOL):
-    """<psi|op|psi> for Hermitian op; the imaginary residue is discarded."""
-    op, psi = _require_pair(op, psi, atol)
-    return _real(_braket(psi, _apply(op, psi)))
-
-
 def variance(op, psi, atol: float = HERMITICITY_ATOL):
     """Var[op] = <op²> - <op>² over a pure state (>= 0 up to rounding)."""
     op, psi = _require_pair(op, psi, atol)

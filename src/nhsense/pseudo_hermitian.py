@@ -55,13 +55,19 @@ def _check_epsilon(epsilon: float) -> float:
 
 def _couplings(epsilon: float, omega: float) -> tuple[float, float]:
     """b and c of the dilated Hamiltonian; DomainError unless epsilon is in `_check_epsilon`'s domain,
-    omega is finite and positive and c⁴ is a normal float: Omega >= c at every lam, so Omega⁴ is one too."""
+    omega is finite and positive and c⁴ is a finite normal float: Omega >= c at every lam, so Omega⁴
+    is a normal float only if c⁴ is."""
     den = _check_epsilon(epsilon)
     check_scalar("omega", omega)
     if omega <= 0:
         raise DomainError("omega must be positive")
     e = epsilon
     b, c = 4.0 * omega * e * (1.0 + e) / den, 2.0 * omega * math.sqrt(e * (1.0 + e)) / den
+    # before c**4, which raises OverflowError past _OMEGA_MAX; where e (1 + e) itself overflows,
+    # b is inf and the params name epsilon
+    if not c < _OMEGA_MAX and math.isfinite(e * (1.0 + e)):
+        raise DomainError(f"omega {omega:g} too large at epsilon {epsilon:g}: c = {c:.3g}, "
+                          f"whose 4th power overflows")
     if not c**4 >= _TINY:
         raise DomainError(f"omega {omega:g} too small at epsilon {epsilon:g}: c = {c:.3g}, "
                           f"whose 4th power is below the smallest normal float")

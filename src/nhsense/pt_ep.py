@@ -7,7 +7,8 @@ yields a response energy via P_J - P_Gamma = sin²(E T); its shot-noise
 variance, susceptibility, and sensitivity are evaluated together with the
 sensitivity bound of the Hermitian counterpart that couples to the drive
 directly.  The pair and its derivative in omega_delta come from one
-tangent-equation solve per point; the root finders propagate U alone.
+tangent-equation solve per point; the root finders propagate U alone, and
+so does `ep_susceptibility`, a difference-quotient oracle for that derivative.
 H is one `HamiltonianFamily` over the member index of a batch, each member
 with its own Gamma and omega_delta, so a scan grid is one batch of the core
 both sensors share.  A U-only period runs on the grid of S = 16 equal
@@ -29,8 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .evolution import (DEFAULT_TOL, MAX_PERIOD_PHASE, TOL_MIN, HamiltonianFamily, check_scalar, check_tol,
-                        integrate, richardson)
+from .evolution import (DEFAULT_TOL, MAX_PERIOD_PHASE, TOL_MIN, HamiltonianFamily, check_scalar, check_step,
+                        check_tol, integrate, richardson)
 from .noise import check_trials
 from .operators import ID2, SIGMA_X, SIGMA_Z
 
@@ -108,6 +109,7 @@ def _family(ps: list[PtEpParams]) -> HamiltonianFamily:
     """H and dH/d omega_delta of the batch ps, as a family whose parameter is the member index into ps.
 
     The members share J, omega and delta; each has its own Gamma and omega_delta.
+    dH/d omega_delta = -(delta/2) t sin(omega_delta t)(1 - sigma_z).
     """
     p = ps[0]
     freqs = np.array([(q.omega, q.omega_delta) for q in ps])
@@ -126,16 +128,6 @@ def _family(ps: list[PtEpParams]) -> HamiltonianFamily:
     return HamiltonianFamily(2, h, dh)
 
 
-def hamiltonian_total(p: PtEpParams, t: float) -> np.ndarray:
-    """J(1+cos(w t)) sigma_x + i Gamma sigma_z + (delta/2) cos(w_d t)(1 - sigma_z)."""
-    return _family([p]).evaluate(np.zeros(1), np.array([t]))[0]
-
-
-def hamiltonian_domega_delta(p: PtEpParams, t: float) -> np.ndarray:
-    """dH/d omega_delta = -(delta/2) t sin(w_d t)(1 - sigma_z)."""
-    return _family([p]).evaluate_dlambda(np.zeros(1), np.array([t]))[0]
-
-
 _PIECES = 16  # equal intervals of a U-only period's grid, members of one batch
 
 
@@ -149,17 +141,6 @@ def _propagate_periods(ps: list[PtEpParams], tol: float,
     grid = (0.0, ps[0].T) if tangent else np.linspace(0.0, ps[0].T, _PIECES + 1)
     u, w = integrate(_family(ps), np.arange(len(ps)), grid, tol, tangent)
     return u[:, -1], (w[:, -1] if tangent else None)
-
-
-def propagate_period_tangent(p: PtEpParams, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """U(T) together with its parameter derivative W(T) = dU(T)/d omega_delta.
-
-    W comes from the tangent equation integrated in one state with U
-    (`evolution.integrate`), so it is accurate to the requested `tol` rather
-    than to a difference quotient.
-    """
-    u, w = _propagate_periods([p], tol, tangent=True)
-    return u[0], w[0]
 
 
 def propagate_period(p: PtEpParams, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -376,46 +357,23 @@ def _pair_and_slope(ps: list[PtEpParams], tol: float) -> tuple[np.ndarray, np.nd
     return pj, pg, d_diff
 
 
-def _response_slope(diff: float, d_diff: float, period: float) -> float:
-    """|dE_res/d omega_delta| = |dD| / (2 T sqrt(D (1 - D))), the arcsin chain rule."""
-    if not (0.0 < diff < 1.0):
-        raise DomainError(f"P_J - P_Gamma = {diff:.6g} outside (0, 1): no real response slope")
-    return abs(d_diff) / (2.0 * period * math.sqrt(diff * (1.0 - diff)))
+def ep_susceptibility(p: PtEpParams, tol: float = DEFAULT_TOL, *, rel_step: float) -> float:
+    """|dE_res/d omega_delta| by a Richardson-extrapolated central difference: an oracle for
+    `scan`'s chi_E, which comes from the tangent solve.
 
-
-def ep_susceptibility(p: PtEpParams, tol: float = DEFAULT_TOL, rel_step: float | None = None) -> float:
-    """|dE_res/d omega_delta|, by default from one tangent solve.
-
-    Raises DomainError when D = P_J - P_Gamma lies outside (0, 1) at the point.
-
-    An explicit `rel_step` selects the Richardson-extrapolated central
-    difference with step rel_step * omega_delta over four separate
-    propagations, kept as an independent oracle; it raises DomainError if
-    either sampled side leaves the real-response region.
+    The step is rel_step * omega_delta, over four separate propagations.  Raises DomainError
+    unless rel_step is finite and positive, and if either sampled side leaves the real-response
+    region.
     """
-    if rel_step is not None:
-        def response(wd: float) -> float:
-            return response_energy(*pj_pgamma(propagate_period(replace(p, omega_delta=wd), tol)), p.T)
+    check_step(rel_step, "rel_step")
 
-        def central(h: float) -> float:
-            return (response(p.omega_delta + h) - response(p.omega_delta - h)) / (2.0 * h)
+    def response(wd: float) -> float:
+        return response_energy(*pj_pgamma(propagate_period(replace(p, omega_delta=wd), tol)), p.T)
 
-        return abs(richardson(central, rel_step * p.omega_delta))
+    def central(h: float) -> float:
+        return (response(p.omega_delta + h) - response(p.omega_delta - h)) / (2.0 * h)
 
-    pj, pg, d_diff = (v.item() for v in _pair_and_slope([p], tol))
-    return _response_slope(pj - pg, d_diff, p.T)
-
-
-def _noise_chain(p: PtEpParams, pj: float, pg: float, d_diff: float) -> tuple[float, float, float]:
-    """Var[E_res], chi_E and the sensitivity sqrt(Var[E_res]) / chi_E at the pair (pj, pg) of p."""
-    var = response_variance(pj, pg, p.C0, p.nu, p.T)
-    chi = _response_slope(pj - pg, d_diff, p.T)
-    return var, chi, (math.sqrt(var) / chi if chi > 0 else float("inf"))
-
-
-def ep_sensitivity(p: PtEpParams, tol: float = DEFAULT_TOL) -> float:
-    """Overall sensitivity sqrt(Var[E_res]) / |dE_res/d omega_delta|, from one tangent solve."""
-    return _noise_chain(p, *(v.item() for v in _pair_and_slope([p], tol)))[2]
+    return abs(richardson(central, rel_step * p.omega_delta))
 
 
 def _sin_minus_x_cos(x: float) -> float:
@@ -472,10 +430,11 @@ def _scan_row(p: PtEpParams, pj: float, pg: float, d_diff: float) -> EpScanRow:
             var_E=float("nan"), chi_E=float("nan"), sensitivity=float("nan"),
             hermitian_bound=bound,
             excluded_reason=f"P_J - P_Gamma = {diff:.6g} outside usable range")
-    var, chi, sens = _noise_chain(p, pj, pg, d_diff)
+    var = response_variance(pj, pg, p.C0, p.nu, p.T)
+    chi = abs(d_diff) / (2.0 * p.T * math.sqrt(diff * (1.0 - diff)))  # the arcsin chain rule
     return EpScanRow(
         omega_delta=wd, PJ=pj, PGamma=pg, E_res=response_energy(pj, pg, p.T), var_E=var,
-        chi_E=chi, sensitivity=sens, hermitian_bound=bound)
+        chi_E=chi, sensitivity=math.sqrt(var) / chi if chi > 0 else float("inf"), hermitian_bound=bound)
 
 
 def scan(base: PtEpParams, omega_delta_grid, tol: float = DEFAULT_TOL) -> list[EpScanRow]:

@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .evolution import (
-    HamiltonianFamily, PropagationRecord, check_finite, check_step, check_time, evaluate_stack,
-    propagators, richardson,
+    HamiltonianFamily, PropagationRecord, check_step, evaluate_stack, propagators, richardson,
 )
 from .noise import check_trials
 from .operators import HERMITICITY_ATOL, covariance, require_state, seminorm, variance
@@ -173,23 +172,3 @@ def cramer_rao(qfi_value: float, nu: int) -> float:
     if qfi_value == 0.0:
         return float("inf")
     return 1.0 / np.sqrt(nu * qfi_value)
-
-
-def channel_bound_uncertainty(family: HamiltonianFamily, lam: float, t_final: float, nu: int) -> float:
-    """Uncertainty lower bound 1/(sqrt(nu) * integral of the width of dH/dlam).
-
-    The integral is one piece over (0, t_final), so the width must be smooth
-    there.  A width with kinks, such as delta s |sin(omega_delta s)| of the EP
-    drive, needs the integral split at its kinks, as `verify`'s lobe-sum
-    oracle does: a kink between a subinterval's outermost Gauss-Kronrod node
-    and its end is invisible to the rule, and at omega_delta T = 300 the
-    unsplit integral is 9e-8 relative off the lobe sum without any error.
-    """
-    if check_time(t_final) == 0:
-        raise DomainError("t_final must be positive")
-    check_trials(nu)
-    check_finite("lam", lam)
-    [integral] = _integrals(partial(_widths, family, lam), [0.0, t_final])
-    if integral == 0.0:
-        return float("inf")
-    return 1.0 / (np.sqrt(nu) * integral)

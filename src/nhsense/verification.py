@@ -59,10 +59,6 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return _unitary_from_gaussian(_gaussian(rng, dim, dim))
-
-
 def _unitary_from_gaussian(a: np.ndarray) -> np.ndarray:
     """Haar unitaries from complex Gaussian matrices (..., d, d): Q of a = QR times R's diagonal phases."""
     q, r = np.linalg.qr(a)

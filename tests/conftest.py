@@ -5,7 +5,7 @@ import pytest
 
 from nhsense import evolution, pt_ep
 from nhsense.evolution import HamiltonianFamily
-from nhsense.verification import make_rng, random_family, random_hermitian, random_state, random_unitary
+from nhsense.verification import make_rng, random_family, random_hermitian, random_state
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -20,6 +20,16 @@ def constant_family(h, dh=None):
     """The family H = h, dH/dlam = dh (zero if not given), the same at every lam and time."""
     return HamiltonianFamily(dim=h.shape[0], evaluate=constant(h),
                              evaluate_dlambda=constant(np.zeros_like(h) if dh is None else dh))
+
+
+def pt_hamiltonian(p, t):
+    """H of the PT-EP sensor p at one time t, from the one-member family its propagator integrates."""
+    return pt_ep._family([p]).evaluate(np.zeros(1), np.array([t]))[0]
+
+
+def pt_dhamiltonian(p, t):
+    """dH/d omega_delta of the PT-EP sensor p at one time t, from the same family."""
+    return pt_ep._family([p]).evaluate_dlambda(np.zeros(1), np.array([t]))[0]
 
 
 @pytest.fixture
@@ -66,5 +76,5 @@ def verify_report_42(tmp_path_factory):
     return code, out.read_bytes()
 
 
-__all__ = ["constant", "constant_family", "make_rng", "random_family", "random_hermitian", "random_state",
-           "random_unitary", "KET0", "KET_PLUS"]
+__all__ = ["constant", "constant_family", "make_rng", "pt_dhamiltonian", "pt_hamiltonian", "random_family",
+           "random_hermitian", "random_state", "KET0", "KET_PLUS"]

@@ -8,7 +8,7 @@ from nhsense.evolution import DEFAULT_TOL, HamiltonianFamily, check_step, propag
 from nhsense.noise import make_rng
 from nhsense.operators import covariance, eig_hermitian, expm_hermitian, seminorm, variance
 from nhsense.verification import (
-    CheckResult, _gaussian, _result, random_hermitian, random_state, random_unitary,
+    CheckResult, _gaussian, _result, _unitary_from_gaussian, random_hermitian, random_state,
 )
 
 
@@ -41,7 +41,7 @@ def operator_inequalities_per_instance(seed: int, n: int = 1000) -> list[CheckRe
         dim = int(rng.integers(2, 7))
         a = random_hermitian(rng, dim)
         b = random_hermitian(rng, dim)
-        u = random_unitary(rng, dim)
+        u = _unitary_from_gaussian(_gaussian(rng, dim, dim))
         psi = random_state(rng, dim)
 
         worst_triangle = max(worst_triangle, seminorm(a + b) - seminorm(a) - seminorm(b))

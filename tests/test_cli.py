@@ -610,6 +610,7 @@ BAD_INPUT = (
        (["scan-ep", "--Gamma=-1"], "scenario.pt-ep.Gamma"),
        (["sweep-ph", "--epsilon=0"], "scenario.pseudo-hermitian.epsilon"),
        (["sweep-ph", "--epsilon=1e300"], "scenario.pseudo-hermitian.epsilon"),
+       (["sweep-ph", "--omega=1e78"], "scenario.pseudo-hermitian.omega"),
        (["scan-ep", "--omega=1e-300"], "scenario.pt-ep.omega"),
        (["scan-ep", "--grid-stop=1e200"], "scenario.pt-ep.grid.stop"),
        (["verify", "--seed=-1"], "seed")]

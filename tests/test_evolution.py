@@ -16,10 +16,12 @@ from nhsense.operators import SIGMA_X, expm_hermitian
 from nhsense.pseudo_hermitian import (
     PseudoHermitianParams, generator_closed, hamiltonian_family, probe_state, qfi_numeric,
 )
-from nhsense.pt_ep import PtEpParams, _family, hamiltonian_domega_delta, hamiltonian_total
-from nhsense.qfi import channel_bound_uncertainty, qfi_fidelity_oracle
+from nhsense.pt_ep import PtEpParams, _family
+from nhsense.qfi import qfi_fidelity_oracle
 
-from conftest import constant, constant_family, make_rng, random_family, random_hermitian
+from conftest import (
+    constant, constant_family, make_rng, pt_dhamiltonian, pt_hamiltonian, random_family, random_hermitian,
+)
 from oracles import generator_finite_difference
 
 
@@ -197,19 +199,18 @@ class TestAgainstSolveIvp:
     @pytest.mark.parametrize("tangent", [False, True])
     def test_pt_period(self, tangent):
         p = PtEpParams(J=1.0, Gamma=1.0650605221995801, omega=4.0, delta=0.05, omega_delta=0.2228)
-        self.check(lambda t: hamiltonian_total(p, t),
-                   (lambda t: hamiltonian_domega_delta(p, t)) if tangent else None,
+        self.check(lambda t: pt_hamiltonian(p, t), (lambda t: pt_dhamiltonian(p, t)) if tangent else None,
                    2, np.array([0.0, p.T]), 1e-12)
 
     def test_pt_period_grid(self):
         p = PtEpParams(J=1.0, Gamma=0.5, omega=4.0, delta=0.05, omega_delta=1.1)
-        self.check(lambda t: hamiltonian_total(p, t), lambda t: hamiltonian_domega_delta(p, t),
+        self.check(lambda t: pt_hamiltonian(p, t), lambda t: pt_dhamiltonian(p, t),
                    2, np.linspace(0.0, p.T, 5), 1e-10)
 
     def test_tangent_in_span_units(self):
         # a tangent member of span T = 2 pi integrates W / 4 with dH/dlam / 4; the core multiplies by 4
         p = PtEpParams(J=1.0, Gamma=0.5, omega=1.0, delta=0.05, omega_delta=0.3)
-        self.check(lambda t: hamiltonian_total(p, t), lambda t: hamiltonian_domega_delta(p, t),
+        self.check(lambda t: pt_hamiltonian(p, t), lambda t: pt_dhamiltonian(p, t),
                    2, np.array([0.0, p.T]), 1e-10)
 
     def test_vanishing_start_with_rejected_steps(self, rng):
@@ -441,8 +442,7 @@ def test_non_finite_lam_or_step_rejected_before_evaluation(arg, bad):
              lambda: qfi_fidelity_oracle(fam, lam, psi0, 1.0, dlam=dlam)]
     if arg == "lam":
         calls += [lambda: propagate(fam, lam, np.array([0.0, 1.0])),
-                  lambda: propagators(fam, [0.0, lam], 1.0),
-                  lambda: channel_bound_uncertainty(fam, lam, 1.0, 1)]
+                  lambda: propagators(fam, [0.0, lam], 1.0)]
     for call in calls:
         with pytest.raises(DomainError, match=f"^{arg} must be finite.*, got {bad}"):
             call()

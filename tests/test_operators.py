@@ -6,13 +6,14 @@ import pytest
 from nhsense.errors import DomainError
 from nhsense.operators import (
     ID2, SIGMA_X, SIGMA_Y, SIGMA_Z,
-    covariance, eig_hermitian, expectation, expm_hermitian,
+    covariance, eig_hermitian, expm_hermitian,
     require_hermitian, require_state, seminorm, spectral_generator, tensor, variance,
 )
 from nhsense.evolution import generators
 from nhsense.pseudo_hermitian import PseudoHermitianParams, dilated_hamiltonian, generator_closed
+from nhsense.verification import _gaussian, _unitary_from_gaussian
 
-from conftest import KET0, KET_PLUS, constant_family, make_rng, random_hermitian, random_state, random_unitary
+from conftest import KET0, KET_PLUS, constant_family, make_rng, random_hermitian, random_state
 from oracles import seminorm_eigh
 
 
@@ -187,11 +188,6 @@ class TestMoments:
         # <0|(sx sy + sy sx)/2|0> = 0 and <sx><sy> = 0
         assert covariance(SIGMA_X, SIGMA_Y, KET0) == pytest.approx(0.0, abs=1e-14)
 
-    def test_expectation_real(self, rng):
-        h = random_hermitian(rng, 4)
-        psi = random_state(rng, 4)
-        assert isinstance(expectation(h, psi), float)
-
     def test_variance_equals_self_covariance(self, rng):
         for _ in range(25):
             h = random_hermitian(rng, 3)
@@ -200,7 +196,7 @@ class TestMoments:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            expectation(SIGMA_Z, np.array([1.0, 0, 0, 0], dtype=complex))
+            variance(SIGMA_Z, np.array([1.0, 0, 0, 0], dtype=complex))
 
     def test_state_norm_enforced(self):
         with pytest.raises(DomainError):
@@ -241,7 +237,7 @@ class TestStacks:
         # Each is backward stable, within O(d) ulp of the spectral scale: 4 d ulp allowed,
         # on random stacks and on degenerate spectra (seen: 6 ulp at d = 3, 20 at d = 16)
         hs, _ = self.draw(rng, (40,), dim)
-        u = np.stack([random_unitary(rng, dim) for _ in range(3)])
+        u = np.stack([_unitary_from_gaussian(_gaussian(rng, dim, dim)) for _ in range(3)])
         levels = np.diag(np.arange(dim) % 2 * 1.5 - 0.5 + 0j)  # two levels, each repeated
         hs = np.concatenate([hs, 3.0 * np.eye(dim)[None], u @ levels @ u.conj().swapaxes(-1, -2)])
         scale = np.abs(np.linalg.eigvalsh(hs)).max(axis=-1)
@@ -263,7 +259,6 @@ class TestStacks:
         b, _ = self.draw(rng, (2, 5), dim)
         ulp = 4.0 * np.finfo(float).eps
         for got, lone, scale in [
-            (expectation(a, psis), lambda i: expectation(a[i], psis[i]), lambda i: np.linalg.norm(a[i], 2)),
             (variance(a, psis), lambda i: variance(a[i], psis[i]), lambda i: np.linalg.norm(a[i], 2) ** 2),
             (covariance(a, b, psis), lambda i: covariance(a[i], b[i], psis[i]),
              lambda i: np.linalg.norm(a[i], 2) * np.linalg.norm(b[i], 2)),
@@ -280,7 +275,7 @@ class TestStacks:
 
     def test_lone_calls_return_python_floats(self, rng):
         h, psi = random_hermitian(rng, 3), random_state(rng, 3)
-        for value in (seminorm(h), expectation(h, psi), variance(h, psi), covariance(h, h, psi)):
+        for value in (seminorm(h), variance(h, psi), covariance(h, h, psi)):
             assert type(value) is float
 
     def test_one_non_hermitian_member_reports_the_worst_deviation(self, rng):
@@ -305,7 +300,7 @@ class TestStacks:
         hs, psis = self.draw(rng, (4,), 3)
         psis[1] *= 1.0 + 1e-9
         with pytest.raises(DomainError, match="not normalized"):
-            expectation(hs, psis)
+            variance(hs, psis)
 
     def test_tensor_takes_matrices_only(self):
         with pytest.raises(DomainError):
@@ -327,7 +322,7 @@ class TestInequalitySuites:
         for _ in range(self.N):
             dim = int(rng.integers(2, 7))
             h = random_hermitian(rng, dim)
-            u = random_unitary(rng, dim)
+            u = _unitary_from_gaussian(_gaussian(rng, dim, dim))
             assert abs(seminorm(u.conj().T @ h @ u) - seminorm(h)) < 1e-10
 
     def test_variance_bound(self, rng):

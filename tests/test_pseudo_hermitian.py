@@ -45,6 +45,15 @@ class TestParams:
             PseudoHermitianParams(epsilon, 1.0)
         assert math.isfinite(PseudoHermitianParams(5e76, 1.0).b)
 
+    @pytest.mark.parametrize("omega", [1e78, 1e200, sys.float_info.max])
+    def test_rejects_omega_whose_coupling_overflows(self, omega):
+        # c ~ 0.55 omega here: c⁴ overflowed, and a float ** that overflows raises
+        # OverflowError, so sweep-ph --omega 1e78 stopped with a traceback
+        for make in (lambda: PseudoHermitianParams(EPS, omega), lambda: hamiltonian_family(EPS, omega)):
+            with pytest.raises(DomainError, match=re.escape(f"omega {omega:g} too large")):
+                make()
+        assert math.isfinite(PseudoHermitianParams(EPS, 1e76).c)
+
     def test_omega_fourth_power_bound(self):
         # lam this large sets Omega = hypot(lam + b, c) = lam; the largest lam whose
         # Omega⁴ is a finite float is accepted, and qfi_closed is finite there

@@ -1,6 +1,8 @@
 import math
+import re
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +16,11 @@ from nhsense.errors import DomainError
 from nhsense.noise import sample_projection_batch
 from nhsense.operators import SIGMA_X, SIGMA_Z
 from nhsense.pt_ep import (
-    SCAN_COLUMNS, EpScanRow, PtEpParams, ep_sensitivity, ep_susceptibility, find_ep,
-    find_response_dip, hamiltonian_domega_delta, hamiltonian_total, hermitian_bound_ep,
-    pj_pgamma, propagate_period, propagate_period_tangent, response_energy,
-    response_variance, scan,
+    SCAN_COLUMNS, EpScanRow, PtEpParams, ep_susceptibility, find_ep, find_response_dip, hermitian_bound_ep,
+    pj_pgamma, propagate_period, response_energy, response_variance, scan,
 )
+
+from conftest import pt_dhamiltonian, pt_hamiltonian
 
 # regression values pinned at first verified build (bisection at tol 1e-12)
 GAMMA_EP_J1_W1 = 0.6180339887499011
@@ -80,7 +82,7 @@ class TestParams:
         for gamma in (0.01, GAMMA_EP_J1_W4, 3.0):
             a, b = (PtEpParams(J=1.0, Gamma=gamma, omega=4.0, delta=0.0, omega_delta=wd) for wd in (1.0, 4.0))
             for t in np.linspace(0.0, a.T, 17):
-                assert np.array_equal(hamiltonian_total(a, t), hamiltonian_total(b, t))
+                assert np.array_equal(pt_hamiltonian(a, t), pt_hamiltonian(b, t))
         assert find_ep(1.0, 4.0) == 1.065060522199592
 
 
@@ -88,25 +90,25 @@ class TestHamiltonian:
     def test_hermitian_when_lossless(self):
         p = PtEpParams(J=1.0, Gamma=0.0, omega=2.0, delta=0.03, omega_delta=0.7)
         for t in np.linspace(0.0, p.T, 9):
-            h = hamiltonian_total(p, t)
+            h = pt_hamiltonian(p, t)
             assert np.abs(h - h.conj().T).max() < 1e-15
 
     def test_drive_envelope(self):
         p = PtEpParams(J=1.3, Gamma=0.2, omega=2.0, delta=0.0, omega_delta=1.0)
-        assert hamiltonian_total(p, 0.0)[0, 1] == pytest.approx(2 * p.J, rel=1e-15)
-        assert abs(hamiltonian_total(p, math.pi / p.omega)[0, 1]) < 1e-15
+        assert pt_hamiltonian(p, 0.0)[0, 1] == pytest.approx(2 * p.J, rel=1e-15)
+        assert abs(pt_hamiltonian(p, math.pi / p.omega)[0, 1]) < 1e-15
 
     def test_matches_definition_without_perturbation(self):
         p = PtEpParams(J=0.8, Gamma=0.4, omega=3.0, delta=0.0, omega_delta=1.0)
         rng = np.random.default_rng(17)
         for t in rng.uniform(0.0, p.T, size=8):
             expected = p.J * (1 + math.cos(p.omega * t)) * SIGMA_X + 1j * p.Gamma * SIGMA_Z
-            assert np.abs(hamiltonian_total(p, float(t)) - expected).max() == 0.0
+            assert np.abs(pt_hamiltonian(p, float(t)) - expected).max() == 0.0
 
     def test_anti_hermitian_part(self):
         p = default_base()
         for t in (0.0, 0.3, 1.1):
-            h = hamiltonian_total(p, t)
+            h = pt_hamiltonian(p, t)
             anti = (h - h.conj().T) / 2.0
             assert np.abs(anti - 1j * p.Gamma * SIGMA_Z).max() < 1e-15
 
@@ -114,9 +116,9 @@ class TestHamiltonian:
         p = default_base()
         h = 1e-6
         for t in (0.0, 0.3, 1.1):
-            fd = (hamiltonian_total(base_at(p, p.omega_delta + h), t)
-                  - hamiltonian_total(base_at(p, p.omega_delta - h), t)) / (2 * h)
-            assert np.abs(hamiltonian_domega_delta(p, t) - fd).max() < 1e-9
+            fd = (pt_hamiltonian(base_at(p, p.omega_delta + h), t)
+                  - pt_hamiltonian(base_at(p, p.omega_delta - h), t)) / (2 * h)
+            assert np.abs(pt_dhamiltonian(p, t) - fd).max() < 1e-9
 
 
 class TestPropagation:
@@ -134,7 +136,7 @@ class TestPropagation:
 
     def test_tangent_matches_propagator_and_difference_quotient(self):
         p = base_at(default_base(), 0.8)
-        u, w = propagate_period_tangent(p, tol=1e-11)
+        [u], [w] = pt_ep._propagate_periods([p], 1e-11, tangent=True)
         assert np.abs(u - propagate_period(p, tol=1e-11)).max() < 1e-9
         h = 1e-4
         fd = (propagate_period(base_at(p, p.omega_delta + h), tol=1e-13)
@@ -255,7 +257,7 @@ class TestPiecedPeriod:
         p = PtEpParams(J=1.0, Gamma=gamma, omega=4.0, delta=delta, omega_delta=omega_delta)
 
         def rhs(t, y):
-            return (-1j * hamiltonian_total(p, t) @ y.reshape(2, 2)).ravel()
+            return (-1j * pt_hamiltonian(p, t) @ y.reshape(2, 2)).ravel()
 
         ref = solve_ivp(rhs, (0.0, p.T), np.eye(2, dtype=complex).ravel(), method="DOP853",
                         rtol=2.3e-14, atol=1e-16).y[:, -1].reshape(2, 2)
@@ -439,12 +441,11 @@ class TestResponseVariance:
 class TestSusceptibilityAndSensitivity:
     def test_no_perturbation_means_no_response_change(self):
         p = PtEpParams(J=1.0, Gamma=0.3, omega=4.0, delta=0.0, omega_delta=0.5)
-        assert ep_susceptibility(p, tol=1e-10) == pytest.approx(0.0, abs=1e-7)
+        assert scan(p, [p.omega_delta], tol=1e-10)[0].chi_E == pytest.approx(0.0, abs=1e-7)
 
     def test_growth_towards_dip(self):
-        base = default_base()
-        chis = [ep_susceptibility(base_at(base, DIP_J1_W4_D005 + off), tol=1e-10)
-                for off in (3e-2, 3e-3, 3e-4)]
+        grid = [DIP_J1_W4_D005 + off for off in (3e-2, 3e-3, 3e-4)]
+        chis = [row.chi_E for row in scan(default_base(), grid, tol=1e-10)]
         assert chis[1] > 2.5 * chis[0]
         assert chis[2] > 2.5 * chis[1]
 
@@ -454,37 +455,40 @@ class TestSusceptibilityAndSensitivity:
         b = ep_susceptibility(p, tol=1e-11, rel_step=5e-6)
         assert a == pytest.approx(b, rel=1e-6)
 
+    @pytest.mark.parametrize("rel_step", [0.0, -1e-4, math.nan, math.inf, -math.inf])
+    def test_oracle_rejects_a_bad_step(self, rel_step):
+        # rel_step 0 divided by zero, a negative step was taken silently, and nan or inf
+        # gave an error naming omega_delta
+        with pytest.raises(DomainError, match=re.escape(f"rel_step must be finite and positive, got {rel_step}")):
+            ep_susceptibility(base_at(default_base(), 0.8), rel_step=rel_step)
+
     def test_default_route_reproducible_and_matches_oracle(self):
-        # The pinned scan fixture gates chi_E at rel 1e-9, so the default
+        # The pinned scan fixture gates chi_E at rel 1e-9, so scan's tangent
         # route must not jitter with the last bit of omega_delta.  The
         # oracle is the Richardson route at the tightest tol; its noise grows
         # as the step shrinks (~2e-8 at rel_step 1e-4), so it uses 1e-3.
         for wd in (0.35, 0.8, 1.5):
             p = base_at(default_base(), wd)
-            chi = ep_susceptibility(p, tol=1e-10)
-            shifted = ep_susceptibility(base_at(default_base(), float(np.nextafter(wd, np.inf))),
-                                        tol=1e-10)
-            assert shifted == pytest.approx(chi, rel=1e-10)
+            [row], [shifted] = (scan(p, [x], tol=1e-10) for x in (wd, float(np.nextafter(wd, np.inf))))
+            assert shifted.chi_E == pytest.approx(row.chi_E, rel=1e-10)
             oracle = ep_susceptibility(p, tol=1e-13, rel_step=1e-3)
-            assert chi == pytest.approx(oracle, rel=1e-8)
+            assert row.chi_E == pytest.approx(oracle, rel=1e-8)
 
     def test_sensitivity_bounded_on_approach(self):
-        base = default_base()
-        vals = [ep_sensitivity(base_at(base, DIP_J1_W4_D005 + off), tol=1e-10)
-                for off in (1e-2, 1e-3, 1e-4)]
+        grid = [DIP_J1_W4_D005 + off for off in (1e-2, 1e-3, 1e-4)]
+        vals = [row.sensitivity for row in scan(default_base(), grid, tol=1e-10)]
         assert max(vals) / min(vals) < 1.2
 
     def test_nu_scaling(self):
         p1 = base_at(default_base(), 0.9)
-        p4 = PtEpParams(J=p1.J, Gamma=p1.Gamma, omega=p1.omega, delta=p1.delta,
-                        omega_delta=p1.omega_delta, nu=4)
-        assert ep_sensitivity(p4, tol=1e-10) == pytest.approx(
-            ep_sensitivity(p1, tol=1e-10) / 2.0, rel=1e-6)
+        [row1], [row4] = (scan(replace(p1, nu=nu), [p1.omega_delta], tol=1e-10) for nu in (1, 4))
+        assert row4.sensitivity == pytest.approx(row1.sensitivity / 2.0, rel=1e-6)
 
     def test_sensitivity_above_bound(self):
         for wd in (0.35, 0.8, 1.5):
             p = base_at(default_base(), wd)
-            assert ep_sensitivity(p, tol=1e-10) >= hermitian_bound_ep(p) - 1e-9
+            [row] = scan(p, [wd], tol=1e-10)
+            assert row.sensitivity >= hermitian_bound_ep(p) - 1e-9
 
 
 class TestHermitianBoundEp:

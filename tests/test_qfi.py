@@ -14,8 +14,7 @@ from nhsense.operators import SIGMA_X, SIGMA_Z, covariance, seminorm, variance
 from nhsense.pseudo_hermitian import PseudoHermitianParams, hamiltonian_family, probe_state
 from nhsense.pt_ep import PtEpParams
 from nhsense.qfi import (
-    _integrals, _widths, cramer_rao, channel_bound_uncertainty, fidelity_curvature, qfi_fidelity_oracle,
-    qfi_pure, qfi_series,
+    _integrals, _widths, cramer_rao, fidelity_curvature, qfi_fidelity_oracle, qfi_pure, qfi_series,
 )
 from nhsense.verification import _random_instances, family_stack
 
@@ -214,28 +213,21 @@ class TestCramerRao:
 
 
 class TestChannelBoundUncertainty:
+    """The width integral of the uncertainty floor 1/(sqrt(nu) integral), over (0, t) as one
+    piece, as `qfi_series` integrates its channel bound, against closed forms."""
+
     def test_constant_sigma_x(self):
         fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: lam[:, None, None] * SIGMA_X,
                                 evaluate_dlambda=constant(SIGMA_X))
         t_final = TAU_EXAMPLE
-        assert channel_bound_uncertainty(fam, 0.0, t_final, 1) == pytest.approx(
-            1.0 / (2 * t_final), rel=1e-10)
-        assert channel_bound_uncertainty(fam, 0.0, t_final, 4) == pytest.approx(
-            1.0 / (4 * t_final), rel=1e-10)
-
-    @pytest.mark.parametrize("t_final, message", [
-        (0.0, "t_final must be positive"), (-1.0, "t must be finite and >= 0"),
-        (math.nan, "t must be finite and >= 0"), (math.inf, "t must be finite and >= 0")])
-    def test_rejects_bad_final_time(self, t_final, message):
-        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: lam[:, None, None] * SIGMA_X,
-                                evaluate_dlambda=constant(SIGMA_X))
-        with pytest.raises(DomainError, match=message):
-            channel_bound_uncertainty(fam, 0.0, t_final, 1)
+        [integral] = _integrals(partial(_widths, fam, 0.0), [0.0, t_final])
+        assert integral == pytest.approx(2 * t_final, rel=1e-10)
 
     def test_zero_encoding_infinite(self):
+        # dH/dlam = 0: the integral is exactly 0, so the floor 1/(sqrt(nu) integral) is +inf
         fam = HamiltonianFamily(dim=2, evaluate=constant(SIGMA_Z),
                                 evaluate_dlambda=constant(np.zeros((2, 2))))
-        assert channel_bound_uncertainty(fam, 0.0, 1.0, 1) == math.inf
+        assert _integrals(partial(_widths, fam, 0.0), [0.0, 1.0]).tolist() == [0.0]
 
     def test_ep_drive_analytic_integral(self):
         # width of the drive derivative is delta s |sin(wd s)|; for wd T <= pi
@@ -252,8 +244,8 @@ class TestChannelBoundUncertainty:
         wd_t = p.omega_delta * p.T
         assert wd_t <= math.pi
         integral = p.delta * (math.sin(wd_t) - wd_t * math.cos(wd_t)) / p.omega_delta**2
-        assert channel_bound_uncertainty(fam, p.omega_delta, p.T, 1) == pytest.approx(
-            1.0 / integral, rel=1e-9)
+        [got] = _integrals(partial(_widths, fam, p.omega_delta), [0.0, p.T])
+        assert got == pytest.approx(integral, rel=1e-9)
 
 
 class TestIntegrals:
