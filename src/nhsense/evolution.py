@@ -105,10 +105,12 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0  # step-size controller
 class HamiltonianFamily:
     """A parametrized Hamiltonian H(lam, t) together with dH/dlam.
 
-    `evaluate` and `evaluate_dlambda` take equally long 1-d arrays lam and t
-    and return the (k, dim, dim) stack whose entry j is the matrix at
-    (lam[j], t[j]), Hermitian but for the EP sensor's H.  A family over member
-    indices (`pt_ep`, `verification.family_stack`) casts lam to np.intp.
+    `evaluate` and `evaluate_dlambda` take arrays lam and t that broadcast
+    together and return the matrices at their broadcast pairs: a stack of shape
+    np.broadcast_shapes(lam.shape, t.shape) + (dim, dim), which may be a
+    read-only view, Hermitian but for the EP sensor's H.  `integrate` passes
+    one lam per member, (m, 1), against its stage times, (m, k).  A family over
+    member indices (`pt_ep`, `verification.family_stack`) casts lam to np.intp.
     """
 
     dim: int
@@ -300,12 +302,12 @@ def integrate(family: HamiltonianFamily, lams, times, tol: float,
     units = np.ldexp(1.0, np.maximum(np.frexp(ends)[1] - 1, 0))  # max(1, 2^floor(log2 span))
 
     def linear(t, members):
-        m, k = t.shape
-        at = (lams[np.repeat(members // steps, k)], (t + times[members % steps, None]).ravel())
-        gen = (-1j * evaluate_stack(family.evaluate, dim, *at)).reshape(m, k, dim, dim)
+        m = t.shape[0]
+        at = (lams[members // steps, None], t + times[members % steps, None])  # (m, 1), (m, k)
+        gen = -1j * evaluate_stack(family.evaluate, dim, *at)
         if tangent:
-            dh = evaluate_stack(family.evaluate_dlambda, dim, *at).reshape(m, k, dim, dim)
-            dh = dh / units[members, None, None, None]  # a new array: the family's stack may be read-only
+            # a new array: the family's stack may be read-only
+            dh = evaluate_stack(family.evaluate_dlambda, dim, *at) / units[members, None, None, None]
 
         def apply(j, y):
             uw = y.reshape(m, dim, width)
@@ -347,14 +349,16 @@ def check_scalar(name: str, value: float) -> float:
 
 
 def evaluate_stack(evaluate: Callable, dim: int, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """evaluate(lam, t) as a complex (t.size, dim, dim) stack; DomainError for another shape,
-    PropagationError naming the first time of a non-finite member."""
+    """evaluate(lam, t) as a complex stack of shape np.broadcast_shapes(lam.shape, t.shape) +
+    (dim, dim); DomainError for another shape, PropagationError naming the time of the first
+    non-finite matrix in row-major order, member-major for the core's (m, k) times."""
+    shape = np.broadcast_shapes(lam.shape, t.shape)
     m = np.asarray(evaluate(lam, t), dtype=complex)
-    if m.shape != (t.size, dim, dim):
-        raise DomainError(f"a family callable must return a {(t.size, dim, dim)} stack, got {m.shape}")
-    bad = ~np.isfinite(m).all(axis=(1, 2))
+    if m.shape != shape + (dim, dim):
+        raise DomainError(f"a family callable must return a {shape + (dim, dim)} stack, got {m.shape}")
+    bad = ~np.isfinite(m).all(axis=(-2, -1))
     if bad.any():
-        raise PropagationError(f"non-finite Hamiltonian evaluation at t={t[bad][0]:g}")
+        raise PropagationError(f"non-finite Hamiltonian evaluation at t={np.broadcast_to(t, shape)[bad][0]:g}")
     return m
 
 

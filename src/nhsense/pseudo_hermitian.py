@@ -55,8 +55,8 @@ def _check_epsilon(epsilon: float) -> float:
 
 def _couplings(epsilon: float, omega: float) -> tuple[float, float]:
     """b and c of the dilated Hamiltonian; DomainError unless epsilon is in `_check_epsilon`'s domain,
-    omega is finite and positive and c⁴ is a finite normal float: Omega >= c at every lam, so Omega⁴
-    is a normal float only if c⁴ is."""
+    omega is finite and positive, b and c are finite and c⁴ is a finite normal float: Omega >= c at
+    every lam, so Omega⁴ is a normal float only if c⁴ is."""
     den = _check_epsilon(epsilon)
     check_scalar("omega", omega)
     if omega <= 0:
@@ -64,10 +64,13 @@ def _couplings(epsilon: float, omega: float) -> tuple[float, float]:
     e = epsilon
     b, c = 4.0 * omega * e * (1.0 + e) / den, 2.0 * omega * math.sqrt(e * (1.0 + e)) / den
     # before c**4, which raises OverflowError past _OMEGA_MAX; where e (1 + e) itself overflows,
-    # b is inf and the params name epsilon
+    # b and c are inf, and epsilon is named below
     if not c < _OMEGA_MAX and math.isfinite(e * (1.0 + e)):
         raise DomainError(f"omega {omega:g} too large at epsilon {epsilon:g}: c = {c:.3g}, "
                           f"whose 4th power overflows")
+    if not (math.isfinite(b) and math.isfinite(c)):
+        raise DomainError(f"epsilon {epsilon:g} too large at omega {omega:g}: b = {b:.3g} and c = {c:.3g} "
+                          f"must be finite")
     if not c**4 >= _TINY:
         raise DomainError(f"omega {omega:g} too small at epsilon {epsilon:g}: c = {c:.3g}, "
                           f"whose 4th power is below the smallest normal float")
@@ -158,8 +161,15 @@ def hamiltonian_family(epsilon: float, omega: float) -> HamiltonianFamily:
     """(b + lam) I⊗sigma_x - c sigma_y⊗sigma_y, the dilated two-qubit Hamiltonian, as a family over
     the encoded parameter, a stack per call; b and c depend on (epsilon, omega) alone."""
     b, c = _couplings(epsilon, omega)
-    return HamiltonianFamily(dim=4, evaluate=lambda lam, t: (b + lam)[:, None, None] * _IX - c * _YY,
-                             evaluate_dlambda=lambda lam, t: np.broadcast_to(_IX, (t.size, 4, 4)))
+
+    def h(lam, t):
+        lam = np.broadcast_to(lam, np.broadcast_shapes(lam.shape, t.shape))  # one per matrix
+        return (b + lam)[..., None, None] * _IX - c * _YY
+
+    def dh(lam, t):  # constant: a read-only view of I⊗sigma_x
+        return np.broadcast_to(_IX, np.broadcast_shapes(lam.shape, t.shape) + (4, 4))
+
+    return HamiltonianFamily(dim=4, evaluate=h, evaluate_dlambda=dh)
 
 
 def _hamiltonians(p: PseudoHermitianParams) -> np.ndarray:

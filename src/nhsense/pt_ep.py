@@ -118,12 +118,12 @@ def _family(ps: list[PtEpParams]) -> HamiltonianFamily:
 
     def h(lam, t):
         idx = lam.astype(np.intp)
-        c = np.cos(t[:, None] * freqs[idx])
-        drive, pert = p.J * (1.0 + c[:, 0]), half_delta * c[:, 1]
-        return drive[:, None, None] * _SIGMA_X + pert[:, None, None] * _PERT_OP + gain[idx]
+        c = np.cos(t[..., None] * freqs[idx])
+        drive, pert = p.J * (1.0 + c[..., 0]), half_delta * c[..., 1]
+        return drive[..., None, None] * _SIGMA_X + pert[..., None, None] * _PERT_OP + gain[idx]
 
     def dh(lam, t):
-        return (-half_delta * t * np.sin(t * freqs[lam.astype(np.intp), 1]))[:, None, None] * _PERT_OP
+        return (-half_delta * t * np.sin(t * freqs[lam.astype(np.intp), 1]))[..., None, None] * _PERT_OP
 
     return HamiltonianFamily(2, h, dh)
 

@@ -76,14 +76,15 @@ def random_terms(rng: np.random.Generator, dim: int) -> tuple:
     return (*(random_hermitian(rng, dim) for _ in range(4)), *rng.uniform(0.5, 2.0, size=2))
 
 
-# H and dH/dlam; each term is one family's or a (k, ...) stack gathered per member
+# H and dH/dlam; each term is one family's, or gathered per member with lam's shape
 def _random_dlambda(a, b, c, d, w0, w1, lam, t):
-    return c + np.cos(w1 * t)[:, None, None] * d
+    dh = c + np.cos(w1 * t)[..., None, None] * d
+    return np.broadcast_to(dh, np.broadcast_shapes(lam.shape, t.shape) + dh.shape[-2:])  # lam may set the shape
 
 
 def _random_evaluate(a, b, c, d, w0, w1, lam, t):
     dh = _random_dlambda(a, b, c, d, w0, w1, lam, t)
-    return a + np.sin(w0 * t)[:, None, None] * b + lam[:, None, None] * dh
+    return a + np.sin(w0 * t)[..., None, None] * b + lam[..., None, None] * dh
 
 
 def random_family(rng: np.random.Generator, dim: int) -> HamiltonianFamily:
@@ -95,8 +96,9 @@ def random_family(rng: np.random.Generator, dim: int) -> HamiltonianFamily:
 def family_stack(terms, lams) -> HamiltonianFamily:
     """Random families of one dimension as one family whose parameter is a member index.
 
-    Member j is the family of terms[j] at lams[j].  It is evaluated on the
-    gathered terms with the float operations of `random_family`, so a
+    Member j is the family of terms[j] at lams[j].  Each call gathers the
+    terms once per index of lam, (m, 1) from the core, and broadcasts them
+    over the times with the float operations of `random_family`, so a
     member's propagation equals that of its own family bit for bit.
     """
     columns = [np.stack(column) for column in zip(*terms)] + [np.asarray(lams, dtype=float)]
@@ -236,13 +238,15 @@ def check_qfi_oracle(seed: int) -> list[CheckResult]:
     worst = -np.inf
     for terms, probes, lams in _random_instances(make_rng(seed), 3).values():
         _, hs = generators(family_stack(terms, lams), np.arange(len(lams)), grid, tol=tol)
-        oracle_lams = [x for lam in lams for d in steps for x in fidelity_stencil(lam, d)]
-        us = propagators(family_stack([f for f in terms for _ in range(len(steps) * 5)], oracle_lams),
+        # the steps' stencils share their centre lam, propagated once: lam, then each step's four others
+        oracle_lams = [x for lam in lams for x in (lam, *(y for d in steps for y in fidelity_stencil(lam, d)[1:]))]
+        per = len(oracle_lams) // len(lams)
+        us = propagators(family_stack([f for f in terms for _ in range(per)], oracle_lams),
                          np.arange(len(oracle_lams)), grid, tol=tol)
-        for psi0, h, u in zip(probes, hs, us.reshape(len(lams), len(steps), 5, *us.shape[1:])):
+        for psi0, h, u in zip(probes, hs, us.reshape(len(lams), per, *us.shape[1:])):
             f_gen = qfi_pure(h[-1], psi0)
-            for dlam, u_d in zip(steps, u):
-                f_fid = fidelity_curvature(psi0, u_d, dlam)
+            for i, dlam in enumerate(steps):
+                f_fid = fidelity_curvature(psi0, [u[0], *u[1 + 4 * i:5 + 4 * i]], dlam)
                 worst = max(worst, abs(f_gen - f_fid) - max(1e-6, 10.0 * dlam**2) + 1e-6)
     return [_result("qfi-oracle-agreement",
                     "|qfi_pure - fidelity oracle| <= max(1e-6, 10 d²)", worst, 1e-6)]

@@ -13,7 +13,12 @@ KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 def constant(h):
     """A family callable that is h for every member at every time."""
-    return lambda params, t: np.broadcast_to(h, (t.size,) + h.shape)
+    return lambda params, t: np.broadcast_to(h, np.broadcast_shapes(params.shape, t.shape) + h.shape)
+
+
+def per_time(lam, t):
+    """lam broadcast against the times t: one value per matrix of a family's stack."""
+    return np.broadcast_to(lam, np.broadcast_shapes(lam.shape, t.shape))
 
 
 def constant_family(h, dh=None):
@@ -37,15 +42,24 @@ def rng():
     return make_rng(20240811)
 
 
+class _Calls(list):
+    """A list of calls with a `shapes` list beside it."""
+
+    def __init__(self):
+        super().__init__()
+        self.shapes = []
+
+
 @pytest.fixture
 def integrate_calls(monkeypatch):
-    """(lams, grid points, tangent, step attempts) of every `integrate` call, in order.
+    """(lams, grid points, tangent, step attempts) of every `integrate` call, in order, and in
+    `.shapes` the (lam.shape, t.shape) of every evaluation of H.
 
     The record is taken where `evolution` and `pt_ep` call the core.  It
     counts the step attempts from the evaluations of H: two for the initial
     step, then one per attempt at the eleven stage times of each running member.
     """
-    calls = []
+    calls = _Calls()
     original = evolution.integrate
 
     def recorded(family, lams, times, tol, tangent=False):
@@ -53,6 +67,7 @@ def integrate_calls(monkeypatch):
 
         def evaluate(lam, t):
             sizes.append(t.size)
+            calls.shapes.append((lam.shape, t.shape))
             return family.evaluate(lam, t)
 
         result = original(replace(family, evaluate=evaluate), lams, times, tol, tangent)
@@ -76,5 +91,5 @@ def verify_report_42(tmp_path_factory):
     return code, out.read_bytes()
 
 
-__all__ = ["constant", "constant_family", "make_rng", "pt_dhamiltonian", "pt_hamiltonian", "random_family",
-           "random_hermitian", "random_state", "KET0", "KET_PLUS"]
+__all__ = ["constant", "constant_family", "make_rng", "per_time", "pt_dhamiltonian", "pt_hamiltonian",
+           "random_family", "random_hermitian", "random_state", "KET0", "KET_PLUS"]

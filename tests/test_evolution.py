@@ -18,16 +18,22 @@ from nhsense.pseudo_hermitian import (
 )
 from nhsense.pt_ep import PtEpParams, _family
 from nhsense.qfi import qfi_fidelity_oracle
+from nhsense.verification import family_stack, random_terms
 
 from conftest import (
-    constant, constant_family, make_rng, pt_dhamiltonian, pt_hamiltonian, random_family, random_hermitian,
+    constant, constant_family, make_rng, per_time, pt_dhamiltonian, pt_hamiltonian, random_family,
+    random_hermitian,
 )
 from oracles import generator_finite_difference
 
 
 def one_member(h_of_t):
     """The Hamiltonian of a member whose Hamiltonian is h_of_t(t), one scalar time at a time."""
-    return lambda params, t: np.array([h_of_t(s) for s in t])
+    def evaluate(params, t):
+        shape = np.broadcast_shapes(params.shape, t.shape)
+        m = np.array([h_of_t(s) for s in np.broadcast_to(t, shape).ravel()])
+        return m.reshape(shape + m.shape[1:])
+    return evaluate
 
 
 def shifted(fam, start):
@@ -39,7 +45,7 @@ def shifted(fam, start):
 def multiplicative_family(h1, h0):
     """H(lam) = lam h1 + h0, time-independent."""
     return HamiltonianFamily(dim=h0.shape[0],
-                             evaluate=lambda lam, t: lam[:, None, None] * h1 + h0,
+                             evaluate=lambda lam, t: per_time(lam, t)[..., None, None] * h1 + h0,
                              evaluate_dlambda=constant(h1))
 
 
@@ -85,7 +91,7 @@ class TestIntegrate:
         # is rejected; the step shrinks until it falls below 10 ulp of t, which
         # ends the run instead of a hang
         def huge(params, t):
-            return np.where((t > 0.5)[:, None, None], 1e300, 1.0) * SIGMA_X
+            return np.where((t > 0.5)[..., None, None], 1e300, 1.0) * SIGMA_X
 
         fam = HamiltonianFamily(dim=2, evaluate=huge, evaluate_dlambda=constant(np.zeros((2, 2))))
         with pytest.raises(PropagationError, match="10 ulp"):
@@ -95,7 +101,7 @@ class TestIntegrate:
         # a nan stack is caught where the family returns it, before the
         # integrator takes a step with it
         def bad(params, t):
-            return np.where((t > 0.5)[:, None, None], np.nan, 1.0) * SIGMA_X
+            return np.where((t > 0.5)[..., None, None], np.nan, 1.0) * SIGMA_X
 
         fam = HamiltonianFamily(dim=2, evaluate=bad, evaluate_dlambda=constant(np.zeros((2, 2))))
         with pytest.raises(PropagationError, match="non-finite Hamiltonian evaluation at t="):
@@ -360,7 +366,7 @@ class TestPropagate:
     @pytest.mark.filterwarnings("error")
     def test_non_finite_hamiltonian_reported(self):
         def bad(lam, t):
-            return np.where((t > 0.5)[:, None, None], np.diag([np.inf, 0.0]), np.zeros((2, 2)))
+            return np.where((t > 0.5)[..., None, None], np.diag([np.inf, 0.0]), np.zeros((2, 2)))
 
         fam = HamiltonianFamily(dim=2, evaluate=bad, evaluate_dlambda=constant(np.zeros((2, 2))))
         with pytest.raises(PropagationError, match="non-finite Hamiltonian evaluation at t="):
@@ -377,7 +383,7 @@ class TestGeneratorFiniteDifference:
     def test_multiplicative_sigma_x(self):
         # H = lam sigma_x: h(t) = t sigma_x (finite-difference error ~ t^3 d^2/6)
         fam = HamiltonianFamily(dim=2,
-                                evaluate=lambda lam, t: lam[:, None, None] * SIGMA_X,
+                                evaluate=lambda lam, t: per_time(lam, t)[..., None, None] * SIGMA_X,
                                 evaluate_dlambda=constant(SIGMA_X))
         got = generator_finite_difference(fam, 0.3, 1.0, dlam=1e-4, tol=1e-11)
         assert np.abs(got - 1.0 * SIGMA_X).max() < 1e-8
@@ -454,7 +460,7 @@ def test_family_callable_must_return_a_stack(shape):
     # stack of the wrong length or dimension
     fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: np.zeros(shape),
                             evaluate_dlambda=lambda lam, t: np.zeros(shape))
-    with pytest.raises(DomainError, match=r"must return a \(1, 2, 2\) stack"):
+    with pytest.raises(DomainError, match=r"must return a \(1, 1, 2, 2\) stack"):
         propagate(fam, 0.0, np.array([0.0, 1.0]))
 
 
@@ -492,3 +498,60 @@ class TestEvaluateStack:
                               ([bad, 1.0, 1.0, 1.0], 0)):
             with pytest.raises(PropagationError, match=f"^non-finite Hamiltonian evaluation at t={first:g}$"):
                 evolution.evaluate_stack(self.stack(values), 2, np.zeros(4), self.T)
+
+
+    def test_first_non_finite_time_in_member_major_order(self):
+        # member 0 turns non-finite at its third stage time, member 1 at its
+        # first, which is the earlier time: the report follows the members
+        t = np.array([[0.1, 0.4, 0.7], [0.05, 0.2, 0.3]])
+        bad = np.array([[False, False, True], [True, False, False]])
+
+        def evaluate(lam, t):
+            return np.where(bad[..., None, None], np.nan, 1.0) * SIGMA_X
+
+        with pytest.raises(PropagationError, match=r"^non-finite Hamiltonian evaluation at t=0\.7$"):
+            evolution.evaluate_stack(evaluate, 2, np.zeros((2, 1)), t)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (6, 2, 2), (2, 1, 2, 2), (3, 3, 2, 2)])
+    def test_other_shapes_rejected_for_member_times(self, shape):
+        # against (2, 1) lam and (2, 3) times only a (2, 3, 2, 2) stack passes:
+        # not a lone matrix, the flat stack, one matrix per member or a wrong length
+        with pytest.raises(DomainError, match=r"must return a \(2, 3, 2, 2\) stack"):
+            evolution.evaluate_stack(lambda lam, t: np.zeros(shape), 2, np.zeros((2, 1)), np.zeros((2, 3)))
+
+
+def in_package_families(rng):
+    """(name, family, lam of each of 3 members) of every family the package builds."""
+    ps = [PtEpParams(J=1.0, Gamma=g, omega=4.0, delta=0.05, omega_delta=wd)
+          for g, wd in ((0.3, 0.8), (0.9, 1.7), (1.2, 0.2))]
+    lams = [0.3, -0.2, 0.45]
+    return [("pt_ep", _family(ps), np.arange(3.0)),
+            ("family_stack", family_stack([random_terms(rng, 3) for _ in lams], lams), np.arange(3.0)),
+            ("random_family", random_family(rng, 3), np.array(lams)),
+            ("hamiltonian_family", hamiltonian_family(0.1, 1.0), np.array(lams))]
+
+
+@pytest.mark.parametrize("k", [1, 11])
+def test_member_times_equal_the_flat_evaluation_bit_for_bit(rng, k):
+    # one lam per member, (m, 1), against its times, (m, k), gives the stack of
+    # the flat call on the repeated arrays, as the core's evaluations need
+    t = rng.uniform(0.0, 3.0, size=(3, k))
+    for name, fam, lams in in_package_families(rng):
+        for evaluate in (fam.evaluate, fam.evaluate_dlambda):
+            got = evaluate(lams[:, None], t)
+            want = evaluate(np.repeat(lams, k), t.ravel())
+            assert got.shape == (3, k, fam.dim, fam.dim), name
+            assert got.dtype == want.dtype and np.ascontiguousarray(got).tobytes() == want.tobytes(), name
+            # the broadcast shape also where lam, not t, has it
+            assert evaluate(np.repeat(lams[:, None], k, 1), t[:, :1]).shape == got.shape, name
+
+
+def test_core_evaluates_one_lam_per_member(rng, integrate_calls):
+    # the core passes each running member's lam once, (m, 1), against its
+    # stage times, (m, k): two (m, 1) calls for the initial step, then (m, 11)
+    generators(random_family(rng, 2), [0.1, -0.3, 0.2], np.linspace(0.0, 1.0, 3))
+    propagators(_family([PtEpParams(J=1.0, Gamma=0.3, omega=4.0, delta=0.05, omega_delta=0.8)]), [0.0], 1.0)
+    shapes = integrate_calls.shapes
+    assert shapes[:2] == [((6, 1), (6, 1))] * 2
+    assert len(shapes) > 4 and all(len(lam) == len(t) == 2 and lam == (t[0], 1) and t[1] in (1, 11)
+                                   for lam, t in shapes)

@@ -54,6 +54,14 @@ class TestParams:
                 make()
         assert math.isfinite(PseudoHermitianParams(EPS, 1e76).c)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("epsilon, omega", [(1e300, 1.0), (1e154, 1.0), (1e150, 1e10)])
+    def test_family_rejects_couplings_that_overflow(self, epsilon, omega):
+        # b = 4 omega e(1 + e)/(1 + 2e) overflowed to inf: the family's matrices were
+        # all nan, with a RuntimeWarning, and no DomainError
+        with pytest.raises(DomainError, match=re.escape(f"epsilon {epsilon:g} too large")):
+            hamiltonian_family(epsilon, omega)
+
     def test_omega_fourth_power_bound(self):
         # lam this large sets Omega = hypot(lam + b, c) = lam; the largest lam whose
         # Omega⁴ is a finite float is accepted, and qfi_closed is finite there

@@ -18,7 +18,7 @@ from nhsense.qfi import (
 )
 from nhsense.verification import _random_instances, family_stack
 
-from conftest import KET0, KET_PLUS, constant, random_family, random_hermitian, random_state
+from conftest import KET0, KET_PLUS, constant, per_time, random_family, random_hermitian, random_state
 
 # dilated sensor at eps=0.1, omega=1, lam=0, t=tau: closed form
 # 4 b^2 tau^2 / Omega^2 + 4 c^2 / Omega^4 with sin(Omega tau) = 1
@@ -54,7 +54,7 @@ class TestFidelityOracle:
 
     def test_commuting_closed_form(self):
         # H = lam sigma_z on |+>: F = 4 t^2 Var(sigma_z) = 4
-        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: lam[:, None, None] * SIGMA_Z,
+        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: per_time(lam, t)[..., None, None] * SIGMA_Z,
                                 evaluate_dlambda=constant(SIGMA_Z))
         got = qfi_fidelity_oracle(fam, 0.3, KET_PLUS, 1.0)
         assert got == pytest.approx(4.0, abs=1e-4)
@@ -109,7 +109,7 @@ class TestFidelityOracle:
 class TestQfiSeries:
     def test_constant_sigma_x_channel_bound(self, rng):
         # H = lam sigma_x + sigma_z: sqrt(F) <= 2t, equality only for optimal probes
-        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: lam[:, None, None] * SIGMA_X + SIGMA_Z,
+        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: per_time(lam, t)[..., None, None] * SIGMA_X + SIGMA_Z,
                                 evaluate_dlambda=constant(SIGMA_X))
         times = np.linspace(0.0, 2.0, 6)
         for _ in range(5):
@@ -168,7 +168,7 @@ class TestQfiSeries:
         # a weak generator keeps F below RATE_QFI_FLOOR at every point: forward
         # differences of sqrt(F), backward at the last point
         h1 = 1e-8 * SIGMA_X
-        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: lam[:, None, None] * h1 + SIGMA_Z,
+        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: per_time(lam, t)[..., None, None] * h1 + SIGMA_Z,
                                 evaluate_dlambda=constant(h1))
         times = np.array([0.0, 0.4, 1.0, 1.3, 2.0])
         series = qfi_series(propagate(fam, 0.0, times, tol=1e-11), KET_PLUS, fam)
@@ -181,7 +181,7 @@ class TestQfiSeries:
         # [H0, H1] = 0: F = 4 t^2 Var(H1) exactly
         h0 = random_hermitian(rng, 3)
         h1 = 0.7 * h0 - 0.2 * h0 @ h0
-        fam = HamiltonianFamily(dim=3, evaluate=lambda lam, t: lam[:, None, None] * h1 + h0,
+        fam = HamiltonianFamily(dim=3, evaluate=lambda lam, t: per_time(lam, t)[..., None, None] * h1 + h0,
                                 evaluate_dlambda=constant(h1))
         psi0 = random_state(rng, 3)
         times = np.linspace(0.0, 2.0, 5)
@@ -217,7 +217,7 @@ class TestChannelBoundUncertainty:
     piece, as `qfi_series` integrates its channel bound, against closed forms."""
 
     def test_constant_sigma_x(self):
-        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: lam[:, None, None] * SIGMA_X,
+        fam = HamiltonianFamily(dim=2, evaluate=lambda lam, t: per_time(lam, t)[..., None, None] * SIGMA_X,
                                 evaluate_dlambda=constant(SIGMA_X))
         t_final = TAU_EXAMPLE
         [integral] = _integrals(partial(_widths, fam, 0.0), [0.0, t_final])
@@ -235,10 +235,10 @@ class TestChannelBoundUncertainty:
         p = PtEpParams(J=1.0, Gamma=0.3, omega=4.0, delta=0.05, omega_delta=0.8)
 
         def ev(lam, t):
-            return (0.5 * p.delta * np.cos(lam * t))[:, None, None] * (np.eye(2) - SIGMA_Z)
+            return (0.5 * p.delta * np.cos(lam * t))[..., None, None] * (np.eye(2) - SIGMA_Z)
 
         def dev(lam, t):
-            return (-0.5 * p.delta * t * np.sin(lam * t))[:, None, None] * (np.eye(2) - SIGMA_Z)
+            return (-0.5 * p.delta * t * np.sin(lam * t))[..., None, None] * (np.eye(2) - SIGMA_Z)
 
         fam = HamiltonianFamily(dim=2, evaluate=ev, evaluate_dlambda=dev)
         wd_t = p.omega_delta * p.T
