@@ -33,7 +33,7 @@ from . import __version__
 from . import pseudo_hermitian as ph
 from . import pt_ep
 from .errors import DomainError, PropagationError
-from .evolution import check_tol
+from .evolution import check_step, check_tol
 from .noise import check_trials
 from .verification import VerificationReport, build_report
 
@@ -69,9 +69,6 @@ class ScenarioConfig:
     out: str | None = _key("out", None, "output path (stdout when omitted)")
     format: str = _key("format", "csv", "output format (default csv)", choices=FORMATS)
     threads: int = _key("threads", 1, "no effect: every run is one batch (default 1)")
-    seed: int = _key("seed", 0, "seed for the verification suites")
-    tol: float = _key("tol", 1e-10,
-                      "integration error target of scan-ep; sweep-ph and verify ignore it (default 1e-10)")
     ph_epsilon: float = _key("scenario.pseudo-hermitian.epsilon", 0.1, "dilation parameter (default 0.1)")
     ph_omega: float = _key("scenario.pseudo-hermitian.omega", 1.0, "qubit frequency (default 1.0)")
     ph_nu: int = _key("scenario.pseudo-hermitian.nu", 1, "projection trials per point (default 1)")
@@ -80,6 +77,7 @@ class ScenarioConfig:
     ph_grid_stop: float | None = _key("scenario.pseudo-hermitian.grid.stop", None,
                                       "last lam (default +omega/2)")
     ph_grid_count: int = _key("scenario.pseudo-hermitian.grid.count", 201, "grid points (default 201)")
+    tol: float = _key("scenario.pt-ep.tol", 1e-10, "integration error target (default 1e-10)")
     ep_J: float = _key("scenario.pt-ep.J", 1.0, "coupling strength (default 1.0)")
     ep_Gamma: float | None = _key("scenario.pt-ep.Gamma", None, "dissipation rate (default: located EP)")
     ep_omega: float = _key("scenario.pt-ep.omega", 4.0, "drive frequency (default 4.0)")
@@ -88,6 +86,7 @@ class ScenarioConfig:
     ep_grid_start: float = _key("scenario.pt-ep.grid.start", 0.05, "first omega_delta (default 0.05)")
     ep_grid_stop: float = _key("scenario.pt-ep.grid.stop", 2.0, "last omega_delta (default 2.0)")
     ep_grid_count: int = _key("scenario.pt-ep.grid.count", 80, "grid points (default 80)")
+    seed: int = _key("scenario.verify.seed", 0, "seed for the verification suites")
 
 
 _FIELD_OF_KEY = {f.metadata["key"]: f for f in fields(ScenarioConfig)}
@@ -178,19 +177,19 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     scenarios = tuple(scenario for scenario, _ in SUBCOMMANDS.values())
     if config.scenario not in scenarios:
         raise ConfigError(f"scenario must be one of {scenarios}, got {config.scenario!r}")
+    key = {f.name: f.metadata["key"] for f in fields(config)}
     if config.format not in FORMATS:
         raise ConfigError(f"format must be one of {FORMATS}, got {config.format!r}")
     if config.threads < 1:
         raise ConfigError("threads must be >= 1")
     if config.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {config.seed}")
+        raise ConfigError(f"{key['seed']} must be >= 0, got {config.seed}")
     _check_out(config.out)
     if config.ph_grid_start is None:
         config.ph_grid_start = -0.5 * config.ph_omega
     if config.ph_grid_stop is None:
         config.ph_grid_stop = 0.5 * config.ph_omega
-    key = {f.name: f.metadata["key"] for f in fields(config)}
-    with _naming({"tol": "tol", "nu": key["ph_nu"]}):
+    with _naming({"tol": key["tol"], "nu": key["ph_nu"]}):
         check_tol(config.tol)
         check_trials(config.ph_nu)
     for end in ("ph_grid_start", "ph_grid_stop"):  # Omega is largest at an end of the grid
@@ -305,7 +304,7 @@ def _emit_report(config: ScenarioConfig, report: VerificationReport) -> None:
 def run_find_ep(args) -> int:
     _check_out(args.out)
     with _naming({"tol": "--tol"}):
-        pt_ep.check_root_tol(args.tol)
+        check_step(args.tol, "root tolerance")
     given = (args.bracket_lo, args.bracket_hi)
     lo, hi = (d if g is None else g for g, d in zip(given, pt_ep.default_ep_bracket(args.J)))
     for gamma, g, flag in zip((lo, hi), given, ("--bracket-lo", "--bracket-hi")):
@@ -330,7 +329,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _flag(key: str, scenario: str) -> str | None:
     """The flag of a key in the subcommand running scenario: `--grid-start` for
-    `scenario.<scenario>.grid.start`, `--tol` for `tol`, None for other scenarios' keys."""
+    `scenario.<scenario>.grid.start`, `--out` for `out`, None for other scenarios' keys."""
     name = key.removeprefix(f"scenario.{scenario}.")
     return None if name.startswith("scenario.") else "--" + name.replace(".", "-")
 

@@ -383,7 +383,8 @@ def propagators(family: HamiltonianFamily, lams, t, tol: float = DEFAULT_TOL) ->
 
 
 def check_step(step: float, name: str = "dlam") -> float:
-    """`step` itself once it is a finite and positive difference step; DomainError naming `name` otherwise."""
+    """`step` itself once it is finite and positive, as a difference step or a root tolerance must be;
+    DomainError naming `name` otherwise."""
     if not (math.isfinite(step) and step > 0):
         raise DomainError(f"{name} must be finite and positive, got {step}")
     return step

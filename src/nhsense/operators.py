@@ -61,7 +61,7 @@ def require_hermitian(a, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     return a
 
 
-def require_state(psi, atol: float = STATE_NORM_ATOL) -> np.ndarray:
+def require_state(psi) -> np.ndarray:
     """Validate that `psi` is finite with unit Euclidean norm along its last axis."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim < 1:
@@ -69,7 +69,7 @@ def require_state(psi, atol: float = STATE_NORM_ATOL) -> np.ndarray:
     if not np.all(np.isfinite(psi)):
         raise DomainError("state has non-finite entries")
     dev = np.abs(np.linalg.norm(psi, axis=-1) - 1.0).max(initial=0.0)
-    if dev > atol:
+    if dev > STATE_NORM_ATOL:
         raise DomainError(f"state is not normalized: |norm - 1| = {dev:.3e}")
     return psi
 
@@ -89,7 +89,7 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def eig_hermitian(h, atol: float = HERMITICITY_ATOL):
+def eig_hermitian(h):
     """Eigendecomposition of a Hermitian matrix or stack, one LAPACK call per member.
 
     Returns (eigenvalues, eigenvectors) with real eigenvalues in ascending
@@ -98,14 +98,14 @@ def eig_hermitian(h, atol: float = HERMITICITY_ATOL):
     this package is basis-independent, so no canonicalization is applied.
     Raises np.linalg.LinAlgError if the QR iteration fails to converge.
     """
-    h = require_hermitian(h, atol=atol)
+    h = require_hermitian(h)
     return np.linalg.eigh(h)
 
 
-def seminorm(h, atol: float = HERMITICITY_ATOL):
+def seminorm(h):
     """Spectral width max eigenvalue - min eigenvalue of a Hermitian matrix or stack, from its
     eigenvalues alone (one LAPACK call per member, no eigenvectors)."""
-    w = np.linalg.eigvalsh(require_hermitian(h, atol=atol))
+    w = np.linalg.eigvalsh(require_hermitian(h))
     return _real(w[..., -1] - w[..., 0])
 
 
@@ -115,19 +115,19 @@ def _expm_eig(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:
     return (v * phase[..., None, :]) @ _dagger(v)
 
 
-def expm_hermitian(h, t, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def expm_hermitian(h, t) -> np.ndarray:
     """Unitary exp(-i h t) for Hermitian h, via eigendecomposition; t broadcasts over h's leading shape."""
-    return _expm_eig(*eig_hermitian(h, atol=atol), t)
+    return _expm_eig(*eig_hermitian(h), t)
 
 
-def spectral_generator(h, dh, t: float, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.ndarray]:
+def spectral_generator(h, dh, t: float) -> tuple[np.ndarray, np.ndarray]:
     """U = exp(-i h t) and the Hermitian part of the local generator int_0^t U†(s) dh U(s) ds, for a
     constant Hermitian h (or stack) and its constant Hermitian parameter derivative dh.  With h = V diag(w) V†
     it is V [(V† dh V) ∘ G] V†, G_jk = t e^{i D t/2} sinc(D t/2), D = w_j - w_k (Wilcox, J. Math. Phys. 8,
     962 (1967); Higham, Functions of Matrices, ch. 3), smooth through degenerate w; t passes check_time."""
     check_time(t)
-    dh = require_hermitian(dh, atol=atol)
-    w, v = eig_hermitian(h, atol=atol)
+    dh = require_hermitian(dh)
+    w, v = eig_hermitian(h)
     if dh.shape[-1] != w.shape[-1]:
         raise DomainError(f"dimension mismatch: h {w.shape[-1]}, dh {dh.shape[-1]}")
     half = (w[..., :, None] - w[..., None, :]) * (0.5 * t)

@@ -248,13 +248,6 @@ def _brent(f, a: float, fa: float, b: float, fb: float, xtol: float, maxiter: in
     raise DomainError(f"Brent's method did not converge in {maxiter} iterations on ({a:g}, {b:g})")
 
 
-def check_root_tol(tol: float) -> float:
-    """`tol` itself once it is a valid root tolerance, finite and > 0."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"root tolerance must be finite and > 0, got {tol:g}")
-    return tol
-
-
 def _diff_root(at, xs: list[float], tol: float, prop_tol: float, name: str) -> float:
     """Root in x of D = P_J - P_Gamma at at(x), in the first sign change (or zero) of D along xs.
 
@@ -262,7 +255,7 @@ def _diff_root(at, xs: list[float], tol: float, prop_tol: float, name: str) -> f
     from the values at its bracket ends to |dx| <= tol.  Its points come one at a time, but
     each is a batch of the intervals of its period (`_propagate_periods`).
     """
-    check_root_tol(tol)
+    check_step(tol, "root tolerance")
     pj, pg = _pairs(_propagate_periods([at(x) for x in xs], prop_tol, tangent=False)[0])
     vals = (pj - pg).tolist()
 
@@ -305,17 +298,16 @@ def find_ep(j: float, omega: float, bracket: tuple[float, float] | None = None,
     return _diff_root(at, np.linspace(lo, hi, 25).tolist(), tol, prop_tol, "Gamma")
 
 
-def find_response_dip(p: PtEpParams, bracket: tuple[float, float],
-                      tol: float = 1e-10, prop_tol: float = 1e-12) -> float:
+def find_response_dip(p: PtEpParams, bracket: tuple[float, float], tol: float = 1e-10) -> float:
     """omega_delta where P_J - P_Gamma crosses zero (the response-energy dip).
 
     The bracket endpoints must give opposite signs of the difference;
-    Brent's method narrows the root to |d omega_delta| <= tol.
+    Brent's method narrows the root to |d omega_delta| <= tol, each period propagated at tol 1e-12.
     """
     lo, hi = _finite_bracket(bracket, "omega_delta")
     if not (0 < lo < hi):
         raise DomainError("bracket must satisfy 0 < lo < hi")
-    return _diff_root(lambda wd: replace(p, omega_delta=wd), [lo, hi], tol, prop_tol, "omega_delta")
+    return _diff_root(lambda wd: replace(p, omega_delta=wd), [lo, hi], tol, 1e-12, "omega_delta")
 
 
 def response_variance(pj: float, pgamma: float, c0: float, nu: int, period: float) -> float:
@@ -438,15 +430,15 @@ def _scan_row(p: PtEpParams, pj: float, pg: float, d_diff: float) -> EpScanRow:
 
 
 def scan(base: PtEpParams, omega_delta_grid, tol: float = DEFAULT_TOL) -> list[EpScanRow]:
-    """Evaluate the full measurement chain on a grid of omega_delta values.
+    """Evaluate the full measurement chain on a grid of omega_delta values (a lone value is a grid of one).
 
     Grid points whose P_J - P_Gamma falls outside (DIFF_FLOOR, 1 - DIFF_FLOOR)
     are flagged with a reason and carry NaN in the derived columns instead of
     being dropped.  Each row takes P_J, P_Gamma and chi_E from its own member
     of one tangent batch over the grid; a row does not depend on the others.
     """
-    grid = np.asarray(omega_delta_grid, dtype=float)
-    if grid.size == 0:
-        raise DomainError("omega_delta grid must be non-empty")
+    grid = np.atleast_1d(np.asarray(omega_delta_grid, dtype=float))
+    if grid.ndim != 1 or grid.size == 0:
+        raise DomainError(f"omega_delta grid must be one value or a non-empty 1-d stack, got shape {grid.shape}")
     ps = [replace(base, omega_delta=wd) for wd in grid.tolist()]
     return [_scan_row(*row) for row in zip(ps, *(a.tolist() for a in _pair_and_slope(ps, tol)))]

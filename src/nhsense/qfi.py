@@ -125,18 +125,17 @@ def qfi_series(record: PropagationRecord, psi0, family: HamiltonianFamily) -> Qf
                      rate_bound=rate_bound, rate_by_difference=by_diff)
 
 
-def qfi_fidelity_oracle(family: HamiltonianFamily, lam: float, psi0, t: float,
-                        dlam: float = 1e-3, tol: float = 1e-12) -> float:
+def qfi_fidelity_oracle(family: HamiltonianFamily, lam: float, psi0, t: float, dlam: float = 1e-3) -> float:
     """QFI from the curvature of the pure-state overlap in the parameter.
 
     The `fidelity_curvature` of one batch of five propagators at the
     `fidelity_stencil`.  Independent of the generator route, so it serves as an
-    oracle for qfi_pure.  The default tol is tight because the second
+    oracle for qfi_pure.  It propagates at tol 1e-12, tight because the second
     difference divides the propagation error by d².
     """
     check_step(dlam)
     psi0 = require_state(psi0)
-    return fidelity_curvature(psi0, propagators(family, fidelity_stencil(lam, dlam), t, tol=tol), dlam)
+    return fidelity_curvature(psi0, propagators(family, fidelity_stencil(lam, dlam), t, tol=1e-12), dlam)
 
 
 def fidelity_stencil(lam: float, dlam: float) -> list[float]:

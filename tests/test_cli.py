@@ -69,7 +69,7 @@ class TestConfigParsing:
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("# a comment\n\nscenario=verify\nseed=7\n")
+        cfg.write_text("# a comment\n\nscenario=verify\nscenario.verify.seed=7\n")
         config = parse_config(str(cfg))
         assert config.scenario == "verify"
         assert config.seed == 7
@@ -85,8 +85,8 @@ class TestConfigParsing:
                 ["scenario=pseudo-hermitian",
                  "scenario.pseudo-hermitian.grid.start=0.5",
                  "scenario.pseudo-hermitian.grid.stop=-0.5"]))
-        with pytest.raises(ConfigError, match="tol"):
-            validate(parse_config_lines(["scenario=verify", "tol=0.1"]))
+        with pytest.raises(ConfigError, match="scenario.pt-ep.tol"):
+            validate(parse_config_lines(["scenario=verify", "scenario.pt-ep.tol=0.1"]))
 
     def test_default_grid_follows_omega(self):
         config = validate(parse_config_lines(
@@ -134,18 +134,16 @@ class TestCliRuns:
                        "scenario.pseudo-hermitian.grid.start=-0.1\n"
                        "scenario.pseudo-hermitian.grid.stop=0.1\n")
         out = tmp_path / "o.csv"
-        code = main(["sweep-ph", "--config", str(cfg), "--epsilon", "0.05",
-                     "--tol", "1e-8", "--out", str(out)])
+        code = main(["sweep-ph", "--config", str(cfg), "--epsilon", "0.05", "--out", str(out)])
         assert code == 0
         meta = read_metadata(str(out))
         assert meta.ph_epsilon == 0.05  # flag wins over file
         assert meta.ph_grid_count == 3
-        assert meta.tol == 1e-8
 
     def test_metadata_round_trip(self, tmp_path):
         out = tmp_path / "o.csv"
         assert main(["sweep-ph", "--grid-count", "3", "--grid-start", "-0.1",
-                     "--grid-stop", "0.1", "--tol", "1e-8", "--out", str(out)]) == 0
+                     "--grid-stop", "0.1", "--out", str(out)]) == 0
         reparsed = validate(read_metadata(str(out)))
         assert reparsed.scenario == "pseudo-hermitian"
         assert reparsed.ph_grid_count == 3
@@ -155,7 +153,7 @@ class TestCliRuns:
     def test_csv_columns_sweep(self, tmp_path):
         out = tmp_path / "o.csv"
         main(["sweep-ph", "--grid-count", "2", "--grid-start", "0.1",
-              "--grid-stop", "0.2", "--tol", "1e-8", "--out", str(out)])
+              "--grid-stop", "0.2", "--out", str(out)])
         _, header, rows = read_csv(str(out))
         assert header == ["lam", "S", "chi", "P1", "dP1_dlam", "sensitivity",
                           "qfi_closed", "qfi_numeric", "rate_closed", "hermitian_bound"]
@@ -164,7 +162,7 @@ class TestCliRuns:
     def test_json_format(self, tmp_path):
         out = tmp_path / "o.json"
         main(["sweep-ph", "--grid-count", "2", "--grid-start", "0.1",
-              "--grid-stop", "0.2", "--tol", "1e-8", "--format", "json", "--out", str(out)])
+              "--grid-stop", "0.2", "--format", "json", "--out", str(out)])
         payload = json.loads(out.read_text())
         assert payload["metadata"]["scenario"] == "pseudo-hermitian"
         assert len(payload["rows"]) == 2
@@ -393,7 +391,7 @@ class TestCliRuns:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep-ph", "--grid-count", "4", "--grid-start", "-0.2",
-                "--grid-stop", "0.2", "--tol", "1e-8"]
+                "--grid-stop", "0.2"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -401,7 +399,7 @@ class TestCliRuns:
     def test_threads_do_not_change_output(self, tmp_path):
         # --threads is accepted and recorded, but every run is one batch
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["sweep-ph", "--grid-count", "5", "--tol", "1e-9"]
+        args = ["sweep-ph", "--grid-count", "5"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--threads", "4", "--out", str(b)]) == 0
         # metadata differs only in the threads line; data rows must match exactly
@@ -560,17 +558,18 @@ class TestAcrossBuilds:
 
 
 SCENARIO_OF = {"sweep-ph": "pseudo-hermitian", "scan-ep": "pt-ep", "verify": "verify"}
-COMMON_FLAGS = {"--out", "--format", "--threads", "--seed", "--tol"}
+COMMON_FLAGS = {"--out", "--format", "--threads"}
 FLAGS = {
     "sweep-ph": COMMON_FLAGS | {"--epsilon", "--omega", "--nu", "--grid-start", "--grid-stop",
                                 "--grid-count"},
-    "scan-ep": COMMON_FLAGS | {"--J", "--Gamma", "--omega", "--delta", "--nu", "--grid-start",
+    "scan-ep": COMMON_FLAGS | {"--tol", "--J", "--Gamma", "--omega", "--delta", "--nu", "--grid-start",
                                "--grid-stop", "--grid-count"},
-    "verify": COMMON_FLAGS,
+    "verify": COMMON_FLAGS | {"--seed"},
 }
 # every config key but `scenario`, each with a valid value that is not its default
 NON_DEFAULT = {
-    "out": "elsewhere.csv", "format": "json", "threads": "2", "seed": "5", "tol": "1e-09",
+    "out": "elsewhere.csv", "format": "json", "threads": "2", "scenario.verify.seed": "5",
+    "scenario.pt-ep.tol": "1e-09",
     "scenario.pseudo-hermitian.epsilon": "0.2", "scenario.pseudo-hermitian.omega": "2.0",
     "scenario.pseudo-hermitian.nu": "3", "scenario.pseudo-hermitian.grid.start": "-0.3",
     "scenario.pseudo-hermitian.grid.stop": "0.4", "scenario.pseudo-hermitian.grid.count": "5",
@@ -594,11 +593,11 @@ def must_not_run(*args, **kwargs):
     raise AssertionError("bad input got past the configuration check")
 
 
-SWEEP_FLOATS = {"--tol": "tol", "--epsilon": "scenario.pseudo-hermitian.epsilon",
+SWEEP_FLOATS = {"--epsilon": "scenario.pseudo-hermitian.epsilon",
                 "--omega": "scenario.pseudo-hermitian.omega",
                 "--grid-start": "scenario.pseudo-hermitian.grid.start",
                 "--grid-stop": "scenario.pseudo-hermitian.grid.stop"}
-SCAN_FLOATS = {"--tol": "tol", "--J": "scenario.pt-ep.J", "--Gamma": "scenario.pt-ep.Gamma",
+SCAN_FLOATS = {"--tol": "scenario.pt-ep.tol", "--J": "scenario.pt-ep.J", "--Gamma": "scenario.pt-ep.Gamma",
                "--omega": "scenario.pt-ep.omega", "--delta": "scenario.pt-ep.delta",
                "--grid-start": "scenario.pt-ep.grid.start", "--grid-stop": "scenario.pt-ep.grid.stop"}
 BAD_INPUT = (
@@ -613,7 +612,7 @@ BAD_INPUT = (
        (["sweep-ph", "--omega=1e78"], "scenario.pseudo-hermitian.omega"),
        (["scan-ep", "--omega=1e-300"], "scenario.pt-ep.omega"),
        (["scan-ep", "--grid-stop=1e200"], "scenario.pt-ep.grid.stop"),
-       (["verify", "--seed=-1"], "seed")]
+       (["verify", "--seed=-1"], "scenario.verify.seed")]
 )
 
 
@@ -638,7 +637,7 @@ class TestConfigTable:
         ("scan-ep", "scenario.pt-ep.Gamma=-1"),
         ("sweep-ph", "scenario.pseudo-hermitian.epsilon=nan"),
         ("sweep-ph", "scenario.pseudo-hermitian.nu=0"),
-        ("verify", "seed=-1"),
+        ("verify", "scenario.verify.seed=-1"),
     ])
     def test_bad_config_line_exits_1_naming_the_key(self, command, line, no_runs, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -683,3 +682,30 @@ class TestConfigTable:
         expected = parse_config_lines([f"scenario={scenario}"] + own)
         expected.out = None  # the output path is not metadata
         assert reparsed == expected
+
+    @pytest.mark.parametrize("command", SCENARIO_OF)
+    def test_every_flag_changes_the_data_rows(self, command, tmp_path, capsys):
+        # --out and --format choose where and how the rows are written; --threads is still
+        # recorded but acts on nothing, and goes with ROADMAP item 1b
+        scenario = SCENARIO_OF[command]
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        offered = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {
+            "--help", "--config", "--out", "--format", "--threads"}
+        value = {flag_of(key, scenario): NON_DEFAULT[key] for key in own_keys(scenario)}
+        small = {"sweep-ph": ["--grid-count=3"], "scan-ep": ["--grid-count=2"], "verify": []}[command]
+        out = tmp_path / "o.csv"
+
+        def data_rows(*flags) -> list[str]:
+            assert main([command, *small, *flags, "--out", str(out)]) == 0
+            return [line for line in out.read_text().splitlines() if not line.startswith("#")]
+
+        base = data_rows()
+        for flag in sorted(offered):
+            assert data_rows(f"{flag}={value[flag]}") != base, flag
+
+    @pytest.mark.parametrize("argv", [["sweep-ph", "--tol=1e-09"], ["sweep-ph", "--seed=5"],
+                                      ["scan-ep", "--seed=5"], ["verify", "--tol=1e-09"]], ids=" ".join)
+    def test_flag_of_another_scenario_exits_1(self, argv, no_runs, capsys):
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err

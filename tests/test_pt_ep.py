@@ -618,6 +618,14 @@ class TestScan:
             [alone] = scan(default_base(), grid[k:k + 1], tol=1e-10)
             assert repr(alone) == repr(rows[k])  # repr: exact floats, and nan equals nan
 
+    def test_lone_value_is_a_grid_of_one(self):
+        assert repr(scan(default_base(), 0.8, tol=1e-10)) == repr(scan(default_base(), [0.8], tol=1e-10))
+
+    @pytest.mark.parametrize("grid", [[[1.0, 2.0]], np.zeros((2, 0)), []], ids=["2-d", "2-d empty", "empty"])
+    def test_grid_not_a_non_empty_1d_stack_rejected(self, grid):
+        with pytest.raises(DomainError, match=r"omega_delta grid must be one value or a non-empty 1-d stack"):
+            scan(default_base(), grid)
+
 
 def base_at(base: PtEpParams, omega_delta: float) -> PtEpParams:
     from dataclasses import replace
