@@ -10,20 +10,17 @@ module does.
 
 import math
 
-from nhsense.noise import (
-    binomial_variance, propagate_error, sample_projection, sample_projection_batch,
-    scaled_binomial_variance,
-)
+from nhsense.noise import propagate_error, sample_projection_batch, scaled_binomial_variance
 
 print("== one simulated experiment (nu = 50 shots, p = 0.3)")
 for seed in range(5):
-    print(f"  seed {seed}: estimated p = {sample_projection(0.3, 1.0, 50, seed):.2f}")
+    print(f"  seed {seed}: estimated p = {sample_projection_batch(0.3, 1.0, 50, 1, seed)[0]:.2f}")
 
 print("\n== empirical vs analytic variance, 200k repetitions")
 print("      p    nu     empirical      analytic")
 for k, (p, nu) in enumerate([(0.1, 10), (0.3, 50), (0.5, 100), (0.9, 400)]):
     est = sample_projection_batch(p, 1.0, nu, 200_000, seed=1000 + k)
-    print(f"  {p:5.2f}  {nu:4d}   {est.var(ddof=1):.6e}  {binomial_variance(p, nu):.6e}")
+    print(f"  {p:5.2f}  {nu:4d}   {est.var(ddof=1):.6e}  {scaled_binomial_variance(p, 1.0, nu):.6e}")
 
 print("\n== renormalized shots (C0 = e, the gain of half a dissipation period)")
 c0 = math.e

@@ -9,7 +9,8 @@ Subcommands:
 Configuration is flat key=value text with section prefixes, e.g.
 `scenario.pt-ep.J=1.0`; command-line flags override file values.  Outputs
 carry their effective configuration as metadata (CSV `# key=value` lines, a
-JSON `metadata` object), so a produced file re-parses into what made it.
+JSON `metadata` object), so a scenario's output re-parses into what made it.
+find-ep writes only its version: its inputs are the columns of its one row.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical-domain failure,
 3 verification failure.

@@ -1,5 +1,6 @@
-"""Quantum projection noise: binomial/multinomial shot statistics and the
-first-order (delta-method) error propagation the sensitivity formulas rest on.
+"""Quantum projection noise: one shot-noise model (the scaled-binomial law, its
+input rule and two seeded samplers) and the first-order (delta-method) error
+propagation the sensitivity formulas rest on.
 
 All sampling goes through an explicitly seeded counter-based generator
 (numpy Philox); there is no global random state anywhere in the package.
@@ -11,41 +12,44 @@ import numpy as np
 
 from .errors import DomainError
 
-GRADIENT_FLOOR = 1e-12  # callers treat |gradient| below this as "sensitivity undefined"
-
 
 def make_rng(seed: int) -> np.random.Generator:
     """The package's one seeded generator: numpy Philox keyed by `seed`."""
     return np.random.Generator(np.random.Philox(seed))
 
 
-def check_trials(nu: int) -> int:
-    """`nu` itself once it is a valid trial count, an integer >= 1; DomainError naming nu otherwise."""
-    if isinstance(nu, bool) or not isinstance(nu, (int, np.integer)):
-        raise DomainError(f"nu (trial count) must be an integer, got {nu!r}")
-    if nu < 1:
-        raise DomainError(f"nu (trial count) must be >= 1, got {nu}")
-    return nu
+def check_trials(n: int, name: str = "nu (trial count)") -> int:
+    """`n` itself once it is an integer >= 1; DomainError naming it otherwise."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise DomainError(f"{name} must be >= 1, got {n}")
+    return n
 
 
-def binomial_variance(p: float, nu: int) -> float:
-    """Shot-noise variance p(1-p)/nu of an estimated probability.
+def check_projection(p, scale: float, nu: int, reps: int = 1) -> None:
+    """The one input rule of the projection-noise model; DomainError naming the first bad input.
 
-    Also the marginal variance of one outcome of a nu-shot multinomial.
+    The scale must be finite and >= 1, every p (a float or a 1-d stack) in
+    [0, scale], and nu and reps integers >= 1.  A float p is checked with
+    plain comparisons.
     """
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"probability {p} outside [0, 1]")
+    if not 1.0 <= scale < math.inf:
+        raise DomainError(f"scale (C0) must be finite and >= 1, got {scale}")
+    inside = bool(((0.0 <= p) & (p <= scale)).all()) if isinstance(p, np.ndarray) else 0.0 <= p <= scale
+    if not inside:
+        raise DomainError(f"probability p = {p} outside [0, {scale}]")
     check_trials(nu)
-    return p * (1.0 - p) / nu
+    check_trials(reps, "reps")
 
 
-def scaled_binomial_variance(p: float, c0: float, nu: int) -> float:
-    """Variance p(c0 - p)/nu of a probability renormalized by c0 >= 1."""
-    if c0 < 1.0:
-        raise DomainError(f"scale must be >= 1, got {c0}")
-    if not (0.0 <= p <= c0):
-        raise DomainError(f"probability {p} outside [0, {c0}]")
-    check_trials(nu)
+def scaled_binomial_variance(p, c0: float, nu: int):
+    """Shot-noise variance p(c0 - p)/nu of a probability renormalized by c0 >= 1.
+
+    c0 = 1 gives the plain binomial p(1 - p)/nu, also the marginal variance of
+    one outcome of a nu-shot multinomial.  p may be a 1-d stack.
+    """
+    check_projection(p, c0, nu)
     return p * (c0 - p) / nu
 
 
@@ -64,38 +68,14 @@ def propagate_error(gradient, variances) -> float:
     return float(np.sum(gradient**2 * variances))
 
 
-def _success_probability(p: float, scale: float, nu: int, reps: int = 1) -> float:
-    """p/scale, once p, scale, nu and reps are valid shot-sampling inputs; DomainError otherwise."""
-    if scale <= 0:
-        raise DomainError("scale must be positive")
-    if not (0.0 <= p <= scale):
-        raise DomainError(f"probability {p} outside [0, {scale}]")
-    check_trials(nu)
-    if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
-    return p / scale
-
-
-def sample_projection(p: float, scale: float, nu: int, seed: int) -> float:
-    """One simulated estimate of p from nu projective shots.
-
-    Draws nu Bernoulli(p/scale) outcomes from a Philox stream seeded with
-    `seed` and returns scale * successes/nu; bit-reproducible for a fixed
-    seed.
-    """
-    q = _success_probability(p, scale, nu)
-    successes = int(np.count_nonzero(make_rng(seed).random(nu) < q))
-    return scale * successes / nu
-
-
 def sample_projection_batch(p: float, scale: float, nu: int, reps: int, seed: int) -> np.ndarray:
-    """`reps` independent estimates of p, for Monte Carlo verification.
+    """`reps` independent estimates scale * B/nu of p, B ~ Binomial(nu, p/scale).
 
-    Uses the vectorized binomial sampler on one Philox stream; statistically
-    identical to repeated sample_projection but fast enough for 1e5+ reps.
+    Drawn by the vectorized binomial sampler on one Philox stream seeded
+    with `seed`; bit-reproducible for a fixed seed.
     """
-    counts = make_rng(seed).binomial(nu, _success_probability(p, scale, nu, reps), size=reps)
-    return scale * counts / nu
+    check_projection(p, scale, nu, reps)
+    return scale * make_rng(seed).binomial(nu, p / scale, size=reps) / nu
 
 
 def _binomial_pmf(q: float, nu: int) -> np.ndarray:
@@ -122,4 +102,5 @@ def sample_projection_counts(p: float, scale: float, nu: int, reps: int, seed: i
     stream (Devroye, Non-Uniform Random Variate Generation, 1986, ch. XI).
     Its cost grows with nu rather than reps.
     """
-    return make_rng(seed).multinomial(reps, _binomial_pmf(_success_probability(p, scale, nu, reps), nu))
+    check_projection(p, scale, nu, reps)
+    return make_rng(seed).multinomial(reps, _binomial_pmf(p / scale, nu))

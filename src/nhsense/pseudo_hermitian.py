@@ -25,20 +25,20 @@ import numpy as np
 
 from .errors import DomainError
 from .evolution import HamiltonianFamily, check_finite, check_scalar, check_time
-from .noise import GRADIENT_FLOOR, check_trials
-from .operators import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_hermitian, spectral_generator, tensor
+from .noise import check_trials, scaled_binomial_variance
+from .operators import ID2, SIGMA_X, SIGMA_Y, expm_hermitian, spectral_generator, tensor
 from .qfi import qfi_pure
 
 SWEEP_COLUMNS = ("lam", "S", "chi", "P1", "dP1_dlam", "sensitivity",
                  "qfi_closed", "qfi_numeric", "rate_closed", "hermitian_bound")
 
 # Constant two-qubit operators: the two terms of the dilated Hamiltonian
-# (I⊗sigma_x is also dH/dlam) and the third term of its local generator.
+# (I⊗sigma_x is also dH/dlam).
 _IX = tensor(ID2, SIGMA_X)
 _YY = tensor(SIGMA_Y, SIGMA_Y)
-_YZ = tensor(SIGMA_Y, SIGMA_Z)
 _OMEGA_MAX = float(np.finfo(float).max) ** 0.25  # Omega⁴ is a finite float below it
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
+GRADIENT_FLOOR = 1e-12  # `sensitivity` is undefined at |dP1/dlam| below it; `pt_ep._scan_row` tests chi > 0
 
 
 def _check_epsilon(epsilon: float) -> float:
@@ -272,31 +272,15 @@ def p1_slope(p: PseudoHermitianParams, t: float):
 def sensitivity(p: PseudoHermitianParams, t: float, nu: int):
     """Projection-noise sensitivity sqrt(Var[P1])/|dP1/dlam| of the P1 measurement.
 
-    Var[P1] = P1(1 - P1)/nu.  Returns +inf when the slope vanishes but the
-    variance does not, and NaN at exact dip points where both vanish (0/0,
-    excluded from minima).
+    Var[P1] = P1(1 - P1)/nu, the noise law at c0 = 1.  Returns +inf when the
+    slope vanishes but the variance does not, and NaN at exact dip points
+    where both vanish (0/0, excluded from minima).
     """
     p1 = np.atleast_1d(p1_closed(p, t))  # one value per member, a lone lam too
-    var = p1 * (1.0 - p1) / check_trials(nu)
+    var = scaled_binomial_variance(p1, 1.0, nu)
     slope = np.abs(np.atleast_1d(p1_slope(p, t)))
     flat = np.where(var < GRADIENT_FLOOR**2, np.nan, np.inf)
     return p.given(np.divide(np.sqrt(var), slope, out=flat, where=slope >= GRADIENT_FLOOR))
-
-
-def generator_closed(p: PseudoHermitianParams, t: float) -> np.ndarray:
-    """Closed-form transformed local generator of the dilated system, 4×4 per member.
-
-    Block form P(up_y)⊗h1 + P(down_y)⊗h2 over the ancilla sigma_y
-    eigenprojectors, with h1 = hx sx + hy sy + hz sz and h2 = hx sx - hy sy
-    - hz sz; that is hx I⊗sx + hy sy⊗sy + hz sy⊗sz.
-    """
-    check_time(t)
-    lb, om = _splitting(p)
-    c, s2 = p.c, np.sin(2.0 * om * t)
-    hx = t * lb**2 / om**2 + c**2 * s2 / (2.0 * om**3)
-    hy = c * lb / om**2 * (s2 / (2.0 * om) - t)
-    hz = -c * np.sin(om * t) ** 2 / om**2
-    return p.given(hx[:, None, None] * _IX + hy[:, None, None] * _YY + hz[:, None, None] * _YZ)
 
 
 def qfi_closed(p: PseudoHermitianParams, t: float):

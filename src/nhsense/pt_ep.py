@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError
 from .evolution import (DEFAULT_TOL, MAX_PERIOD_PHASE, TOL_MIN, HamiltonianFamily, check_scalar, check_step,
                         check_tol, integrate, richardson)
-from .noise import check_trials
+from .noise import check_projection, check_trials
 from .operators import ID2, SIGMA_X, SIGMA_Z
 
 DIFF_FLOOR = 1e-9  # rows are usable only for P_J - P_Gamma in (DIFF_FLOOR, 1 - DIFF_FLOOR)
@@ -318,11 +318,8 @@ def response_variance(pj: float, pgamma: float, c0: float, nu: int, period: floa
     arcsin extraction to first order.  Diverges (+inf) at the zero of the
     denominator, i.e. at the dip itself.
     """
-    if c0 < 1.0:
-        raise DomainError(f"C0 must be >= 1, got {c0}")
-    check_trials(nu)
-    if not (0.0 <= pj <= c0) or not (0.0 <= pgamma <= c0):
-        raise DomainError("P values must lie in [0, C0]")
+    check_projection(pj, c0, nu)
+    check_projection(pgamma, c0, nu)
     diff = pj - pgamma
     if not (0.0 <= diff <= 1.0):
         raise DomainError(f"P_J - P_Gamma = {diff:.6g} outside [0, 1]")

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 
-from nhsense.evolution import DEFAULT_TOL, HamiltonianFamily, check_step, propagators
+from nhsense.evolution import DEFAULT_TOL, HamiltonianFamily, check_step, check_time, propagators
 from nhsense.noise import make_rng
-from nhsense.operators import covariance, eig_hermitian, expm_hermitian, seminorm, variance
+from nhsense.operators import (
+    SIGMA_Y, SIGMA_Z, covariance, eig_hermitian, expm_hermitian, seminorm, tensor, variance,
+)
+from nhsense.pseudo_hermitian import _IX, _YY, PseudoHermitianParams, _splitting
 from nhsense.verification import (
     CheckResult, _gaussian, _result, _unitary_from_gaussian, random_hermitian, random_state,
 )
@@ -17,6 +20,25 @@ def seminorm_eigh(h) -> np.ndarray:
     eigenvalues alone."""
     w, _ = eig_hermitian(h)
     return w[..., -1] - w[..., 0]
+
+
+_YZ = tensor(SIGMA_Y, SIGMA_Z)  # the third term of the dilated sensor's local generator
+
+
+def generator_closed(p: PseudoHermitianParams, t: float) -> np.ndarray:
+    """Closed-form transformed local generator of the dilated system, 4×4 per member.
+
+    Block form P(up_y)⊗h1 + P(down_y)⊗h2 over the ancilla sigma_y
+    eigenprojectors, with h1 = hx sx + hy sy + hz sz and h2 = hx sx - hy sy
+    - hz sz; that is hx I⊗sx + hy sy⊗sy + hz sy⊗sz.
+    """
+    check_time(t)
+    lb, om = _splitting(p)
+    c, s2 = p.c, np.sin(2.0 * om * t)
+    hx = t * lb**2 / om**2 + c**2 * s2 / (2.0 * om**3)
+    hy = c * lb / om**2 * (s2 / (2.0 * om) - t)
+    hz = -c * np.sin(om * t) ** 2 / om**2
+    return p.given(hx[:, None, None] * _IX + hy[:, None, None] * _YY + hz[:, None, None] * _YZ)
 
 
 def generator_finite_difference(family: HamiltonianFamily, lam: float, t: float,

@@ -15,7 +15,7 @@ import nhsense.pseudo_hermitian as ph
 import nhsense.pt_ep as pt
 from nhsense.cli import main
 from nhsense.evolution import PropagationRecord, generators, propagate
-from nhsense.noise import binomial_variance, sample_projection_batch
+from nhsense.noise import sample_projection_batch, scaled_binomial_variance
 from nhsense.qfi import qfi_pure, qfi_series
 from nhsense.verification import (
     _variance_standard_error, check_operator_inequalities, family_stack, make_rng, random_state, random_terms,
@@ -150,7 +150,7 @@ def test_criterion_05_sensitivity_floor_and_susceptibility_trend():
 def test_criterion_06_response_variance_formula():
     with criterion(6, "response-energy variance: delta-method identity and Monte Carlo", 60.0):
         rng = make_rng(271828)
-        from nhsense.noise import propagate_error, scaled_binomial_variance
+        from nhsense.noise import propagate_error
         for _ in range(100):
             c0 = float(rng.uniform(1.0, 30.0))
             diff = float(rng.uniform(0.02, 0.98))
@@ -203,14 +203,14 @@ def test_criterion_08_projection_noise_monte_carlo():
                 seed = int(stream.integers(0, 2**62))
                 est = sample_projection_batch(p_true, 1.0, nu, reps, seed)
                 se = _variance_standard_error(p_true, 1.0, nu, reps)
-                assert abs(est.var(ddof=1) - binomial_variance(p_true, nu)) < 5 * se
+                assert abs(est.var(ddof=1) - scaled_binomial_variance(p_true, 1.0, nu)) < 5 * se
 
         probs = np.array([0.4, 0.3, 0.2, 0.1])
         n_shots = 100
         counts = make_rng(60222).multinomial(n_shots, probs, size=reps) / n_shots
         for i, p_true in enumerate(probs):
             se = _variance_standard_error(p_true, 1.0, n_shots, reps)
-            assert abs(counts[:, i].var(ddof=1) - binomial_variance(p_true, n_shots)) < 5 * se
+            assert abs(counts[:, i].var(ddof=1) - scaled_binomial_variance(p_true, 1.0, n_shots)) < 5 * se
 
 
 def test_criterion_09_operator_inequality_suites():

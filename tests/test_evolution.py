@@ -14,7 +14,7 @@ from nhsense.evolution import (
 )
 from nhsense.operators import SIGMA_X, expm_hermitian
 from nhsense.pseudo_hermitian import (
-    PseudoHermitianParams, generator_closed, hamiltonian_family, probe_state, qfi_numeric,
+    PseudoHermitianParams, hamiltonian_family, probe_state, qfi_numeric,
 )
 from nhsense.pt_ep import PtEpParams, _family
 from nhsense.qfi import qfi_fidelity_oracle
@@ -24,7 +24,7 @@ from conftest import (
     constant, constant_family, make_rng, per_time, pt_dhamiltonian, pt_hamiltonian, random_family,
     random_hermitian,
 )
-from oracles import generator_finite_difference
+from oracles import generator_closed, generator_finite_difference
 
 
 def one_member(h_of_t):

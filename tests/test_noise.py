@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,43 +10,57 @@ from scipy.stats import binom
 
 from nhsense.errors import DomainError
 from nhsense.noise import (
-    _binomial_pmf, binomial_variance, check_trials, propagate_error,
-    sample_projection, sample_projection_batch, sample_projection_counts, scaled_binomial_variance,
+    _binomial_pmf, check_trials, propagate_error, sample_projection_batch, sample_projection_counts,
+    scaled_binomial_variance,
 )
-from nhsense.pt_ep import PtEpParams
+from nhsense.pt_ep import PtEpParams, response_variance
 from nhsense.verification import (
     _NOISE_CASES, _count_variance, _noise_z_scores, _variance_standard_error, check_noise, make_rng,
 )
 
 
 class TestBinomialVariance:
+    """The law at c0 = 1, the plain binomial p(1 - p)/nu."""
+
     def test_deterministic_outcomes(self):
-        assert binomial_variance(0.0, 7) == 0.0
-        assert binomial_variance(1.0, 7) == 0.0
+        assert scaled_binomial_variance(0.0, 1.0, 7) == 0.0
+        assert scaled_binomial_variance(1.0, 1.0, 7) == 0.0
 
     def test_arithmetic(self):
-        assert binomial_variance(0.5, 100) == pytest.approx(0.0025, rel=1e-15)
+        assert scaled_binomial_variance(0.5, 1.0, 100) == pytest.approx(0.0025, rel=1e-15)
 
     def test_monte_carlo(self):
         # 1e5 simulated estimators, nu=50, p=0.3
         est = sample_projection_batch(0.3, 1.0, 50, 100_000, seed=715)
-        analytic = binomial_variance(0.3, 50)
+        analytic = scaled_binomial_variance(0.3, 1.0, 50)
         assert analytic == pytest.approx(0.0042, rel=1e-12)
         se = _variance_standard_error(0.3, 1.0, 50, 100_000)
         assert abs(est.var(ddof=1) - analytic) < 5 * se
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            binomial_variance(1.2, 10)
+            scaled_binomial_variance(1.2, 1.0, 10)
         with pytest.raises(DomainError):
-            binomial_variance(0.5, 0)
+            scaled_binomial_variance(0.5, 1.0, 0)
 
 
 class TestScaledBinomialVariance:
     def test_reduces_to_binomial(self):
         assert scaled_binomial_variance(0.5, 1.0, 1) == pytest.approx(0.25, rel=1e-15)
         for p in (0.0, 0.3, 0.8, 1.0):
-            assert scaled_binomial_variance(p, 1.0, 9) == binomial_variance(p, 9)
+            assert scaled_binomial_variance(p, 1.0, 9) == p * (1.0 - p) / 9
+
+    @pytest.mark.parametrize("c0", [1.0, math.e])
+    def test_stack_member_is_its_lone_call(self, c0):
+        ps = np.linspace(0.0, c0, 11)
+        stacked = scaled_binomial_variance(ps, c0, 9)
+        assert stacked.shape == ps.shape
+        assert stacked.tolist() == [scaled_binomial_variance(p, c0, 9) for p in ps.tolist()]
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
+    def test_stack_with_one_bad_member_names_p(self, bad):
+        with pytest.raises(DomainError, match=r"probability p\b"):
+            scaled_binomial_variance(np.array([0.2, bad, 0.4]), 1.0, 9)
 
     def test_edges(self):
         assert scaled_binomial_variance(0.0, 2.0, 5) == 0.0
@@ -73,10 +88,10 @@ class TestScaledBinomialVariance:
 
 class TestMultinomialVariance:
     def test_arithmetic(self):
-        assert binomial_variance(0.25, 4) == pytest.approx(0.046875, rel=1e-15)
+        assert scaled_binomial_variance(0.25, 1.0, 4) == pytest.approx(0.046875, rel=1e-15)
 
     def test_certain_outcome(self):
-        assert binomial_variance(1.0, 3) == 0.0
+        assert scaled_binomial_variance(1.0, 1.0, 3) == 0.0
 
     def test_monte_carlo_marginals(self):
         probs = np.array([0.4, 0.3, 0.2, 0.1])
@@ -84,7 +99,7 @@ class TestMultinomialVariance:
         counts = make_rng(5150).multinomial(n_shots, probs, size=reps)
         est = counts / n_shots
         for i, p in enumerate(probs):
-            analytic = binomial_variance(p, n_shots)
+            analytic = scaled_binomial_variance(p, 1.0, n_shots)
             se = _variance_standard_error(p, 1.0, n_shots, reps)
             assert abs(est[:, i].var(ddof=1) - analytic) < 5 * se
 
@@ -121,19 +136,14 @@ class TestPropagateError:
 class TestSampleProjection:
     def test_degenerate_probabilities(self):
         for seed in (0, 1, 99):
-            assert sample_projection(0.0, 1.0, 20, seed) == 0.0
-            assert sample_projection(1.0, 1.0, 20, seed) == 1.0
-            assert sample_projection(2.0, 2.0, 20, seed) == 2.0
-
-    def test_seed_regression(self):
-        # pinned at first implementation: Philox stream, Bernoulli thresholding
-        assert sample_projection(0.3, 1.0, 50, 20240811) == pytest.approx(0.34, abs=0)
-        assert sample_projection(0.7, 2.5, 40, 99) == pytest.approx(0.875, abs=0)
+            assert sample_projection_batch(0.0, 1.0, 20, 5, seed).tolist() == [0.0] * 5
+            assert sample_projection_batch(1.0, 1.0, 20, 5, seed).tolist() == [1.0] * 5
+            assert sample_projection_batch(2.0, 2.0, 20, 5, seed).tolist() == [2.0] * 5
 
     def test_reproducible(self):
-        a = sample_projection(0.42, 1.0, 137, 7)
-        b = sample_projection(0.42, 1.0, 137, 7)
-        assert a == b
+        a = sample_projection_batch(0.42, 1.0, 137, 50, 7)
+        b = sample_projection_batch(0.42, 1.0, 137, 50, 7)
+        assert a.tolist() == b.tolist()
 
     def test_batch_matches_distribution(self):
         vals = sample_projection_batch(0.25, 1.0, 40, 50_000, seed=3)
@@ -141,7 +151,7 @@ class TestSampleProjection:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sample_projection(1.5, 1.0, 10, 0)
+            sample_projection_batch(1.5, 1.0, 10, 1, 0)
 
 
 class TestCheckTrials:
@@ -155,10 +165,10 @@ class TestCheckTrials:
             check_trials(nu)
 
     @pytest.mark.parametrize("call", [
-        lambda: binomial_variance(0.3, 2.5),
+        lambda: scaled_binomial_variance(0.3, 1.0, 2.5),
         lambda: scaled_binomial_variance(0.3, 2.0, 2.5),
         lambda: PtEpParams(1, 0.5, 4, 0.05, 1, nu=2.5),
-        lambda: sample_projection(0.3, 1.0, 2.5, 1),
+        lambda: sample_projection_counts(0.3, 1.0, 2.5, 10, 1),
         lambda: sample_projection_batch(0.3, 1.0, True, 10, 1),
     ])
     def test_non_integer_counts_fail_at_the_boundary(self, call):
@@ -199,11 +209,30 @@ class TestProjectionCounts:
     @pytest.mark.parametrize("p, scale, nu, reps", [
         (0.5, 0.0, 10, 10), (0.5, -1.0, 10, 10), (-0.1, 1.0, 10, 10), (1.5, 1.0, 10, 10),
         (0.5, 1.0, 0, 10), (0.5, 1.0, 2.5, 10), (0.5, 1.0, True, 10), (0.5, 1.0, 10, 0),
+        (0.5, math.inf, 10, 10), (0.5, math.nan, 10, 10), (0.5, 0.5, 10, 10),
+        (math.nan, 1.0, 10, 10), (0.5, 1.0, 10, 2.5), (0.5, 1.0, 10, True),
     ])
     def test_domain_matches_the_batch_sampler(self, p, scale, nu, reps):
-        for sampler in (sample_projection_batch, sample_projection_counts):
-            with pytest.raises(DomainError):
-                sampler(p, scale, nu, reps, 1)
+        # the one input rule, tabled: each case differs from (0.5, 1.0, 10, 10) in one
+        # input, and the law, both samplers and response_variance (those that take
+        # the input) each raise a DomainError whose message opens with its name
+        case = dict(p=p, scale=scale, nu=nu, reps=reps)
+        (bad,) = [name for name, good in zip(case, (0.5, 1.0, 10, 10)) if repr(case[name]) != repr(good)]
+        calls = {"sample_projection_batch": lambda: sample_projection_batch(p, scale, nu, reps, 1),
+                 "sample_projection_counts": lambda: sample_projection_counts(p, scale, nu, reps, 1)}
+        if bad != "reps":
+            calls["scaled_binomial_variance"] = lambda: scaled_binomial_variance(p, scale, nu)
+            calls["response_variance"] = lambda: response_variance(p, 0.0, scale, nu, 1.0)
+        named = {"p": r"(probability|P)\b", "scale": r"(scale|C0)\b", "nu": r"nu\b", "reps": r"reps\b"}[bad]
+        missed = []
+        for function, call in calls.items():
+            try:
+                call()
+                missed.append(f"{function}: no error")
+            except DomainError as err:
+                if not re.match(named, str(err)):
+                    missed.append(f"{function}: {err}")
+        assert not missed, f"{bad} not named: {missed}"
 
     def test_check_noise_is_the_worst_case(self):
         assert check_noise(45)[0].observed == np.abs(_noise_z_scores(45)).max()

@@ -10,11 +10,11 @@ from nhsense.operators import (
     require_hermitian, require_state, seminorm, spectral_generator, tensor, variance,
 )
 from nhsense.evolution import generators
-from nhsense.pseudo_hermitian import PseudoHermitianParams, dilated_hamiltonian, generator_closed
+from nhsense.pseudo_hermitian import PseudoHermitianParams, dilated_hamiltonian
 from nhsense.verification import _gaussian, _unitary_from_gaussian
 
 from conftest import KET0, KET_PLUS, constant_family, make_rng, random_hermitian, random_state
-from oracles import seminorm_eigh
+from oracles import generator_closed, seminorm_eigh
 
 
 class TestTensor:

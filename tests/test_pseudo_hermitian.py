@@ -10,10 +10,12 @@ from nhsense.errors import DomainError
 from nhsense.operators import ID2, SIGMA_X, SIGMA_Y, expm_hermitian, seminorm, tensor
 from nhsense.pseudo_hermitian import (
     PseudoHermitianParams, SWEEP_COLUMNS, conditional_population_from_dilation, dilated_hamiltonian,
-    generator_closed, hamiltonian_family, hermitian_bound, p1_closed, p1_slope, postselection_success,
+    hamiltonian_family, hermitian_bound, p1_closed, p1_slope, postselection_success,
     probe_state, qfi_closed, qfi_numeric, qfi_rate_closed, sensitivity,
     susceptibility, sweep, two_level_population,
 )
+
+from oracles import generator_closed
 
 EPS, OMEGA = 0.1, 1.0
 P0 = PseudoHermitianParams(EPS, OMEGA, 0.0)

@@ -1,38 +1,44 @@
 """The package's public surface is what its runs use.
 
-Every top-level public function or class of `src/nhsense` must be named
-somewhere outside its own definition: in the package, the demos, the README
-or the benchmark scripts.  A name that only tests call is surface that no run
-exercises, and fails here.  The test reads those files and nothing else.
+Every top-level public function or class of `src/nhsense` must be named by
+code outside its own definition: in the package, the demos or the benchmark
+scripts.  Only identifiers count (names, attribute names and imported
+names), not docstrings, comments, strings or the README.  A name that only
+tests or prose name is surface that no run exercises, and fails here.  The
+test reads those files and nothing else.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "nhsense").glob("*.py"))
-USERS = [*PACKAGE, *sorted((ROOT / "demos").glob("*.py")), ROOT / "README.md",
-         *sorted((ROOT / "perfbench").glob("*.py"))]
+USERS = [*PACKAGE, *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
 
 
-def _outside(lines: list[str], node: ast.AST) -> str:
-    """The lines of a file without those of node's definition, decorators included."""
-    first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
-    return "\n".join(lines[:first - 1] + lines[node.end_lineno:])
+def _identifiers(nodes) -> set[str]:
+    """The names, attribute names and imported names that occur in nodes."""
+    found = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                found.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                found.add(sub.name.rpartition(".")[2])
+    return found
 
 
 def test_every_public_name_is_used_outside_its_definition():
-    texts = {path: path.read_text(encoding="utf-8") for path in USERS}
+    bodies = {path: ast.parse(path.read_text(encoding="utf-8")).body for path in USERS}
     unused = []
     for path in PACKAGE:
-        lines = texts[path].splitlines()
-        for node in ast.parse(texts[path]).body:
+        elsewhere = set().union(*(_identifiers(body) for user, body in bodies.items() if user != path))
+        for node in bodies[path]:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            name = re.compile(rf"\b{re.escape(node.name)}\b")
-            if not any(name.search(_outside(lines, node) if user == path else text)
-                       for user, text in texts.items()):
+            if node.name not in elsewhere | _identifiers(n for n in bodies[path] if n is not node):
                 unused.append(f"{path.stem}.{node.name}")
-    assert not unused, (f"named nowhere in src/, demos/, README.md or perfbench/*.py outside their own "
+    assert not unused, (f"named by no code in src/, demos/ or perfbench/*.py outside their own "
                         f"definitions (delete them or give them a caller): {', '.join(unused)}")
