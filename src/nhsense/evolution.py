@@ -356,8 +356,8 @@ def evaluate_stack(evaluate: Callable, dim: int, lam: np.ndarray, t: np.ndarray)
     m = np.asarray(evaluate(lam, t), dtype=complex)
     if m.shape != shape + (dim, dim):
         raise DomainError(f"a family callable must return a {shape + (dim, dim)} stack, got {m.shape}")
-    bad = ~np.isfinite(m).all(axis=(-2, -1))
-    if bad.any():
+    if not np.isfinite(m).all():
+        bad = ~np.isfinite(m).all(axis=(-2, -1))
         raise PropagationError(f"non-finite Hamiltonian evaluation at t={np.broadcast_to(t, shape)[bad][0]:g}")
     return m
 
@@ -383,8 +383,8 @@ def propagators(family: HamiltonianFamily, lams, t, tol: float = DEFAULT_TOL) ->
 
 
 def check_step(step: float, name: str = "dlam") -> float:
-    """`step` itself once it is finite and positive, as a difference step or a root tolerance must be;
-    DomainError naming `name` otherwise."""
+    """`step` itself once it is finite and positive, as a difference step, a root tolerance or a
+    period must be; DomainError naming `name` otherwise."""
     if not (math.isfinite(step) and step > 0):
         raise DomainError(f"{name} must be finite and positive, got {step}")
     return step

@@ -14,9 +14,10 @@ with its own Gamma and omega_delta, so a scan grid is one batch of the core
 both sensors share.  A U-only period runs on the grid of S = 16 equal
 intervals of (0, T): the core takes each interval from the identity as a
 member of one batch and chains U(T) = U(T, t_{S-1}) ... U(t_1, 0), exact for
-the linear equation.  The `find_ep` pre-scan is one batch of 25 x 16
-intervals, and each of Brent's serial evaluations, which cannot be batched,
-one of 16.
+the linear equation.  The `find_ep` pre-scan of 25 points is a batch of
+13 x 16 intervals, then one of the other 12 x 16 unless the first 13 hold
+a sign change, and each of Brent's serial evaluations, which cannot be
+batched, one of 16.
 
 The identity part of the drive only contributes a global phase of unit
 modulus; it is kept in the propagator so U matches the defining expression
@@ -33,7 +34,7 @@ from .errors import DomainError
 from .evolution import (DEFAULT_TOL, MAX_PERIOD_PHASE, TOL_MIN, HamiltonianFamily, check_scalar, check_step,
                         check_tol, integrate, richardson)
 from .noise import check_projection, check_trials
-from .operators import ID2, SIGMA_X, SIGMA_Z
+from .operators import ID2, SIGMA_Z
 
 DIFF_FLOOR = 1e-9  # rows are usable only for P_J - P_Gamma in (DIFF_FLOOR, 1 - DIFF_FLOOR)
 _MAX_EXPONENT = math.log(float(np.finfo(float).max))  # e^x is a finite float up to here
@@ -100,27 +101,33 @@ class EpScanRow:
     excluded_reason: str = ""
 
 
-# The real operators of H; the gain term i Gamma sigma_z is its only complex part.
-_SIGMA_X = SIGMA_X.real
-_PERT_OP = (ID2 - SIGMA_Z).real
+_PERT_OP = (ID2 - SIGMA_Z).real  # 1 - sigma_z, the operator of the omega_delta drive
 
 
 def _family(ps: list[PtEpParams]) -> HamiltonianFamily:
     """H and dH/d omega_delta of the batch ps, as a family whose parameter is the member index into ps.
 
     The members share J, omega and delta; each has its own Gamma and omega_delta.
+    H = drive sigma_x + pert (1 - sigma_z) + i Gamma sigma_z with drive = J(1 + cos(omega t))
+    and pert = (delta/2) cos(omega_delta t), filled entry by entry into one complex stack.
     dH/d omega_delta = -(delta/2) t sin(omega_delta t)(1 - sigma_z).
     """
     p = ps[0]
     freqs = np.array([(q.omega, q.omega_delta) for q in ps])
-    gain = np.array([1j * q.Gamma for q in ps])[:, None, None] * SIGMA_Z
+    gamma = np.array([q.Gamma for q in ps])
+    neg_gamma = 0.0 - gamma  # -Gamma, +0.0 at Gamma = 0: the signed zeros the sum gives
     half_delta = 0.5 * p.delta
 
     def h(lam, t):
         idx = lam.astype(np.intp)
         c = np.cos(t[..., None] * freqs[idx])
         drive, pert = p.J * (1.0 + c[..., 0]), half_delta * c[..., 1]
-        return drive[..., None, None] * _SIGMA_X + pert[..., None, None] * _PERT_OP + gain[idx]
+        m = np.zeros(drive.shape + (2, 2), dtype=complex)
+        m[..., 0, 0].imag = gamma[idx]
+        m[..., 0, 1].real = m[..., 1, 0].real = drive
+        m[..., 1, 1].real = 2.0 * pert + 0.0  # + 0.0: +0.0 where pert is -0.0, as in the sum
+        m[..., 1, 1].imag = neg_gamma[idx]
+        return m
 
     def dh(lam, t):
         return (-half_delta * t * np.sin(t * freqs[lam.astype(np.intp), 1]))[..., None, None] * _PERT_OP
@@ -181,8 +188,10 @@ def response_energy(pj: float, pgamma: float, period: float) -> float:
     """E_res = arcsin(sqrt(P_J - P_Gamma))/T, principal branch in [0, pi/(2T)].
 
     P_J - P_Gamma outside [0, 1] means a complex response energy; that
-    region is excluded, and the offending difference is reported.
+    region is excluded, and the offending difference is reported.  Raises DomainError unless
+    the period is finite and positive.
     """
+    check_step(period, "period")
     diff = pj - pgamma
     if not (0.0 <= diff <= 1.0):
         raise DomainError(f"P_J - P_Gamma = {diff:.6g} outside [0, 1]: complex response energy")
@@ -248,27 +257,42 @@ def _brent(f, a: float, fa: float, b: float, fb: float, xtol: float, maxiter: in
     raise DomainError(f"Brent's method did not converge in {maxiter} iterations on ({a:g}, {b:g})")
 
 
+def _first_change(vals: list[float]) -> int | None:
+    """Index k of the first zero of vals, or of the first pair (k, k + 1) of opposite signs; None if none."""
+    for k, v in enumerate(vals):
+        if v == 0.0 or (k + 1 < len(vals) and v * vals[k + 1] < 0):
+            return k
+    return None
+
+
 def _diff_root(at, xs: list[float], tol: float, prop_tol: float, name: str) -> float:
     """Root in x of D = P_J - P_Gamma at at(x), in the first sign change (or zero) of D along xs.
 
-    xs is propagated as one batch; `_brent`, the in-package Brent zero, then narrows the root
-    from the values at its bracket ends to |dx| <= tol.  Its points come one at a time, but
-    each is a batch of the intervals of its period (`_propagate_periods`).
+    xs is propagated in order, in two batches: the first ceil(n/2) points, never fewer than
+    two, then the rest, skipped once the values so far hold a zero or a sign change.  A
+    member's floats do not depend on its batch, so the root is that of one batch of all xs.
+    `_brent`, the in-package Brent zero, then narrows the root from the values at its bracket
+    ends to |dx| <= tol.  Its points come one at a time, but each is a batch of the intervals
+    of its period (`_propagate_periods`).
     """
     check_step(tol, "root tolerance")
-    pj, pg = _pairs(_propagate_periods([at(x) for x in xs], prop_tol, tangent=False)[0])
-    vals = (pj - pg).tolist()
+    head = max(2, (len(xs) + 1) // 2)
+    vals: list[float] = []
+    for batch in (xs[:head], xs[head:]):
+        if batch and _first_change(vals) is None:
+            pj, pg = _pairs(_propagate_periods([at(x) for x in batch], prop_tol, tangent=False)[0])
+            vals += (pj - pg).tolist()
+    k = _first_change(vals)
+    if k is None:
+        raise DomainError(f"no sign change of P_J - P_Gamma in {name} bracket ({xs[0]:g}, {xs[-1]:g})")
+    if vals[k] == 0.0:
+        return float(xs[k])
 
     def g(x: float) -> float:
         pj, pg = pj_pgamma(propagate_period(at(x), tol=prop_tol))
         return pj - pg
 
-    for k, (x, v) in enumerate(zip(xs, vals)):
-        if v == 0.0:
-            return float(x)
-        if k + 1 < len(xs) and v * vals[k + 1] < 0:
-            return _brent(g, x, v, xs[k + 1], vals[k + 1], tol)
-    raise DomainError(f"no sign change of P_J - P_Gamma in {name} bracket ({xs[0]:g}, {xs[-1]:g})")
+    return _brent(g, xs[k], vals[k], xs[k + 1], vals[k + 1], tol)
 
 
 def _finite_bracket(bracket: tuple[float, float], name: str) -> tuple[float, float]:
@@ -283,9 +307,11 @@ def find_ep(j: float, omega: float, bracket: tuple[float, float] | None = None,
             tol: float = 1e-10, prop_tol: float = 1e-12) -> float:
     """Dissipation rate at the phase boundary: root of P_J - P_Gamma at delta = 0.
 
-    A coarse pre-scan over the bracket, propagated as one batch, locates a
-    sign change, then Brent's method narrows it to |dGamma| <= tol; each of
-    its serial evaluations is one batch of the pieces of a period.
+    A coarse pre-scan of 25 points over the bracket locates the first sign
+    change: its first 13 points are one batch, the other 12 a second batch,
+    propagated only if the first holds no change.  Brent's method then
+    narrows the root to |dGamma| <= tol; each of its serial evaluations is
+    one batch of the pieces of a period.
     """
     lo, hi = _finite_bracket(default_ep_bracket(j) if bracket is None else bracket, "Gamma")
     if not (0 <= lo < hi):
@@ -316,8 +342,10 @@ def response_variance(pj: float, pgamma: float, c0: float, nu: int, period: floa
     (1/(4 nu T²)) [C0(P_J+P_Gamma) - (P_J²+P_Gamma²)] / [(P_J-P_Gamma)(1-P_J+P_Gamma)];
     identical to propagating the two scaled-binomial variances through the
     arcsin extraction to first order.  Diverges (+inf) at the zero of the
-    denominator, i.e. at the dip itself.
+    denominator, i.e. at the dip itself.  Raises DomainError unless the period is finite and
+    positive.
     """
+    check_step(period, "period")
     check_projection(pj, c0, nu)
     check_projection(pgamma, c0, nu)
     diff = pj - pgamma

@@ -7,9 +7,10 @@ import numpy as np
 from nhsense.evolution import DEFAULT_TOL, HamiltonianFamily, check_step, check_time, propagators
 from nhsense.noise import make_rng
 from nhsense.operators import (
-    SIGMA_Y, SIGMA_Z, covariance, eig_hermitian, expm_hermitian, seminorm, tensor, variance,
+    ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, covariance, eig_hermitian, expm_hermitian, seminorm, tensor, variance,
 )
 from nhsense.pseudo_hermitian import _IX, _YY, PseudoHermitianParams, _splitting
+from nhsense.pt_ep import PtEpParams
 from nhsense.verification import (
     CheckResult, _gaussian, _result, _unitary_from_gaussian, random_hermitian, random_state,
 )
@@ -39,6 +40,19 @@ def generator_closed(p: PseudoHermitianParams, t: float) -> np.ndarray:
     hy = c * lb / om**2 * (s2 / (2.0 * om) - t)
     hz = -c * np.sin(om * t) ** 2 / om**2
     return p.given(hx[:, None, None] * _IX + hy[:, None, None] * _YY + hz[:, None, None] * _YZ)
+
+
+def pt_ep_hamiltonian_sum(ps: list[PtEpParams], lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """`pt_ep._family(ps).evaluate(lam, t)` as drive sigma_x + pert (1 - sigma_z), a sum of real
+    broadcasts, plus the gathered complex gain i Gamma sigma_z of each member: the family's route
+    before it filled one complex stack."""
+    p = ps[0]
+    freqs = np.array([(q.omega, q.omega_delta) for q in ps])
+    gain = np.array([1j * q.Gamma for q in ps])[:, None, None] * SIGMA_Z
+    idx = lam.astype(np.intp)
+    c = np.cos(t[..., None] * freqs[idx])
+    drive, pert = p.J * (1.0 + c[..., 0]), 0.5 * p.delta * c[..., 1]
+    return drive[..., None, None] * SIGMA_X.real + pert[..., None, None] * (ID2 - SIGMA_Z).real + gain[idx]
 
 
 def generator_finite_difference(family: HamiltonianFamily, lam: float, t: float,

@@ -346,13 +346,14 @@ class TestCliRuns:
         assert first[header.index("hermitian_bound")] == "inf" and first[header.index("excluded_reason")]
 
     def test_default_scan_ep_propagation_batches(self, tmp_path, integrate_calls):
-        # the Gamma pre-scan is one plain batch of 25 periods, Brent adds
-        # serial periods, and the 80 rows are one tangent batch; each period
-        # is one lam entry, on a grid of _PIECES intervals if plain, (0, T) if tangent
+        # the Gamma pre-scan is one plain batch of 13 periods, the first half of
+        # its 25 (the root lies in it), Brent adds serial periods, and the 80
+        # rows are one tangent batch; each period is one lam entry, on a grid
+        # of _PIECES intervals if plain, (0, T) if tangent
         plain = pt_ep._PIECES + 1
         assert main(["scan-ep", "--out", str(tmp_path / "scan.csv")]) == 0
         calls = [(n, points, tangent) for n, points, tangent, _ in integrate_calls]
-        assert calls[0] == (25, plain, False) and calls[-1] == (80, 2, True)
+        assert calls[0] == (13, plain, False) and calls[-1] == (80, 2, True)
         assert set(calls[1:-1]) == {(1, plain, False)} and len(calls[1:-1]) <= 6
 
     def test_scan_ep_with_hundreds_of_bound_lobes(self, tmp_path):
@@ -505,13 +506,16 @@ def dispatched_cpu_features() -> list[str]:
 # each setting is set in the child processes alone
 BUILDS = {"default": {}, "openblas-sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
           "numpy-baseline-simd": {"NPY_DISABLE_CPU_FEATURES": " ".join(dispatched_cpu_features())}}
-BUILD_RUNS = {"find-ep": ["find-ep"], "scan-ep": ["scan-ep"], "sweep-ph": ["sweep-ph"],
+# find-ep-two-batch has its root in the second half of the pre-scan, so it propagates both batches
+BUILD_RUNS = {"find-ep": ["find-ep"],
+              "find-ep-two-batch": ["find-ep", "--bracket-lo", "0.01", "--bracket-hi", "1.2"],
+              "scan-ep": ["scan-ep"], "sweep-ph": ["sweep-ph"],
               "verify": ["verify", "--seed", "42", "--format", "json"]}
 
 
 @pytest.fixture(scope="module")
 def build_runs(tmp_path_factory):
-    """{build: {run: (exit code, stderr, artifact path)}}: the default runs of BUILD_RUNS in child
+    """{build: {run: (exit code, stderr, artifact path)}}: the runs of BUILD_RUNS in child
     processes under each setting of BUILDS, the runs of one setting side by side (verify once per
     other setting; the default build's report is `verify_report_42`)."""
     runs = {}
@@ -540,7 +544,7 @@ class TestAcrossBuilds:
 
     def test_openblas_core_type_leaves_the_ep_artifacts_byte_identical(self, build_runs):
         # the EP runs are 2-dim, their stage sums and products elementwise: no BLAS kernel in them
-        for run in ("find-ep", "scan-ep"):
+        for run in ("find-ep", "find-ep-two-batch", "scan-ep"):
             artifacts = [build_runs[build][run][2].read_bytes()
                          for build in ("default", "openblas-sandybridge")]
             assert artifacts[0] == artifacts[1], run
@@ -551,8 +555,9 @@ class TestAcrossBuilds:
         assert all(code == 0 for code, _, _ in runs.values()), {run: err for run, (_, err, _) in runs.items()}
         compare_to_fixture(runs["scan-ep"][2], FIXTURES / "scan_ep_default.csv")
         compare_to_fixture(runs["sweep-ph"][2], FIXTURES / "sweep_ph_default.csv")
-        _, _, rows = read_csv(str(runs["find-ep"][2]))
-        assert abs(float(rows[0][5]) - GAMMA_EP_J1_W4) <= 1e-10  # find-ep's default tol
+        for run in ("find-ep", "find-ep-two-batch"):
+            _, _, rows = read_csv(str(runs[run][2]))
+            assert abs(float(rows[0][5]) - GAMMA_EP_J1_W4) <= 1e-10, run  # find-ep's default tol
         if "verify" in runs:
             assert json.loads(runs["verify"][2].read_text())["overall_pass"] is True
 

@@ -262,8 +262,8 @@ class TestStageProduct:
 def test_default_scan_ep_step_attempts(integrate_calls, tmp_path):
     # the step attempts of each batch of the default scan-ep
     assert main(["scan-ep", "--out", str(tmp_path / "scan.csv")]) == 0
-    # the pre-scan, six Brent evaluations of find_ep, the tangent scan
-    assert integrate_calls == [(25, 17, False, 5)] + [(1, 17, False, 4)] * 6 + [(80, 2, True, 29)]
+    # the first half of the pre-scan (the root lies in it), six Brent evaluations of find_ep, the tangent scan
+    assert integrate_calls == [(13, 17, False, 5)] + [(1, 17, False, 4)] * 6 + [(80, 2, True, 29)]
 
 
 class TestPropagate:

@@ -21,6 +21,7 @@ from nhsense.pt_ep import (
 )
 
 from conftest import pt_dhamiltonian, pt_hamiltonian
+from oracles import pt_ep_hamiltonian_sum
 
 # regression values pinned at first verified build (bisection at tol 1e-12)
 GAMMA_EP_J1_W1 = 0.6180339887499011
@@ -119,6 +120,23 @@ class TestHamiltonian:
             fd = (pt_hamiltonian(base_at(p, p.omega_delta + h), t)
                   - pt_hamiltonian(base_at(p, p.omega_delta - h), t)) / (2 * h)
             assert np.abs(pt_dhamiltonian(p, t) - fd).max() < 1e-9
+
+    @pytest.mark.parametrize("m", [1, 16, 400])
+    @pytest.mark.parametrize("delta", [0.05, 0.0])
+    def test_stack_equals_the_broadcast_sum_bit_for_bit(self, m, delta):
+        # every third member at Gamma = 0; delta = 0 makes pert -0.0 where the cosine is negative
+        rng = np.random.default_rng(m)
+        gammas = np.where(np.arange(m) % 3 == 0, 0.0, rng.uniform(0.0, 3.0, m))
+        ps = [PtEpParams(J=1.0, Gamma=g, omega=4.0, delta=delta, omega_delta=wd)
+              for g, wd in zip(gammas.tolist(), rng.uniform(0.05, 4.0, m).tolist())]
+        evaluate = pt_ep._family(ps).evaluate
+        lam = rng.permutation(m).astype(float)
+        t = np.concatenate([np.zeros((m, 1)), rng.uniform(0.0, ps[0].T, (m, 10))], axis=1)
+        # the core's shapes, one lam per member against its times, and flat calls
+        for args in ((lam[:, None], t), (np.repeat(lam, 11), t.ravel()), (lam, t[:, 3])):
+            got, want = evaluate(*args), pt_ep_hamiltonian_sum(ps, *args)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # signed zeros too
 
 
 class TestPropagation:
@@ -222,12 +240,12 @@ class TestFindEp:
         assert abs(a - b) <= 1.5e-6
 
     def test_no_sign_change_reported(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^no sign change of P_J - P_Gamma in Gamma bracket \(2, 2\.9\)$"):
             find_ep(1.0, 1.0, bracket=(2.0, 2.9), tol=1e-8)
 
     def test_prescan_member_equals_serial_propagation(self, monkeypatch):
-        # the 25-point pre-scan is one batch; each member keeps its own steps,
-        # so it is bit for bit the propagation of that Gamma alone
+        # the pre-scan's first batch holds the first 13 of its 25 points; each
+        # member keeps its own steps, so it is bit for bit the propagation of that Gamma alone
         propagators = []
         original = pt_ep._propagate_periods
 
@@ -241,10 +259,75 @@ class TestFindEp:
         monkeypatch.undo()
         prescan = propagators[0]
         grid = np.linspace(*pt_ep.default_ep_bracket(1.0), 25)
-        assert prescan.shape == (25, 2, 2)
-        for k in (0, 8, 9, 24):
+        assert prescan.shape == (13, 2, 2)
+        for k in (0, 8, 9, 12):
             p = PtEpParams(J=1.0, Gamma=grid[k], omega=4.0, delta=0.0, omega_delta=1.0)
             assert np.array_equal(prescan[k], propagate_period(p, tol=1e-12))
+
+
+class TestPrescan:
+    """The pre-scan propagates its first ceil(n/2) points, then the rest only if they hold no change."""
+
+    def test_root_in_the_second_half_equals_one_batch_then_brent(self, integrate_calls):
+        gamma = find_ep(1.0, 4.0, (0.01, 1.2))
+        assert [n for n, *_ in integrate_calls][:2] == [13, 12]
+        xs = np.linspace(0.01, 1.2, 25).tolist()
+        ps = [PtEpParams(J=1.0, Gamma=g, omega=4.0, delta=0.0, omega_delta=4.0) for g in xs]
+        pj, pg = pt_ep._pairs(pt_ep._propagate_periods(ps, 1e-12, tangent=False)[0])
+        vals = (pj - pg).tolist()
+        [k] = [k for k in range(24) if vals[k] * vals[k + 1] < 0]
+        assert k >= 13  # the root lies in the second batch
+
+        def diff(g):
+            pj, pg = pj_pgamma(propagate_period(replace(ps[0], Gamma=g), tol=1e-12))
+            return pj - pg
+
+        assert gamma == pt_ep._brent(diff, xs[k], vals[k], xs[k + 1], vals[k + 1], 1e-10)
+        assert gamma == 1.0650605221995473
+
+    @staticmethod
+    def fake_periods(monkeypatch, diff):
+        """Make every propagated period one whose P_J - P_Gamma is diff(Gamma); record the batch sizes."""
+        sizes = []
+
+        def periods(ps, tol, tangent):
+            u = np.zeros((len(ps), 2, 2), dtype=complex)
+            for k, p in enumerate(ps):
+                d = diff(p.Gamma)
+                # [[0, a], [0, 0]] gives P_J - P_Gamma = 3a²/4, [[b, 0], [0, 0]] gives -b²/4
+                u[k, 0, 1 if d >= 0 else 0] = math.sqrt(4.0 * d / 3.0) if d >= 0 else 2.0 * math.sqrt(-d)
+            sizes.append(len(ps))
+            return u, None
+
+        monkeypatch.setattr(pt_ep, "_propagate_periods", periods)
+        return sizes
+
+    @pytest.mark.parametrize("roots, root, sizes", [
+        ((5.5, 18.5), 5.5, [13]),  # one change in each half: the first
+        ((12.5, 30.0), 12.5, [13, 12]),  # between the last point of the first batch and the first of the second
+        ((18.5, 30.0), 18.5, [13, 12]),  # in the second half alone
+    ])
+    def test_first_change_along_the_bracket(self, monkeypatch, roots, root, sizes):
+        got = self.fake_periods(monkeypatch, lambda g: (g - roots[0]) * (g - roots[1]))
+        assert find_ep(1.0, 4.0, (0.0, 24.0), tol=1e-10) == pytest.approx(root, abs=1e-9)
+        assert got[:len(sizes)] == sizes and set(got[len(sizes):]) == {1}  # then serial Brent
+
+    @pytest.mark.parametrize("zero, sizes", [(3.0, [13]), (12.0, [13]), (20.0, [13, 12])])
+    def test_exact_zero_on_the_grid_returned_as_is(self, monkeypatch, zero, sizes):
+        got = self.fake_periods(monkeypatch, lambda g: (g - zero) ** 2)
+        assert find_ep(1.0, 4.0, (0.0, 24.0)) == zero
+        assert got == sizes
+
+    def test_no_change_propagates_every_point_and_names_the_bracket(self, monkeypatch):
+        got = self.fake_periods(monkeypatch, lambda g: 1.0 + g)
+        with pytest.raises(DomainError, match=r"^no sign change of P_J - P_Gamma in Gamma bracket \(0, 24\)$"):
+            find_ep(1.0, 4.0, (0.0, 24.0))
+        assert got == [13, 12]
+
+    def test_two_point_bracket_without_a_change_is_one_batch(self, integrate_calls):
+        with pytest.raises(DomainError, match=r"^no sign change of P_J - P_Gamma in omega_delta bracket \(1, 2\)$"):
+            find_response_dip(default_base(), (1.0, 2.0))
+        assert [n for n, *_ in integrate_calls] == [2]
 
 
 class TestPiecedPeriod:
@@ -291,7 +374,7 @@ class TestRootFinders:
     def test_find_ep_evaluations_and_accuracy(self, integrate_calls):
         gamma = find_ep(1.0, 4.0, tol=1e-12)
         batches = self.propagations(integrate_calls)
-        assert batches[0] == 25 and set(batches[1:]) == {1}  # the pre-scan batch, then serial Brent
+        assert batches[0] == 13 and set(batches[1:]) == {1}  # the pre-scan's first half, then serial Brent
         assert sum(batches) <= 31  # pre-scan plus Brent, each bracket end propagated once
         assert abs(gamma - GAMMA_EP_J1_W4_TIGHT) <= 2e-12
 
@@ -436,6 +519,16 @@ class TestResponseVariance:
             response_variance(1.4, 0.2, 2.0, 1, 1.0)  # difference above 1
         with pytest.raises(DomainError):
             response_variance(2.5, 0.2, 2.0, 1, 1.0)  # P above C0
+
+
+@pytest.mark.parametrize("call", [lambda period: response_energy(0.5, 0.2, period),
+                                  lambda period: response_variance(0.5, 0.2, 2.0, 1, period)],
+                         ids=["response_energy", "response_variance"])
+@pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+def test_period_not_finite_and_positive_rejected(call, period):
+    # a period of 0 raised a bare ZeroDivisionError, nan returned nan and -1 a negative value
+    with pytest.raises(DomainError, match=f"^period must be finite and positive, got {period}$"):
+        call(period)
 
 
 class TestSusceptibilityAndSensitivity:

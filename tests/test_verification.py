@@ -79,7 +79,7 @@ def test_build_report_step_attempts(integrate_calls):
         (2, 17, True, 4), (18, 17, False, 4), (1, 17, True, 4), (9, 17, False, 4),  # check_qfi_oracle
         (3, 9, True, 5), (3, 9, True, 8),  # check_pseudo_hermitian, per epsilon
         (1, 17, False, 6),  # check_pt_ep: the Hermitian limit,
-        (25, 17, False, 5), *[period] * 6,  # find_ep's pre-scan and Brent,
+        (13, 17, False, 5), *[period] * 6,  # find_ep's pre-scan (its first half) and Brent,
         (2, 17, False, 4), *[period] * 9,  # find_response_dip's bracket ends and Brent,
         (8, 2, True, 37),  # and the scan near the dip
     ]
