@@ -11,13 +11,14 @@ tangent-equation solve per point; the root finders propagate U alone, and
 so does `ep_susceptibility`, a difference-quotient oracle for that derivative.
 H is one `HamiltonianFamily` over the member index of a batch, each member
 with its own Gamma and omega_delta, so a scan grid is one batch of the core
-both sensors share.  A U-only period runs on the grid of S = 16 equal
-intervals of (0, T): the core takes each interval from the identity as a
-member of one batch and chains U(T) = U(T, t_{S-1}) ... U(t_1, 0), exact for
-the linear equation.  The `find_ep` pre-scan of 25 points is a batch of
-13 x 16 intervals, then one of the other 12 x 16 unless the first 13 hold
-a sign change, and each of Brent's serial evaluations, which cannot be
-batched, one of 16.
+both sensors share.  A U-only period takes the sixth-order Magnus route
+instead (`evolution.magnus_propagators`): its steps depend on H alone, not
+on the state, so a whole period is one vectorized computation and a product
+tree, and each member's step count n comes from its own error check.  The
+`find_ep` pre-scan of 25 points is a batch of 13 periods, then one of the
+other 12 unless the first 13 hold a sign change; each of Brent's serial
+evaluations, which cannot be batched, is one period at the larger n of its
+bracket's two ends, unchecked.
 
 The identity part of the drive only contributes a global phase of unit
 modulus; it is kept in the propagator so U matches the defining expression
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .evolution import (DEFAULT_TOL, MAX_PERIOD_PHASE, TOL_MIN, HamiltonianFamily, check_scalar, check_step,
-                        check_tol, integrate, richardson)
+                        check_tol, integrate, magnus_propagators, richardson)
 from .noise import check_projection, check_trials
 from .operators import ID2, SIGMA_Z
 
@@ -135,23 +136,23 @@ def _family(ps: list[PtEpParams]) -> HamiltonianFamily:
     return HamiltonianFamily(2, h, dh)
 
 
-_PIECES = 16  # equal intervals of a U-only period's grid, members of one batch
+def _propagate_periods(ps: list[PtEpParams], tol: float, tangent: bool,
+                       steps: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """U(T) of the batch ps, (B, 2, 2), with W(T) = dU(T)/d omega_delta if `tangent`, else each
+    member's Magnus step count (B,).
 
-
-def _propagate_periods(ps: list[PtEpParams], tol: float,
-                       tangent: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """U(T), and with `tangent` W(T) = dU(T)/d omega_delta, of the batch ps: (B, 2, 2) each.
-
-    A tangent period is one member, on the grid (0, T).  A U-only period runs
-    on _PIECES equal intervals of (0, T), each a member of the batch.
+    A tangent period is one member of the DOP853 core's batch, on the grid (0, T).  A U-only
+    period is one member of `magnus_propagators`, whose error check sets its step count
+    unless `steps` is given.
     """
-    grid = (0.0, ps[0].T) if tangent else np.linspace(0.0, ps[0].T, _PIECES + 1)
-    u, w = integrate(_family(ps), np.arange(len(ps)), grid, tol, tangent)
-    return u[:, -1], (w[:, -1] if tangent else None)
+    if tangent:
+        u, w = integrate(_family(ps), np.arange(len(ps)), (0.0, ps[0].T), tol, tangent=True)
+        return u[:, -1], w[:, -1]
+    return magnus_propagators(_family(ps), np.arange(len(ps)), ps[0].T, tol, steps)
 
 
 def propagate_period(p: PtEpParams, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """U(T) over one modulation period.
+    """U(T) over one modulation period, by Magnus steps whose count checks itself against tol.
 
     No unitarity is expected; |det U| stays 1 because the Hamiltonian trace
     is real (the anti-Hermitian part is traceless).
@@ -269,28 +270,33 @@ def _diff_root(at, xs: list[float], tol: float, prop_tol: float, name: str) -> f
     """Root in x of D = P_J - P_Gamma at at(x), in the first sign change (or zero) of D along xs.
 
     xs is propagated in order, in two batches: the first ceil(n/2) points, never fewer than
-    two, then the rest, skipped once the values so far hold a zero or a sign change.  A
-    member's floats do not depend on its batch, so the root is that of one batch of all xs.
-    `_brent`, the in-package Brent zero, then narrows the root from the values at its bracket
-    ends to |dx| <= tol.  Its points come one at a time, but each is a batch of the intervals
-    of its period (`_propagate_periods`).
+    two, then the rest, skipped once the values so far hold a zero or a sign change.  Each
+    member's Magnus step count comes from its own error check at prop_tol, and its floats do
+    not depend on its batch, so the root is that of one batch of all xs.  `_brent`, the
+    in-package Brent zero, then narrows the root from the values at its bracket ends to
+    |dx| <= tol.  Its points come one at a time, each one period at the larger step count of
+    the two bracket ends, without a check of its own.
     """
     check_step(tol, "root tolerance")
     head = max(2, (len(xs) + 1) // 2)
     vals: list[float] = []
+    counts: list[int] = []
     for batch in (xs[:head], xs[head:]):
         if batch and _first_change(vals) is None:
-            pj, pg = _pairs(_propagate_periods([at(x) for x in batch], prop_tol, tangent=False)[0])
+            u, n = _propagate_periods([at(x) for x in batch], prop_tol, tangent=False)
+            pj, pg = _pairs(u)
             vals += (pj - pg).tolist()
+            counts += n.tolist()
     k = _first_change(vals)
     if k is None:
         raise DomainError(f"no sign change of P_J - P_Gamma in {name} bracket ({xs[0]:g}, {xs[-1]:g})")
     if vals[k] == 0.0:
         return float(xs[k])
+    steps = max(counts[k], counts[k + 1])
 
     def g(x: float) -> float:
-        pj, pg = pj_pgamma(propagate_period(at(x), tol=prop_tol))
-        return pj - pg
+        pj, pg = _pairs(_propagate_periods([at(x)], prop_tol, tangent=False, steps=steps)[0])
+        return float(pj[0] - pg[0])
 
     return _brent(g, xs[k], vals[k], xs[k + 1], vals[k + 1], tol)
 
@@ -309,9 +315,10 @@ def find_ep(j: float, omega: float, bracket: tuple[float, float] | None = None,
 
     A coarse pre-scan of 25 points over the bracket locates the first sign
     change: its first 13 points are one batch, the other 12 a second batch,
-    propagated only if the first holds no change.  Brent's method then
-    narrows the root to |dGamma| <= tol; each of its serial evaluations is
-    one batch of the pieces of a period.
+    propagated only if the first holds no change, each period's Magnus step
+    count checked at prop_tol.  Brent's method then narrows the root to
+    |dGamma| <= tol; each of its serial evaluations is one period at the
+    larger step count of its bracket's two ends.
     """
     lo, hi = _finite_bracket(default_ep_bracket(j) if bracket is None else bracket, "Gamma")
     if not (0 <= lo < hi):

@@ -82,6 +82,23 @@ def integrate_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def magnus_calls(monkeypatch):
+    """(members, [n of each member]) of every `magnus_propagators` call, in order: the work of the
+    U-only Magnus route, recorded where `evolution` and `pt_ep` call it."""
+    calls = []
+    original = evolution.magnus_propagators
+
+    def recorded(family, lams, t, tol, steps=None):
+        u, n = original(family, lams, t, tol, steps)
+        calls.append((len(n), n.tolist()))
+        return u, n
+
+    for module in (evolution, pt_ep):
+        monkeypatch.setattr(module, "magnus_propagators", recorded)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def verify_report_42(tmp_path_factory):
     """(exit code, report bytes) of `verify --seed 42 --format json`, built once per session."""

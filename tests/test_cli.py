@@ -18,7 +18,7 @@ from nhsense.cli import (
 )
 from nhsense.verification import VerificationReport
 
-from test_pt_ep import GAMMA_EP_J1_W4
+from test_pt_ep import GAMMA_EP_J1_W1, GAMMA_EP_J1_W4
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -244,11 +244,10 @@ class TestCliRuns:
         rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
         assert any(value is None for row in rows for value in row.values())
 
-    @pytest.mark.parametrize("argv", [["find-ep", "--J", "1e300", "--omega", "1e300"],
-                                      ["scan-ep", "--J", "1e300", "--omega", "1e300", "--grid-count", "2"]],
+    @pytest.mark.parametrize("argv", [["scan-ep", "--J", "1e300", "--omega", "1e300", "--grid-count", "2"]],
                              ids=" ".join)
     def test_overflowing_first_step_exits_2(self, argv, tmp_path):
-        # the first step size overflows to nan; in a subprocess with a
+        # the tangent scan's first DOP853 step size overflows to nan; in a subprocess with a
         # timeout a hang fails the test instead of stalling the suite (J T is
         # 2 pi here: at omega 4 it would exceed the bound on the period's phase)
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
@@ -256,6 +255,38 @@ class TestCliRuns:
                               env=env, capture_output=True, text=True, timeout=5.0)
         assert proc.returncode == 2
         assert "initial step size is not finite" in proc.stderr
+
+    def test_find_ep_at_the_top_of_the_float_range(self, tmp_path):
+        # J = omega = 1e300 (J T = 2 pi): Magnus steps need no step-size estimate, whose first
+        # DOP853 value overflows here, and Gamma_EP / J is that of J = omega = 1
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        out = tmp_path / "o.csv"
+        proc = subprocess.run([sys.executable, "-m", "nhsense.cli", "find-ep", "--J", "1e300", "--omega", "1e300",
+                               "--out", str(out)], env=env, capture_output=True, text=True, timeout=5.0)
+        assert proc.returncode == 0, proc.stderr
+        assert float(read_csv(str(out))[2][0][5]) == pytest.approx(GAMMA_EP_J1_W1 * 1e300, rel=1e-10)
+
+    def test_find_ep_near_the_phase_bound(self, tmp_path):
+        # J T = 9,426: the pre-scan's periods take 2^15 Magnus steps, in chunks of flat memory,
+        # within a few seconds.  The settled root,
+        # 11.178828199568232, is that of the same sixth-order method in numpy's longdouble at
+        # 2^16 and 2^17 steps (the two within 4e-16), with T = 2 pi/omega the double the
+        # package uses; double precision at 2^15 steps is within 2.1e-12 of it.
+        script = ("import resource, sys\nfrom nhsense.cli import main\ncode = main(sys.argv[1:])\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\nsys.exit(code)")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+        def run(*flags):
+            out = tmp_path / f"ep{len(flags)}.csv"
+            proc = subprocess.run([sys.executable, "-c", script, "find-ep", *flags, "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=10.0)
+            assert proc.returncode == 0, proc.stderr
+            return float(read_csv(str(out))[2][0][5]), int(proc.stderr.split()[-1])  # ru_maxrss in KiB
+
+        gamma, peak = run("--J", "6000.5", "--omega", "4", "--bracket-lo", "0", "--bracket-hi", "50")
+        _, default_peak = run()
+        assert abs(gamma - 11.178828199568232) <= 1e-10
+        assert peak <= default_peak + 20 * 1024
 
     @pytest.mark.parametrize("argv, keys", TOO_MANY_TURNS, ids=[" ".join(argv) for argv, _ in TOO_MANY_TURNS])
     def test_too_many_turns_per_period_exits_1(self, argv, keys, tmp_path):
@@ -345,16 +376,13 @@ class TestCliRuns:
         first = rows[0]
         assert first[header.index("hermitian_bound")] == "inf" and first[header.index("excluded_reason")]
 
-    def test_default_scan_ep_propagation_batches(self, tmp_path, integrate_calls):
-        # the Gamma pre-scan is one plain batch of 13 periods, the first half of
-        # its 25 (the root lies in it), Brent adds serial periods, and the 80
-        # rows are one tangent batch; each period is one lam entry, on a grid
-        # of _PIECES intervals if plain, (0, T) if tangent
-        plain = pt_ep._PIECES + 1
+    def test_default_scan_ep_propagation_batches(self, tmp_path, integrate_calls, magnus_calls):
+        # the Gamma pre-scan is one U-only Magnus batch of 13 periods, the first
+        # half of its 25 (the root lies in it), Brent adds serial periods, and the
+        # 80 rows are one tangent batch of the core, each row one lam entry on (0, T)
         assert main(["scan-ep", "--out", str(tmp_path / "scan.csv")]) == 0
-        calls = [(n, points, tangent) for n, points, tangent, _ in integrate_calls]
-        assert calls[0] == (13, plain, False) and calls[-1] == (80, 2, True)
-        assert set(calls[1:-1]) == {(1, plain, False)} and len(calls[1:-1]) <= 6
+        assert [(n, points, tangent) for n, points, tangent, _ in integrate_calls] == [(80, 2, True)]
+        assert [n for n, _ in magnus_calls] == [13, 1, 1, 1, 1, 1, 1]
 
     def test_scan_ep_with_hundreds_of_bound_lobes(self, tmp_path):
         # omega_delta T / pi = 450 and 500: the Hermitian bound integrates

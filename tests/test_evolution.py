@@ -10,9 +10,10 @@ from nhsense import evolution
 from nhsense.cli import main
 from nhsense.errors import DomainError, PropagationError
 from nhsense.evolution import (
-    _INTERNAL_TOL_FACTOR, _RTOL_FLOOR, HamiltonianFamily, _product, generators, integrate, propagate, propagators,
+    _INTERNAL_TOL_FACTOR, _RTOL_FLOOR, HamiltonianFamily, _product, generators, integrate, magnus_propagators,
+    propagate, propagators,
 )
-from nhsense.operators import SIGMA_X, expm_hermitian
+from nhsense.operators import SIGMA_X, SIGMA_Z, expm_hermitian
 from nhsense.pseudo_hermitian import (
     PseudoHermitianParams, hamiltonian_family, probe_state, qfi_numeric,
 )
@@ -259,11 +260,106 @@ class TestStageProduct:
                 assert np.array_equal(out[i:i + 1], _product(a[i:i + 1], b[i:i + 1])), i
 
 
-def test_default_scan_ep_step_attempts(integrate_calls, tmp_path):
-    # the step attempts of each batch of the default scan-ep
+def test_default_scan_ep_step_attempts(integrate_calls, magnus_calls, tmp_path):
+    # the work of each batch of the default scan-ep
     assert main(["scan-ep", "--out", str(tmp_path / "scan.csv")]) == 0
-    # the first half of the pre-scan (the root lies in it), six Brent evaluations of find_ep, the tangent scan
-    assert integrate_calls == [(13, 17, False, 5)] + [(1, 17, False, 4)] * 6 + [(80, 2, True, 29)]
+    # find_ep's Magnus step counts: the first half of the pre-scan (the root lies in it), each
+    # period checked, then six Brent evaluations at the larger count of the bracket's two ends
+    assert magnus_calls == [(13, [128] * 2 + [256] * 11)] + [(1, [256])] * 6
+    # the step attempts of the tangent scan, the one batch of the DOP853 core
+    assert integrate_calls == [(80, 2, True, 29)]
+
+
+class TestMagnus:
+    """The U-only route: sixth-order Magnus steps whose count checks itself, members independent."""
+
+    @staticmethod
+    def ep_batch(gammas, omega_deltas):
+        """The EP family of one period per (Gamma, omega_delta), J = 1, omega = 4, delta = 0.05."""
+        ps = [PtEpParams(J=1.0, Gamma=g, omega=4.0, delta=0.05, omega_delta=wd)
+              for g, wd in zip(gammas, omega_deltas)]
+        return _family(ps), np.arange(len(ps)), ps[0].T
+
+    def test_sixth_order_at_the_default_ep_period(self):
+        # against the DOP853 core at its floor the error falls 64x per step doubling
+        fam, lams, period = self.ep_batch([1.0650605221995904], [0.2228])
+        ref = integrate(fam, lams, (0.0, period), 1e-13)[0][0, -1]
+        errs = [np.abs(magnus_propagators(fam, lams, period, 1e-6, steps=n)[0][0] - ref).max()
+                for n in (32, 64, 128)]
+        assert errs[0] / errs[1] >= 50 and errs[1] / errs[2] >= 50, errs
+        assert errs[2] <= 1e-12
+
+    def test_nilpotent_exponent_takes_the_series(self):
+        # H = sigma_x + i sigma_z squares to 0, so U = 1 - i H t; its exponents have q² = 0
+        # exactly, where sinh(q)/q = 0/0 unless the series gives it
+        h = SIGMA_X + 1j * SIGMA_Z
+        u, n = magnus_propagators(constant_family(h), [0.0], 2.0, 1e-12)
+        assert np.abs(u[0] - (np.eye(2) - 2j * h)).max() <= 1e-14
+        assert n.tolist() == [128]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 16, 17, 80, 1000])
+    def test_member_equals_its_lone_run_bit_for_bit(self, m):
+        # 1000 members leave one step per chunk; the chunks' products enter the same tree
+        gen = make_rng(5)
+        fam, lams, period = self.ep_batch(gen.uniform(0.0, 3.0, m), gen.uniform(0.1, 3.0, m))
+        batch, n = magnus_propagators(fam, lams, period, 1e-10, steps=64)
+        assert n.tolist() == [64] * m
+        for i in sorted({0, m // 2, m - 1}):
+            alone = magnus_propagators(fam, lams[i:i + 1], period, 1e-10, steps=64)[0]
+            assert np.array_equal(batch[i:i + 1], alone), i
+
+    def test_checked_member_equals_its_lone_run(self):
+        fam, lams, period = self.ep_batch(np.linspace(0.01, 3.0, 25), [1.0] * 25)
+        batch, counts = magnus_propagators(fam, lams, period, 1e-12)
+        for i in (0, 1, 2, 24):
+            alone, n = magnus_propagators(fam, lams[i:i + 1], period, 1e-12)
+            assert np.array_equal(batch[i], alone[0]) and n[0] == counts[i], i
+
+    def test_chunked_long_period_equals_one_chunk(self, monkeypatch):
+        # J T = 9,426: 2^13 steps in chunks of 1024 and of 16 steps, and in one chunk
+        ps = [PtEpParams(J=6000.5, Gamma=11.18, omega=4.0, delta=0.0, omega_delta=4.0)]
+        fam, period = _family(ps), ps[0].T
+        chunked = [magnus_propagators(fam, [0], period, 1e-10, steps=2 ** 13)[0]]
+        for budget in (16, 2 ** 13):
+            monkeypatch.setattr(evolution, "_MAGNUS_BUDGET", budget)
+            chunked.append(magnus_propagators(fam, [0], period, 1e-10, steps=2 ** 13)[0])
+        assert np.array_equal(chunked[0], chunked[1]) and np.array_equal(chunked[0], chunked[2])
+
+    def test_non_finite_hamiltonian_names_its_time(self):
+        def evaluate(lam, t):
+            t = np.broadcast_to(t, np.broadcast_shapes(lam.shape, t.shape))
+            return np.where((t > 0.5)[..., None, None], np.nan, 1.0) * SIGMA_X
+
+        fam = HamiltonianFamily(2, evaluate, constant(np.zeros((2, 2))))
+        with pytest.raises(PropagationError, match=r"non-finite Hamiltonian evaluation at t=0\.50"):
+            magnus_propagators(fam, [0.0], 1.0, 1e-10)
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-5, math.nan])
+    def test_tolerance_outside_the_domain_rejected(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            magnus_propagators(constant_family(SIGMA_X), [0.0], 1.0, tol)
+
+    def test_check_that_never_passes_raises(self, monkeypatch):
+        # 512 Magnus steps cannot resolve J T = 4,712 (it takes 2^14): the check fails up to the cap
+        ps = [PtEpParams(J=3000.0, Gamma=1.0, omega=4.0, delta=0.0, omega_delta=4.0)]
+        monkeypatch.setattr(evolution, "_MAGNUS_N_MAX", 512)
+        with pytest.raises(PropagationError, match="Magnus error check still fails at 512 steps"):
+            magnus_propagators(_family(ps), [0], ps[0].T, 1e-10)
+
+    def test_unchecked_count_whose_propagator_overflows_raises(self):
+        # one step over J T = 9,426: the exponential of its exponent overflows
+        ps = [PtEpParams(J=6000.5, Gamma=11.18, omega=4.0, delta=0.0, omega_delta=4.0)]
+        with pytest.raises(PropagationError, match="at 1 Magnus steps is not finite"):
+            magnus_propagators(_family(ps), [0], ps[0].T, 1e-10, steps=1)
+
+    @pytest.mark.parametrize("steps", [0, 3, 96])
+    def test_given_count_must_be_a_power_of_two(self, steps):
+        with pytest.raises(DomainError, match="power of two"):
+            magnus_propagators(constant_family(SIGMA_X), [0.0], 1.0, 1e-10, steps=steps)
+
+    def test_only_two_dim_families(self):
+        with pytest.raises(DomainError, match="2-dim"):
+            magnus_propagators(constant_family(np.eye(3)), [0.0], 1.0, 1e-10)
 
 
 class TestPropagate:

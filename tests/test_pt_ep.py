@@ -84,7 +84,7 @@ class TestParams:
             a, b = (PtEpParams(J=1.0, Gamma=gamma, omega=4.0, delta=0.0, omega_delta=wd) for wd in (1.0, 4.0))
             for t in np.linspace(0.0, a.T, 17):
                 assert np.array_equal(pt_hamiltonian(a, t), pt_hamiltonian(b, t))
-        assert find_ep(1.0, 4.0) == 1.065060522199592
+        assert find_ep(1.0, 4.0) == 1.0650605221995904
 
 
 class TestHamiltonian:
@@ -268,36 +268,41 @@ class TestFindEp:
 class TestPrescan:
     """The pre-scan propagates its first ceil(n/2) points, then the rest only if they hold no change."""
 
-    def test_root_in_the_second_half_equals_one_batch_then_brent(self, integrate_calls):
+    def test_root_in_the_second_half_equals_one_batch_then_brent(self, magnus_calls):
         gamma = find_ep(1.0, 4.0, (0.01, 1.2))
-        assert [n for n, *_ in integrate_calls][:2] == [13, 12]
+        calls = list(magnus_calls)
+        assert [n for n, _ in calls][:2] == [13, 12]
         xs = np.linspace(0.01, 1.2, 25).tolist()
         ps = [PtEpParams(J=1.0, Gamma=g, omega=4.0, delta=0.0, omega_delta=4.0) for g in xs]
-        pj, pg = pt_ep._pairs(pt_ep._propagate_periods(ps, 1e-12, tangent=False)[0])
+        u, counts = pt_ep._propagate_periods(ps, 1e-12, tangent=False)
+        pj, pg = pt_ep._pairs(u)
         vals = (pj - pg).tolist()
         [k] = [k for k in range(24) if vals[k] * vals[k + 1] < 0]
         assert k >= 13  # the root lies in the second batch
+        steps = max(counts[k], counts[k + 1])  # Brent's periods take the larger count of its bracket
+        assert [n for _, n in calls[2:]] == [[steps]] * (len(calls) - 2)
 
         def diff(g):
-            pj, pg = pj_pgamma(propagate_period(replace(ps[0], Gamma=g), tol=1e-12))
-            return pj - pg
+            pj, pg = pt_ep._pairs(pt_ep._propagate_periods([replace(ps[0], Gamma=g)], 1e-12, False, steps)[0])
+            return float(pj[0] - pg[0])
 
         assert gamma == pt_ep._brent(diff, xs[k], vals[k], xs[k + 1], vals[k + 1], 1e-10)
-        assert gamma == 1.0650605221995473
+        assert gamma == 1.0650605221995484
 
     @staticmethod
     def fake_periods(monkeypatch, diff):
-        """Make every propagated period one whose P_J - P_Gamma is diff(Gamma); record the batch sizes."""
+        """Make every propagated period one whose P_J - P_Gamma is diff(Gamma), at 128 Magnus steps;
+        record the batch sizes."""
         sizes = []
 
-        def periods(ps, tol, tangent):
+        def periods(ps, tol, tangent, steps=None):
             u = np.zeros((len(ps), 2, 2), dtype=complex)
             for k, p in enumerate(ps):
                 d = diff(p.Gamma)
                 # [[0, a], [0, 0]] gives P_J - P_Gamma = 3a²/4, [[b, 0], [0, 0]] gives -b²/4
                 u[k, 0, 1 if d >= 0 else 0] = math.sqrt(4.0 * d / 3.0) if d >= 0 else 2.0 * math.sqrt(-d)
             sizes.append(len(ps))
-            return u, None
+            return u, np.full(len(ps), 128)
 
         monkeypatch.setattr(pt_ep, "_propagate_periods", periods)
         return sizes
@@ -324,17 +329,33 @@ class TestPrescan:
             find_ep(1.0, 4.0, (0.0, 24.0))
         assert got == [13, 12]
 
-    def test_two_point_bracket_without_a_change_is_one_batch(self, integrate_calls):
+    def test_brent_takes_the_larger_count_of_its_bracket_ends(self, monkeypatch):
+        # D = Gamma - 5.5 on the grid 0, 1, ..., 24: the root lies between 5 (128 steps) and 6 (256)
+        calls = []
+
+        def periods(ps, tol, tangent, steps=None):
+            gammas = np.array([p.Gamma for p in ps])
+            u = np.zeros((len(ps), 2, 2), dtype=complex)
+            u[:, 0, 1] = np.sqrt(np.maximum(gammas - 5.5, 0.0) * 4.0 / 3.0)  # P_J - P_Gamma = 3a²/4
+            u[:, 0, 0] = 2.0 * np.sqrt(np.maximum(5.5 - gammas, 0.0))  # -b²/4
+            calls.append((len(ps), steps))
+            return u, np.where(gammas < 5.5, 128, 256)
+
+        monkeypatch.setattr(pt_ep, "_propagate_periods", periods)
+        assert find_ep(1.0, 4.0, (0.0, 24.0), tol=1e-10) == pytest.approx(5.5, abs=1e-9)
+        assert calls[0] == (13, None) and {c for c in calls[1:]} == {(1, 256)}
+
+    def test_two_point_bracket_without_a_change_is_one_batch(self, magnus_calls):
         with pytest.raises(DomainError, match=r"^no sign change of P_J - P_Gamma in omega_delta bracket \(1, 2\)$"):
             find_response_dip(default_base(), (1.0, 2.0))
-        assert [n for n, *_ in integrate_calls] == [2]
+        assert magnus_calls == [(2, [256, 256])]
 
 
 class TestPiecedPeriod:
-    """A U-only period runs on a grid of _PIECES intervals, one batch member each, chained in order."""
+    """A U-only period (once a grid of 16 pieces) is one member of the sixth-order Magnus route."""
 
     @pytest.mark.parametrize("gamma, delta, omega_delta", [
-        (0.3, 0.0, 1.0), (GAMMA_EP_J1_W4_TIGHT, 0.0, 1.0), (1.5, 0.0, 1.0), (3.0, 0.0, 1.0),
+        (0.0, 0.0, 1.0), (0.3, 0.0, 1.0), (GAMMA_EP_J1_W4_TIGHT, 0.0, 1.0), (1.5, 0.0, 1.0), (3.0, 0.0, 1.0),
         (GAMMA_EP_J1_W4_TIGHT, 0.05, 0.2065), (GAMMA_EP_J1_W4_TIGHT, 0.05, 1.7)])
     def test_matches_one_shot_dop853(self, gamma, delta, omega_delta):
         p = PtEpParams(J=1.0, Gamma=gamma, omega=4.0, delta=delta, omega_delta=omega_delta)
@@ -346,12 +367,15 @@ class TestPiecedPeriod:
                         rtol=2.3e-14, atol=1e-16).y[:, -1].reshape(2, 2)
         u = propagate_period(p, tol=1e-12)
         assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+        if gamma == 0.0:  # Hermitian H: each Magnus exponent is anti-Hermitian
+            assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-13
 
-    def test_one_piece_is_the_one_member_run(self, monkeypatch):
-        p = default_base()
-        [whole] = pt_ep.integrate(pt_ep._family([p]), np.arange(1), (0.0, p.T), 1e-12)[0][:, -1]
-        monkeypatch.setattr(pt_ep, "_PIECES", 1)
-        assert np.array_equal(propagate_period(p, tol=1e-12), whole)
+    def test_unimodular_over_the_prescan_grid(self):
+        # tr H is real, so each step's exponential has |det| = 1, and so does their product
+        ps = [PtEpParams(J=1.0, Gamma=g, omega=4.0, delta=0.0, omega_delta=1.0)
+              for g in np.linspace(*pt_ep.default_ep_bracket(1.0), 25).tolist()]
+        u, _ = pt_ep._propagate_periods(ps, 1e-12, tangent=False)
+        assert np.abs(np.abs(np.linalg.det(u)) - 1.0).max() <= 1e-13
 
     def test_every_prescan_member_equals_serial_propagation(self):
         ps = [PtEpParams(J=1.0, Gamma=g, omega=4.0, delta=0.0, omega_delta=1.0)
@@ -364,26 +388,27 @@ class TestPiecedPeriod:
 class TestRootFinders:
     """Both roots come from Brent's method: few propagations, tight roots."""
 
-    @staticmethod
-    def propagations(integrate_calls) -> list:
-        """Periods in each propagation: a batch of B periods counts as B propagations."""
-        # one lam entry per period, on the pieced grid
-        assert {points for _, points, *_ in integrate_calls} == {pt_ep._PIECES + 1}
-        return [n for n, *_ in integrate_calls]
-
-    def test_find_ep_evaluations_and_accuracy(self, integrate_calls):
+    def test_find_ep_evaluations_and_accuracy(self, integrate_calls, magnus_calls):
         gamma = find_ep(1.0, 4.0, tol=1e-12)
-        batches = self.propagations(integrate_calls)
-        assert batches[0] == 13 and set(batches[1:]) == {1}  # the pre-scan's first half, then serial Brent
-        assert sum(batches) <= 31  # pre-scan plus Brent, each bracket end propagated once
+        assert integrate_calls == []  # every period U-only, on the Magnus route
+        # the pre-scan's first half, each period's step count checked, then serial Brent at the
+        # larger count of the bracket's two ends
+        assert magnus_calls == [(13, [128] * 2 + [256] * 11)] + [(1, [256])] * 6
+        assert sum(n for n, _ in magnus_calls) <= 31  # pre-scan plus Brent, each bracket end propagated once
         assert abs(gamma - GAMMA_EP_J1_W4_TIGHT) <= 2e-12
 
-    def test_find_response_dip_evaluations_and_accuracy(self, integrate_calls):
+    def test_find_response_dip_evaluations_and_accuracy(self, integrate_calls, magnus_calls):
         dip = find_response_dip(default_base(), (0.05, 2.0), tol=1e-12)
-        batches = self.propagations(integrate_calls)
-        assert batches[0] == 2 and set(batches[1:]) == {1}  # both bracket ends, then serial Brent
-        assert sum(batches) <= 11  # sign check plus Brent, each bracket end propagated once
+        assert integrate_calls == []
+        assert magnus_calls == [(2, [256, 256])] + [(1, [256])] * 9  # both bracket ends, then serial Brent
+        assert sum(n for n, _ in magnus_calls) <= 11  # sign check plus Brent, each bracket end propagated once
         assert abs(dip - DIP_J1_W4_D005_TIGHT) <= 2e-12
+
+    def test_default_gamma_ep_against_the_extended_precision_root(self):
+        # 1.06506052219958953 is the root of P_J - P_Gamma in Gamma (J = 1, omega = 4) of a
+        # sixth-order Magnus integration in numpy's 80-bit longdouble, whose U at 512 and 1024
+        # steps per period differs by 1e-16; |dD/dGamma| is about 4.8 there
+        assert abs(find_ep(1.0, 4.0, tol=1e-12) - 1.06506052219958953) <= 1e-14 * 1.06506052219958953
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_bad_tolerance_rejected(self, tol):
@@ -401,6 +426,7 @@ class TestRootFinders:
             raise AssertionError("a non-finite bracket reached the propagation")
 
         monkeypatch.setattr(pt_ep, "integrate", must_not_run)
+        monkeypatch.setattr(pt_ep, "magnus_propagators", must_not_run)
         finders = ((lambda b: find_ep(1.0, 4.0, b), [0.01, 3.0], "Gamma"),
                    (lambda b: find_response_dip(default_base(), b), [0.05, 2.0], "omega_delta"))
         for finder, bracket, name in finders:

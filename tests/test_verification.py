@@ -68,22 +68,23 @@ def test_qfi_oracle_peak_memory():
     assert peak <= 3.5 * 2**20
 
 
-def test_build_report_step_attempts(integrate_calls):
+def test_build_report_step_attempts(integrate_calls, magnus_calls):
     # each interval of a time grid is a batch member of its own, so the
     # report's long solves take few steps one after another: (lams, grid
     # points, tangent, step attempts) of every integrate call of seed 42
     assert build_report(42).overall_pass
-    period = (1, 17, False, 4)  # one serial Brent evaluation of a pieced EP period
     assert integrate_calls == [
         (2, 7, True, 6), (6, 7, True, 7),  # check_qfi_bounds, per dimension
         (2, 17, True, 4), (18, 17, False, 4), (1, 17, True, 4), (9, 17, False, 4),  # check_qfi_oracle
         (3, 9, True, 5), (3, 9, True, 8),  # check_pseudo_hermitian, per epsilon
-        (1, 17, False, 6),  # check_pt_ep: the Hermitian limit,
-        (13, 17, False, 5), *[period] * 6,  # find_ep's pre-scan (its first half) and Brent,
-        (2, 17, False, 4), *[period] * 9,  # find_response_dip's bracket ends and Brent,
-        (8, 2, True, 37),  # and the scan near the dip
+        (8, 2, True, 37),  # check_pt_ep's scan near the dip
     ]
     assert sum(attempts for *_, attempts in integrate_calls) <= 1300
+    # check_pt_ep's U-only EP periods, (members, Magnus steps of each): the Hermitian limit,
+    # find_ep's pre-scan (its first half) and Brent, find_response_dip's bracket ends and Brent
+    period = (1, [256])  # one serial Brent evaluation, at the larger count of its bracket's ends
+    assert magnus_calls == [(1, [128]), (13, [128] * 2 + [256] * 11), *[period] * 6,
+                            (2, [256, 256]), *[period] * 9]
 
 
 @pytest.mark.parametrize("seed", [42, 777])
