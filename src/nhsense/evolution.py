@@ -19,11 +19,13 @@ scipy's DOP853, after Hairer, Norsett & Wanner, Solving ODEs I, secs. II.4
 and II.10: the same steps, and propagators that agree with
 `solve_ivp(method="DOP853")` over each interval to 1e-13.  A member whose
 span s is 2 or more carries its tangent in units of u = 2^floor(log2 s),
-W / u, which keeps it of the size of U; the scalings by u are exact.  Every
-stage, solution and error sum is an elementwise sum over the stage axis, and
-a 2-dim family's stage and chain products are batch-wide multiply-adds
-(`_product`), larger ones a stacked matmul; so the EP sensor's floats depend
-on no BLAS kernel.  For a Hermitian
+W / u, which keeps it of the size of U; the scalings by u are exact.  The
+batch is held entries-first: states, stages and products are (d, w, m), the
+member axis last and contiguous, so each numpy call runs one inner loop over
+the whole batch.  Every stage, solution and error sum is an elementwise sum
+over the stage axis, and every stage, chain and Magnus product is one
+broadcast multiply and one sum over the inner index (`_product`), for any
+dim; so no family's propagation depends on a BLAS kernel.  For a Hermitian
 family, `propagate` records the local generator h = i U† dU/dlam as the
 Hermitian part of i U† W.  No unitarity re-projection is applied;
 integration error is tracked, not hidden.
@@ -38,7 +40,7 @@ pairwise tree of `_product`s: one period at 256 steps took about 0.3 ms on
 a 2-core x86 machine, against 1.3 ms for this core on 16 chained pieces of
 it.  A member's step count n is a power of two: from 128, n doubles until
 |U_n - U_n/2| / 63 <= max(tol/50, 3e-14) max(1, |U_n|), and a caller may
-pass on a count it has checked.  A chunk holds at most 1,024 member-steps,
+pass on a count it has checked.  A chunk holds at most 2,048 member-steps,
 so memory stays flat up to MAX_PERIOD_PHASE, and chunking moves no float.
 The exponent of -iH has an imaginary trace where tr H is real, so there
 |det U| = 1 up to rounding.  The tangent solves stay on the DOP853 core,
@@ -116,6 +118,7 @@ _E5 = np.array([
 _E3 = _B - np.array([
     0.244094488188976377952755905512, 0, 0, 0, 0, 0, 0, 0, 0.733846688281611857341361741547, 0, 0,
     0.220588235294117647058823529412e-1])[:, None, None]
+_SUMS = np.stack([_B, _E5, _E3])  # the solution and error weights as one (3, 12) block
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0  # step-size controller
 
 @dataclass(frozen=True)
@@ -183,23 +186,27 @@ def grid_to(t: float) -> np.ndarray:
 
 
 def _sumsq(x: np.ndarray) -> np.ndarray:
-    """Sum of |x|² over each row of a contiguous complex (m, n) array, by numpy's own sum, not BLAS."""
-    r = x.view(float)
-    return (r * r).sum(1)
+    """Sum of |x|² over each member of an entries-first complex (..., n, m) array: (..., m).
+
+    The rows are made member-major first, so numpy's own pairwise sum, not BLAS, runs over
+    each member's n entries in their order, whatever the batch.
+    """
+    r = np.ascontiguousarray(np.swapaxes(x, -1, -2)).view(float)
+    return (r * r).sum(-1)
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
-    """RMS norm of each row."""
-    return np.sqrt(_sumsq(x)) / x.shape[1] ** 0.5
+    """RMS norm of each member of an entries-first (n, m) array."""
+    return np.sqrt(_sumsq(x)) / x.shape[-2] ** 0.5
 
 
 def _weighted(w: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The stage sum sum_s w[s] k[s] of real stages k (s, m, 2n), as complex (m, n).
+    """The stage sums sum_s w[..., s] k[s] of real stage views k (s, n, 2m), as complex (..., n, m).
 
-    An elementwise product and a sum over the stage axis: each entry's floats
-    depend on its own stages alone, on no BLAS kernel and no batch size.
+    An elementwise product and a sum over the stage axis, in the order s = 0, 1, ...: each
+    entry's floats depend on its own stages alone, on no BLAS kernel and no batch size.
     """
-    return (w * k).sum(0).view(complex)
+    return np.add.reduce(w * k, -3).view(complex)
 
 
 def _pow(x: np.ndarray, e: float) -> np.ndarray:
@@ -214,7 +221,7 @@ def _initial_step(linear, members, y0, f0, t_end: np.ndarray, tol: float) -> np.
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     small = (d0 < 1e-5) | (d1 < 1e-5)
     h0 = np.minimum(np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1)), t_end)
-    f1 = linear(h0[:, None], members)(0, y0 + h0[:, None] * f0)
+    f1 = linear(h0[:, None], members)(0, y0 + h0 * f0)
     d2 = _rms((f1 - f0) / scale) / h0
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
@@ -223,26 +230,28 @@ def _initial_step(linear, members, y0, f0, t_end: np.ndarray, tol: float) -> np.
 
 
 def _dopri(linear, y0: np.ndarray, t_end: np.ndarray, tol: float) -> np.ndarray:
-    """End states (B, n) of dy/dt = M(t) y, member j run from y0[j] at 0 to t_end[j] > 0, rtol = atol = tol.
+    """End states (n, B) of dy/dt = M(t) y, member j run from y0[:, j] at 0 to t_end[j] > 0, rtol = atol = tol.
 
-    `linear(t, members)` gets times (m, k) of the m running members and
-    returns apply(j, y): the derivatives (m, n) of their states y (m, n) at
-    times t[:, j].  It is called once per step attempt, at the eleven stage
-    times; the last, t + h, is also where the step ends.  The error norm is
-    DOP853's: |h| |e5|² / sqrt(n (|e5|² + 0.01 |e3|²)) from the fifth- and
+    States are entries-first, (n, m) with the member axis last.  `linear(t, members)` gets
+    times (m, k) of the m running members and returns apply(j, y, out=None): the derivatives
+    (n, m) of their states y (n, m) at times t[:, j], written into `out` if given.  It is
+    called once per step attempt, at the eleven stage times; the last, t + h, is also where
+    the step ends.  Each stage is written in place in one contiguous stage buffer.  The
+    error norm is DOP853's: |h| |e5|² / sqrt(n (|e5|² + 0.01 |e3|²)) from the fifth- and
     third-order estimates e5, e3, each scaled by tol (1 + |y|).
     """
-    batch, n = y0.shape
-    out = np.empty((batch, n), dtype=complex)
+    n, batch = y0.shape
+    out = np.empty((n, batch), dtype=complex)
     members, t, y = np.arange(batch), np.zeros(batch), y0.copy()
     f = linear(t[:, None], members)(0, y)
     h_abs = _initial_step(linear, members, y, f, t_end, tol)
     if not np.isfinite(h_abs).all():
         raise PropagationError("integration failed: the initial step size is not finite")
     rejected = np.zeros(batch, dtype=bool)  # the last attempt at this step was rejected
-    stages = np.empty((_B.size, batch, 2 * n))  # real views of the complex stages
+    buffer = np.empty(_B.size * n * batch, dtype=complex)  # the stages of the running members
     while members.size:
-        k = stages[:, :members.size]
+        k = buffer[:_B.size * n * members.size].reshape(_B.size, n, members.size)
+        kr = k.view(float)
         min_step = 10 * np.spacing(t)  # 10 ulp of t
         too_small = h_abs < min_step
         if np.count_nonzero(too_small):
@@ -251,15 +260,15 @@ def _dopri(linear, y0: np.ndarray, t_end: np.ndarray, tol: float) -> np.ndarray:
             h_abs = np.maximum(h_abs, min_step)
         t_new = np.minimum(t + h_abs, t_end)
         h = t_new - t
-        hc = h[:, None]
-        apply = linear(t[:, None] + hc * _C, members)
-        k[0] = f.view(float)
+        apply = linear(t[:, None] + h[:, None] * _C, members)
+        k[0] = f
         for s in range(1, _B.size):
-            k[s] = apply(s - 1, y + _weighted(_A[s], k[:s]) * hc).view(float)
-        y_new = y + hc * _weighted(_B, k)
+            apply(s - 1, y + _weighted(_A[s], kr[:s]) * h, k[s])
+        sums = _weighted(_SUMS, kr)  # the solution and the two error estimates
+        y_new = y + h * sums[0]
         f_new = apply(_C.size - 1, y_new)
         scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-        e5, e3 = (_sumsq(_weighted(e, k) / scale) for e in (_E5, _E3))
+        e5, e3 = _sumsq(sums[1:] / scale)
         denom = e5 + 0.01 * e3  # 0 only where both estimates vanish, and then the error is 0
         err = h * e5 / np.sqrt(np.where(denom > 0, denom, 1.0) * n)
         grow = _SAFETY * _pow(err, -1 / 8)
@@ -271,31 +280,30 @@ def _dopri(linear, y0: np.ndarray, t_end: np.ndarray, tol: float) -> np.ndarray:
                               np.where(grow > _MIN_FACTOR, grow, _MIN_FACTOR))
             h_abs = h * np.where(ok & rejected, np.minimum(1.0, factor), factor)
             t, rejected = np.where(ok, t_new, t), ~ok
-            y[ok], f[ok] = y_new[ok], f_new[ok]
+            np.copyto(y, y_new, where=ok)
+            np.copyto(f, f_new, where=ok)
         done = t == t_end
         if np.count_nonzero(done):
-            out[members[done]] = y[done]
+            out[:, members[done]] = y[:, done]
             keep = ~done
-            members, t, t_end, y, f, h_abs, rejected = (
-                a[keep] for a in (members, t, t_end, y, f, h_abs, rejected))
+            members, t, t_end, h_abs, rejected = (a[keep] for a in (members, t, t_end, h_abs, rejected))
+            y, f = y[:, keep], f[:, keep]
     return out
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The stacked product a @ b of (..., n, n) and (..., n, w), for n = 2 as a sum over the inner index.
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_j a[i, j] b[j, k] of entries-first stacks a (d, d, ...) and b (d, w, ...): (d, w, ...).
 
-    numpy's stacked matmul costs about 0.4 us per member per call; on a
-    2-core x86 machine (400,2,2) @ (400,2,2) takes 154-170 us, the two
-    batch-wide multiply-adds 39-42 us.  For n >= 3 at the 1-36 members of
-    verify's batches the sum is 1.5-3x slower, (12,4,4) @ (12,4,8) 14-24 us
-    against 7.7-9.8 us, so `@` stays there.  Either way each member's result
-    depends on its own entries alone, not on m.
+    One broadcast multiply and one sum over j, whose axis is never the innermost, so numpy
+    adds in the order j = 0 ... d-1 for every member; no BLAS kernel, and each member's
+    result depends on its own entries alone, not on the batch.  The inner loops run over the
+    trailing (member) axis.  On a 2-core x86 machine 400 members of 2x2 by 2x2 take 10-12 us,
+    against 111-153 us for a stacked matmul and 24-29 us for the member-first multiply-adds
+    this replaced; 80 of 2x2 by 2x4 6.0-6.5 us against 23-25 and 9.1-9.4 us.  At 4x4 by 4x8
+    it is level with the matmul from about 36 members (12 members 7.7-11 us against
+    6.0-8.4 us, 144 members 45-49 us against 49-55 us).
     """
-    if a.shape[-1] != 2:
-        return a @ b
-    out = a[..., :1] * b[..., None, 0, :]
-    out += a[..., 1:] * b[..., None, 1, :]
-    return out
+    return np.add.reduce(a[:, :, None] * b[None], 1, out=out)
 
 
 def integrate(family: HamiltonianFamily, lams, times, tol: float,
@@ -307,7 +315,8 @@ def integrate(family: HamiltonianFamily, lams, times, tol: float,
     (t_k, t_k+1) of each lam is one batch member, run from U = 1, W = 0 with H at t_k + s;
     U and W at t_k+1 are chained from the members in order.  A member of span s >= 2 integrates
     its tangent in units of u = 2^floor(log2 s), with dH/dlam / u, and W = u times the result:
-    both scalings are exact, and W / u stays of the size of U.
+    both scalings are exact, and W / u stays of the size of U.  The batch is held
+    entries-first, the family's member-first stacks transposed once per evaluation.
     """
     lams = check_finite("lam", lams)
     times = _check_times(times)
@@ -321,29 +330,35 @@ def integrate(family: HamiltonianFamily, lams, times, tol: float,
     def linear(t, members):
         m = t.shape[0]
         at = (lams[members // steps, None], t + times[members % steps, None])  # (m, 1), (m, k)
-        gen = -1j * evaluate_stack(family.evaluate, dim, *at)
+        shape = (t.shape[1], dim, dim, m)
+        gen = np.multiply(-1j, evaluate_stack(family.evaluate, dim, *at).transpose(1, 2, 3, 0),
+                          out=np.empty(shape, dtype=complex))
         if tangent:
-            # a new array: the family's stack may be read-only
-            dh = evaluate_stack(family.evaluate_dlambda, dim, *at) / units[members, None, None, None]
+            dh = np.divide(evaluate_stack(family.evaluate_dlambda, dim, *at).transpose(1, 2, 3, 0),
+                           units[members], out=np.empty(shape, dtype=complex))
 
-        def apply(j, y):
-            uw = y.reshape(m, dim, width)
-            d = _product(gen[:, j], uw)
+        def apply(j, y, out=None):
+            uw = y.reshape(dim, width, m)
+            d = _product(gen[j], uw, None if out is None else out.reshape(dim, width, m))
             if tangent:
-                d[:, :, dim:] -= 1j * _product(dh[:, j], uw[:, :, :dim])
-            return d.reshape(m, -1)
+                d[:, dim:] -= 1j * _product(dh[j], uw[:, :dim])
+            return d.reshape(-1, m)
         return apply
 
-    y = np.tile(np.eye(dim, width, dtype=complex), (lams.size, times.size, 1, 1))  # U = 1, W = 0
+    eye = np.eye(dim, width, dtype=complex)  # U = 1, W = 0
+    y = np.empty((dim, width, times.size, lams.size), dtype=complex)  # entries, then grid point, then lam
+    y[:, :, 0] = eye[..., None]
     if ends.size:
-        y[:, 1:] = _dopri(linear, y[:, 1:].reshape(ends.size, -1), ends, inner).reshape(y[:, 1:].shape)
-        y[:, 1:, :, dim:] *= units.reshape(lams.size, steps, 1, 1)
+        pieces = _dopri(linear, np.repeat(eye.reshape(-1, 1), ends.size, 1), ends, inner)
+        y[:, :, 1:] = pieces.reshape(dim, width, lams.size, steps).swapaxes(2, 3)
+        y[:, dim:, 1:] *= units.reshape(lams.size, steps).T
     for k in range(2, times.size):  # chain interval k-1's [P | W_piece] onto [U | W] at t_{k-1}
-        piece, prev = y[:, k], y[:, k - 1]
-        chained = _product(piece[..., :dim], prev)  # [P U | P W]
+        piece, prev = y[:, :, k], y[:, :, k - 1]
+        chained = _product(piece[:, :dim], prev)  # [P U | P W]
         if tangent:
-            chained[..., dim:] += _product(piece[..., dim:], prev[..., :dim])  # + W_piece U
-        y[:, k] = chained
+            chained[:, dim:] += _product(piece[:, dim:], prev[:, :dim])  # + W_piece U
+        y[:, :, k] = chained
+    y = np.ascontiguousarray(y.transpose(3, 2, 0, 1))
     return y[..., :dim], (y[..., dim:] if tangent else None)
 
 
@@ -353,7 +368,7 @@ def integrate(family: HamiltonianFamily, lams, times, tol: float,
 _GAUSS_NODES = 0.5 + np.array([-0.1, 0.0, 0.1]) * 15.0 ** 0.5
 _MAGNUS_N0 = 128
 _MAGNUS_N_MAX = 2 ** 18
-_MAGNUS_BUDGET = 1024  # member-steps evaluated at once: the memory of a chunk stays flat in n
+_MAGNUS_BUDGET = 2048  # member-steps evaluated at once: the memory of a chunk stays flat in n
 # cosh q and sinh(q)/q as polynomials in s = q² where |s| <= 1/64, highest power first: the
 # first term left out is < 3e-20
 _SERIES_MAX = 1.0 / 64.0
@@ -367,18 +382,19 @@ def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _magnus_exponentials(hs: np.ndarray, h: float) -> np.ndarray:
-    """exp(Omega6) of each step of length h, from H at its three nodes, hs (..., 3, 2, 2): (..., 2, 2).
+    """exp(Omega6) of each step of length h, from the entries of H at its three nodes, hs (2, 2, 3, ...):
+    its entries, (2, 2, ...).
 
     In Pauli components x = x0 1 + x.sigma, [x.sigma, y.sigma] = 2i (x cross y).sigma, so the
     commutators of BCR 2000's Omega6 = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240, with
     C1 = [a1, a2] and C2 = -[a1, 2 a3 + C1]/60, act on the vector parts alone.  Its
     exponential is e^w0 (cosh q 1 + sinh(q)/q w.sigma) with q² = w.w (Cayley-Hamilton).
     """
-    a, b, c, d = hs[..., 0, 0], hs[..., 0, 1], hs[..., 1, 0], hs[..., 1, 1]
+    a, b, c, d = hs[0, 0], hs[0, 1], hs[1, 0], hs[1, 1]
     x = np.stack([a + d, b + c, 1j * (b - c), a - d]) * (-0.5j * h)  # -i h H by components
-    a1 = x[..., 1]
-    a2 = (x[..., 2] - x[..., 0]) * (15.0 ** 0.5 / 3.0)
-    a3 = (x[..., 2] - 2.0 * x[..., 1] + x[..., 0]) * (10.0 / 3.0)
+    a1 = x[:, 1]
+    a2 = (x[:, 2] - x[:, 0]) * (15.0 ** 0.5 / 3.0)
+    a3 = (x[:, 2] - 2.0 * x[:, 1] + x[:, 0]) * (10.0 / 3.0)
     v1, v2, v3 = a1[1:], a2[1:], a3[1:]
     c1 = 2j * _cross(v1, v2)
     c2 = (-2j / 60.0) * _cross(v1, 2.0 * v3 + c1)
@@ -392,20 +408,21 @@ def _magnus_exponentials(hs: np.ndarray, h: float) -> np.ndarray:
     phase = np.exp(a1[0] + a3[0] / 12.0)
     cosh *= phase
     sinhc *= phase
-    out = np.empty(s.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = cosh + sinhc * w[2]
-    out[..., 1, 1] = cosh - sinhc * w[2]
-    out[..., 0, 1] = sinhc * (w[0] - 1j * w[1])
-    out[..., 1, 0] = sinhc * (w[0] + 1j * w[1])
+    out = np.empty((2, 2) + s.shape, dtype=complex)
+    out[0, 0] = cosh + sinhc * w[2]
+    out[1, 1] = cosh - sinhc * w[2]
+    out[0, 1] = sinhc * (w[0] - 1j * w[1])
+    out[1, 0] = sinhc * (w[0] + 1j * w[1])
     return out
 
 
 def _ordered_product(e: np.ndarray) -> np.ndarray:
-    """e[:, n-1] ... e[:, 1] e[:, 0] of an (m, n, 2, 2) stack, n a power of two, as a pairwise tree."""
-    while e.shape[1] > 1:
-        pairs = e.reshape(e.shape[0], -1, 2, 2, 2)
-        e = _product(pairs[:, :, 1], pairs[:, :, 0])
-    return e[:, 0]
+    """e[:, :, n-1] ... e[:, :, 1] e[:, :, 0] of an entries-first (2, 2, n, m) stack, n a power of two,
+    as a pairwise tree along the step axis: (2, 2, m)."""
+    while e.shape[2] > 1:
+        pairs = e.reshape(2, 2, -1, 2, e.shape[3])
+        e = _product(pairs[:, :, :, 1], pairs[:, :, :, 0])
+    return e[:, :, 0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # too coarse a step may overflow; the caller checks U
@@ -413,21 +430,22 @@ def _magnus(family: HamiltonianFamily, lams: np.ndarray, t: float, n: int) -> np
     """U(0->t) of each of lams by n sixth-order Magnus steps: (len(lams), 2, 2).
 
     The steps run in chunks of a power of two, at most _MAGNUS_BUDGET member-steps each (one
-    step at least); each chunk takes H from one `evaluate_stack` call and multiplies its
-    steps by a pairwise tree, and the chunks' products enter the same tree, so the floats
-    are those of one chunk of all n steps.
+    step at least); each chunk takes H from one `evaluate_stack` call, transposed once to
+    (2, 2, node, step, member), and multiplies its steps by a pairwise tree, and the chunks'
+    products enter the same tree, so the floats are those of one chunk of all n steps.
     """
     m = lams.size
     h = t / n
     chunk = min(n, 1 << (max(_MAGNUS_BUDGET // m, 1).bit_length() - 1))  # a power of two
     lam = lams[:, None]
-    products = np.empty((m, n // chunk, 2, 2), dtype=complex)
+    products = np.empty((2, 2, n // chunk, m), dtype=complex)
     for j in range(n // chunk):
         k = np.arange(j * chunk, (j + 1) * chunk)
         times = ((k[:, None] + _GAUSS_NODES) * h).reshape(1, -1)
         hs = evaluate_stack(family.evaluate, 2, lam, times).reshape(m, chunk, 3, 2, 2)
-        products[:, j] = _ordered_product(_magnus_exponentials(hs, h))
-    return _ordered_product(products)
+        hs = np.ascontiguousarray(hs.transpose(3, 4, 2, 1, 0))
+        products[:, :, j] = _ordered_product(_magnus_exponentials(hs, h))
+    return np.ascontiguousarray(np.moveaxis(_ordered_product(products), -1, 0))
 
 
 def magnus_propagators(family: HamiltonianFamily, lams, t: float, tol: float,

@@ -577,6 +577,29 @@ class TestAcrossBuilds:
                          for build in ("default", "openblas-sandybridge")]
             assert artifacts[0] == artifacts[1], run
 
+    def test_openblas_core_type_leaves_the_4_dim_core_byte_identical(self):
+        # every stage and chain product of the core is elementwise, for 4-dim families too
+        script = """
+import sys
+import numpy as np
+from nhsense import pseudo_hermitian
+from nhsense.evolution import integrate
+from nhsense.noise import make_rng
+from nhsense.verification import random_family
+runs = [integrate(random_family(make_rng(7), 4), [0.3], np.linspace(0.0, 2.0, 7), 1e-10, tangent=True),
+        integrate(pseudo_hermitian.hamiltonian_family(0.1, 1.0), [-0.05, 0.0, 0.05], (0.0, 1.0, 2.0), 1e-10,
+                  tangent=True)]
+sys.stdout.buffer.write(b"".join(a.tobytes() for run in runs for a in run))
+"""
+        outputs = []
+        for build in ("default", "openblas-sandybridge"):
+            env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), **BUILDS[build]}
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append(proc.stdout)
+        assert len(outputs[0]) == 16 * 16 * (7 * 2 + 3 * 3 * 2)  # U and W: 7 and 3 x 3 complex 4x4 each
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("build", list(BUILDS))
     def test_every_build_within_the_fixture_gates(self, build_runs, build):
         runs = build_runs[build]

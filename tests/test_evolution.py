@@ -180,7 +180,7 @@ class TestAgainstSolveIvp:
         assert np.array_equal(u[0], np.eye(dim))
         # each interval's member is solve_ivp from the identity over that interval, H at t_k + s
         width = dim if dhamiltonian is None else 2 * dim
-        for k, end_state in enumerate(members[0].reshape(-1, dim, width)):
+        for k, end_state in enumerate(members[0].T.reshape(-1, dim, width)):  # (n, members) entries-first
             start = times[k]
             shifted = None if dhamiltonian is None else (lambda s: dhamiltonian(start + s))
             u_ref, w_ref, _ = self.solve_ivp_reference(lambda s: hamiltonian(start + s), shifted, dim,
@@ -233,31 +233,50 @@ class TestAgainstSolveIvp:
 
 
 def stage_operands(rng, m, dim):
-    """Strided stacks as `integrate`'s apply passes them: gen[:, j] (m, dim, dim), uw (m, dim, 2 dim)
-    and uw[:, :, :dim]."""
+    """Entries-first stacks as `integrate`'s apply passes them: gen[j] (dim, dim, m), uw (dim, 2 dim, m)
+    and uw[:, :dim]."""
     def draw(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    a, uw = draw(m, 5, dim, dim)[:, 3], draw(m, dim * 2 * dim).reshape(m, dim, 2 * dim)
-    return a, uw, uw[:, :, :dim]
+    a, uw = draw(5, dim, dim, m)[3], draw(dim * 2 * dim * m).reshape(dim, 2 * dim, m)
+    return a, uw, uw[:, :dim]
+
+
+def loop_product(a, b):
+    """sum_j a[i, j] b[j, k] by a Python loop over j = 0 ... d-1, one multiply and one add per j.
+
+    Each term multiplies two arrays of the output's shape: a one-element product of two
+    broadcast operands takes numpy's scalar complex multiply, which rounds apart from the fused
+    multiply-add of its vector loop (so at d = w = m = 1, a[:, 0, None] * b[0] would not do).
+    """
+    d, w = a.shape[0], b.shape[1]
+    out = np.repeat(a[:, :1], w, 1) * np.repeat(b[:1], d, 0)
+    for j in range(1, d):
+        out += np.repeat(a[:, j:j + 1], w, 1) * np.repeat(b[j:j + 1], d, 0)
+    return out
 
 
 class TestStageProduct:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_equals_matmul_within_rounding(self, rng, dim):
-        a, *bs = stage_operands(rng, 37, dim)
-        for b in bs:
-            scale = np.abs(a) @ np.abs(b)
-            assert np.all(np.abs(_product(a, b) - a @ b) <= 4 * np.finfo(float).eps * scale)
+    def test_equals_the_loop_over_the_inner_index_bit_for_bit(self, rng, dim):
+        # one multiply and one reduce add in the order j = 0 ... d-1, at every batch size; at
+        # m = 1 the member axis is no inner loop, and numpy could have reordered the reduce
+        for m in (1, 2, 3, 16, 17, 80, 144, 400):
+            a, *bs = stage_operands(rng, m, dim)
+            for b in bs:
+                assert np.array_equal(_product(a, b), loop_product(a, b)), m
+                out = np.empty(b.shape, dtype=complex)
+                assert _product(a, b, out) is out and np.array_equal(out, loop_product(a, b)), m
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 16, 17, 80, 400, 1000])
+    @pytest.mark.parametrize("m", [1, 2, 3, 16, 17, 80, 144, 400, 1000])
     def test_member_equals_its_lone_product_bit_for_bit(self, rng, m):
         # a member's floats do not depend on the batch it sits in
-        a, *bs = stage_operands(rng, m, 2)
-        for b in bs:
-            out = _product(a, b)
-            for i in range(m):
-                assert np.array_equal(out[i:i + 1], _product(a[i:i + 1], b[i:i + 1])), i
+        for dim in (1, 2, 3, 4):
+            a, *bs = stage_operands(rng, m, dim)
+            for b in bs:
+                out = _product(a, b)
+                for i in range(m):
+                    assert np.array_equal(out[..., i:i + 1], _product(a[..., i:i + 1], b[..., i:i + 1])), (dim, i)
 
 
 def test_default_scan_ep_step_attempts(integrate_calls, magnus_calls, tmp_path):
