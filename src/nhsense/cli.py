@@ -11,6 +11,9 @@ Configuration is flat key=value text with section prefixes, e.g.
 carry their effective configuration as metadata (CSV `# key=value` lines, a
 JSON `metadata` object), so a scenario's output re-parses into what made it.
 find-ep writes only its version: its inputs are the columns of its one row.
+Each artifact takes its columns, in order, from the fields of its rows: the
+row dataclasses of the sensor modules, and the dicts of `verify` and find-ep,
+built in column order.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical-domain failure,
 3 verification failure.
@@ -45,9 +48,6 @@ SUBCOMMANDS = {
     "scan-ep": ("pt-ep", "EP-sensor scan over the perturbation frequency"),
     "verify": ("verify", "run the inequality suites, emit a report"),
 }
-
-FIND_EP_COLUMNS = ("J", "omega", "bracket_lo", "bracket_hi", "tol", "Gamma_EP")
-VERIFY_COLUMNS = ("check", "target", "observed", "tolerance", "passed")
 
 
 class ConfigError(ValueError):
@@ -110,21 +110,12 @@ def _apply_kv(config: ScenarioConfig, key: str, value: str, where: str) -> None:
         raise ConfigError(f"{where}: cannot parse {value!r} for key {key!r}") from None
 
 
-def parse_config_lines(lines, config: ScenarioConfig | None = None,
-                       source: str = "<config>", strip_comment_prefix: bool = False) -> ScenarioConfig:
-    """Apply key=value lines to a configuration.
-
-    With strip_comment_prefix the lines are metadata of an emitted artifact
-    ('# key=value'); otherwise '#' lines are comments and skipped.
-    """
+def parse_config_lines(lines, config: ScenarioConfig | None = None, source: str = "<config>") -> ScenarioConfig:
+    """Apply key=value lines to a configuration; '#' lines are comments and skipped."""
     config = config or ScenarioConfig()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if line.startswith("#"):
-            if not strip_comment_prefix:
-                continue
-            line = line.lstrip("#").strip()
-        if not line:
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
@@ -147,8 +138,8 @@ def read_metadata(path: str) -> ScenarioConfig:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     lines = ([f"{key}={value}" for key, value in json.loads(text)["metadata"].items()] if text.startswith("{")
-             else [line for line in text.splitlines() if line.startswith("#")])
-    return parse_config_lines(lines, source=path, strip_comment_prefix=True)
+             else [line.lstrip("#") for line in text.splitlines() if line.startswith("#")])
+    return parse_config_lines(lines, source=path)
 
 
 def _check_out(out: str | None) -> None:
@@ -239,9 +230,9 @@ def _metadata_items(config: ScenarioConfig) -> list[tuple[str, str]]:
     return items
 
 
-def _emit(metadata: list[tuple[str, str]], columns: tuple[str, ...], rows: list[dict],
-          fmt: str, out: str | None, **json_extra) -> None:
-    """Write CSV under '# key=value' lines, or JSON with json_extra after the rows.
+def _emit(metadata: list[tuple[str, str]], rows: list[dict], fmt: str, out: str | None, **json_extra) -> None:
+    """Write CSV under '# key=value' lines, or JSON with json_extra after the rows; the columns
+    are the keys of the rows, in their order (a CSV without rows has no header).
 
     JSON has no token for nan or inf, so a non-finite row value is written as null there.
     """
@@ -250,15 +241,14 @@ def _emit(metadata: list[tuple[str, str]], columns: tuple[str, ...], rows: list[
         for key, value in metadata:
             buf.write(f"# {key}={value}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+        writer.writerows(rows[:1])  # the header: a row iterates over its keys
+        writer.writerows([_fmt(v) for v in row.values()] for row in rows)
         text = buf.getvalue()
     else:
         payload = {
             "metadata": dict(metadata),
-            "rows": [{c: None if isinstance(row[c], float) and not math.isfinite(row[c]) else row[c]
-                      for c in columns} for row in rows],
+            "rows": [{c: None if isinstance(v, float) and not math.isfinite(v) else v for c, v in row.items()}
+                     for row in rows],
             **json_extra,
         }
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -280,15 +270,14 @@ def run(config: ScenarioConfig) -> int:
     if config.scenario == "pseudo-hermitian":
         grid = np.linspace(config.ph_grid_start, config.ph_grid_stop, config.ph_grid_count)
         rows = ph.sweep(config.ph_epsilon, config.ph_omega, grid, nu=config.ph_nu)
-        columns = ph.SWEEP_COLUMNS
     else:
         if config.ep_Gamma is None:  # the metadata records the located Gamma
             config = replace(config, ep_Gamma=float(pt_ep.find_ep(config.ep_J, config.ep_omega, tol=1e-12)))
         base = pt_ep.PtEpParams(config.ep_J, config.ep_Gamma, config.ep_omega, config.ep_delta,
                                 config.ep_grid_start, config.ep_nu)
         grid = np.linspace(config.ep_grid_start, config.ep_grid_stop, config.ep_grid_count)
-        rows, columns = pt_ep.scan(base, grid, tol=config.tol), pt_ep.SCAN_COLUMNS
-    _emit(_metadata_items(config), columns, [vars(row) for row in rows], config.format, config.out)
+        rows = pt_ep.scan(base, grid, tol=config.tol)
+    _emit(_metadata_items(config), [vars(row) for row in rows], config.format, config.out)
     return 0
 
 
@@ -298,8 +287,7 @@ def _emit_report(config: ScenarioConfig, report: VerificationReport) -> None:
     if config.format == "csv":
         rows.append({"check": "overall", "target": "conjunction of all checks",
                      "observed": 0.0, "tolerance": 0.0, "passed": report.overall_pass})
-    _emit(_metadata_items(config), VERIFY_COLUMNS, rows, config.format, config.out,
-          overall_pass=report.overall_pass)
+    _emit(_metadata_items(config), rows, config.format, config.out, overall_pass=report.overall_pass)
 
 
 def run_find_ep(args) -> int:
@@ -317,7 +305,7 @@ def run_find_ep(args) -> int:
     gamma = pt_ep.find_ep(args.J, args.omega, bracket=(lo, hi), tol=args.tol)
     row = {"J": args.J, "omega": args.omega, "bracket_lo": lo, "bracket_hi": hi,
            "tol": args.tol, "Gamma_EP": gamma}
-    _emit([("version", __version__)], FIND_EP_COLUMNS, [row], args.format, args.out)
+    _emit([("version", __version__)], [row], args.format, args.out)
     return 0
 
 

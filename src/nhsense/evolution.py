@@ -118,7 +118,6 @@ _E5 = np.array([
 _E3 = _B - np.array([
     0.244094488188976377952755905512, 0, 0, 0, 0, 0, 0, 0, 0.733846688281611857341361741547, 0, 0,
     0.220588235294117647058823529412e-1])[:, None, None]
-_SUMS = np.stack([_B, _E5, _E3])  # the solution and error weights as one (3, 12) block
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0  # step-size controller
 
 @dataclass(frozen=True)
@@ -264,11 +263,10 @@ def _dopri(linear, y0: np.ndarray, t_end: np.ndarray, tol: float) -> np.ndarray:
         k[0] = f
         for s in range(1, _B.size):
             apply(s - 1, y + _weighted(_A[s], kr[:s]) * h, k[s])
-        sums = _weighted(_SUMS, kr)  # the solution and the two error estimates
-        y_new = y + h * sums[0]
+        y_new = y + h * _weighted(_B, kr)
         f_new = apply(_C.size - 1, y_new)
         scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-        e5, e3 = _sumsq(sums[1:] / scale)
+        e5, e3 = (_sumsq(_weighted(e, kr) / scale) for e in (_E5, _E3))  # the two error estimates
         denom = e5 + 0.01 * e3  # 0 only where both estimates vanish, and then the error is 0
         err = h * e5 / np.sqrt(np.where(denom > 0, denom, 1.0) * n)
         grow = _SAFETY * _pow(err, -1 / 8)

@@ -29,9 +29,6 @@ from .noise import check_trials, scaled_binomial_variance
 from .operators import ID2, SIGMA_X, SIGMA_Y, expm_hermitian, spectral_generator, tensor
 from .qfi import qfi_pure
 
-SWEEP_COLUMNS = ("lam", "S", "chi", "P1", "dP1_dlam", "sensitivity",
-                 "qfi_closed", "qfi_numeric", "rate_closed", "hermitian_bound")
-
 # Constant two-qubit operators: the two terms of the dilated Hamiltonian
 # (I⊗sigma_x is also dH/dlam).
 _IX = tensor(ID2, SIGMA_X)
@@ -118,28 +115,20 @@ class PseudoHermitianParams:
         return float(values[0]) if values.ndim == 1 else values[0]
 
     @property
-    def Omega(self):
-        """Level splitting sqrt((lam+b)² + c²) of each decoupled block."""
-        return self.given(_splitting(self)[1])
-
-    @property
-    def delta_lam(self):
-        """Asymmetry (lam + 2 eps omega)/Omega of the effective two-level model."""
-        return self.given(_asymmetry(self, _splitting(self)[1]))
-
-    @property
     def tau(self) -> float:
         """Protocol time pi/(4 omega sqrt(eps(1+eps))), a quarter period at lam=0."""
         return math.pi / (4.0 * self.omega * math.sqrt(self.epsilon * (1.0 + self.epsilon)))
 
 
 def _splitting(p: PseudoHermitianParams) -> tuple[np.ndarray, np.ndarray]:
-    """lam + b and Omega = hypot(lam + b, c) per member of p.lams."""
+    """lam + b and the level splitting Omega = hypot(lam + b, c) of each decoupled block, per member
+    of p.lams."""
     lb = p.lams + p.b
     return lb, np.hypot(lb, p.c)
 
 
 def _asymmetry(p: PseudoHermitianParams, om: np.ndarray) -> np.ndarray:
+    """delta_lam = (lam + 2 eps omega)/Omega of the effective two-level model, per member, given Omega."""
     return (p.lams + 2.0 * p.epsilon * p.omega) / om
 
 

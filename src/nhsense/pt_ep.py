@@ -6,15 +6,16 @@ over one modulation period T = 2 pi/w.  The measurable pair (P_J, P_Gamma)
 yields a response energy via P_J - P_Gamma = sin²(E T); its shot-noise
 variance, susceptibility, and sensitivity are evaluated together with the
 sensitivity bound of the Hermitian counterpart that couples to the drive
-directly.  The pair and its derivative in omega_delta come from one
-tangent-equation solve per point; the root finders propagate U alone, and
-so does `ep_susceptibility`, a difference-quotient oracle for that derivative.
-H is one `HamiltonianFamily` over the member index of a batch, each member
-with its own Gamma and omega_delta, so a scan grid is one batch of the core
-both sensors share.  A U-only period takes the sixth-order Magnus route
-instead (`evolution.magnus_propagators`): its steps depend on H alone, not
-on the state, so a whole period is one vectorized computation and a product
-tree, and each member's step count n comes from its own error check.  The
+directly.  H is one `HamiltonianFamily` over the member index of a batch,
+each member with its own Gamma and omega_delta.  Each job has one route.
+`scan` takes the pair and its derivative in omega_delta from one tangent
+batch over the grid on `evolution.integrate`, the DOP853 core both sensors
+share.  Every U-only period (the root finders, `propagate_period` and so
+`ep_susceptibility`, a difference-quotient oracle for that derivative) is a
+member of `_propagate_periods`, the sixth-order Magnus route
+(`evolution.magnus_propagators`): its steps depend on H alone, not on the
+state, so a whole period is one vectorized computation and a product tree,
+and each member's step count n comes from its own error check.  The
 `find_ep` pre-scan of 25 points is a batch of 13 periods, then one of the
 other 12 unless the first 13 hold a sign change; each of Brent's serial
 evaluations, which cannot be batched, is one period at the larger n of its
@@ -39,9 +40,6 @@ from .operators import ID2, SIGMA_Z
 
 DIFF_FLOOR = 1e-9  # rows are usable only for P_J - P_Gamma in (DIFF_FLOOR, 1 - DIFF_FLOOR)
 _MAX_EXPONENT = math.log(float(np.finfo(float).max))  # e^x is a finite float up to here
-
-SCAN_COLUMNS = ("omega_delta", "PJ", "PGamma", "E_res", "var_E", "chi_E",
-                "sensitivity", "hermitian_bound", "excluded_reason")
 
 
 @dataclass(frozen=True)
@@ -137,18 +135,9 @@ def _family(ps: list[PtEpParams]) -> HamiltonianFamily:
     return HamiltonianFamily(2, h, dh)
 
 
-def _propagate_periods(ps: list[PtEpParams], tol: float, tangent: bool,
-                       steps: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """U(T) of the batch ps, (B, 2, 2), with W(T) = dU(T)/d omega_delta if `tangent`, else each
-    member's Magnus step count (B,).
-
-    A tangent period is one member of the DOP853 core's batch, on the grid (0, T).  A U-only
-    period is one member of `magnus_propagators`, whose error check sets its step count
-    unless `steps` is given.
-    """
-    if tangent:
-        u, w = integrate(_family(ps), np.arange(len(ps)), (0.0, ps[0].T), tol, tangent=True)
-        return u[:, -1], w[:, -1]
+def _propagate_periods(ps: list[PtEpParams], tol: float, steps: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """U(T) of the batch ps, (B, 2, 2), and each member's Magnus step count (B,), from
+    `magnus_propagators`, whose error check sets the counts unless `steps` is given."""
     return magnus_propagators(_family(ps), np.arange(len(ps)), ps[0].T, tol, steps)
 
 
@@ -158,7 +147,7 @@ def propagate_period(p: PtEpParams, tol: float = DEFAULT_TOL) -> np.ndarray:
     No unitarity is expected; |det U| stays 1 because the Hamiltonian trace
     is real (the anti-Hermitian part is traceless).
     """
-    return _propagate_periods([p], tol, tangent=False)[0][0]
+    return _propagate_periods([p], tol)[0][0]
 
 
 def _gamma_amplitude(m: np.ndarray) -> np.ndarray:
@@ -284,7 +273,7 @@ def _diff_root(at, xs: list[float], tol: float, prop_tol: float, name: str) -> f
     counts: list[int] = []
     for batch in (xs[:head], xs[head:]):
         if batch and _first_change(vals) is None:
-            u, n = _propagate_periods([at(x) for x in batch], prop_tol, tangent=False)
+            u, n = _propagate_periods([at(x) for x in batch], prop_tol)
             pj, pg = _pairs(u)
             vals += (pj - pg).tolist()
             counts += n.tolist()
@@ -296,7 +285,7 @@ def _diff_root(at, xs: list[float], tol: float, prop_tol: float, name: str) -> f
     steps = max(counts[k], counts[k + 1])
 
     def g(x: float) -> float:
-        pj, pg = _pairs(_propagate_periods([at(x)], prop_tol, tangent=False, steps=steps)[0])
+        pj, pg = _pairs(_propagate_periods([at(x)], prop_tol, steps)[0])
         return float(pj[0] - pg[0])
 
     return _brent(g, xs[k], vals[k], xs[k + 1], vals[k + 1], tol)
@@ -371,7 +360,8 @@ def response_variance(pj: float, pgamma: float, c0: float, nu: int, period: floa
 
 
 def _pair_and_slope(ps: list[PtEpParams], tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P_J, P_Gamma and dD/d omega_delta for D = P_J - P_Gamma of each of ps, from one tangent batch.
+    """P_J, P_Gamma and dD/d omega_delta for D = P_J - P_Gamma of each of ps, from one tangent batch
+    of the DOP853 core, each member one period on the grid (0, T).
 
     dP_J = 2 Re(conj(U01) W01) and dP_Gamma = Re(conj(a) da)/2 for
     a = U00 + U01 - U10 - U11 and da the same combination of W.
@@ -379,7 +369,8 @@ def _pair_and_slope(ps: list[PtEpParams], tol: float) -> tuple[np.ndarray, np.nd
     # tol/2, floored at TOL_MIN: the solver's RMS error norm spans U and W,
     # which loosens U by about sqrt(2) against a solve of U alone, and D near
     # the dip is a small difference of two values near 4.
-    u, w = _propagate_periods(ps, max(check_tol(tol) / 2.0, TOL_MIN), tangent=True)
+    tol = max(check_tol(tol) / 2.0, TOL_MIN)
+    u, w = (a[:, -1] for a in integrate(_family(ps), np.arange(len(ps)), (0.0, ps[0].T), tol, tangent=True))
     pj, pg = _pairs(u)
     d_diff = (2.0 * (u[:, 0, 1].conj() * w[:, 0, 1]).real
               - (_gamma_amplitude(u).conj() * _gamma_amplitude(w)).real / 2.0)

@@ -44,9 +44,8 @@ class QfiSeries:
 
     channel_bound[k] is the squared integral of the spectral width of
     dH/dlam up to times[k]; rate_bound[k] the width at times[k] itself.
-    Where qfi was below RATE_QFI_FLOOR the rate comes from a one-sided
-    difference of sqrt(F) instead of the covariance formula, marked in
-    rate_by_difference.
+    Where qfi is at most RATE_QFI_FLOOR the rate is the forward difference
+    of sqrt(F) (backward at the last time) instead of the covariance formula.
     """
 
     times: np.ndarray
@@ -54,7 +53,6 @@ class QfiSeries:
     sqrt_qfi_rate: np.ndarray
     channel_bound: np.ndarray
     rate_bound: np.ndarray
-    rate_by_difference: np.ndarray
 
 
 def qfi_pure(h, psi0, atol: float = HERMITICITY_ATOL):
@@ -111,18 +109,16 @@ def qfi_series(record: PropagationRecord, psi0, family: HamiltonianFamily) -> Qf
     channel = np.concatenate([[0.0], np.cumsum(_integrals(partial(_widths, family, lam), times))**2])
 
     sqrt_f = np.sqrt(np.maximum(qfi, 0.0))
-    by_diff = ~(qfi > RATE_QFI_FLOOR)
     rate = np.zeros(m)
     if m > 1:  # forward difference, backward at the last point
         j = np.minimum(np.arange(m), m - 2)
         rate = (sqrt_f[j + 1] - sqrt_f[j]) / (times[j + 1] - times[j])
-    cov = ~by_diff
+    cov = qfi > RATE_QFI_FLOOR
     u = record.U[cov]
     dh_dt = u.conj().swapaxes(-1, -2) @ dh[cov] @ u
     rate[cov] = 8.0 * covariance(dh_dt, record.h[cov], psi0, atol=herm_atol) / (2.0 * sqrt_f[cov])
 
-    return QfiSeries(times=times, qfi=qfi, sqrt_qfi_rate=rate, channel_bound=channel,
-                     rate_bound=rate_bound, rate_by_difference=by_diff)
+    return QfiSeries(times=times, qfi=qfi, sqrt_qfi_rate=rate, channel_bound=channel, rate_bound=rate_bound)
 
 
 def qfi_fidelity_oracle(family: HamiltonianFamily, lam: float, psi0, t: float, dlam: float = 1e-3) -> float:

@@ -31,7 +31,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    seed: int
     checks: tuple[CheckResult, ...]
 
     @property
@@ -440,4 +439,4 @@ def build_report(seed: int) -> VerificationReport:
     checks += check_pseudo_hermitian()
     checks += check_pt_ep()
     checks += check_noise(seed + 3)
-    return VerificationReport(seed=seed, checks=tuple(checks))
+    return VerificationReport(checks=tuple(checks))

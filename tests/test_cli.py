@@ -159,6 +159,14 @@ class TestCliRuns:
                           "qfi_closed", "qfi_numeric", "rate_closed", "hermitian_bound"]
         assert len(rows) == 2
 
+    def test_csv_columns_scan_ep(self, tmp_path):
+        out = tmp_path / "o.csv"
+        assert main(["scan-ep", "--Gamma", "0.5", "--grid-count", "2", "--out", str(out)]) == 0
+        _, header, rows = read_csv(str(out))
+        assert header == ["omega_delta", "PJ", "PGamma", "E_res", "var_E", "chi_E",
+                          "sensitivity", "hermitian_bound", "excluded_reason"]
+        assert len(rows) == 2
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "o.json"
         main(["sweep-ph", "--grid-count", "2", "--grid-start", "0.1",
@@ -166,9 +174,9 @@ class TestCliRuns:
         payload = json.loads(out.read_text())
         assert payload["metadata"]["scenario"] == "pseudo-hermitian"
         assert len(payload["rows"]) == 2
-        assert set(payload["rows"][0]) == {"lam", "S", "chi", "P1", "dP1_dlam", "sensitivity",
-                                           "qfi_closed", "qfi_numeric", "rate_closed",
-                                           "hermitian_bound"}
+        assert list(payload["rows"][0]) == ["lam", "S", "chi", "P1", "dP1_dlam", "sensitivity",
+                                            "qfi_closed", "qfi_numeric", "rate_closed",
+                                            "hermitian_bound"]
 
     def test_exit_codes(self, tmp_path):
         assert main(["sweep-ph", "--config", "missing.cfg"]) == 1
@@ -473,7 +481,7 @@ class TestVerifySubcommand:
         assert code == 0
         payload = json.loads(report)
         assert payload["overall_pass"] is True
-        assert all(set(r) == {"check", "target", "observed", "tolerance", "passed"}
+        assert all(list(r) == ["check", "target", "observed", "tolerance", "passed"]
                    for r in payload["rows"])
 
     def test_csv_report_has_overall_row(self, tmp_path):
@@ -726,7 +734,7 @@ class TestConfigTable:
     def test_every_field_round_trips_through_metadata(self, command, fmt, monkeypatch, tmp_path):
         monkeypatch.setattr(ph, "sweep", lambda *args, **kwargs: [])
         monkeypatch.setattr(pt_ep, "scan", lambda *args, **kwargs: [])
-        monkeypatch.setattr(cli, "build_report", lambda seed: VerificationReport(seed, ()))
+        monkeypatch.setattr(cli, "build_report", lambda seed: VerificationReport(()))
         scenario = SCENARIO_OF[command]
         lines = [f"{k}={v}" for k, v in {**NON_DEFAULT, "format": fmt}.items()]
         cfg = tmp_path / "all.cfg"

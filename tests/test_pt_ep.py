@@ -13,10 +13,11 @@ from scipy.optimize import brentq
 
 from nhsense import pt_ep
 from nhsense.errors import DomainError
+from nhsense.evolution import integrate
 from nhsense.noise import sample_projection_batch
 from nhsense.operators import SIGMA_X, SIGMA_Z
 from nhsense.pt_ep import (
-    SCAN_COLUMNS, EpScanRow, PtEpParams, ep_susceptibility, find_ep, find_response_dip, hermitian_bound_ep,
+    PtEpParams, ep_susceptibility, find_ep, find_response_dip, hermitian_bound_ep,
     pj_pgamma, propagate_period, response_energy, response_variance, scan,
 )
 
@@ -154,7 +155,7 @@ class TestPropagation:
 
     def test_tangent_matches_propagator_and_difference_quotient(self):
         p = base_at(default_base(), 0.8)
-        [u], [w] = pt_ep._propagate_periods([p], 1e-11, tangent=True)
+        u, w = (a[0, -1] for a in integrate(pt_ep._family([p]), [0], (0.0, p.T), 1e-11, tangent=True))
         assert np.abs(u - propagate_period(p, tol=1e-11)).max() < 1e-9
         h = 1e-4
         fd = (propagate_period(base_at(p, p.omega_delta + h), tol=1e-13)
@@ -274,7 +275,7 @@ class TestPrescan:
         assert [n for n, _ in calls][:2] == [13, 12]
         xs = np.linspace(0.01, 1.2, 25).tolist()
         ps = [PtEpParams(J=1.0, Gamma=g, omega=4.0, delta=0.0, omega_delta=4.0) for g in xs]
-        u, counts = pt_ep._propagate_periods(ps, 1e-12, tangent=False)
+        u, counts = pt_ep._propagate_periods(ps, 1e-12)
         pj, pg = pt_ep._pairs(u)
         vals = (pj - pg).tolist()
         [k] = [k for k in range(24) if vals[k] * vals[k + 1] < 0]
@@ -283,7 +284,7 @@ class TestPrescan:
         assert [n for _, n in calls[2:]] == [[steps]] * (len(calls) - 2)
 
         def diff(g):
-            pj, pg = pt_ep._pairs(pt_ep._propagate_periods([replace(ps[0], Gamma=g)], 1e-12, False, steps)[0])
+            pj, pg = pt_ep._pairs(pt_ep._propagate_periods([replace(ps[0], Gamma=g)], 1e-12, steps)[0])
             return float(pj[0] - pg[0])
 
         assert gamma == pt_ep._brent(diff, xs[k], vals[k], xs[k + 1], vals[k + 1], 1e-10)
@@ -295,7 +296,7 @@ class TestPrescan:
         record the batch sizes."""
         sizes = []
 
-        def periods(ps, tol, tangent, steps=None):
+        def periods(ps, tol, steps=None):
             u = np.zeros((len(ps), 2, 2), dtype=complex)
             for k, p in enumerate(ps):
                 d = diff(p.Gamma)
@@ -333,7 +334,7 @@ class TestPrescan:
         # D = Gamma - 5.5 on the grid 0, 1, ..., 24: the root lies between 5 (128 steps) and 6 (256)
         calls = []
 
-        def periods(ps, tol, tangent, steps=None):
+        def periods(ps, tol, steps=None):
             gammas = np.array([p.Gamma for p in ps])
             u = np.zeros((len(ps), 2, 2), dtype=complex)
             u[:, 0, 1] = np.sqrt(np.maximum(gammas - 5.5, 0.0) * 4.0 / 3.0)  # P_J - P_Gamma = 3a²/4
@@ -374,13 +375,13 @@ class TestPiecedPeriod:
         # tr H is real, so each step's exponential has |det| = 1, and so does their product
         ps = [PtEpParams(J=1.0, Gamma=g, omega=4.0, delta=0.0, omega_delta=1.0)
               for g in np.linspace(*pt_ep.default_ep_bracket(1.0), 25).tolist()]
-        u, _ = pt_ep._propagate_periods(ps, 1e-12, tangent=False)
+        u, _ = pt_ep._propagate_periods(ps, 1e-12)
         assert np.abs(np.abs(np.linalg.det(u)) - 1.0).max() <= 1e-13
 
     def test_every_prescan_member_equals_serial_propagation(self):
         ps = [PtEpParams(J=1.0, Gamma=g, omega=4.0, delta=0.0, omega_delta=1.0)
               for g in np.linspace(*pt_ep.default_ep_bracket(1.0), 25).tolist()]
-        prescan, _ = pt_ep._propagate_periods(ps, 1e-12, tangent=False)
+        prescan, _ = pt_ep._propagate_periods(ps, 1e-12)
         for k, p in enumerate(ps):
             assert np.array_equal(prescan[k], propagate_period(p, tol=1e-12)), k
 
@@ -708,9 +709,6 @@ class TestScan:
         assert [r.excluded_reason for r in rows] == ["", ""]
         assert rows[0].chi_E / rows[1].chi_E == pytest.approx(math.sqrt(3.0), rel=1e-2)
         assert rows[0].sensitivity == pytest.approx(rows[1].sensitivity, rel=1e-3)
-
-    def test_column_contract(self):
-        assert list(EpScanRow.__dataclass_fields__) == list(SCAN_COLUMNS)
 
     def test_one_propagation_per_row(self, integrate_calls):
         # P_J, P_Gamma and chi_E of every row come from its member of one tangent batch

@@ -14,7 +14,7 @@ from nhsense.operators import SIGMA_X, SIGMA_Z, covariance, seminorm, variance
 from nhsense.pseudo_hermitian import PseudoHermitianParams, hamiltonian_family, probe_state
 from nhsense.pt_ep import PtEpParams
 from nhsense.qfi import (
-    _integrals, _widths, cramer_rao, fidelity_curvature, qfi_fidelity_oracle, qfi_pure, qfi_series,
+    RATE_QFI_FLOOR, _integrals, _widths, cramer_rao, fidelity_curvature, qfi_fidelity_oracle, qfi_pure, qfi_series,
 )
 from nhsense.verification import _random_instances, family_stack
 
@@ -139,7 +139,10 @@ class TestQfiSeries:
         series = qfi_series(propagate(fam, 0.0, np.linspace(0.0, 1.5, 6)), random_state(rng, 4), fam)
         assert series.qfi[0] == pytest.approx(0.0, abs=1e-10)
         assert np.all(series.qfi >= -1e-10)
-        assert series.rate_by_difference[0]
+        # F(0) = 0 is below RATE_QFI_FLOOR, so the rate at 0 is the forward difference of sqrt(F)
+        assert series.qfi[0] <= RATE_QFI_FLOOR
+        sqrt_f = np.sqrt(np.maximum(series.qfi, 0.0))
+        assert series.sqrt_qfi_rate[0] == (sqrt_f[1] - sqrt_f[0]) / (series.times[1] - series.times[0])
 
     def test_channel_bound_monotone(self, rng):
         fam = random_family(rng, 2)
@@ -154,7 +157,9 @@ class TestQfiSeries:
         series = qfi_series(rec, psi0, fam)
         dh = fam.evaluate_dlambda(np.full(times.size, 0.2), times)
         herm_atol = max(1e-12, 10.0 * rec.tol)
-        assert series.rate_by_difference.tolist() == [True] + [False] * 5
+        assert (series.qfi <= RATE_QFI_FLOOR).tolist() == [True] + [False] * 5
+        sqrt_f = np.sqrt(np.maximum(series.qfi, 0.0))
+        assert series.sqrt_qfi_rate[0] == (sqrt_f[1] - sqrt_f[0]) / (times[1] - times[0])
         for k in range(1, times.size):
             f = qfi_pure(rec.h[k], psi0, atol=herm_atol)
             assert series.qfi[k] == f and series.rate_bound[k] == seminorm(dh[k])
@@ -162,7 +167,7 @@ class TestQfiSeries:
             assert series.sqrt_qfi_rate[k] == 8.0 * covariance(dh_dt, rec.h[k], psi0, atol=herm_atol) / (
                 2.0 * math.sqrt(f))
         one = qfi_series(propagate(fam, 0.2, times[:1]), psi0, fam)
-        assert one.sqrt_qfi_rate.tolist() == [0.0] and one.rate_by_difference.tolist() == [True]
+        assert one.sqrt_qfi_rate.tolist() == [0.0] and (one.qfi <= RATE_QFI_FLOOR).tolist() == [True]
 
     def test_rate_below_the_floor_is_the_forward_difference(self):
         # a weak generator keeps F below RATE_QFI_FLOOR at every point: forward
@@ -172,7 +177,7 @@ class TestQfiSeries:
                                 evaluate_dlambda=constant(h1))
         times = np.array([0.0, 0.4, 1.0, 1.3, 2.0])
         series = qfi_series(propagate(fam, 0.0, times, tol=1e-11), KET_PLUS, fam)
-        assert series.rate_by_difference.all() and series.qfi[1:].min() > 0.0
+        assert (series.qfi <= RATE_QFI_FLOOR).all() and series.qfi[1:].min() > 0.0
         sqrt_f = np.sqrt(np.maximum(series.qfi, 0.0))
         slopes = np.diff(sqrt_f) / np.diff(times)
         assert series.sqrt_qfi_rate.tolist() == [*slopes, slopes[-1]]

@@ -57,7 +57,7 @@ def test_one_batch_per_dimension(suite, seed, calls, integrate_calls):
 def test_qfi_oracle_peak_memory():
     # the families gather each member's terms once per step attempt and broadcast
     # them over its stage times, and each distinct stencil lam is propagated once:
-    # the traced peak is 2.64 MiB, against 4.41 MiB when every (member, stage time)
+    # the traced peak is 2.54 MiB, against 4.41 MiB when every (member, stage time)
     # point gathered its own copy of the four term stacks
     tracemalloc.start()
     try:
