@@ -387,10 +387,18 @@ class TestCliRuns:
     def test_default_scan_ep_propagation_batches(self, tmp_path, integrate_calls, magnus_calls):
         # the Gamma pre-scan is one U-only Magnus batch of 13 periods, the first
         # half of its 25 (the root lies in it), Brent adds serial periods, and the
-        # 80 rows are one tangent batch of the core, each row one lam entry on (0, T)
+        # 80 rows are one tangent batch of the core, each row one lam entry on a grid of
+        # four equal pieces of (0, T)
         assert main(["scan-ep", "--out", str(tmp_path / "scan.csv")]) == 0
-        assert [(n, points, tangent) for n, points, tangent, _ in integrate_calls] == [(80, 2, True)]
+        assert [(n, points, tangent) for n, points, tangent, _ in integrate_calls] == [(80, 5, True)]
         assert [n for n, _ in magnus_calls] == [13, 1, 1, 1, 1, 1, 1]
+
+    def test_scan_ep_at_the_phase_bound_step_attempts(self, tmp_path, integrate_calls):
+        # omega_delta T = 9,425 and 1e4: a quarter period takes 2,158 step attempts, where the
+        # whole period as one member took 8,192 (chi_E is still about 3e-9 off the solver floor)
+        assert main(["scan-ep", "--Gamma", "0.5", "--grid-start", "6000", "--grid-stop", "6366.197723675811",
+                     "--grid-count", "2", "--out", str(tmp_path / "scan.csv")]) == 0
+        assert integrate_calls == [(2, 5, True, 2158)]
 
     def test_scan_ep_with_hundreds_of_bound_lobes(self, tmp_path):
         # omega_delta T / pi = 450 and 500: the Hermitian bound integrates

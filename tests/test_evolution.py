@@ -285,8 +285,9 @@ def test_default_scan_ep_step_attempts(integrate_calls, magnus_calls, tmp_path):
     # find_ep's Magnus step counts: the first half of the pre-scan (the root lies in it), each
     # period checked, then six Brent evaluations at the larger count of the bracket's two ends
     assert magnus_calls == [(13, [128] * 2 + [256] * 11)] + [(1, [256])] * 6
-    # the step attempts of the tangent scan, the one batch of the DOP853 core
-    assert integrate_calls == [(80, 2, True, 29)]
+    # the step attempts of the tangent scan, the one batch of the DOP853 core: 80 rows, each
+    # period four members (29 attempts with each period one member)
+    assert integrate_calls == [(80, 5, True, 9)]
 
 
 class TestMagnus:

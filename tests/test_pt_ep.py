@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -714,6 +715,34 @@ class TestScan:
         # P_J, P_Gamma and chi_E of every row come from its member of one tangent batch
         scan(default_base(), np.linspace(0.05, 2.0, 80), tol=1e-10)
         assert [(n, tangent) for n, _, tangent, _ in integrate_calls] == [(80, True)]
+
+    def test_default_scan_within_tol_of_the_solver_floor(self):
+        # every included row of the default scan, against the same scan at the solver floor:
+        # D = P_J - P_Gamma ~ 3.4e-4 is a difference of two values near 4.24, so the derived
+        # columns amplify the error in P by up to ~6e3.  Worst cell 4.6e-11 (var_E at
+        # omega_delta ~ 0.2228); with each period one member of the batch it was 5.4e-10
+        base = default_base(find_ep(1.0, 4.0, tol=1e-12))
+        grid = np.linspace(0.05, 2.0, 80)
+        rows = scan(base, grid, tol=1e-10)
+        floor = scan(base, grid, tol=2e-13)
+        included = [(r, f) for r, f in zip(rows, floor) if not r.excluded_reason]
+        assert len(included) == 73
+        for row, ref in included:
+            for name in ("PJ", "PGamma", "E_res", "var_E", "chi_E"):
+                assert getattr(row, name) == pytest.approx(getattr(ref, name), rel=1e-10, abs=0.0), (
+                    name, row.omega_delta)
+
+    def test_default_scan_peak_memory(self):
+        # the core frees each step attempt's H and dH/dlam stacks before it builds the next
+        # attempt's: the traced peak is 1.78 MiB, against 2.21 MiB when they stayed alive
+        grid = np.linspace(0.05, 2.0, 80)
+        tracemalloc.start()
+        try:
+            scan(default_base(), grid, tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * 2**20
 
     def test_tightest_tol_row(self):
         # tol/2 falls below TOL_MIN at tol 1e-13: the solve is clamped there

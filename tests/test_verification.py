@@ -77,7 +77,7 @@ def test_build_report_step_attempts(integrate_calls, magnus_calls):
         (2, 7, True, 6), (6, 7, True, 7),  # check_qfi_bounds, per dimension
         (2, 17, True, 4), (18, 17, False, 4), (1, 17, True, 4), (9, 17, False, 4),  # check_qfi_oracle
         (3, 9, True, 5), (3, 9, True, 8),  # check_pseudo_hermitian, per epsilon
-        (8, 2, True, 37),  # check_pt_ep's scan near the dip
+        (8, 5, True, 11),  # check_pt_ep's scan near the dip, each period four members
     ]
     assert sum(attempts for *_, attempts in integrate_calls) <= 1300
     # check_pt_ep's U-only EP periods, (members, Magnus steps of each): the Hermitian limit,
