@@ -7,7 +7,9 @@ The coupled system
 
 is integrated as one complex state with the Dormand-Prince 8(5,3) method,
 so the propagator and its tangent W = dU/dlam see identical time
-discretization.  `integrate`, the one propagation core of both sensors,
+discretization.  `integrate`, the time-stepping core of the EP sensor's
+tangent periods and the QFI toolbox's time-dependent families (the dilated
+sensor's H is constant, so it takes `operators.spectral_generator` instead),
 takes a `HamiltonianFamily` and advances a batch of such systems at once,
 one per lam and interval (t_k, t_k+1) of the time grid, each run from the
 identity with H at t_k + s, and chains the record U_k+1 = P_k U_k, W_k+1 =
@@ -497,6 +499,8 @@ def magnus_propagators(family: HamiltonianFamily, lams, t: float, tol: float,
 def check_finite(name: str, values) -> np.ndarray:
     """`values` as a 1-d float array once it is non-empty and finite; DomainError naming `name` otherwise."""
     values = np.atleast_1d(np.asarray(values, dtype=float))
+    if values.ndim != 1:
+        raise DomainError(f"{name} must be one value or a 1-d stack, got shape {values.shape}")
     if values.size == 0:
         raise DomainError(f"{name} must be non-empty")
     bad = ~np.isfinite(values)

@@ -63,6 +63,8 @@ def propagate_error(gradient, variances) -> float:
     variances = np.asarray(variances, dtype=float)
     if gradient.shape != variances.shape or gradient.ndim != 1:
         raise DomainError("gradient and variances must be 1-d and equally long")
+    if not (np.isfinite(gradient).all() and np.isfinite(variances).all()):
+        raise DomainError("gradient and variances must be finite")
     if np.any(variances < 0):
         raise DomainError("variances must be nonnegative")
     return float(np.sum(gradient**2 * variances))

@@ -91,13 +91,9 @@ class PseudoHermitianParams:
     def __post_init__(self):
         for name, value in zip("bc", _couplings(self.epsilon, self.omega)):
             object.__setattr__(self, name, value)  # the class is frozen
-        if np.ndim(self.lam) == 0:
-            lams = np.array([check_scalar("lam", self.lam)], dtype=float)
-        elif np.ndim(self.lam) == 1:
-            lams = np.array(check_finite("lam", self.lam))
+        lams = np.array(check_finite("lam", self.lam))
+        if np.ndim(self.lam) == 1:
             object.__setattr__(self, "lam", tuple(lams.tolist()))  # immutable, so p compares and hashes
-        else:
-            raise DomainError(f"lam must be one value or a 1-d stack, got shape {np.shape(self.lam)}")
         lams.flags.writeable = False
         object.__setattr__(self, "lams", lams)
         ends = lams[[lams.argmin(), lams.argmax()]]

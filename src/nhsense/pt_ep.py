@@ -9,8 +9,8 @@ sensitivity bound of the Hermitian counterpart that couples to the drive
 directly.  H is one `HamiltonianFamily` over the member index of a batch,
 each member with its own Gamma and omega_delta.  Each job has one route.
 `scan` takes the pair and its derivative in omega_delta from one tangent
-batch over the grid on `evolution.integrate`, the DOP853 core both sensors
-share, with each period cut into `_PIECES` = 4 equal intervals, each a batch
+batch over the grid on `evolution.integrate`, the DOP853 core, with each
+period cut into `_PIECES` = 4 equal intervals, each a batch
 member of its own that the core chains exactly: the default 80 rows are 320
 members that take 9 serial step attempts, against 29 with each period one
 member, and the worst included cell is 4.6e-11 off the same scan at the

@@ -581,12 +581,16 @@ def test_family_callable_must_return_a_stack(shape):
 
 
 def test_empty_lam_batch_rejected(rng):
-    # an empty batch is a DomainError at the boundary, not a reshape failure in the core
+    # an empty or 2-d batch is a DomainError at the boundary, not a reshape, transpose or
+    # broadcast failure in the core
     fam = random_family(rng, 2)
-    for call in (lambda: propagators(fam, [], 1.0),
-                 lambda: generators(fam, np.array([]), np.array([0.0, 1.0]))):
-        with pytest.raises(DomainError, match="lam must be non-empty"):
-            call()
+    for lams, match in (([], "lam must be non-empty"),
+                        ([[0.1, 0.2]], r"lam must be one value or a 1-d stack, got shape \(1, 2\)")):
+        for call in (lambda: propagators(fam, lams, 1.0),
+                     lambda: generators(fam, np.array(lams), np.array([0.0, 1.0])),
+                     lambda: magnus_propagators(fam, lams, 1.0, 1e-8)):
+            with pytest.raises(DomainError, match=match):
+                call()
 
 
 class TestEvaluateStack:

@@ -116,6 +116,13 @@ class TestPropagateError:
         with pytest.raises(DomainError):
             propagate_error([1.0, 2.0], [0.1])
 
+    @pytest.mark.parametrize("gradient, variances", [([1.0], [math.nan]), ([math.nan], [0.1]),
+                                                     ([math.inf], [0.0]), ([1.0, 2.0], [0.1, math.inf])])
+    def test_non_finite_rejected(self, gradient, variances):
+        # a DomainError, not a nan result (inf² · 0) or a numpy RuntimeWarning
+        with pytest.raises(DomainError, match="gradient and variances must be finite"):
+            propagate_error(gradient, variances)
+
     @given(g=st.floats(-50, 50), v=st.floats(0, 10), scale=st.floats(0.1, 10))
     @settings(max_examples=200, deadline=None)
     def test_quadratic_in_gradient_linear_in_variance(self, g, v, scale):

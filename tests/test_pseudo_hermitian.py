@@ -14,6 +14,7 @@ from nhsense.pseudo_hermitian import (
     probe_state, qfi_closed, qfi_numeric, qfi_rate_closed, sensitivity,
     susceptibility, sweep, two_level_population,
 )
+from nhsense.verification import check_pseudo_hermitian
 
 from oracles import generator_closed
 
@@ -531,13 +532,14 @@ class TestSweep:
         assert all(row.qfi_numeric == pytest.approx(row.qfi_closed, rel=1e-12) for row in rows)
 
     def test_no_time_stepping(self, integrate_calls):
-        # the dilated H is constant, so neither the sweep nor a lone qfi_numeric steps in
-        # time: each takes its generator from one eigendecomposition per stack, and every
-        # row's qfi_numeric equals qfi_numeric alone
+        # the dilated H is constant, so neither the sweep, a lone qfi_numeric nor verify's
+        # pseudo-Hermitian suite steps in time: each takes its generator from one
+        # eigendecomposition per stack, and every row's qfi_numeric equals qfi_numeric alone
         grid = np.linspace(-0.5 * OMEGA, 0.5 * OMEGA, 201)
         rows = sweep(EPS, OMEGA, grid, nu=1)
         for k in (0, 100, 200):
             alone = qfi_numeric(PseudoHermitianParams(EPS, OMEGA, float(grid[k])), TAU)
             assert repr(alone) == repr(rows[k].qfi_numeric)
+        assert all(r.passed for r in check_pseudo_hermitian())
         assert integrate_calls == []
 

@@ -6,8 +6,8 @@ import pytest
 from nhsense import pseudo_hermitian as ph
 from nhsense.evolution import generators, propagate, propagators
 from nhsense.verification import (
-    _operator_instances, _site_sum, build_report, check_operator_inequalities, check_qfi_bounds, check_qfi_oracle,
-    family_stack, random_terms,
+    _operator_instances, _site_sum, build_report, check_operator_inequalities, check_pseudo_hermitian,
+    check_qfi_bounds, check_qfi_oracle, family_stack, random_terms,
 )
 
 from conftest import make_rng, random_family, random_hermitian
@@ -76,7 +76,6 @@ def test_build_report_step_attempts(integrate_calls, magnus_calls):
     assert integrate_calls == [
         (2, 7, True, 6), (6, 7, True, 7),  # check_qfi_bounds, per dimension
         (2, 17, True, 4), (18, 17, False, 4), (1, 17, True, 4), (9, 17, False, 4),  # check_qfi_oracle
-        (3, 9, True, 5), (3, 9, True, 8),  # check_pseudo_hermitian, per epsilon
         (8, 5, True, 11),  # check_pt_ep's scan near the dip, each period four members
     ]
     assert sum(attempts for *_, attempts in integrate_calls) <= 1300
@@ -129,8 +128,9 @@ def test_site_sum_is_the_kron_sum(n_sites):
 
 def test_build_report_eigh_and_kron_calls(monkeypatch):
     # one LAPACK call per stack and no kron.  eigh (vectors too) only where
-    # expm_hermitian needs them: 5 in the operator suite (per dimension) and 1
-    # for the dilation grid.  The widths take eigenvalues alone: 13 eigvalsh in
+    # expm_hermitian and the spectral QFI need them: 5 in the operator suite (per
+    # dimension), 1 for the dilation grid and 8 for check_pseudo_hermitian's QFI
+    # points, one per (epsilon, t).  The widths take eigenvalues alone: 13 eigvalsh in
     # the operator suite (per dimension and site count) and 8 + 9 in
     # check_qfi_bounds (per series and quadrature round)
     calls = {"eigh": 0, "eigvalsh": 0, "kron": 0}
@@ -145,7 +145,20 @@ def test_build_report_eigh_and_kron_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(np, "kron", counted("kron", np.kron))
     assert build_report(42).overall_pass
-    assert calls == {"eigh": 6, "eigvalsh": 30, "kron": 0}
+    assert calls == {"eigh": 14, "eigvalsh": 30, "kron": 0}
+
+
+def test_ph_qfi_row_reads_the_spectral_route():
+    # verify's closed-vs-numeric QFI row checks sweep-ph's own route, qfi_numeric: its
+    # observed value is qfi_numeric's worst relative mismatch at the row's points, bit for bit
+    want = -np.inf
+    for eps in (0.1, 0.01):
+        p = ph.PseudoHermitianParams(eps, 1.0, [-0.2, 0.0, 0.3])
+        for t in (k * p.tau / 4 for k in (1, 2, 4, 8)):
+            f_closed = ph.qfi_closed(p, t)
+            want = max(want, (np.abs(ph.qfi_numeric(p, t) - f_closed) / f_closed).max())
+    [row] = [r for r in check_pseudo_hermitian() if r.name == "ph-qfi-closed-vs-numeric"]
+    assert row.observed == want
 
 
 def test_build_report_pseudo_hermitian_params(monkeypatch):
