@@ -18,10 +18,10 @@ the whole batch in one call, each stack checked by `evaluate_stack`.  Each
 member keeps its own time, step and accept/reject decision, so its result
 does not depend on the rest of the batch.  A batch costs mostly what its
 serial step attempts cost, each about 150 numpy calls over the whole batch,
-whose time grows slowly with the members (8 EP periods took 37 attempts in
-14 ms, 80 took 29 in 25 ms); so cutting a span into intervals trades
-attempts for members: the EP scan's 80 tangent periods, each cut into four
-(`pt_ep._PIECES`), are 320 members that take 9 attempts.  The method and
+whose time grows slowly with the members; so cutting a span into intervals
+trades attempts for members: each EP tangent period is cut into four
+(`pt_ep._PIECES`), so `verify`'s 8 periods are 32 members that take 11
+attempts, and the default scan's 80, 320 members, take 9.  The method and
 step control are scipy's DOP853, after Hairer, Norsett & Wanner, Solving
 ODEs I, secs. II.4 and II.10: the same steps, and propagators that agree
 with `solve_ivp(method="DOP853")` over each interval to 1e-13.  A member

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .evolution import HamiltonianFamily, check_finite, check_scalar, check_time
+from .evolution import check_finite, check_scalar, check_time
 from .noise import check_trials, scaled_binomial_variance
 from .operators import ID2, SIGMA_X, SIGMA_Y, expm_hermitian, spectral_generator, tensor
 from .qfi import qfi_pure
@@ -142,27 +142,13 @@ class SweepRow:
     hermitian_bound: float
 
 
-def hamiltonian_family(epsilon: float, omega: float) -> HamiltonianFamily:
-    """(b + lam) I⊗sigma_x - c sigma_y⊗sigma_y, the dilated two-qubit Hamiltonian, as a family over
-    the encoded parameter, a stack per call; b and c depend on (epsilon, omega) alone."""
-    b, c = _couplings(epsilon, omega)
-
-    def h(lam, t):
-        lam = np.broadcast_to(lam, np.broadcast_shapes(lam.shape, t.shape))  # one per matrix
-        return (b + lam)[..., None, None] * _IX - c * _YY
-
-    def dh(lam, t):  # constant: a read-only view of I⊗sigma_x
-        return np.broadcast_to(_IX, np.broadcast_shapes(lam.shape, t.shape) + (4, 4))
-
-    return HamiltonianFamily(dim=4, evaluate=h, evaluate_dlambda=dh)
-
-
 def _hamiltonians(p: PseudoHermitianParams) -> np.ndarray:
-    return hamiltonian_family(p.epsilon, p.omega).evaluate(p.lams, np.zeros(p.lams.size))
+    return (p.b + p.lams)[:, None, None] * _IX - p.c * _YY
 
 
 def dilated_hamiltonian(p: PseudoHermitianParams) -> np.ndarray:
-    """The dilated two-qubit Hamiltonian at p: `hamiltonian_family` evaluated at p.lam (a stack for a stack)."""
+    """The dilated two-qubit Hamiltonian (b + lam) I⊗sigma_x - c sigma_y⊗sigma_y at p.lam, a stack for
+    a stack."""
     return p.given(_hamiltonians(p))
 
 

@@ -13,8 +13,7 @@ batch over the grid on `evolution.integrate`, the DOP853 core, with each
 period cut into `_PIECES` = 4 equal intervals, each a batch
 member of its own that the core chains exactly: the default 80 rows are 320
 members that take 9 serial step attempts, against 29 with each period one
-member, and the worst included cell is 4.6e-11 off the same scan at the
-solver floor, against 5.4e-10.  Every U-only period (the root finders,
+member.  Every U-only period (the root finders,
 `propagate_period` and so `ep_susceptibility`, a difference-quotient oracle
 for that derivative) is a member of `_propagate_periods`, the sixth-order
 Magnus route (`evolution.magnus_propagators`): its steps depend on H alone,
@@ -51,7 +50,8 @@ _PIECES = 4  # equal intervals of each tangent period, each a member of the batc
 class PtEpParams:
     """Coupling J, dissipation Gamma, drive frequency omega, perturbation
     amplitude delta and frequency omega_delta (the estimated parameter).  Over one period
-    T = 2 pi/omega, J T and omega_delta T are at most MAX_PERIOD_PHASE and C0 = e^{2 Gamma T} is finite."""
+    T = 2 pi/omega, J T, delta T and omega_delta T are at most MAX_PERIOD_PHASE and C0 = e^{2 Gamma T}
+    is finite."""
 
     J: float
     Gamma: float
@@ -74,7 +74,7 @@ class PtEpParams:
         if self.omega_delta <= 0:
             raise DomainError("omega_delta must be positive")
         check_trials(self.nu)
-        for name in ("J", "omega_delta"):
+        for name in ("J", "delta", "omega_delta"):
             phase = getattr(self, name) * self.T
             if not phase <= MAX_PERIOD_PHASE:
                 raise DomainError(f"{name} T = {phase:.3g} with T = 2 pi/omega exceeds "
@@ -273,6 +273,7 @@ def _diff_root(at, xs: list[float], tol: float, prop_tol: float, name: str) -> f
     the two bracket ends, without a check of its own.
     """
     check_step(tol, "root tolerance")
+    at(xs[0]), at(xs[-1])  # DomainError at an end out of the domain, before any batch runs
     head = max(2, (len(xs) + 1) // 2)
     vals: list[float] = []
     counts: list[int] = []

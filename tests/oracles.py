@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 
 from nhsense.evolution import DEFAULT_TOL, HamiltonianFamily, check_step, check_time, propagators
@@ -9,7 +10,9 @@ from nhsense.noise import make_rng
 from nhsense.operators import (
     ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, covariance, eig_hermitian, expm_hermitian, seminorm, tensor, variance,
 )
-from nhsense.pseudo_hermitian import _IX, _YY, PseudoHermitianParams, _splitting
+from nhsense.pseudo_hermitian import (
+    _IX, _YY, GRADIENT_FLOOR, PseudoHermitianParams, _splitting, dilated_hamiltonian,
+)
 from nhsense.pt_ep import PtEpParams
 from nhsense.verification import (
     CheckResult, _gaussian, _result, _unitary_from_gaussian, random_hermitian, random_state,
@@ -40,6 +43,60 @@ def generator_closed(p: PseudoHermitianParams, t: float) -> np.ndarray:
     hy = c * lb / om**2 * (s2 / (2.0 * om) - t)
     hz = -c * np.sin(om * t) ** 2 / om**2
     return p.given(hx[:, None, None] * _IX + hy[:, None, None] * _YY + hz[:, None, None] * _YZ)
+
+
+def dilated_family(epsilon: float, omega: float) -> HamiltonianFamily:
+    """The dilated sensor's constant Hamiltonian as a family over lam, for the tests that step it in
+    time: `dilated_hamiltonian` at each broadcast (lam, t) pair, and dH/dlam = I⊗sigma_x."""
+    PseudoHermitianParams(epsilon, omega)  # DomainError here, outside (epsilon, omega)'s domain
+
+    def h(lam, t):
+        shape = np.broadcast_shapes(lam.shape, t.shape)
+        lams = tuple(np.broadcast_to(lam, shape).ravel().tolist())
+        return dilated_hamiltonian(PseudoHermitianParams(epsilon, omega, lams)).reshape(shape + (4, 4))
+
+    def dh(lam, t):  # constant: a read-only view of I⊗sigma_x
+        return np.broadcast_to(_IX, np.broadcast_shapes(lam.shape, t.shape) + (4, 4))
+
+    return HamiltonianFamily(dim=4, evaluate=h, evaluate_dlambda=dh)
+
+
+def sweep_row_reference(epsilon: float, omega: float, lam: float, t: float, nu: int = 1) -> dict[str, float]:
+    """The `sweep` row of the dilated sensor at (lam, t) from its closed forms in 40-digit mpmath, each
+    column rounded once to a float.  The two lam slopes and the QFI rate are mpmath derivatives of S,
+    P1 and sqrt(F), not the package's formulas for them, and qfi_numeric's reference is the
+    closed-form QFI.  sensitivity follows the package's convention below GRADIENT_FLOOR: NaN where
+    the variance is below its square too, +inf otherwise."""
+    with mpmath.workdps(40):
+        e, w, t = mpmath.mpf(epsilon), mpmath.mpf(omega), mpmath.mpf(t)
+        b, c = 4 * w * e * (1 + e) / (1 + 2 * e), 2 * w * mpmath.sqrt(e * (1 + e)) / (1 + 2 * e)
+
+        def splitting(x):
+            return mpmath.sqrt((x + b) ** 2 + c**2)
+
+        def population(x):
+            delta = (x + 2 * e * w) / splitting(x)
+            return 1 / (1 + delta**2 * mpmath.tan(splitting(x) * t) ** 2)
+
+        def p1(x):
+            return (1 + e) / (1 + 2 * e) * mpmath.cos(splitting(x) * t) ** 2
+
+        def qfi(x, s):
+            om = splitting(x)
+            return 4 * (x + b) ** 2 * s**2 / om**2 + 4 * c**2 * mpmath.sin(om * s) ** 2 / om**4
+
+        x = mpmath.mpf(lam)
+        prob, slope = p1(x), mpmath.diff(p1, x)
+        var = prob * (1 - prob) / nu
+        if abs(slope) >= GRADIENT_FLOOR:
+            sensitivity = mpmath.sqrt(var) / abs(slope)
+        else:
+            sensitivity = mpmath.nan if var < GRADIENT_FLOOR**2 else mpmath.inf
+        row = {"lam": x, "S": population(x), "chi": mpmath.diff(population, x), "P1": prob,
+               "dP1_dlam": slope, "sensitivity": sensitivity, "qfi_closed": qfi(x, t),
+               "qfi_numeric": qfi(x, t), "rate_closed": mpmath.diff(lambda s: mpmath.sqrt(qfi(x, s)), t),
+               "hermitian_bound": 1 / (2 * mpmath.sqrt(nu) * t)}
+        return {name: float(value) for name, value in row.items()}
 
 
 def pt_ep_hamiltonian_sum(ps: list[PtEpParams], lam: np.ndarray, t: np.ndarray) -> np.ndarray:

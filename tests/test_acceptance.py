@@ -21,6 +21,8 @@ from nhsense.verification import (
     _variance_standard_error, check_operator_inequalities, family_stack, make_rng, random_state, random_terms,
 )
 
+from oracles import dilated_family
+
 OMEGA = 1.0
 
 
@@ -40,7 +42,7 @@ def criterion(number: int, description: str, budget_s: float):
 def test_criterion_01_closed_vs_numeric_qfi():
     with criterion(1, "closed-form vs numerical QFI within 1e-8 relative", 5.0):
         for eps in (0.1, 0.01):
-            fam = ph.hamiltonian_family(eps, OMEGA)
+            fam = dilated_family(eps, OMEGA)
             psi0 = ph.probe_state(eps)
             tau = ph.PseudoHermitianParams(eps, OMEGA).tau
             grid = np.array([0.0, tau / 4, tau / 2, tau, 2 * tau])
@@ -57,7 +59,7 @@ def test_criterion_02_rate_formula_and_band():
     with criterion(2, "exact QFI rate matches d sqrt(F)/dt within 1e-5, |rate| <= 2", 5.0):
         step = 1e-5
         for eps in (0.1, 0.01):
-            fam = ph.hamiltonian_family(eps, OMEGA)
+            fam = dilated_family(eps, OMEGA)
             psi0 = ph.probe_state(eps)
             tau = ph.PseudoHermitianParams(eps, OMEGA).tau
             t_points = [tau / 4, tau / 2, tau, 2 * tau]
@@ -78,7 +80,7 @@ def test_criterion_03_channel_bound():
     with criterion(3, "sqrt(F) below the spectral-width integral (channel bound)", 30.0):
         # dilated sensor: width of the encoding operator is exactly 2
         for eps in (0.1, 0.01):
-            fam = ph.hamiltonian_family(eps, OMEGA)
+            fam = dilated_family(eps, OMEGA)
             psi0 = ph.probe_state(eps)
             tau = ph.PseudoHermitianParams(eps, OMEGA).tau
             grid = np.array([0.0, tau / 4, tau / 2, tau, 2 * tau])

@@ -18,6 +18,7 @@ from nhsense.cli import (
 )
 from nhsense.verification import VerificationReport
 
+from oracles import sweep_row_reference
 from test_pt_ep import GAMMA_EP_J1_W1, GAMMA_EP_J1_W4
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -102,6 +103,8 @@ TOO_MANY_TURNS = [
     (["scan-ep", "--omega", "1e-300", "--Gamma", "0.5", "--grid-count", "2"],
      ["scenario.pt-ep.J", "scenario.pt-ep.omega"]),
     (["scan-ep", "--J", "1e300", "--grid-count", "2"], ["scenario.pt-ep.J", "scenario.pt-ep.omega"]),
+    (["scan-ep", "--Gamma", "1.065", "--delta", "1e6", "--grid-count", "2"],
+     ["scenario.pt-ep.delta", "scenario.pt-ep.omega"]),
     (["scan-ep", "--Gamma", "0.5", "--grid-start", "1e200", "--grid-stop", "2e200", "--grid-count", "2"],
      ["scenario.pt-ep.grid.start", "scenario.pt-ep.omega"]),
     (["scan-ep", "--Gamma", "0.5", "--grid-start", "1", "--grid-stop", "1e200", "--grid-count", "2"],
@@ -298,7 +301,7 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("argv, keys", TOO_MANY_TURNS, ids=[" ".join(argv) for argv, _ in TOO_MANY_TURNS])
     def test_too_many_turns_per_period_exits_1(self, argv, keys, tmp_path):
-        # J T or omega_delta T above MAX_PERIOD_PHASE: propagating the period
+        # J T, delta T or omega_delta T above MAX_PERIOD_PHASE: propagating the period
         # would not end in any useful time, so the configuration is rejected
         # before it starts
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
@@ -501,9 +504,9 @@ class TestVerifySubcommand:
         assert rows[-1][4] == "true"
 
 
-def compare_to_fixture(generated: Path, pinned: Path):
+def compare_to_fixture(generated: Path, pinned: Path, rel: float):
     """Assert that the artifact `generated` matches the pinned one: metadata and text exactly,
-    numbers within rel 1e-9 (abs 1e-12)."""
+    numbers within rel (abs 1e-12)."""
     meta_g, header_g, rows_g = read_csv(str(generated))
     meta_p, header_p, rows_p = read_csv(str(pinned))
     assert meta_g == meta_p
@@ -519,22 +522,44 @@ def compare_to_fixture(generated: Path, pinned: Path):
             if math.isnan(vp):
                 assert math.isnan(vg)
             else:
-                assert vg == pytest.approx(vp, rel=1e-9, abs=1e-12), (
+                assert vg == pytest.approx(vp, rel=rel, abs=1e-12), (
                     f"{header_g[col]} at {header_g[0]}={row_p[0]}: pinned {sp}, generated {sg}")
 
 
+# relative gates of the fixtures, each over an absolute 1e-12: the sweep's cells are closed forms and
+# one eigendecomposition, checked against their 40-digit values below; the scan's are DOP853 results
+SWEEP_REL, SCAN_REL = 1e-12, 1e-9
+
+
 class TestRegressionFixtures:
-    """Self-oracle CSVs pinned at the first verified build."""
+    """Self-oracle CSVs pinned at the first verified build, the sweep's checked against its closed forms."""
 
     def test_sweep_default_fixture(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep-ph", "--out", str(out)]) == 0
-        compare_to_fixture(out, FIXTURES / "sweep_ph_default.csv")
+        compare_to_fixture(out, FIXTURES / "sweep_ph_default.csv", SWEEP_REL)
+
+    def test_sweep_fixture_and_run_against_the_closed_forms_in_mpmath(self, tmp_path):
+        # every cell of the pinned sweep and of a fresh run, against the closed forms at 40
+        # digits at the package's double tau, within the fixture gate
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-ph", "--out", str(out)]) == 0
+        tau = ph.PseudoHermitianParams(0.1, 1.0).tau
+        for path in (FIXTURES / "sweep_ph_default.csv", out):
+            _, header, rows = read_csv(str(path))
+            for row in rows:
+                want = sweep_row_reference(0.1, 1.0, float(row[0]), tau)
+                for name, cell in zip(header, row):
+                    where = f"{path.name}: {name} at lam={row[0]}"
+                    if math.isnan(want[name]):
+                        assert math.isnan(float(cell)), where
+                    else:
+                        assert float(cell) == pytest.approx(want[name], rel=SWEEP_REL, abs=1e-12), where
 
     def test_scan_default_fixture(self, tmp_path):
         out = tmp_path / "scan.csv"
         assert main(["scan-ep", "--out", str(out)]) == 0
-        compare_to_fixture(out, FIXTURES / "scan_ep_default.csv")
+        compare_to_fixture(out, FIXTURES / "scan_ep_default.csv", SCAN_REL)
 
 
 def dispatched_cpu_features() -> list[str]:
@@ -598,18 +623,18 @@ class TestAcrossBuilds:
         script = """
 import sys
 import numpy as np
-from nhsense import pseudo_hermitian
 from nhsense.evolution import integrate
 from nhsense.noise import make_rng
 from nhsense.verification import random_family
+from oracles import dilated_family
 runs = [integrate(random_family(make_rng(7), 4), [0.3], np.linspace(0.0, 2.0, 7), 1e-10, tangent=True),
-        integrate(pseudo_hermitian.hamiltonian_family(0.1, 1.0), [-0.05, 0.0, 0.05], (0.0, 1.0, 2.0), 1e-10,
-                  tangent=True)]
+        integrate(dilated_family(0.1, 1.0), [-0.05, 0.0, 0.05], (0.0, 1.0, 2.0), 1e-10, tangent=True)]
 sys.stdout.buffer.write(b"".join(a.tobytes() for run in runs for a in run))
 """
         outputs = []
+        path = os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)])
         for build in ("default", "openblas-sandybridge"):
-            env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), **BUILDS[build]}
+            env = {**os.environ, "PYTHONPATH": path, **BUILDS[build]}
             proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
             assert proc.returncode == 0, proc.stderr.decode()
             outputs.append(proc.stdout)
@@ -620,8 +645,8 @@ sys.stdout.buffer.write(b"".join(a.tobytes() for run in runs for a in run))
     def test_every_build_within_the_fixture_gates(self, build_runs, build):
         runs = build_runs[build]
         assert all(code == 0 for code, _, _ in runs.values()), {run: err for run, (_, err, _) in runs.items()}
-        compare_to_fixture(runs["scan-ep"][2], FIXTURES / "scan_ep_default.csv")
-        compare_to_fixture(runs["sweep-ph"][2], FIXTURES / "sweep_ph_default.csv")
+        compare_to_fixture(runs["scan-ep"][2], FIXTURES / "scan_ep_default.csv", SCAN_REL)
+        compare_to_fixture(runs["sweep-ph"][2], FIXTURES / "sweep_ph_default.csv", SWEEP_REL)
         for run in ("find-ep", "find-ep-two-batch"):
             _, _, rows = read_csv(str(runs[run][2]))
             assert abs(float(rows[0][5]) - GAMMA_EP_J1_W4) <= 1e-10, run  # find-ep's default tol

@@ -14,9 +14,7 @@ from nhsense.evolution import (
     propagate, propagators,
 )
 from nhsense.operators import SIGMA_X, SIGMA_Z, expm_hermitian
-from nhsense.pseudo_hermitian import (
-    PseudoHermitianParams, hamiltonian_family, probe_state, qfi_numeric,
-)
+from nhsense.pseudo_hermitian import PseudoHermitianParams, probe_state, qfi_numeric
 from nhsense.pt_ep import PtEpParams, _family
 from nhsense.qfi import qfi_fidelity_oracle
 from nhsense.verification import family_stack, random_terms
@@ -25,7 +23,7 @@ from conftest import (
     constant, constant_family, make_rng, per_time, pt_dhamiltonian, pt_hamiltonian, random_family,
     random_hermitian,
 )
-from oracles import generator_closed, generator_finite_difference
+from oracles import dilated_family, generator_closed, generator_finite_difference
 
 
 def one_member(h_of_t):
@@ -406,7 +404,7 @@ class TestPropagate:
     def test_grid_point_agrees_with_two_point_run(self):
         # the first interval is the two-point run bit for bit; a later point,
         # chained from the intervals before it, is that run to within 10 tol
-        fam = hamiltonian_family(0.1, 1.0)
+        fam = dilated_family(0.1, 1.0)
         times, tol = np.array([0.0, 0.9, 1.8, 2.7]), 1e-10
         rec = propagate(fam, 0.2, times, tol=tol)
         for k in range(1, times.size):
@@ -418,7 +416,7 @@ class TestPropagate:
 
     def test_example_generator_closed_form(self):
         # dilated-sensor family: propagated h vs the block closed form
-        fam = hamiltonian_family(0.1, 1.0)
+        fam = dilated_family(0.1, 1.0)
         p = PseudoHermitianParams(0.1, 1.0, 0.2)
         times = np.array([0.0, 0.9, 1.8, 2.7])
         rec = propagate(fam, 0.2, times, tol=1e-10)
@@ -505,7 +503,7 @@ class TestGeneratorFiniteDifference:
         assert np.abs(got - 1.0 * SIGMA_X).max() < 1e-8
 
     def test_cross_check_against_augmented_ode(self):
-        fam = hamiltonian_family(0.1, 1.0)
+        fam = dilated_family(0.1, 1.0)
         t = 1.5
         rec = propagate(fam, 0.2, np.array([0.0, t]), tol=1e-10)
         fd = generator_finite_difference(fam, 0.2, t, dlam=1e-4, tol=1e-10)
@@ -532,7 +530,7 @@ def test_propagators_at_zero_time(rng):
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
 def test_bad_end_time_rejected(t):
     # a negative or non-finite end time is an error, not the identity or a zero QFI
-    fam = hamiltonian_family(0.1, 1.0)
+    fam = dilated_family(0.1, 1.0)
     psi0 = probe_state(0.1)
     for call in (lambda: propagators(fam, [0.0], t),
                  lambda: qfi_numeric(PseudoHermitianParams(0.1, 1.0), t),
@@ -641,14 +639,15 @@ class TestEvaluateStack:
 
 
 def in_package_families(rng):
-    """(name, family, lam of each of 3 members) of every family the package builds."""
+    """(name, family, lam of each of 3 members) of every family the package builds, and of the dilated
+    sensor's family that the tests step in time."""
     ps = [PtEpParams(J=1.0, Gamma=g, omega=4.0, delta=0.05, omega_delta=wd)
           for g, wd in ((0.3, 0.8), (0.9, 1.7), (1.2, 0.2))]
     lams = [0.3, -0.2, 0.45]
     return [("pt_ep", _family(ps), np.arange(3.0)),
             ("family_stack", family_stack([random_terms(rng, 3) for _ in lams], lams), np.arange(3.0)),
             ("random_family", random_family(rng, 3), np.array(lams)),
-            ("hamiltonian_family", hamiltonian_family(0.1, 1.0), np.array(lams))]
+            ("dilated_family", dilated_family(0.1, 1.0), np.array(lams))]
 
 
 @pytest.mark.parametrize("k", [1, 11])

@@ -10,13 +10,13 @@ from nhsense.errors import DomainError
 from nhsense.operators import ID2, SIGMA_X, SIGMA_Y, expm_hermitian, seminorm, tensor
 from nhsense.pseudo_hermitian import (
     PseudoHermitianParams, _asymmetry, _splitting, conditional_population_from_dilation, dilated_hamiltonian,
-    hamiltonian_family, hermitian_bound, p1_closed, p1_slope, postselection_success,
+    hermitian_bound, p1_closed, p1_slope, postselection_success,
     probe_state, qfi_closed, qfi_numeric, qfi_rate_closed, sensitivity,
     susceptibility, sweep, two_level_population,
 )
 from nhsense.verification import check_pseudo_hermitian
 
-from oracles import generator_closed
+from oracles import dilated_family, generator_closed
 
 EPS, OMEGA = 0.1, 1.0
 P0 = PseudoHermitianParams(EPS, OMEGA, 0.0)
@@ -62,18 +62,18 @@ class TestParams:
     def test_rejects_omega_whose_coupling_overflows(self, omega):
         # c ~ 0.55 omega here: c⁴ overflowed, and a float ** that overflows raises
         # OverflowError, so sweep-ph --omega 1e78 stopped with a traceback
-        for make in (lambda: PseudoHermitianParams(EPS, omega), lambda: hamiltonian_family(EPS, omega)):
-            with pytest.raises(DomainError, match=re.escape(f"omega {omega:g} too large")):
-                make()
+        with pytest.raises(DomainError, match=re.escape(f"omega {omega:g} too large")):
+            PseudoHermitianParams(EPS, omega)
         assert math.isfinite(PseudoHermitianParams(EPS, 1e76).c)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("epsilon, omega", [(1e300, 1.0), (1e154, 1.0), (1e150, 1e10)])
     def test_family_rejects_couplings_that_overflow(self, epsilon, omega):
         # b = 4 omega e(1 + e)/(1 + 2e) overflowed to inf: the family's matrices were
-        # all nan, with a RuntimeWarning, and no DomainError
+        # all nan, with a RuntimeWarning, and no DomainError; the family the tests
+        # step in time takes its (epsilon, omega) rule from the params
         with pytest.raises(DomainError, match=re.escape(f"epsilon {epsilon:g} too large")):
-            hamiltonian_family(epsilon, omega)
+            dilated_family(epsilon, omega)
 
     def test_omega_fourth_power_bound(self):
         # lam this large sets Omega = hypot(lam + b, c) = lam; the largest lam whose
@@ -104,9 +104,9 @@ class TestParams:
 
 
 def test_family_stack_is_dilated_hamiltonian_bit_for_bit():
-    # the family evaluates a whole stack of lam at once, with the float
-    # operations of dilated_hamiltonian at each lam
-    fam = hamiltonian_family(EPS, OMEGA)
+    # the family the tests step in time evaluates a whole stack of lam at once,
+    # with the float operations of dilated_hamiltonian at each lam
+    fam = dilated_family(EPS, OMEGA)
     lam, t = np.linspace(-0.5, 0.5, 7), np.linspace(0.0, 2.0, 7)
     stack = fam.evaluate(lam, t)
     for j in range(lam.size):

@@ -48,7 +48,7 @@ class TestParams:
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             PtEpParams(**{**params, name: value})
 
-    @pytest.mark.parametrize("name", ["J", "omega_delta"])
+    @pytest.mark.parametrize("name", ["J", "delta", "omega_delta"])
     def test_period_phase_bound_is_inclusive(self, name):
         # name * T = MAX_PERIOD_PHASE exactly is accepted, the next float up is not
         params = dict(J=1.0, Gamma=0.5, omega=4.0, delta=0.05, omega_delta=1.0)
@@ -244,6 +244,13 @@ class TestFindEp:
     def test_no_sign_change_reported(self):
         with pytest.raises(DomainError, match=r"^no sign change of P_J - P_Gamma in Gamma bracket \(2, 2\.9\)$"):
             find_ep(1.0, 1.0, bracket=(2.0, 2.9), tol=1e-8)
+
+    def test_bracket_end_out_of_the_domain_raises_before_any_period(self, magnus_calls):
+        # at omega 0.05 the default bracket's end 3 has 2 Gamma T = 754, past ln(max float);
+        # the pre-scan once propagated its first 13 periods, then raised at Gamma ~ 2.875
+        with pytest.raises(DomainError, match=r"^2 Gamma T = 754 with"):
+            find_ep(1.0, 0.05)
+        assert magnus_calls == []
 
     def test_prescan_member_equals_serial_propagation(self, monkeypatch):
         # the pre-scan's first batch holds the first 13 of its 25 points; each

@@ -11,7 +11,7 @@ from nhsense.errors import DomainError
 from nhsense.evolution import HamiltonianFamily, propagate
 from nhsense.noise import make_rng
 from nhsense.operators import SIGMA_X, SIGMA_Z, covariance, seminorm, variance
-from nhsense.pseudo_hermitian import PseudoHermitianParams, hamiltonian_family, probe_state
+from nhsense.pseudo_hermitian import PseudoHermitianParams, probe_state
 from nhsense.pt_ep import PtEpParams
 from nhsense.qfi import (
     RATE_QFI_FLOOR, _integrals, _widths, cramer_rao, fidelity_curvature, qfi_fidelity_oracle, qfi_pure, qfi_series,
@@ -19,6 +19,7 @@ from nhsense.qfi import (
 from nhsense.verification import _random_instances, family_stack
 
 from conftest import KET0, KET_PLUS, constant, per_time, random_family, random_hermitian, random_state
+from oracles import dilated_family
 
 # dilated sensor at eps=0.1, omega=1, lam=0, t=tau: closed form
 # 4 b^2 tau^2 / Omega^2 + 4 c^2 / Omega^4 with sin(Omega tau) = 1
@@ -35,7 +36,7 @@ class TestQfiPure:
             assert qfi_pure(t * SIGMA_X, KET0) == pytest.approx(4 * t**2, rel=1e-14)
 
     def test_example_value_from_propagation(self):
-        fam = hamiltonian_family(0.1, 1.0)
+        fam = dilated_family(0.1, 1.0)
         rec = propagate(fam, 0.0, np.array([0.0, TAU_EXAMPLE]), tol=1e-11)
         got = qfi_pure(rec.h[-1], probe_state(0.1))
         assert got == pytest.approx(F_EXAMPLE, rel=1e-9)
@@ -60,7 +61,7 @@ class TestFidelityOracle:
         assert got == pytest.approx(4.0, abs=1e-4)
 
     def test_example_grid_point(self):
-        fam = hamiltonian_family(0.1, 1.0)
+        fam = dilated_family(0.1, 1.0)
         got = qfi_fidelity_oracle(fam, 0.0, probe_state(0.1), TAU_EXAMPLE)
         assert got == pytest.approx(F_EXAMPLE, rel=1e-4)
 
@@ -119,7 +120,7 @@ class TestQfiSeries:
             assert np.allclose(np.sqrt(series.channel_bound), 2 * times, atol=1e-9)
 
     def test_example_rate_everywhere_in_band(self):
-        fam = hamiltonian_family(0.1, 1.0)
+        fam = dilated_family(0.1, 1.0)
         times = np.linspace(0.0, 2 * TAU_EXAMPLE, 12)
         series = qfi_series(propagate(fam, 0.0, times, tol=1e-11), probe_state(0.1), fam)
         assert np.all(np.abs(series.sqrt_qfi_rate) <= 2.0 + 1e-6)
@@ -128,7 +129,7 @@ class TestQfiSeries:
     def test_example_rate_matches_closed_form(self):
         from nhsense.pseudo_hermitian import qfi_rate_closed
         p = PseudoHermitianParams(0.1, 1.0, 0.0)
-        fam = hamiltonian_family(0.1, 1.0)
+        fam = dilated_family(0.1, 1.0)
         times = np.array([0.0, TAU_EXAMPLE / 2, TAU_EXAMPLE])
         series = qfi_series(propagate(fam, 0.0, times, tol=1e-11), probe_state(0.1), fam)
         for k in (1, 2):
