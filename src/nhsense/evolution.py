@@ -30,11 +30,11 @@ whose span s is 2 or more carries its tangent in units of u =
 are exact.  The batch is held entries-first: states, stages and products
 are (d, w, m), the member axis last and contiguous, so each numpy call runs
 one inner loop over the whole batch.  Every stage, solution and error sum
-is an elementwise sum over the stage axis, and every stage, chain and
-Magnus product is one broadcast multiply and one sum over the inner index
-(`_product`), for any dim; so no family's propagation depends on a BLAS
-kernel.  For a Hermitian family, `propagate` records the local generator
-h = i U† dU/dlam as the Hermitian part of i U† W.  No unitarity
+is one `einsum` over the stage axis, entry by entry, and every stage,
+chain and Magnus product is one broadcast multiply and one sum over the
+inner index (`_product`), for any dim; so no family's propagation depends
+on a BLAS kernel.  For a Hermitian family, `propagate` records the local
+generator h = i U† dU/dlam as the Hermitian part of i U† W.  No unitarity
 re-projection is applied; integration error is tracked, not hidden.
 
 `magnus_propagators` is a second route, for U alone of a 2-dim family; the
@@ -208,12 +208,13 @@ def _rms(x: np.ndarray) -> np.ndarray:
 
 
 def _weighted(w: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The stage sums sum_s w[..., s] k[s] of real stage views k (s, n, 2m), as complex (..., n, m).
+    """sum_s w[s] k[s] of a weight row w (s, 1, 1) and real stage views k (s, n, 2m), as complex (n, m).
 
-    An elementwise product and a sum over the stage axis, in the order s = 0, 1, ...: each
-    entry's floats depend on its own stages alone, on no BLAS kernel and no batch size.
+    One `einsum` contraction over the stage axis in numpy's own C loop (never `optimize`,
+    which routes through `tensordot` and BLAS): each entry's floats depend on its own stages
+    alone, on no BLAS kernel and no batch size.
     """
-    return np.add.reduce(w * k, -3).view(complex)
+    return np.einsum("s,s...->...", w.reshape(-1), k).view(complex)
 
 
 def _pow(x: np.ndarray, e: float) -> np.ndarray:

@@ -123,33 +123,25 @@ def _random_instances(rng: np.random.Generator, n: int) -> dict[int, tuple[list,
 # ------------------------------------------------------------- operator suite
 
 def _operator_instances(rng: np.random.Generator, n: int) -> tuple[dict, dict]:
-    """n seeded instances, drawn in turn as one loop of random_hermitian, _gaussian and
-    random_state calls would draw them, but with one normal draw for all of an instance's
-    Gaussians and one for its h1.
+    """n seeded instances, drawn as arrays: first every dimension, site count and t, then, for
+    each dimension that occurs, in ascending order, one normal draw for the real and imaginary
+    parts of its A, B, U's Gaussian and psi, then one for the h1 of each site count that occurs.
 
     Returns the (A, B, Gaussian of U, psi, t) stacks by dimension and the h1
-    stacks by site count.
+    stacks by site count, each in ascending order.
     """
-    by_dim: dict[int, tuple[list, list]] = {}
-    by_sites: dict[int, list] = {}
-    for _ in range(n):
-        dim = int(rng.integers(2, 7))
-        normals, ts = by_dim.setdefault(dim, ([], []))
-        # real then imaginary part of A, B, U's Gaussian and psi, in turn
-        normals.append(rng.normal(size=6 * dim * dim + 2 * dim))
-        ts.append(rng.uniform(0.0, 3.0))
-        by_sites.setdefault(int(rng.integers(1, 5)), []).append(rng.normal(size=8))
+    dims, sites, ts = rng.integers(2, 7, n), rng.integers(1, 5, n), rng.uniform(0.0, 3.0, n)
     stacks = {}
-    for dim, (normals, ts) in by_dim.items():
-        z = np.stack(normals)
-        matrices = z[:, :6 * dim * dim].reshape(-1, 3, 2, dim, dim)
-        v = _complex(z[:, 6 * dim * dim:].reshape(-1, 2, dim))
-        # one norm per instance: a stacked sum would round differently from norm's BLAS dot
-        psi = v / np.array([np.linalg.norm(row) for row in v])[:, None]
-        stacks[dim] = [_hermitian(_complex(matrices[:, 0])), _hermitian(_complex(matrices[:, 1])),
-                       _complex(matrices[:, 2]), psi, np.array(ts)]
-    return stacks, {n_sites: _hermitian(_complex(np.stack(rows).reshape(-1, 2, 2, 2)))
-                    for n_sites, rows in by_sites.items()}
+    for dim in range(2, 7):
+        group = dims == dim
+        if k := np.count_nonzero(group):
+            z = rng.normal(size=(k, 6 * dim * dim + 2 * dim))
+            matrices = z[:, :6 * dim * dim].reshape(-1, 3, 2, dim, dim)
+            v = _complex(z[:, 6 * dim * dim:].reshape(-1, 2, dim))
+            stacks[dim] = [_hermitian(_complex(matrices[:, 0])), _hermitian(_complex(matrices[:, 1])),
+                           _complex(matrices[:, 2]), v / np.linalg.norm(v, axis=-1, keepdims=True), ts[group]]
+    return stacks, {n_sites: _hermitian(_complex(rng.normal(size=(k, 8)).reshape(-1, 2, 2, 2)))
+                    for n_sites in range(1, 5) if (k := np.count_nonzero(sites == n_sites))}
 
 
 def _complex(parts: np.ndarray) -> np.ndarray:
@@ -174,8 +166,8 @@ def _site_sum(h1: np.ndarray, n_sites: int) -> np.ndarray:
 def check_operator_inequalities(seed: int, n: int = 1000) -> list[CheckResult]:
     """Triangle, unitary invariance, variance and covariance bounds, additivity.
 
-    The instances are drawn one after another, then evaluated as one stack
-    per dimension, and one per site count for additivity.
+    The instances are drawn as arrays, then evaluated as one stack per
+    dimension, and one per site count for additivity.
     """
     by_dim, by_sites = _operator_instances(make_rng(seed), n)
     worst = np.full(6, -np.inf)
@@ -312,12 +304,10 @@ def check_pt_ep() -> list[CheckResult]:
     # variance formula == delta-method composition
     worst_var = -np.inf
     rng = make_rng(321)
-    for _ in range(100):
-        c0 = float(rng.uniform(1.0, 30.0))
-        diff = float(rng.uniform(0.05, 0.95))
-        pg = float(rng.uniform(0.0, min(c0 - diff, 3.0)))
+    c0s, diffs = rng.uniform(1.0, 30.0, 100), rng.uniform(0.05, 0.95, 100)
+    pgs, periods = rng.uniform(0.0, np.minimum(c0s - diffs, 3.0)), rng.uniform(0.5, 8.0, 100)
+    for c0, diff, pg, period in zip(c0s.tolist(), diffs.tolist(), pgs.tolist(), periods.tolist()):
         pj = pg + diff
-        period = float(rng.uniform(0.5, 8.0))
         direct = pt_ep.response_variance(pj, pg, c0, 1, period)
         slope = 1.0 / (2.0 * period * math.sqrt(diff * (1.0 - diff)))
         composed = propagate_error([slope, -slope],

@@ -459,17 +459,18 @@ class TestCliRuns:
 class TestImportPath:
     def test_default_runs_load_no_scipy(self, tmp_path):
         # scipy is a test dependency only: importing the CLI and the default
-        # runs of all four subcommands must not load it
+        # runs of all four subcommands must not load it, nor numpy.ma, which
+        # np.unique imports lazily at a cost of over 10 ms
         script = f"""
 import sys
 from nhsense import cli
-assert "scipy" not in sys.modules, "import nhsense.cli"
+assert "scipy" not in sys.modules and "numpy.ma" not in sys.modules, "import nhsense.cli"
 for argv in (["find-ep", "--out", {str(tmp_path / "ep.csv")!r}],
              ["scan-ep", "--grid-count", "3", "--out", {str(tmp_path / "scan.csv")!r}],
              ["sweep-ph", "--grid-count", "3", "--out", {str(tmp_path / "sweep.csv")!r}],
              ["verify", "--seed", "42", "--out", {str(tmp_path / "verify.csv")!r}]):
     assert cli.main(argv) == 0, argv
-    assert "scipy" not in sys.modules, argv[0]
+    assert "scipy" not in sys.modules and "numpy.ma" not in sys.modules, argv[0]
 """
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

@@ -5,13 +5,14 @@ import pytest
 
 from nhsense import pseudo_hermitian as ph
 from nhsense.evolution import generators, propagate, propagators
+from nhsense.operators import STATE_NORM_ATOL
 from nhsense.verification import (
     _operator_instances, _site_sum, build_report, check_operator_inequalities, check_pseudo_hermitian,
     check_qfi_bounds, check_qfi_oracle, family_stack, random_terms,
 )
 
 from conftest import make_rng, random_family, random_hermitian
-from oracles import operator_inequalities_per_instance, operator_instances_per_draw
+from oracles import operator_inequalities_per_instance
 
 GRID = np.linspace(0.0, 1.5, 7)
 
@@ -88,7 +89,7 @@ def test_build_report_step_attempts(integrate_calls, magnus_calls):
 
 @pytest.mark.parametrize("seed", [42, 777])
 def test_operator_suite_matches_the_per_instance_loop(seed):
-    # same draws in the same order, evaluated as stacks: each observed value as the loop's
+    # the same instances, evaluated as stacks and one at a time: each observed value as the loop's
     stacked = check_operator_inequalities(seed, n=400)
     looped = operator_inequalities_per_instance(seed, n=400)
     assert [r.name for r in stacked] == [r.name for r in looped]
@@ -98,17 +99,29 @@ def test_operator_suite_matches_the_per_instance_loop(seed):
 
 @pytest.mark.parametrize("seed", [0, 42, 777])
 @pytest.mark.parametrize("n", [1, 7, 400])
-def test_operator_instances_equal_the_per_draw_loop(seed, n):
-    # one normal draw per instance and one per h1 give the loop's stacks bit for bit
+def test_operator_instances_layout(seed, n):
+    # groups sized by the first integers draws, in ascending order; Hermitian A, B and h1,
+    # unit psi, 0 <= t < 3, and equal bytes from equal seeds
+    rng = make_rng(seed)
+    dims, sites = rng.integers(2, 7, n), rng.integers(1, 5, n)
     by_dim, by_sites = _operator_instances(make_rng(seed), n)
-    want_dim, want_sites = operator_instances_per_draw(make_rng(seed), n)
-    assert list(by_dim) == list(want_dim) and list(by_sites) == list(want_sites)
-    for dim, stacks in by_dim.items():
-        for got, want in zip(stacks, want_dim[dim], strict=True):
-            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert list(by_dim) == sorted(set(dims.tolist())) and list(by_sites) == sorted(set(sites.tolist()))
+    for dim, (a, b, gaussian, psi, t) in by_dim.items():
+        k = np.count_nonzero(dims == dim)
+        assert a.shape == b.shape == gaussian.shape == (k, dim, dim)
+        assert psi.shape == (k, dim) and t.shape == (k,)
+        assert np.array_equal(a, a.conj().swapaxes(-1, -2)) and np.array_equal(b, b.conj().swapaxes(-1, -2))
+        assert np.abs(np.linalg.norm(psi, axis=-1) - 1.0).max() <= STATE_NORM_ATOL
+        assert ((0.0 <= t) & (t < 3.0)).all()
     for n_sites, h1 in by_sites.items():
-        want = want_sites[n_sites]
-        assert h1.dtype == want.dtype and h1.shape == want.shape and h1.tobytes() == want.tobytes()
+        assert h1.shape == (np.count_nonzero(sites == n_sites), 2, 2)
+        assert np.array_equal(h1, h1.conj().swapaxes(-1, -2))
+    again_dim, again_sites = _operator_instances(make_rng(seed), n)
+    assert list(again_dim) == list(by_dim) and list(again_sites) == list(by_sites)
+    for dim, stacks in by_dim.items():
+        assert [x.tobytes() for x in stacks] == [x.tobytes() for x in again_dim[dim]]
+    for n_sites, h1 in by_sites.items():
+        assert h1.tobytes() == again_sites[n_sites].tobytes()
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
